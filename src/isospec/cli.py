@@ -22,7 +22,7 @@ from .model import (Grid, GridPotential, Problem, builtin_problem, load_problem,
                     potential_to_csv_rows, problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
 from .spectrum import ScanOptions, scan_spectrum
-from .transform import build_perturbation, solve_kernel, transform_problem
+from .transform import build_perturbation, transform_problem
 from .verify import (check_isospectral, compare_spectra, residual_endpoint,
                      residual_goursat, residual_representation,
                      residual_transformed_eigen, residual_wave_equation)
@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
         problem = load_problem(args.problem_a)
         entries = _load_perturbation_file(args.problem_b)
         report, pert, new_problem, result = _run_transform(problem, entries, cfg)
-        kernel = solve_kernel(pert)
+        kernel = result.kernel
         new_report = scan_spectrum(new_problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
         iso = compare_spectra(report, new_report, shift_tol)
         reports = [residual_wave_equation(kernel, problem.potential, result.q)]

@@ -122,28 +122,6 @@ class ConstantDiagonalPotential(MatrixPotential):
         return {"kind": "constant-diagonal", "values": self.values.tolist()}
 
 
-class CallablePotential(MatrixPotential):
-    """Closed-form potential backed by a python callable x -> N x N array."""
-
-    def __init__(self, fn: Callable[[float], np.ndarray], dimension: int, name: str = ""):
-        self.fn = fn
-        self.dimension = dimension
-        self.name = name
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        self._check_domain(xs)
-        out = np.empty((len(xs), self.dimension, self.dimension))
-        for i, x in enumerate(xs):
-            m = np.asarray(self.fn(float(x)), dtype=float)
-            out[i] = 0.5 * (m + m.T)
-        return out
-
-    def to_json_obj(self):
-        if not self.name:
-            raise ValueError("anonymous callable potential cannot be serialized")
-        return {"kind": "builtin", "name": self.name}
-
-
 class GridPotential(MatrixPotential):
     """Symmetric samples on a uniform grid with C^2 piecewise-cubic interpolation.
 

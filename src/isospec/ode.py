@@ -2,9 +2,19 @@
 
     -Y'' + P(x) Y = lambda Y,   Y(0), Y'(0) prescribed N x N matrices.
 
-A classical 4th-order one-step scheme on the first-order system (Y, Y') with
-step h taken from the grid. Eigenfunction data is smooth, so no adaptivity:
-fixed grids keep downstream quadrature and kernel algebra node-aligned.
+A classical 4th-order Runge-Kutta step on z = (Y, Y') with step h taken from
+the grid. For z' = M z with M = [[0, I], [P - lambda, 0]] sampled at the
+nodes and the half-step, one step is z_{i+1} = T_i(lambda) z_i, and T_i is a
+polynomial of degree 4 in lambda whose 2N x 2N coefficients depend only on P
+and the grid. :func:`potential_tables` builds them once per (potential,
+grid); every propagation evaluates them:
+
+* endpoints (:func:`integrate_final_batch`) multiply T_{n-2} ... T_0 in a
+  pairwise tree, ceil(log2(n-1)) batched matrix products per chunk of lambdas;
+* paths (:func:`integrate_ivp`) fold z_{i+1} = T_i z_i node by node.
+
+Eigenfunction data is smooth, so no adaptivity: fixed grids keep downstream
+quadrature and kernel algebra node-aligned.
 """
 
 from __future__ import annotations
@@ -16,12 +26,87 @@ import numpy as np
 from .errors import NonFiniteState, OutOfDomain
 from .model import Grid, MatrixPotential
 
+#: degree of the RK4 step matrix T_i(lambda) in lambda
+STEP_DEGREE = 4
+#: bytes of step matrices evaluated at once by the endpoint tree; bounds the
+#: (chunk, n-1, 2N, 2N) stack of a lambda chunk
+_TREE_BYTES = 1 << 20
 
-def potential_tables(pot: MatrixPotential, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Potential samples at the nodes and at the half-steps, (n,N,N), (n-1,N,N)."""
-    p_nodes = np.ascontiguousarray(pot.evaluate_many(grid.nodes))
-    p_half = np.ascontiguousarray(pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:])))
-    return p_nodes, p_half
+
+def _apply_m(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Coefficients of M(lambda) U(lambda) for M = [[0, I], [P - lambda, 0]].
+
+    p is (s, N, N); u is (s, d+1, 2N, 2N), coefficient k of a degree-d
+    polynomial. Returns (s, d+2, 2N, 2N).
+    """
+    s, d1, n2, _ = u.shape
+    n = n2 // 2
+    k = np.zeros((s, d1 + 1, n2, n2))
+    k[:, :d1, :n] = u[:, :, n:]
+    k[:, :d1, n:] = p[:, None] @ u[:, :, :n]
+    k[:, 1:, n:] -= u[:, :, :n]
+    return k
+
+
+def potential_tables(pot: MatrixPotential, grid: Grid) -> np.ndarray:
+    """RK4 step polynomials C, shape (n-1, 5, 2N, 2N): T_i(lam) = sum_k lam^k C[i, k].
+
+    T_i is the classical RK4 step on z = (Y, Y') with P taken at node i, at the
+    half-step and at node i+1, expanded stage by stage in lambda.
+    """
+    p_nodes = pot.evaluate_many(grid.nodes)
+    p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    h = grid.h
+    s, n = p_half.shape[0], pot.dimension
+    c = np.zeros((s, STEP_DEGREE + 1, 2 * n, 2 * n))
+    c[:, 0] = np.eye(2 * n)
+    u = c[:, :1].copy()                                  # stage input, degree 0
+    for p, frac, weight in ((p_nodes[:-1], 0.5, 1.0), (p_half, 0.5, 2.0),
+                            (p_half, 1.0, 2.0), (p_nodes[1:], None, 1.0)):
+        k = _apply_m(p, u)
+        c[:, :k.shape[1]] += (weight * h / 6) * k
+        if frac is not None:
+            u = k * (frac * h)
+            u[:, 0] += np.eye(2 * n)
+    return c
+
+
+def _step_matrices(tables: np.ndarray, lams: np.ndarray, derivative: bool):
+    """T_i(lam) for every step and lambda, (n-1, L, 2N, 2N), and dT/dlam if asked."""
+    s, d1, n2, _ = tables.shape
+    flat = tables.reshape(s, d1, n2 * n2)
+    powers = lams[:, None] ** np.arange(d1)
+    t = (powers @ flat).reshape(s, lams.size, n2, n2)
+    if not derivative:
+        return t, None
+    dpowers = np.zeros_like(powers)
+    dpowers[:, 1:] = np.arange(1, d1) * powers[:, :-1]
+    return t, (dpowers @ flat).reshape(s, lams.size, n2, n2)
+
+
+def _tree_product(t: np.ndarray, dt: np.ndarray | None):
+    """Ordered product t[-1] @ ... @ t[0] over axis 0 by pairwise reduction.
+
+    With dt, also d/dlam of the product by the product rule on (T, dT) pairs.
+    """
+    while t.shape[0] > 1:
+        odd = t.shape[0] % 2
+        lo, hi = t[0:-1:2], t[1::2]
+        if dt is not None:
+            dprod = dt[1::2] @ lo + hi @ dt[0:-1:2]
+            dt = np.concatenate((dprod, dt[-1:])) if odd else dprod
+        prod = hi @ lo
+        t = np.concatenate((prod, t[-1:])) if odd else prod
+    return t[0], None if dt is None else dt[0]
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteState("integration overflowed; check lambda window and grid scaling")
+
+
+def _initial_state(y0, yp0) -> np.ndarray:
+    return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -39,52 +124,8 @@ class MatrixSolutionPath:
         return self.Y.shape[1]
 
 
-def _rk4(p_nodes, p_half, lam, y0, yp0, h, keep_path):
-    """Shared stepping kernel; lam may be scalar or a batch vector.
-
-    Batched shapes: lam (L,), y (L, N, N); scalar: y (N, N).
-    """
-    lam = np.asarray(lam, dtype=float)
-    batched = lam.ndim == 1
-    lam_b = lam[:, None, None] if batched else lam
-    y = np.array(y0, dtype=float)
-    v = np.array(yp0, dtype=float)
-    if batched:
-        y = np.broadcast_to(y, (lam.size,) + y0.shape).copy()
-        v = np.broadcast_to(v, (lam.size,) + yp0.shape).copy()
-    steps = p_nodes.shape[0] - 1
-    ys = vs = None
-    if keep_path:
-        ys = np.empty((steps + 1,) + y.shape)
-        vs = np.empty((steps + 1,) + v.shape)
-        ys[0], vs[0] = y, v
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            p0, pm, p1 = p_nodes[i], p_half[i], p_nodes[i + 1]
-            k1y = v
-            k1v = p0 @ y - lam_b * y
-            y2 = y + (h / 2) * k1y
-            k2y = v + (h / 2) * k1v
-            k2v = pm @ y2 - lam_b * y2
-            y3 = y + (h / 2) * k2y
-            k3y = v + (h / 2) * k2v
-            k3v = pm @ y3 - lam_b * y3
-            y4 = y + h * k3y
-            k4y = v + h * k3v
-            k4v = p1 @ y4 - lam_b * y4
-            y = y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if keep_path:
-                ys[i + 1], vs[i + 1] = y, v
-
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
-        raise NonFiniteState("integration overflowed; check lambda window and grid scaling")
-    return (ys, vs) if keep_path else (y, v)
-
-
 def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndarray,
-                  grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None) -> MatrixSolutionPath:
+                  grid: Grid, tables: np.ndarray | None = None) -> MatrixSolutionPath:
     """Integrate -Y'' + P Y = lam Y from x=0 to pi on the grid.
 
     Parameters
@@ -108,18 +149,46 @@ def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndar
         raise ValueError("initial data must be N x N matching the potential")
     if tables is None:
         tables = potential_tables(pot, grid)
-    ys, vs = _rk4(tables[0], tables[1], float(lam), y0, yp0, grid.h, keep_path=True)
-    return MatrixSolutionPath(grid, float(lam), ys, vs, pot)
+    steps, _ = _step_matrices(tables, np.array([float(lam)]), derivative=False)
+    n = pot.dimension
+    z = np.empty((grid.n, 2 * n, n))
+    z[0] = _initial_state(y0, yp0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n - 1):
+            np.matmul(steps[i, 0], z[i], out=z[i + 1])
+    _check_finite(z[-1])
+    return MatrixSolutionPath(grid, float(lam), z[:, :n].copy(), z[:, n:].copy(), pot)
 
 
 def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray, yp0: np.ndarray,
-                          grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None):
-    """Endpoint (Y(pi), Y'(pi)) for a batch of lambda values, shape (L, N, N) each."""
+                          grid: Grid, tables: np.ndarray | None = None, derivative: bool = False):
+    """Endpoint (Y(pi), Y'(pi)) for a batch of lambda values, shape (L, N, N) each.
+
+    The step matrices of a chunk of lambdas are multiplied in a pairwise tree.
+    With ``derivative=True`` also returns (dY(pi)/dlam, dY'(pi)/dlam), the
+    exact lambda-derivatives of the discrete endpoint map.
+    """
     if tables is None:
         tables = potential_tables(pot, grid)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return _rk4(tables[0], tables[1], lams, np.asarray(y0, float), np.asarray(yp0, float),
-                grid.h, keep_path=False)
+    z0 = _initial_state(y0, yp0)
+    s, _, n2, _ = tables.shape
+    n = n2 // 2
+    chunk = max(1, _TREE_BYTES // ((1 + derivative) * s * n2 * n2 * 8))
+    z = np.empty((lams.size, n2, n))
+    dz = np.empty_like(z) if derivative else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, lams.size, chunk):
+            sl = slice(lo, lo + chunk)
+            prod, dprod = _tree_product(*_step_matrices(tables, lams[sl], derivative))
+            z[sl] = prod @ z0
+            if derivative:
+                dz[sl] = dprod @ z0
+    _check_finite(z)
+    if not derivative:
+        return z[:, :n], z[:, n:]
+    _check_finite(dz)
+    return z[:, :n], z[:, n:], dz[:, :n], dz[:, n:]
 
 
 def _hermite(fa, da, fb, db, h, s):

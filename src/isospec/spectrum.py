@@ -4,7 +4,11 @@ lambda is an eigenvalue iff W(lambda) = cB Y'(pi; lambda) + cA Y(pi; lambda)
 is singular, where Y solves the matrix IVP with Y(0) = B^T, Y'(0) = -A^T.
 Multiplicity equals the nullity of W. Roots are located as minima of
 sigma_min(W(lambda)): determinant sign changes miss even-multiplicity
-eigenvalues, which are exactly the interesting case here.
+eigenvalues, which are exactly the interesting case here. Each bracketed
+minimum is refined by Newton's method on W itself (successive linear
+problems, Ruhe 1973), which converges quadratically at simple and at
+semi-simple multiple eigenvalues alike; a bracket where Newton fails falls
+back to golden-section minimization of sigma_min.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class ScanOptions:
     """Knobs for :func:`scan_spectrum`."""
 
     resolution: float = 0.05        # lambda spacing of the sigma_min scan
-    tol: float = 1e-10              # refinement tolerance on each eigenvalue
+    tol: float = 1e-10              # final Newton step size on each eigenvalue
     rank_tol: float = DEFAULT_RANK_TOL
     grid_nodes: int = 401           # x-grid for the IVP integration
     oracle_nodes: int = 201         # finite-difference oracle resolution
@@ -117,9 +121,14 @@ def characteristic_matrix(p: Problem, lam: float, grid: Grid,
     return p.right.B @ yp_pi[0] + p.right.A @ y_pi[0]
 
 
-def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables) -> np.ndarray:
-    y_pi, yp_pi = integrate_final_batch(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
-    return p.right.B @ yp_pi + p.right.A @ y_pi
+def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bool = False):
+    """W(lambda) for a batch, (L, N, N); with derivative, also dW/dlambda."""
+    ends = integrate_final_batch(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables,
+                                 derivative=derivative)
+    w = p.right.B @ ends[1] + p.right.A @ ends[0]
+    if not derivative:
+        return w
+    return w, p.right.B @ ends[3] + p.right.A @ ends[2]
 
 
 def _sigma_batch(p, lams, grid, tables):
@@ -186,13 +195,59 @@ def _cluster(values: np.ndarray, tol_fn) -> list[float]:
 # refinement
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: Newton passes a bracket gets before it falls back to the golden section
+_NEWTON_PASSES = 8
+#: dW/dlambda counts as singular below this relative smallest singular value
+_SINGULAR_RTOL = 1e-13
+
+
+def _newton_refine(p: Problem, a: np.ndarray, b: np.ndarray, grid: Grid, tables,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Newton iteration on W(lambda) over the brackets [a, b].
+
+    Each pass solves W(lam) v = mu W'(lam) v and steps lam <- lam - mu with mu
+    the eigenvalue of smallest modulus, starting from the bracket midpoints.
+    Near an eigenvalue lam_k of multiplicity m, W(lam) ~ (lam - lam_k) W'(lam)
+    on the m-dimensional null space, so mu ~ lam - lam_k and convergence is
+    quadratic even at semi-simple multiple eigenvalues. A bracket converges
+    when |mu| <= tol; it fails when its iterate leaves [a, b], W' is singular
+    there, or it has not converged within _NEWTON_PASSES passes.
+
+    Returns the iterates and a mask of the brackets that converged.
+    """
+    lam = 0.5 * (a + b)
+    active = np.ones(lam.size, dtype=bool)
+    converged = np.zeros(lam.size, dtype=bool)
+    for _ in range(_NEWTON_PASSES):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        w, dw = _char_batch(p, lam[idx], grid, tables, derivative=True)
+        s = np.linalg.svd(dw, compute_uv=False)
+        regular = s[:, -1] > _SINGULAR_RTOL * s[:, 0]
+        active[idx[~regular]] = False
+        idx, w, dw = idx[regular], w[regular], dw[regular]
+        if idx.size == 0:
+            break
+        mus = np.linalg.eigvals(np.linalg.solve(dw, w))
+        mu = mus[np.arange(idx.size), np.argmin(np.abs(mus), axis=1)].real
+        step = lam[idx] - mu
+        inside = (step >= a[idx]) & (step <= b[idx])
+        active[idx[~inside]] = False
+        idx, step, mu = idx[inside], step[inside], mu[inside]
+        lam[idx] = step
+        done = np.abs(mu) <= tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+    return lam, converged
 
 
 def _golden_refine(fun, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized golden-section minimization over a batch of brackets.
 
     fun maps a vector of lambdas to a vector of objective values. Robust for
-    the V-shaped sigma_min profiles near eigenvalues (no smoothness needed).
+    the V-shaped sigma_min profiles near eigenvalues (no smoothness needed);
+    the fallback for brackets where Newton's method fails.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -272,8 +327,9 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     """All eigenvalues in [lambda_min, lambda_max] with multiplicities.
 
     sigma_min(W) is sampled on a lambda grid, local minima are bracketed and
-    refined by golden-section minimization to opts.tol, and each survivor is
-    accepted iff sigma_min falls below rank_tol times the local scale of W.
+    refined by Newton's method on W until its step is at most opts.tol (golden
+    section on sigma_min where Newton fails), and each survivor is accepted
+    iff sigma_min falls below rank_tol times the local scale of W.
     The finite-difference oracle (when enabled) tightens the scan resolution
     from its minimal eigenvalue gap and guards against skipped roots.
 
@@ -290,7 +346,6 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     if not lambda_min < lambda_max:
         raise ValueError("need lambda_min < lambda_max")
     grid = Grid.uniform(opts.grid_nodes)
-    tables = potential_tables(p.potential, grid)
 
     oracle_vals = None
     resolution = opts.resolution
@@ -309,14 +364,13 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                 )
             resolution = min(resolution, gap / 3.0)
 
+    # the step tables are built after the oracle so that their temporaries
+    # and the oracle's dense pencil are never resident together
+    tables = potential_tables(p.potential, grid)
     n_samples = int(np.ceil((lambda_max - lambda_min) / resolution)) + 1
     lams = np.linspace(lambda_min, lambda_max, max(n_samples, 3))
     cell = lams[1] - lams[0]
-    smin = np.empty_like(lams)
-    s1 = np.empty_like(lams)
-    for lo in range(0, lams.size, 4096):
-        sl = slice(lo, min(lo + 4096, lams.size))
-        smin[sl], s1[sl] = _sigma_batch(p, lams[sl], grid, tables)
+    smin, s1 = _sigma_batch(p, lams, grid, tables)
 
     interior = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
     brackets = [(lams[i - 1], lams[i + 1], max(s1[i - 1], s1[i], s1[i + 1])) for i in interior]
@@ -339,7 +393,11 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         a = np.array([b[0] for b in brackets])
         b = np.array([b[1] for b in brackets])
         bscale = np.array([b[2] for b in brackets])
-        roots = _golden_refine(lambda xs: _sigma_batch(p, xs, grid, tables)[0], a, b, opts.tol)
+        roots, converged = _newton_refine(p, a, b, grid, tables, opts.tol)
+        failed = ~converged
+        if np.any(failed):
+            roots[failed] = _golden_refine(lambda xs: _sigma_batch(p, xs, grid, tables)[0],
+                                           a[failed], b[failed], opts.tol)
         rmin, r1 = _sigma_batch(p, roots, grid, tables)
         for lam, sm, sx, sc in zip(roots, rmin, r1, bscale):
             scale = max(sx, sc)

@@ -206,12 +206,6 @@ class KernelField:
     def rank(self) -> int:
         return self.coeffs.size
 
-    def kernel_at(self, i: int, j: int) -> np.ndarray:
-        """K(x_i, y_j) (zero above the diagonal)."""
-        if j > i:
-            return np.zeros((self.phi.shape[1],) * 2)
-        return self.a[i] @ self.phi[j].T
-
     def kernel_matrix(self) -> np.ndarray:
         """All node pairs, shape (n, n, N, N), upper triangle y > x zeroed."""
         k = np.einsum("iam,jbm->ijab", self.a, self.phi)
@@ -358,7 +352,7 @@ def transform_eigenfunction(kernel: KernelField, phi: SampledVectorFunction,
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Transformed potential, boundary matrices, and diagnostics."""
+    """Transformed potential, boundary matrices, diagnostics, and the solved kernel."""
 
     q: MatrixPotential
     atilde: np.ndarray
@@ -367,6 +361,7 @@ class TransformResult:
     kpipi: np.ndarray
     psis: tuple[SampledVectorFunction, ...]
     diagnostics: dict
+    kernel: KernelField
 
     def to_json_obj(self):
         return {
@@ -384,8 +379,8 @@ def transform_problem(p: Problem, pert: Perturbation, grid: Grid | None = None
 
     Returns the isospectral problem (Q, Atilde, B, cAtilde, cB) and a
     TransformResult carrying the transformed eigenfunctions of the selected
-    branches plus numerical diagnostics. An empty perturbation returns the
-    problem unchanged.
+    branches, numerical diagnostics and the solved kernel. An empty
+    perturbation returns the problem unchanged.
     """
     kernel = solve_kernel(pert, grid)
     q = potential_q(pert, kernel, p.potential)
@@ -418,4 +413,4 @@ def transform_problem(p: Problem, pert: Perturbation, grid: Grid | None = None
         alt = p.left.A + b @ kernel.k00
         diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - atilde)))
     return new_problem, TransformResult(q, atilde, catilde, kernel.k00, kernel.kpipi,
-                                        tuple(psis), diag)
+                                        tuple(psis), diag, kernel)

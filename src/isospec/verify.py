@@ -9,8 +9,6 @@ diagonalizable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +18,6 @@ from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
 from .spectrum import SampledVectorFunction, ScanOptions, SpectrumReport, scan_spectrum
 from .transform import KernelField, Perturbation, TransformResult
-
-
-def max_threads() -> int:
-    """Internal parallelism cap; honors the ISOSPEC_THREADS environment variable."""
-    env = os.environ.get("ISOSPEC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -101,14 +90,8 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
     if p_a.n != p_b.n:
         raise ValueError("problems have different dimensions")
     lo, hi = window
-    if max_threads() > 1:
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            fa = ex.submit(scan_spectrum, p_a, lo, hi, opts)
-            fb = ex.submit(scan_spectrum, p_b, lo, hi, opts)
-            ra, rb = fa.result(), fb.result()
-    else:
-        ra = scan_spectrum(p_a, lo, hi, opts)
-        rb = scan_spectrum(p_b, lo, hi, opts)
+    ra = scan_spectrum(p_a, lo, hi, opts)
+    rb = scan_spectrum(p_b, lo, hi, opts)
     return compare_spectra(ra, rb, tol)
 
 

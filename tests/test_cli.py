@@ -100,6 +100,29 @@ class TestSpectrum:
         assert outs[0] == outs[1]
         capsys.readouterr()
 
+    def test_byte_identical_reruns_coupled_4x4(self, tmp_path, capsys):
+        # an N = 4 coupled grid potential: lambda batches span several tree chunks
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        grid = iso.Grid.uniform(401)
+        samples = np.broadcast_to(q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T, (grid.n, 4, 4))
+        dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+        problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+        prob = tmp_path / "c4.json"
+        prob.write_text(dumps_json(iso.problem_to_json_obj(problem)))
+        trees = []
+        for d in ("d1", "d2"):
+            out = tmp_path / d
+            assert main(["spectrum", str(prob), "--min", "-2.5", "--max", "5",
+                         "--out", str(out)]) == 0
+            trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert trees[0] == trees[1]
+        rows = json.loads(trees[0]["spectrum.json"])
+        assert [(round(r["lambda"], 6), r["multiplicity"]) for r in rows] == \
+            [(-2.0, 1), (0.5, 1), (1.0, 2), (2.5, 1), (3.5, 1), (4.0, 1)]
+        assert len(trees[0]) == 1 + 7
+        capsys.readouterr()
+
     def test_dump_path(self, scalar_files, tmp_path, capsys):
         prob, _ = scalar_files
         out = tmp_path / "pth"

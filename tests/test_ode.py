@@ -3,6 +3,7 @@ import pytest
 
 import isospec as iso
 from isospec.errors import NonFiniteState, OutOfDomain
+from isospec.ode import integrate_final_batch, potential_tables
 
 
 def dirichlet_path(problem, lam, n=401):
@@ -114,3 +115,63 @@ class TestProperties:
         b = iso.integrate_ivp(paper.potential, 3.3, y0, yp0, grid)
         assert np.max(np.abs(a.Y - b.Y @ m)) < 1e-12
         assert np.max(np.abs(a.Yp - b.Yp @ m)) < 1e-12
+
+
+def random_grid_potential(n_dim, n_nodes, seed):
+    rng = np.random.default_rng(seed)
+    grid = iso.Grid.uniform(n_nodes)
+    a = rng.normal(size=(n_nodes, n_dim, n_dim))
+    return iso.GridPotential(grid, a + a.transpose(0, 2, 1)), grid
+
+
+def rk4_reference(pot, lam, y0, yp0, grid):
+    """Plain per-step classical RK4 on (Y, Y'); the kernel's reference."""
+    h = grid.h
+    p_nodes = pot.evaluate_many(grid.nodes)
+    p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    y, v = np.array(y0, dtype=float), np.array(yp0, dtype=float)
+
+    def f(p, y):
+        return p @ y - lam * y
+
+    for i in range(grid.n - 1):
+        p0, pm, p1 = p_nodes[i], p_half[i], p_nodes[i + 1]
+        k1y, k1v = v, f(p0, y)
+        k2y, k2v = v + h / 2 * k1v, f(pm, y + h / 2 * k1y)
+        k3y, k3v = v + h / 2 * k2v, f(pm, y + h / 2 * k2y)
+        k4y, k4v = v + h * k3v, f(p1, y + h * k3y)
+        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return y, v
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    def test_tree_fold_and_reference_agree(self, n_dim):
+        pot, grid = random_grid_potential(n_dim, 201, seed=n_dim)
+        rng = np.random.default_rng(10 + n_dim)
+        y0, yp0 = rng.normal(size=(n_dim, n_dim)), rng.normal(size=(n_dim, n_dim))
+        tables = potential_tables(pot, grid)
+        assert tables.shape == (grid.n - 1, 5, 2 * n_dim, 2 * n_dim)
+        lams = np.array([-4.0, 0.3, 17.0])
+        y_tree, yp_tree = integrate_final_batch(pot, lams, y0, yp0, grid, tables)
+        for k, lam in enumerate(lams):
+            y_ref, yp_ref = rk4_reference(pot, lam, y0, yp0, grid)
+            path = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
+            scale = max(np.max(np.abs(y_ref)), np.max(np.abs(yp_ref)))
+            for y, yp in ((y_tree[k], yp_tree[k]), (path.Y[-1], path.Yp[-1])):
+                assert np.max(np.abs(y - y_ref)) <= 1e-12 * scale
+                assert np.max(np.abs(yp - yp_ref)) <= 1e-12 * scale
+
+    def test_endpoint_independent_of_batch_position(self):
+        # lambda batches are cut into tree chunks; each endpoint is the same
+        # as when the lambda is propagated alone
+        pot, grid = random_grid_potential(4, 401, seed=5)
+        y0, yp0 = np.eye(4), np.zeros((4, 4))
+        lams = np.linspace(-3.0, 12.0, 23)
+        y_all, yp_all = integrate_final_batch(pot, lams, y0, yp0, grid)
+        for k in (0, 7, 22):
+            y_one, yp_one = integrate_final_batch(pot, lams[k:k + 1], y0, yp0, grid)
+            scale = max(np.max(np.abs(y_one)), np.max(np.abs(yp_one)))
+            assert np.max(np.abs(y_all[k] - y_one[0])) <= 1e-13 * scale
+            assert np.max(np.abs(yp_all[k] - yp_one[0])) <= 1e-13 * scale

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec.errors import NotAnEigenvalue, WindowTooCoarse
+from isospec import spectrum
+from isospec.errors import NonFiniteState, NotAnEigenvalue, WindowTooCoarse
+from isospec.ode import potential_tables
 from isospec.quadrature import integral
 
 import oracles
@@ -27,6 +29,26 @@ class TestCharacteristicMatrix:
     def test_paper_double_zero(self, paper):
         w = iso.characteristic_matrix(paper, 1.0, iso.Grid.uniform(401))
         assert np.max(np.abs(w)) < 1e-7
+
+    def test_overflow_raises(self, scalar):
+        with pytest.raises(NonFiniteState):
+            iso.characteristic_matrix(scalar, -1e8, iso.Grid.uniform(101))
+
+    def test_derivative_matches_central_difference(self):
+        rng = np.random.default_rng(3)
+        grid = iso.Grid.uniform(201)
+        a = rng.normal(size=(grid.n, 2, 2))
+        problem = iso.Problem(iso.GridPotential(grid, a + a.transpose(0, 2, 1)),
+                              iso.BoundaryPair(0.5 * np.eye(2), np.eye(2)),
+                              iso.BoundaryPair(np.eye(2), 0.3 * np.eye(2)))
+        tables = potential_tables(problem.potential, grid)
+        lams = np.array([-4.0, 0.3, 17.0])
+        _, dw = spectrum._char_batch(problem, lams, grid, tables, derivative=True)
+        d = 1e-5
+        fd = (spectrum._char_batch(problem, lams + d, grid, tables)
+              - spectrum._char_batch(problem, lams - d, grid, tables)) / (2 * d)
+        for k in range(lams.size):
+            assert np.max(np.abs(dw[k] - fd[k])) <= 1e-6 * np.max(np.abs(dw[k]))
 
 
 class TestScan:
@@ -87,6 +109,34 @@ class TestScan:
             assert svals[-pair.multiplicity] <= opts.rank_tol * scale
             if pair.multiplicity < paper.n:
                 assert svals[-pair.multiplicity - 1] > opts.rank_tol * scale
+
+    def test_shifted_window_same_spectrum(self, paper, paper_report):
+        # Newton from other starting points converges to the same roots
+        report = iso.scan_spectrum(paper, -4.87, 19.3)
+        assert [p.multiplicity for p in report.pairs] == [p.multiplicity for p in paper_report.pairs]
+        assert len(report.pairs) == 7
+        lams = np.array([p.lam for p in report.pairs])
+        assert np.max(np.abs(lams - [p.lam for p in paper_report.pairs])) <= 1e-9
+        double = report.pairs[report.pair_index(1.0)]
+        assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
+
+    def test_root_free_edge_bracket_falls_back_and_is_rejected(self, paper, monkeypatch):
+        golden = spectrum._golden_refine
+        fallbacks = []
+
+        def recording(fun, a, b, tol):
+            fallbacks.append((a.copy(), b.copy()))
+            return golden(fun, a, b, tol)
+
+        monkeypatch.setattr(spectrum, "_golden_refine", recording)
+        report = iso.scan_spectrum(paper, -5.0, 20.0)
+        ((a, b),) = fallbacks
+        assert np.allclose(a, [19.95]) and np.allclose(b, [20.0])
+        assert max(p.lam for p in report.pairs) < 17.0
+        grid = report.grid
+        root = golden(lambda xs: spectrum._sigma_batch(paper, xs, grid, None)[0], a, b, 1e-10)
+        smin, s1 = spectrum._sigma_batch(paper, root, grid, None)
+        assert smin[0] > report.options.rank_tol * s1[0]
 
     def test_report_json(self, scalar_report):
         obj = scalar_report.to_json_obj()
