@@ -42,7 +42,6 @@ class RunConfig:
     tol: float = 1e-10
     rank_tol: float = 1e-6
     out_dir: str = "isospec-out"
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
@@ -66,7 +65,6 @@ def _config(args) -> RunConfig:
         tol=args.tol,
         rank_tol=args.rank_tol,
         out_dir=args.out,
-        fmt=args.format,
     )
 
 
@@ -95,7 +93,7 @@ def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
     report = scan_spectrum(problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
     obj = report.to_json_obj()
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         print("lambda,multiplicity,residual")
         for row in obj:
             print(",".join(serialize.format_float(row[k]) if k != "multiplicity" else str(row[k])
@@ -161,7 +159,7 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     shift_tol = args.shift_tol
-    failures = 0
+    reports = []
 
     if args.pipeline:
         problem = load_problem(args.problem_a)
@@ -179,26 +177,23 @@ def cmd_verify(args) -> int:
         print(f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
               f"max shift {iso.max_shift:.3e} (tolerance {shift_tol:.0e}), "
               f"multiplicities {'match' if iso.multiplicity_match else 'DIFFER'}")
-        failures += 0 if iso.passed else 1
         for rep in reports:
-            ok = rep.passed
-            if rep.extras and "boundary_tolerance" in rep.extras:
-                btol = rep.extras["boundary_tolerance"]
-                ok = ok and rep.extras["boundary_left"] <= btol and rep.extras["boundary_right"] <= btol
-            print(f"[{'pass' if ok else 'FAIL'}] {rep.name}: "
+            print(f"[{'pass' if rep.passed else 'FAIL'}] {rep.name}: "
                   f"max residual {rep.max_residual:.3e} (tolerance {rep.tolerance:.0e})")
-            failures += 0 if ok else 1
     else:
         pa = load_problem(args.problem_a)
         pb = load_problem(args.problem_b)
         iso = check_isospectral(pa, pb, (cfg.lambda_min, cfg.lambda_max),
                                 shift_tol, cfg.scan_options())
         sys.stdout.write(serialize.dumps_json(iso.to_json_obj()))
-        failures += 0 if iso.passed else 1
 
     if args.out:
-        _ensure_out(cfg)
-    return EXIT_OK if failures == 0 else EXIT_DOMAIN
+        serialize.write_json(os.path.join(_ensure_out(cfg), "verify.json"), {
+            "isospectral": iso.to_json_obj(),
+            "residuals": [rep.to_json_obj() for rep in reports],
+        })
+    passed = iso.passed and all(rep.passed for rep in reports)
+    return EXIT_OK if passed else EXIT_DOMAIN
 
 
 def cmd_example(args) -> int:
@@ -231,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-6,
                        help="relative rank threshold for multiplicities")
         p.add_argument("--out", default="", help="output directory for artifacts")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="stdout summary format")
 
     p = sub.add_parser("validate", help="check the structural hypotheses of a problem file")
     p.add_argument("problem")
@@ -241,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="scan eigenvalues with multiplicities")
     p.add_argument("problem")
     common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="stdout summary format")
     p.add_argument("--dump-path", type=float, default=None, metavar="LAMBDA",
                    help="also write the matrix solution path at this lambda as CSV")
     p.set_defaults(fn=cmd_spectrum)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
-from .model import Grid, Problem
+from .model import RANK_RTOL, BoundaryPair, Grid, Problem
 from .ode import integrate_final_batch, integrate_ivp, potential_tables
 from .quadrature import integral
 
@@ -140,45 +140,90 @@ def _sigma_batch(p, lams, grid, tables):
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
-def fd_oracle_eigenvalues(p: Problem, n_nodes: int = 201) -> np.ndarray:
-    """Independent O(h^2) eigenvalue estimates from a finite-difference matrix.
+def _end_frame(pair: BoundaryPair, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Free directions and boundary form of one endpoint for the oracle.
 
-    Second-order central differences in the interior; the boundary conditions
-    are imposed as equation rows with one-sided O(h^2) derivative stencils,
-    giving a generalized eigenproblem L u = lambda M u with a singular mass
-    matrix (boundary rows carry no lambda).
+    Every phi obeying B phi' + A phi = 0 at the end has (phi, phi') =
+    (B^T c, -A^T c) for some c. The ker B components of phi are therefore
+    Dirichlet, and phi = V b with V an orthonormal basis of range(B^T). With
+    B = U S V^T, the weak form's boundary terms psi(0)^T phi'(0) and
+    -psi(pi)^T phi'(pi) become sign * b_psi^T G b_phi, sign -1 at 0 and +1 at
+    pi, with G = S_r^{-1} U_r^T (B A^T) U_r S_r^{-1}, symmetric because
+    B A^T = A B^T. An invertible B keeps the identity frame, where
+    G = B^{-1} A.
+
+    Returns (V, sign * G), V of shape (N, r) with r = rank B.
+    """
+    a, b = pair.A, pair.B
+    n = pair.n
+    u, s, vt = np.linalg.svd(b)
+    r = int(np.sum(s > RANK_RTOL * np.linalg.norm(np.hstack([a, b]), 2)))
+    if r == n:
+        v, g = np.eye(n), np.linalg.solve(b, a)
+    else:
+        us = u[:, :r] / s[:r]
+        v, g = vt[:r].T, us.T @ (b @ a.T) @ us
+    return v, sign * 0.5 * (g + g.T)
+
+
+def _set_band(band: np.ndarray, blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Write the lower-triangle entries of blocks (k, p, q), placed with their
+    top-left corners at (rows[k], cols[k]), into lower band storage."""
+    p, q = blocks.shape[1:]
+    i, j = np.divmod(np.arange(p * q), q)
+    i = rows[:, None] + i
+    j = cols[:, None] + j
+    # zeros are skipped: a coupling block's zeros may fall outside the band
+    keep = (i >= j) & (blocks.reshape(-1, p * q) != 0.0)
+    band[(i - j)[keep], j[keep]] = blocks.reshape(-1, p * q)[keep]
+
+
+def fd_oracle_eigenvalues(p: Problem, n_nodes: int = 201) -> np.ndarray:
+    """Independent O(h^2) eigenvalue estimates from a symmetric banded matrix.
+
+    Linear finite elements with lumped mass (at interior nodes, the
+    second-order central-difference scheme) on a uniform grid. The ker B
+    components of each endpoint value are eliminated as Dirichlet unknowns,
+    and the remaining ones carry the symmetric boundary form of
+    :func:`_end_frame`. Scaling by the diagonal mass gives a standard
+    symmetric matrix, stored node-major in lower band form with bandwidth N
+    (up to 2N - 2 when an end has a B of intermediate rank). Its band
+    eigensolve takes O((nN)^2 N) operations and O(nN^2) memory, against
+    O((nN)^3) and O((nN)^2) for a dense solve.
+
+    Returns every eigenvalue of the discrete problem, ascending.
     """
     n_dim = p.n
     grid = Grid.uniform(n_nodes)
     h = grid.h
-    ps = p.potential.evaluate_many(grid.nodes)
-    size = n_nodes * n_dim
-    L = np.zeros((size, size))
-    M = np.zeros((size, size))
-    eye = np.eye(n_dim)
-
-    def block(i, j):
-        return slice(i * n_dim, (i + 1) * n_dim), slice(j * n_dim, (j + 1) * n_dim)
-
-    for i in range(1, n_nodes - 1):
-        L[block(i, i - 1)] = -eye / h**2
-        L[block(i, i)] = 2 * eye / h**2 + ps[i]
-        L[block(i, i + 1)] = -eye / h**2
-        M[block(i, i)] = eye
-    A, B = p.left.A, p.left.B
-    L[block(0, 0)] = A - 1.5 * B / h
-    L[block(0, 1)] = 2.0 * B / h
-    L[block(0, 2)] = -0.5 * B / h
-    cA, cB = p.right.A, p.right.B
     m = n_nodes - 1
-    L[block(m, m)] = cA + 1.5 * cB / h
-    L[block(m, m - 1)] = -2.0 * cB / h
-    L[block(m, m - 2)] = 0.5 * cB / h
+    diag = p.potential.evaluate_many(grid.nodes) + (2.0 / h**2) * np.eye(n_dim)
+    v_l, g_l = _end_frame(p.left, -1.0)
+    v_r, g_r = _end_frame(p.right, 1.0)
+    r_l, r_r = v_l.shape[1], v_r.shape[1]
+    first, last = r_l, r_l + (m - 1) * n_dim        # offsets of nodes 1 and m
+    # the half-cell mass h/2 at the ends scales their couplings by sqrt(2)
+    c_l = -np.sqrt(2.0) / h**2 * v_l                 # node 1 rows, node 0 columns
+    c_r = -np.sqrt(2.0) / h**2 * v_r.T               # node m rows, node m-1 columns
+    width = n_dim
+    for c, offset in ((c_l, r_l), (c_r, n_dim)):
+        rows, cols = np.nonzero(c)
+        if rows.size:
+            width = max(width, offset + int(np.max(rows - cols)))
 
-    w = scipy.linalg.eig(L, M, right=False)
-    w = w[np.isfinite(w)]
-    w = w[np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real))].real
-    return np.sort(w)
+    band = np.zeros((width + 1, last + r_r))
+    interior = first + n_dim * np.arange(m - 1)
+    _set_band(band, diag[1:m], interior, interior)
+    band[n_dim, first:last - n_dim] = -1.0 / h**2
+    if r_l:
+        end = v_l.T @ diag[0] @ v_l + (2.0 / h) * g_l
+        _set_band(band, end[None], np.array([0]), np.array([0]))
+        _set_band(band, c_l[None], np.array([first]), np.array([0]))
+    if r_r:
+        end = v_r.T @ diag[m] @ v_r + (2.0 / h) * g_r
+        _set_band(band, end[None], np.array([last]), np.array([last]))
+        _set_band(band, c_r[None], np.array([last]), np.array([last - n_dim]))
+    return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
 
 
 def _cluster(values: np.ndarray, tol_fn) -> list[float]:
@@ -353,8 +398,7 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         h_o = np.pi / (opts.oracle_nodes - 1)
         all_oracle = fd_oracle_eigenvalues(p, opts.oracle_nodes)
         oracle_vals = all_oracle[(all_oracle >= lambda_min) & (all_oracle <= lambda_max)]
-        cluster_tol = lambda v: max(1e-3, h_o**2 * (1.0 + v * v))
-        reps = _cluster(oracle_vals, cluster_tol)
+        reps = _cluster(oracle_vals, lambda v: max(1e-3, h_o**2 * (1.0 + v * v)))
         if len(reps) >= 2:
             gap = float(np.min(np.diff(reps)))
             floor = max(1e-4, 16 * opts.tol)
@@ -364,28 +408,25 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                 )
             resolution = min(resolution, gap / 3.0)
 
-    # the step tables are built after the oracle so that their temporaries
-    # and the oracle's dense pencil are never resident together
     tables = potential_tables(p.potential, grid)
     n_samples = int(np.ceil((lambda_max - lambda_min) / resolution)) + 1
     lams = np.linspace(lambda_min, lambda_max, max(n_samples, 3))
     cell = lams[1] - lams[0]
+    # one extra sample past each edge makes a minimum at an edge interior, so
+    # every bracket straddles its minimum and no root-free edge bracket exists
+    lams = np.concatenate([[lambda_min - cell], lams, [lambda_max + cell]])
     smin, s1 = _sigma_batch(p, lams, grid, tables)
 
     interior = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
     brackets = [(lams[i - 1], lams[i + 1], max(s1[i - 1], s1[i], s1[i + 1])) for i in interior]
-    if smin[0] < smin[1]:
-        brackets.append((lams[0], lams[1], max(s1[0], s1[1])))
-    if smin[-1] < smin[-2]:
-        brackets.append((lams[-2], lams[-1], max(s1[-2], s1[-1])))
 
     if oracle_vals is not None:
         covered = [0.5 * (a + b) for a, b, _ in brackets]
-        for rep in _cluster(oracle_vals, lambda v: max(1e-3, (np.pi / (opts.oracle_nodes - 1))**2 * (1 + v * v))):
+        for rep in reps:
             if not any(abs(rep - c) <= 2 * cell for c in covered):
                 a = max(lambda_min, rep - cell)
                 b = min(lambda_max, rep + cell)
-                i = int(np.clip(round((rep - lambda_min) / cell), 0, lams.size - 1))
+                i = int(np.clip(round((rep - lambda_min) / cell) + 1, 0, lams.size - 1))
                 brackets.append((a, b, s1[i]))
 
     found: list[tuple[float, float]] = []   # (lambda, scale)
@@ -401,7 +442,7 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         rmin, r1 = _sigma_batch(p, roots, grid, tables)
         for lam, sm, sx, sc in zip(roots, rmin, r1, bscale):
             scale = max(sx, sc)
-            if scale > 0 and sm <= opts.rank_tol * scale:
+            if lambda_min <= lam <= lambda_max and scale > 0 and sm <= opts.rank_tol * scale:
                 found.append((float(lam), float(scale)))
 
     found.sort()
@@ -423,7 +464,6 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     pairs = [eigenbasis(p, lam, grid, opts.rank_tol, scale=sc, tables=tables) for lam, sc in merged]
 
     if oracle_vals is not None:
-        h_o = np.pi / (opts.oracle_nodes - 1)
         margin = lambda v: cell + 0.1 + 2 * h_o**2 * (1.0 + v * v)
         interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)
                                      for v in oracle_vals]))

@@ -63,7 +63,12 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        """max_residual within tolerance, and any boundary residuals in extras
+        within boundary_tolerance."""
+        extras = self.extras or {}
+        btol = extras.get("boundary_tolerance")
+        ends_ok = btol is None or max(extras["boundary_left"], extras["boundary_right"]) <= btol
+        return self.max_residual <= self.tolerance and ends_ok
 
     def to_json_obj(self):
         obj = {

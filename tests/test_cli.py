@@ -263,6 +263,38 @@ class TestVerify:
         assert obj["verdict"] == "fail"
         assert abs(obj["maxShift"] - 0.1) < 1e-3
 
+    @pytest.mark.parametrize("shift_tol,rc", [("1e-4", 0), ("1e-15", 1)])
+    def test_verify_json_matches_printed_verdicts(self, scalar_files, tmp_path, capsys,
+                                                  shift_tol, rc):
+        prob, pert = scalar_files
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(pert), "--pipeline", "--min", "0.5",
+                     "--max", "10", "--shift-tol", shift_tol, "--out", str(out)]) == rc
+        printed = [(line.split("] ")[0][1:], line.split("] ")[1].split(":")[0])
+                   for line in capsys.readouterr().out.splitlines()]
+        obj = json.loads((out / "verify.json").read_text())
+        written = [("pass" if obj["isospectral"]["verdict"] == "pass" else "FAIL", "isospectral")]
+        written += [("pass" if r["passed"] else "FAIL", r["name"]) for r in obj["residuals"]]
+        assert printed == written
+        assert [v for v, _ in written].count("FAIL") == rc
+
+    def test_two_problem_verify_json(self, scalar_files, tmp_path, capsys):
+        prob, _ = scalar_files
+        out = tmp_path / "v2"
+        assert main(["verify", str(prob), str(prob), "--min", "0.5", "--max", "10",
+                     "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads((out / "verify.json").read_text()) == \
+            {"isospectral": printed, "residuals": []}
+
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_format_flag_rejected(self, scalar_files, command, capsys):
+        prob, pert = scalar_files
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(prob), str(pert), "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestExample:
     def test_unknown_name_exits_1(self, capsys):

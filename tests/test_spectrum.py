@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import isospec as iso
 from isospec import spectrum
@@ -8,6 +9,41 @@ from isospec.ode import potential_tables
 from isospec.quadrature import integral
 
 import oracles
+
+
+def mixed_end_problem():
+    """N = 2, non-constant grid P; rank-one B on the left (Robin along one
+    rotated direction, Dirichlet along the other), invertible B on the right."""
+    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    left = iso.BoundaryPair(rot @ np.diag([0.4, 1.0]) @ rot.T, rot @ np.diag([1.0, 0.0]) @ rot.T)
+    right = iso.BoundaryPair(np.array([[0.3, 0.2], [0.2, -0.5]]), np.eye(2))
+    grid = iso.Grid.uniform(401)
+    x = grid.nodes
+    off = 0.3 * np.sin(2 * x)
+    samples = np.stack([np.stack([np.cos(x), off], -1), np.stack([off, 1 + x / 3], -1)], -2)
+    return iso.Problem(iso.GridPotential(grid, samples), left, right)
+
+
+def dense_lumped_fem_eigenvalues(p, n_nodes):
+    """Reference for the oracle: the lumped-mass linear-FEM matrix assembled
+    densely on all N components per node, with the boundary forms
+    -+ B^+ A taken in full coordinates, then restricted to range(B^T) at each
+    end by an orthonormal basis."""
+    n, h = p.n, np.pi / (n_nodes - 1)
+    ps = p.potential.evaluate_many(np.linspace(0.0, np.pi, n_nodes))
+    mass = np.full(n_nodes, h)
+    mass[[0, -1]] = h / 2
+    lap = (2 * np.eye(n_nodes) - np.eye(n_nodes, k=1) - np.eye(n_nodes, k=-1)) / h
+    lap[0, 0] = lap[-1, -1] = 1 / h
+    k = np.kron(lap, np.eye(n)) + scipy.linalg.block_diag(*(mass[:, None, None] * ps))
+    frames = []
+    for node, pair, sign in ((0, p.left, -1.0), (n_nodes - 1, p.right, 1.0)):
+        q = scipy.linalg.orth(pair.B.T)
+        g = q.T @ np.linalg.pinv(pair.B) @ pair.A @ q
+        k[node * n:(node + 1) * n, node * n:(node + 1) * n] += sign * q @ (0.5 * (g + g.T)) @ q.T
+        frames.append(q)
+    t = scipy.linalg.block_diag(frames[0], np.eye((n_nodes - 2) * n), frames[1])
+    return scipy.linalg.eigvalsh(t.T @ k @ t, t.T @ (np.repeat(mass, n)[:, None] * t))
 
 
 def dirichlet_2x2(p11, p22):
@@ -120,23 +156,28 @@ class TestScan:
         double = report.pairs[report.pair_index(1.0)]
         assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
 
-    def test_root_free_edge_bracket_falls_back_and_is_rejected(self, paper, monkeypatch):
-        golden = spectrum._golden_refine
+    def test_paper_scan_needs_no_golden_fallback(self, paper, paper_report, monkeypatch):
+        # sigma_min falls toward the root at 22 across the upper edge 20; the
+        # sweep past the edge keeps that slope out of the brackets
         fallbacks = []
 
         def recording(fun, a, b, tol):
             fallbacks.append((a.copy(), b.copy()))
-            return golden(fun, a, b, tol)
+            return 0.5 * (a + b)
 
         monkeypatch.setattr(spectrum, "_golden_refine", recording)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
-        ((a, b),) = fallbacks
-        assert np.allclose(a, [19.95]) and np.allclose(b, [20.0])
+        assert fallbacks == []
         assert max(p.lam for p in report.pairs) < 17.0
-        grid = report.grid
-        root = golden(lambda xs: spectrum._sigma_batch(paper, xs, grid, None)[0], a, b, 1e-10)
-        smin, s1 = spectrum._sigma_batch(paper, root, grid, None)
-        assert smin[0] > report.options.rank_tol * s1[0]
+        assert np.array_equal(report.sigma_sequence, paper_report.sigma_sequence)
+
+    def test_roots_just_outside_window_rejected(self, scalar):
+        # sigma_min at an edge 1e-9 from the discrete root near 4 is far below
+        # the rank threshold, but the root itself lies outside the window
+        root = iso.scan_spectrum(scalar, 3.5, 4.5).pairs[0].lam
+        assert iso.scan_spectrum(scalar, root + 1e-9, 8.0).pairs == ()
+        below = iso.scan_spectrum(scalar, 0.5, root - 1e-9)
+        assert [round(p.lam) for p in below.pairs] == [1]
 
     def test_report_json(self, scalar_report):
         obj = scalar_report.to_json_obj()
@@ -210,6 +251,52 @@ class TestOracle:
         assert in_window.size == sigma.size
         h2 = (np.pi / 200) ** 2
         assert np.all(np.abs(np.sort(in_window) - sigma) <= h2 * (1.0 + sigma**2))
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 8])
+    def test_dirichlet_closed_form(self, n_dim):
+        values = np.linspace(-3.0, 3.0, n_dim)
+        dirichlet = iso.BoundaryPair(np.eye(n_dim), np.zeros((n_dim, n_dim)))
+        problem = iso.Problem(iso.ConstantDiagonalPotential(values), dirichlet, dirichlet)
+        fd = iso.fd_oracle_eigenvalues(problem, 201)
+        h = np.pi / 200
+        k = np.arange(1, 200)
+        exact = np.sort((values[:, None] + 4 / h**2 * np.sin(k * h / 2) ** 2).ravel())
+        assert fd.shape == exact.shape
+        assert np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-9
+
+    def test_mixed_ends_count_and_second_order(self):
+        problem = mixed_end_problem()
+        sigma = iso.scan_spectrum(problem, -2.0, 23.0).sigma_sequence
+        assert sigma.size == 10
+
+        def err(n):
+            fd = iso.fd_oracle_eigenvalues(problem, n)
+            fd = fd[(fd >= -2.0) & (fd <= 23.0)]
+            assert fd.size == sigma.size
+            return np.max(np.abs(fd - sigma))
+
+        assert err(101) / err(201) >= 3.5
+
+    def test_matches_dense_assembly(self):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        grid = iso.Grid.uniform(401)
+        samples = q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T * (1 + grid.nodes)[:, None, None]
+        s = rng.standard_normal((4, 4))
+        robin = iso.BoundaryPair(q @ (s + s.T), q)        # B^{-1} A = s + s^T
+        dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+        potential = iso.GridPotential(grid, samples)
+        # rank-two B along two rotated directions: bandwidth 2 + 4 - 1
+        rank_two = iso.BoundaryPair(q @ np.diag([0.5, -1.0, 1.0, 1.0]) @ q.T,
+                                    q @ np.diag([1.0, 1.0, 0.0, 0.0]) @ q.T)
+        problems = (iso.Problem(potential, dirichlet, robin),
+                    iso.Problem(potential, rank_two, robin),
+                    mixed_end_problem())
+        for problem in problems:
+            fd = iso.fd_oracle_eigenvalues(problem, 101)
+            dense = dense_lumped_fem_eigenvalues(problem, 101)
+            assert fd.shape == dense.shape
+            assert np.max(np.abs(fd - dense)) <= 1e-11 * np.max(np.abs(dense))
 
     def test_oracle_second_order_decay(self, scalar):
         def err(n):

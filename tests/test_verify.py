@@ -134,6 +134,14 @@ class TestTransformedEigen:
         assert rep.max_residual <= 1e-4
         assert rep.extras["boundary_left"] <= 1e-10
 
+    def test_boundary_residual_decides_verdict(self):
+        extras = {"boundary_left": 0.0, "boundary_right": 1e-6, "boundary_tolerance": 1e-8}
+        rep = iso.ResidualReport("eigen-ode", 1e-5, 0.0, 1e-3, extras)
+        assert not rep.passed
+        assert rep.to_json_obj()["passed"] is False
+        ok = iso.ResidualReport("eigen-ode", 1e-5, 0.0, 1e-3, {**extras, "boundary_right": 1e-9})
+        assert ok.passed
+
     def test_wrong_lambda_detected(self, mixed_rank_one):
         psi = mixed_rank_one["result"].psis[0]
         rep = iso.residual_transformed_eigen(mixed_rank_one["result"], mixed_rank_one["problem"],
