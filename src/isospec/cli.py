@@ -41,7 +41,7 @@ class RunConfig:
     lambda_max: float = 30.0
     tol: float = 1e-10
     rank_tol: float = 1e-6
-    out_dir: str = "isospec-out"
+    out_dir: str = ""               # artifact directory; empty writes none
 
     def __post_init__(self):
         if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "isospectral transforms on [0, pi].")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, window=(-10.0, 30.0)):
+    def common(p, window=(-10.0, 30.0), out_required=False):
         p.add_argument("--grid", type=int, default=401, help="x-grid node count (odd, >= 5)")
         p.add_argument("--min", dest="lam_min", type=float, default=window[0],
                        help="lambda window lower edge")
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10, help="eigenvalue refinement tolerance")
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-6,
                        help="relative rank threshold for multiplicities")
-        p.add_argument("--out", default="", help="output directory for artifacts")
+        p.add_argument("--out", default="", required=out_required,
+                       help="output directory for artifacts")
 
     p = sub.add_parser("validate", help="check the structural hypotheses of a problem file")
     p.add_argument("problem")
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="construct the isospectral problem for a perturbation")
     p.add_argument("problem")
     p.add_argument("perturbation", help="JSON list of {k, i, c[, theta]} entries")
-    common(p)
+    common(p, out_required=True)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="isospectrality of two problems, or --pipeline residual suite")

@@ -22,7 +22,7 @@ class OutOfDomain(IsospecError):
 
 
 class WindowTooCoarse(IsospecError):
-    """Scan resolution cannot separate candidate eigenvalues."""
+    """The scan cannot separate or account for every eigenvalue in the window."""
 
 
 class NotAnEigenvalue(IsospecError):

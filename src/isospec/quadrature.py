@@ -8,16 +8,12 @@ no resampling ever happens.
 import numpy as np
 
 
-def running_integral(values: np.ndarray, h: float, end_rule: str = "uniform4") -> np.ndarray:
+def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     """Prefix integrals of sampled values on a uniform grid.
 
-    Even-index prefixes use composite Simpson. Odd-index prefixes depend on
-    ``end_rule``:
-
-    * ``"uniform4"`` (default): Simpson 3/8 over the last three cells, and a
-      4-point cubic rule for the very first cell, keeping the running integral
-      uniformly 4th order at every node.
-    * ``"trap"``: a single trapezoid end-cell (3rd order locally at odd nodes).
+    Even-index prefixes use composite Simpson. Odd-index prefixes use Simpson
+    3/8 over the last three cells, and a 4-point cubic rule for the very first
+    cell, keeping the running integral uniformly 4th order at every node.
 
     Parameters
     ----------
@@ -43,19 +39,11 @@ def running_integral(values: np.ndarray, h: float, end_rule: str = "uniform4") -
         pair = (h / 3.0) * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
         out[2::2] = np.cumsum(pair, axis=0)
 
-    if end_rule == "trap":
-        out[1::2] = out[0:-1:2] + (h / 2.0) * (f[0:-1:2] + f[1::2])
-        return out
-    if end_rule != "uniform4":
-        raise ValueError(f"unknown end_rule {end_rule!r}")
-
     if n >= 4:
         out[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
         # Simpson 3/8 over cells [q-3, q]; prefix at q-3 is even, already done
         q = np.arange(3, n, 2)
         out[q] = out[q - 3] + (3.0 * h / 8.0) * (f[q - 3] + 3.0 * f[q - 2] + 3.0 * f[q - 1] + f[q])
-    elif n == 3:
-        out[1] = (h / 2.0) * (f[0] + f[1])
     else:
         out[1] = (h / 2.0) * (f[0] + f[1])
     return out

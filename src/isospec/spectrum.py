@@ -7,8 +7,9 @@ sigma_min(W(lambda)): determinant sign changes miss even-multiplicity
 eigenvalues, which are exactly the interesting case here. Each bracketed
 minimum is refined by Newton's method on W itself (successive linear
 problems, Ruhe 1973), which converges quadratically at simple and at
-semi-simple multiple eigenvalues alike; a bracket where Newton fails falls
-back to golden-section minimization of sigma_min.
+semi-simple multiple eigenvalues alike. A bracket where Newton fails is
+dropped; the eigenvalue count of an independent finite-difference oracle
+flags any eigenvalue lost that way.
 """
 
 from __future__ import annotations
@@ -25,28 +26,20 @@ from .quadrature import integral
 
 #: default relative threshold deciding rank deficiency of W
 DEFAULT_RANK_TOL = 1e-6
+#: lambda spacing of the sigma_min sweep, unless the oracle gap asks for less
+SCAN_CELL = 0.05
+#: node count of the finite-difference oracle grid
+ORACLE_NODES = 201
 
 
 @dataclass(frozen=True)
 class ScanOptions:
-    """Knobs for :func:`scan_spectrum`."""
+    """Settings of :func:`scan_spectrum`: refinement tolerance, rank
+    threshold and the x-grid of the IVP integration."""
 
-    resolution: float = 0.05        # lambda spacing of the sigma_min scan
     tol: float = 1e-10              # final Newton step size on each eigenvalue
     rank_tol: float = DEFAULT_RANK_TOL
     grid_nodes: int = 401           # x-grid for the IVP integration
-    oracle_nodes: int = 201         # finite-difference oracle resolution
-    use_oracle: bool = True         # seed/validate the scan with the oracle
-
-    def to_json_obj(self):
-        return {
-            "resolution": self.resolution,
-            "tol": self.tol,
-            "rank_tol": self.rank_tol,
-            "grid_nodes": self.grid_nodes,
-            "oracle_nodes": self.oracle_nodes,
-            "use_oracle": self.use_oracle,
-        }
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ def _set_band(band: np.ndarray, blocks: np.ndarray, rows: np.ndarray, cols: np.n
     band[(i - j)[keep], j[keep]] = blocks.reshape(-1, p * q)[keep]
 
 
-def fd_oracle_eigenvalues(p: Problem, n_nodes: int = 201) -> np.ndarray:
+def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray:
     """Independent O(h^2) eigenvalue estimates from a symmetric banded matrix.
 
     Linear finite elements with lumped mass (at interior nodes, the
@@ -239,8 +232,7 @@ def _cluster(values: np.ndarray, tol_fn) -> list[float]:
 # ---------------------------------------------------------------------------
 # refinement
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-#: Newton passes a bracket gets before it falls back to the golden section
+#: Newton passes a bracket gets before it is dropped
 _NEWTON_PASSES = 8
 #: dW/dlambda counts as singular below this relative smallest singular value
 _SINGULAR_RTOL = 1e-13
@@ -285,40 +277,6 @@ def _newton_refine(p: Problem, a: np.ndarray, b: np.ndarray, grid: Grid, tables,
         converged[idx[done]] = True
         active[idx[done]] = False
     return lam, converged
-
-
-def _golden_refine(fun, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized golden-section minimization over a batch of brackets.
-
-    fun maps a vector of lambdas to a vector of objective values. Robust for
-    the V-shaped sigma_min profiles near eigenvalues (no smoothness needed);
-    the fallback for brackets where Newton's method fails.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = fun(x1)
-    f2 = fun(x2)
-    max_iter = int(np.ceil(np.log(max(np.max(b - a), tol) / tol) / -np.log(_INV_PHI))) + 2
-    for _ in range(max_iter):
-        if np.max(b - a) <= tol:
-            break
-        left = f1 < f2
-        b[left] = x2[left]
-        x2[left] = x1[left]
-        f2[left] = f1[left]
-        x1[left] = b[left] - _INV_PHI * (b[left] - a[left])
-        right = ~left
-        a[right] = x1[right]
-        x1[right] = x2[right]
-        f1[right] = f2[right]
-        x2[right] = a[right] + _INV_PHI * (b[right] - a[right])
-        new = np.where(left, x1, x2)
-        fnew = fun(new)
-        f1 = np.where(left, fnew, f1)
-        f2 = np.where(left, f2, fnew)
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -371,42 +329,41 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                   opts: ScanOptions = ScanOptions()) -> SpectrumReport:
     """All eigenvalues in [lambda_min, lambda_max] with multiplicities.
 
-    sigma_min(W) is sampled on a lambda grid, local minima are bracketed and
-    refined by Newton's method on W until its step is at most opts.tol (golden
-    section on sigma_min where Newton fails), and each survivor is accepted
-    iff sigma_min falls below rank_tol times the local scale of W.
-    The finite-difference oracle (when enabled) tightens the scan resolution
-    from its minimal eigenvalue gap and guards against skipped roots.
+    One path: the finite-difference oracle sets the sweep cell (SCAN_CELL,
+    or a third of the smallest oracle eigenvalue gap if that is smaller);
+    sigma_min(W) is sampled on that lambda grid and each interior local
+    minimum is bracketed; Newton's method on W refines every bracket until
+    its step is at most opts.tol, and a bracket where it does not converge
+    is dropped; a root is accepted iff it lies in the window and sigma_min
+    falls below rank_tol times the local scale of W; finally the oracle's
+    count of eigenvalues away from the window edges must not exceed the
+    multiplicities found.
 
     Raises
     ------
     WindowTooCoarse
-        If two accepted eigenvalues are closer than one scan cell, the oracle
-        predicts more interior eigenvalues than were found, or the oracle gap
-        is below the resolvable scale. With use_oracle=False there is no
-        independent eigenvalue count, so distinct eigenvalues closer than the
-        scan resolution can be silently merged; keep the oracle on unless the
-        spacing of the spectrum is known.
+        If the oracle eigenvalue gap is below the resolvable scale, two
+        accepted eigenvalues lie inside one sweep cell, or the oracle
+        predicts more interior eigenvalues than were found (one the sweep
+        skipped, or whose bracket Newton dropped).
     """
     if not lambda_min < lambda_max:
         raise ValueError("need lambda_min < lambda_max")
     grid = Grid.uniform(opts.grid_nodes)
 
-    oracle_vals = None
-    resolution = opts.resolution
-    if opts.use_oracle:
-        h_o = np.pi / (opts.oracle_nodes - 1)
-        all_oracle = fd_oracle_eigenvalues(p, opts.oracle_nodes)
-        oracle_vals = all_oracle[(all_oracle >= lambda_min) & (all_oracle <= lambda_max)]
-        reps = _cluster(oracle_vals, lambda v: max(1e-3, h_o**2 * (1.0 + v * v)))
-        if len(reps) >= 2:
-            gap = float(np.min(np.diff(reps)))
-            floor = max(1e-4, 16 * opts.tol)
-            if gap / 3.0 < floor:
-                raise WindowTooCoarse(
-                    f"oracle eigenvalue gap {gap:.3e} is below the resolvable scale"
-                )
-            resolution = min(resolution, gap / 3.0)
+    h_o = np.pi / (ORACLE_NODES - 1)
+    all_oracle = fd_oracle_eigenvalues(p, ORACLE_NODES)
+    oracle_vals = all_oracle[(all_oracle >= lambda_min) & (all_oracle <= lambda_max)]
+    reps = _cluster(oracle_vals, lambda v: max(1e-3, h_o**2 * (1.0 + v * v)))
+    resolution = SCAN_CELL
+    if len(reps) >= 2:
+        gap = float(np.min(np.diff(reps)))
+        floor = max(1e-4, 16 * opts.tol)
+        if gap / 3.0 < floor:
+            raise WindowTooCoarse(
+                f"oracle eigenvalue gap {gap:.3e} is below the resolvable scale"
+            )
+        resolution = min(resolution, gap / 3.0)
 
     tables = potential_tables(p.potential, grid)
     n_samples = int(np.ceil((lambda_max - lambda_min) / resolution)) + 1
@@ -417,28 +374,12 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     lams = np.concatenate([[lambda_min - cell], lams, [lambda_max + cell]])
     smin, s1 = _sigma_batch(p, lams, grid, tables)
 
-    interior = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
-    brackets = [(lams[i - 1], lams[i + 1], max(s1[i - 1], s1[i], s1[i + 1])) for i in interior]
-
-    if oracle_vals is not None:
-        covered = [0.5 * (a + b) for a, b, _ in brackets]
-        for rep in reps:
-            if not any(abs(rep - c) <= 2 * cell for c in covered):
-                a = max(lambda_min, rep - cell)
-                b = min(lambda_max, rep + cell)
-                i = int(np.clip(round((rep - lambda_min) / cell) + 1, 0, lams.size - 1))
-                brackets.append((a, b, s1[i]))
-
+    i = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
     found: list[tuple[float, float]] = []   # (lambda, scale)
-    if brackets:
-        a = np.array([b[0] for b in brackets])
-        b = np.array([b[1] for b in brackets])
-        bscale = np.array([b[2] for b in brackets])
-        roots, converged = _newton_refine(p, a, b, grid, tables, opts.tol)
-        failed = ~converged
-        if np.any(failed):
-            roots[failed] = _golden_refine(lambda xs: _sigma_batch(p, xs, grid, tables)[0],
-                                           a[failed], b[failed], opts.tol)
+    if i.size:
+        roots, converged = _newton_refine(p, lams[i - 1], lams[i + 1], grid, tables, opts.tol)
+        roots = roots[converged]
+        bscale = np.max([s1[i - 1], s1[i], s1[i + 1]], axis=0)[converged]
         rmin, r1 = _sigma_batch(p, roots, grid, tables)
         for lam, sm, sx, sc in zip(roots, rmin, r1, bscale):
             scale = max(sx, sc)
@@ -457,21 +398,20 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     for (la, _), (lb, _) in zip(merged, merged[1:]):
         if lb - la < cell:
             raise WindowTooCoarse(
-                f"eigenvalues {la:.6g} and {lb:.6g} lie inside one scan cell "
-                f"({cell:.3g}); decrease ScanOptions.resolution"
+                f"eigenvalues {la:.6g} and {lb:.6g} lie inside one sweep cell "
+                f"({cell:.3g}); the sweep cannot separate them"
             )
 
     pairs = [eigenbasis(p, lam, grid, opts.rank_tol, scale=sc, tables=tables) for lam, sc in merged]
 
-    if oracle_vals is not None:
-        margin = lambda v: cell + 0.1 + 2 * h_o**2 * (1.0 + v * v)
-        interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)
-                                     for v in oracle_vals]))
-        if interior_count > sum(q.multiplicity for q in pairs):
-            raise WindowTooCoarse(
-                f"finite-difference oracle predicts {interior_count} interior eigenvalues "
-                f"but the scan found {sum(q.multiplicity for q in pairs)}; "
-                "decrease ScanOptions.resolution"
-            )
+    margin = lambda v: cell + 0.1 + 2 * h_o**2 * (1.0 + v * v)
+    interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)
+                                 for v in oracle_vals]))
+    found_count = sum(q.multiplicity for q in pairs)
+    if interior_count > found_count:
+        raise WindowTooCoarse(
+            f"finite-difference oracle predicts {interior_count} interior eigenvalues "
+            f"but the scan found {found_count}"
+        )
 
     return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), replace(opts), tuple(pairs))

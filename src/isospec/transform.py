@@ -238,7 +238,7 @@ def _empty_kernel(grid: Grid, n_dim: int) -> KernelField:
                        z, z, z, z, zm, zm)
 
 
-def solve_kernel(pert: Perturbation, grid: Grid | None = None) -> KernelField:
+def solve_kernel(pert: Perturbation) -> KernelField:
     """Solve the kernel integral equation in closed degenerate form.
 
     The coefficient block A(x) = -Phi(x) C (I + G(x) C)^{-1} is evaluated at
@@ -256,21 +256,8 @@ def solve_kernel(pert: Perturbation, grid: Grid | None = None) -> KernelField:
         If I + G(x) C is numerically singular at some node (outside the
         uniqueness regime).
     """
-    src_grid = pert.grid
-    if grid is None or grid.same_nodes(src_grid):
-        grid = src_grid
-        phi, dphi = pert.phis, pert.phi_derivs
-    else:
-        # resample the selected eigenfunctions by re-integrating on the new grid
-        problem = pert.source.problem
-        tables = potential_tables(problem.potential, grid)
-        phi = np.empty((grid.n, problem.n, pert.rank))
-        dphi = np.empty_like(phi)
-        for j, lam in enumerate(pert.lambdas):
-            path = integrate_ivp(problem.potential, lam, problem.left.B.T,
-                                 -problem.left.A.T, grid, tables)
-            phi[:, :, j] = path.Y @ pert.thetas[:, j]
-            dphi[:, :, j] = path.Yp @ pert.thetas[:, j]
+    grid = pert.grid
+    phi, dphi = pert.phis, pert.phi_derivs
 
     m = pert.rank
     if m == 0:
@@ -373,8 +360,7 @@ class TransformResult:
         }
 
 
-def transform_problem(p: Problem, pert: Perturbation, grid: Grid | None = None
-                      ) -> tuple[Problem, TransformResult]:
+def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, TransformResult]:
     """Compose kernel solve, potential, boundary matrices and eigenfunction maps.
 
     Returns the isospectral problem (Q, Atilde, B, cAtilde, cB) and a
@@ -382,7 +368,7 @@ def transform_problem(p: Problem, pert: Perturbation, grid: Grid | None = None
     branches, numerical diagnostics and the solved kernel. An empty
     perturbation returns the problem unchanged.
     """
-    kernel = solve_kernel(pert, grid)
+    kernel = solve_kernel(pert)
     q = potential_q(pert, kernel, p.potential)
     atilde, catilde = boundary_matrices(kernel, p)
     psis = []

@@ -179,6 +179,16 @@ class TestTransform:
         assert rc == 1
         assert "1 + c*||phi||^2" in capsys.readouterr().err
 
+    def test_missing_out_is_a_usage_error(self, scalar_files, tmp_path, capsys, monkeypatch):
+        prob, pert = scalar_files
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", str(prob), str(pert)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_transformed_potential_rescan_roundtrip(self, scalar_files, tmp_path, capsys):
         # q_potential.csv reloaded as a grid potential reproduces the spectrum
         prob, pert = scalar_files
@@ -288,10 +298,10 @@ class TestVerify:
             {"isospectral": printed, "residuals": []}
 
     @pytest.mark.parametrize("command", ["verify", "transform"])
-    def test_format_flag_rejected(self, scalar_files, command, capsys):
+    def test_format_flag_rejected(self, scalar_files, tmp_path, command, capsys):
         prob, pert = scalar_files
         with pytest.raises(SystemExit) as exc:
-            main([command, str(prob), str(pert), "--format", "csv"])
+            main([command, str(prob), str(pert), "--out", str(tmp_path / "o"), "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 

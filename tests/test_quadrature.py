@@ -29,16 +29,6 @@ def test_fourth_order_at_all_nodes(n, bound):
     assert np.max(np.abs(out - exact)) < bound
 
 
-def test_trapezoid_end_rule_variant_is_third_order_at_odd_nodes():
-    xs = np.linspace(0, np.pi, 401)
-    f = np.sin(xs) ** 2 + np.sin(2 * xs) ** 2
-    exact = xs - np.sin(2 * xs) / 4 - np.sin(4 * xs) / 8
-    out = running_integral(f, xs[1] - xs[0], end_rule="trap")
-    err = np.abs(out - exact)
-    assert err[::2].max() < 2e-9          # even prefixes identical to default
-    assert 1e-8 < err[1::2].max() < 1e-6  # odd prefixes lose an order
-
-
 def test_vector_valued_integrands_ride_along():
     xs = np.linspace(0, np.pi, 81)
     f = np.stack([np.cos(xs), np.sin(xs)], axis=-1)
@@ -53,7 +43,3 @@ def test_full_integral_matches_last_prefix():
     f = np.exp(-xs)
     assert integral(f, xs[1] - xs[0]) == running_integral(f, xs[1] - xs[0])[-1]
 
-
-def test_unknown_end_rule_rejected():
-    with pytest.raises(ValueError):
-        running_integral(np.zeros(11), 0.1, end_rule="midpoint")

@@ -156,20 +156,38 @@ class TestScan:
         double = report.pairs[report.pair_index(1.0)]
         assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
 
-    def test_paper_scan_needs_no_golden_fallback(self, paper, paper_report, monkeypatch):
+    def test_every_paper_bracket_converges_by_newton(self, paper, paper_report, monkeypatch):
         # sigma_min falls toward the root at 22 across the upper edge 20; the
         # sweep past the edge keeps that slope out of the brackets
-        fallbacks = []
+        masks = []
+        newton = spectrum._newton_refine
 
-        def recording(fun, a, b, tol):
-            fallbacks.append((a.copy(), b.copy()))
-            return 0.5 * (a + b)
+        def recording(*args):
+            lam, converged = newton(*args)
+            masks.append(converged.copy())
+            return lam, converged
 
-        monkeypatch.setattr(spectrum, "_golden_refine", recording)
+        monkeypatch.setattr(spectrum, "_newton_refine", recording)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
-        assert fallbacks == []
+        assert len(masks) == 1 and masks[0].size == len(report.pairs)
+        assert masks[0].all()
         assert max(p.lam for p in report.pairs) < 17.0
         assert np.array_equal(report.sigma_sequence, paper_report.sigma_sequence)
+
+    def test_dropped_brackets_fail_the_oracle_count(self, paper, monkeypatch):
+        # with no Newton pass every bracket is dropped; the scan must refuse
+        # rather than return a short spectrum
+        monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 0)
+        with pytest.raises(WindowTooCoarse, match="oracle predicts 8"):
+            iso.scan_spectrum(paper, -5.0, 20.0)
+
+    def test_scalar_squares_up_to_400(self, scalar):
+        # above lambda ~ 70 the oracle's O(h^2 lambda^2) drift exceeds two sweep
+        # cells, so only the sweep locates roots; it finds exactly k^2, each simple
+        report = iso.scan_spectrum(scalar, 0.5, 410.0)
+        assert [p.multiplicity for p in report.pairs] == [1] * 20
+        exact = np.arange(1, 21) ** 2
+        assert np.max(np.abs(report.sigma_sequence - exact)) <= 1e-2
 
     def test_roots_just_outside_window_rejected(self, scalar):
         # sigma_min at an edge 1e-9 from the discrete root near 4 is far below

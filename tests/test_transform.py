@@ -127,12 +127,6 @@ class TestSolveKernel:
         with pytest.raises(SingularResolvent):
             solve_kernel(bad)
 
-    def test_resample_on_finer_grid(self, paper_report):
-        pert = oracles.mixed_perturbation(paper_report)
-        kernel = solve_kernel(pert, iso.Grid.uniform(801))
-        assert kernel.grid.n == 801
-        self._check_rank_one(kernel, c=1.0)
-
 
 class TestPotentialQ:
     def test_matches_displayed_closed_form(self, paper, mixed_rank_one):

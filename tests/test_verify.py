@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ class TestWaveEquation:
 
     def test_grid_too_small(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [(0, 1, 0.5)])
-        kernel = solve_kernel(pert, iso.Grid.uniform(3))
+        kernel = dataclasses.replace(solve_kernel(pert), grid=iso.Grid.uniform(3))
         with pytest.raises(GridTooSmall):
             iso.residual_wave_equation(kernel, iso.builtin_problem("scalar-zero").potential,
                                        iso.builtin_problem("scalar-zero").potential)
