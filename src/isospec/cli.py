@@ -90,6 +90,8 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _config(args)
+    if args.dump_path is not None and not args.out:
+        raise ValueError("--dump-path writes path.csv and needs --out")
     problem = load_problem(args.problem)
     report = scan_spectrum(problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
     obj = report.to_json_obj()
@@ -144,8 +146,8 @@ def cmd_transform(args) -> int:
     serialize.write_json(os.path.join(out, "boundary.json"), {
         "Atilde": result.atilde.tolist(),
         "AtildeRight": result.catilde.tolist(),
-        "K00": result.k00.tolist(),
-        "Kpipi": result.kpipi.tolist(),
+        "K00": result.kernel.k00.tolist(),
+        "Kpipi": result.kernel.kpipi.tolist(),
     })
     serialize.write_json(os.path.join(out, "kernel_diagnostics.json"), result.diagnostics)
     for entry, psi in zip(pert.entries, result.psis):
@@ -169,9 +171,9 @@ def cmd_verify(args) -> int:
         new_report = scan_spectrum(new_problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
         iso = compare_spectra(report, new_report, shift_tol)
         reports = [residual_wave_equation(kernel, problem.potential, result.q)]
-        reports += residual_goursat(kernel, problem, pert)
+        reports += residual_goursat(kernel, problem)
         for psi in result.psis:
-            reports.append(residual_transformed_eigen(result, new_problem, psi.lam, psi))
+            reports.append(residual_transformed_eigen(new_problem, psi.lam, psi))
         reports.append(residual_endpoint(kernel, pert, result.psis))
         reports.append(residual_representation(kernel, result.psis))
         print(f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "

@@ -340,8 +340,10 @@ def load_potential_csv(path: str) -> GridPotential:
     """Load a grid potential from the x, p11, ..., pNN CSV format."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         data = np.array([[float(v) for v in row] for row in reader if row])
+    if data.size == 0:
+        raise ValueError(f"potential CSV {path!r} has no data rows")
     k = len(header) - 1
     n_dim = int(round((np.sqrt(8 * k + 1) - 1) / 2))
     if n_dim * (n_dim + 1) // 2 != k:

@@ -206,13 +206,6 @@ class KernelField:
     def rank(self) -> int:
         return self.coeffs.size
 
-    def kernel_matrix(self) -> np.ndarray:
-        """All node pairs, shape (n, n, N, N), upper triangle y > x zeroed."""
-        k = np.einsum("iam,jbm->ijab", self.a, self.phi)
-        iy, ix = np.meshgrid(np.arange(self.grid.n), np.arange(self.grid.n), indexing="ij")
-        k[iy < ix] = 0.0
-        return k
-
     def diagonal(self) -> np.ndarray:
         """K(x, x) samples, (n, N, N)."""
         return np.einsum("qam,qbm->qab", self.a, self.phi)
@@ -286,7 +279,7 @@ def solve_kernel(pert: Perturbation) -> KernelField:
                        phi, dphi, a, da, gram, resolvent)
 
 
-def potential_q(pert: Perturbation, kernel: KernelField, base: MatrixPotential) -> MatrixPotential:
+def potential_q(kernel: KernelField, base: MatrixPotential) -> MatrixPotential:
     """Transformed potential Q(x) = P(x) + 2 d/dx K(x, x), sampled on the kernel grid.
 
     The diagonal derivative is analytic (no differencing of K samples, which
@@ -344,20 +337,9 @@ class TransformResult:
     q: MatrixPotential
     atilde: np.ndarray
     catilde: np.ndarray
-    k00: np.ndarray
-    kpipi: np.ndarray
     psis: tuple[SampledVectorFunction, ...]
     diagnostics: dict
     kernel: KernelField
-
-    def to_json_obj(self):
-        return {
-            "Atilde": self.atilde.tolist(),
-            "AtildeRight": self.catilde.tolist(),
-            "K00": self.k00.tolist(),
-            "Kpipi": self.kpipi.tolist(),
-            "diagnostics": self.diagnostics,
-        }
 
 
 def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, TransformResult]:
@@ -369,7 +351,7 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
     perturbation returns the problem unchanged.
     """
     kernel = solve_kernel(pert)
-    q = potential_q(pert, kernel, p.potential)
+    q = potential_q(kernel, p.potential)
     atilde, catilde = boundary_matrices(kernel, p)
     psis = []
     for j in range(kernel.rank):
@@ -398,5 +380,4 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
         b = p.left.B
         alt = p.left.A + b @ kernel.k00
         diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - atilde)))
-    return new_problem, TransformResult(q, atilde, catilde, kernel.k00, kernel.kpipi,
-                                        tuple(psis), diag, kernel)
+    return new_problem, TransformResult(q, atilde, catilde, tuple(psis), diag, kernel)

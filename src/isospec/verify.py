@@ -17,7 +17,7 @@ from .errors import GridTooSmall
 from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
 from .spectrum import SampledVectorFunction, ScanOptions, SpectrumReport, scan_spectrum
-from .transform import KernelField, Perturbation, TransformResult
+from .transform import KernelField, Perturbation
 
 
 @dataclass(frozen=True)
@@ -112,38 +112,50 @@ def compare_spectra(ra: SpectrumReport, rb: SpectrumReport, tol: float) -> Isosp
     return IsospectralReport(ra.window, pa, pb, shift, mult_match, tol)
 
 
+def _peak(res: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Largest |res| and the node x[q] where it first occurs along axis 0.
+
+    A residual that is identically zero (or has no entries) reports node 0.
+    """
+    mag = np.abs(res).reshape(x.size, -1).max(axis=1, initial=0.0)
+    q = int(np.argmax(mag))
+    return (float(mag[q]), float(x[q])) if mag[q] > 0 else (0.0, 0.0)
+
+
+def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
+    """Centered second difference along axis 0 at the interior nodes."""
+    return (v[:-2] - 2 * v[1:-1] + v[2:]) / h**2
+
+
 def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
                            q: MatrixPotential, tolerance: float = 5e-4) -> ResidualReport:
     """Residual of K_xx - Q(x) K = K_yy - K P(y) below the diagonal.
 
     Second derivatives come from centered second-order differencing of the
     degenerate kernel representation on nodes whose full stencils stay in the
-    open triangle y < x, so the kink along y = x never enters a stencil.
+    open triangle y < x, so the kink along y = x never enters a stencil. There
+    K(x_i, y_j) = A_i Phi_j^T, so with P = P^T the residual at (x_i, y_j) is
+    X_i Z_j^T, X = [A'' - Q A, -A] and Z = [Phi, Phi'' - P Phi], and the max
+    over the triangle takes one (i - 2) N x 2M by 2M x N product per x row.
     """
     grid = kernel.grid
     n = grid.n
     if n < 5:
         raise GridTooSmall("wave-equation residual needs at least 5 nodes")
-    h = grid.h
-    k = kernel.kernel_matrix()                    # (n, n, N, N), zero above diagonal
-    qs = q.evaluate_many(grid.nodes)
-    ps = base.evaluate_many(grid.nodes)
-
-    best = (0.0, 0.0)
-    for i in range(2, n - 1):                     # x index; y stencil needs j+1 <= i-... j <= i-2
-        j = np.arange(1, i - 1)
-        if j.size == 0:
-            continue
-        kxx = (k[i - 1, j] - 2 * k[i, j] + k[i + 1, j]) / h**2
-        kyy = (k[i, j - 1] - 2 * k[i, j] + k[i, j + 1]) / h**2
-        res = kxx - qs[i] @ k[i, j] - kyy + k[i, j] @ ps[j]
-        mx = float(np.max(np.abs(res)))
-        if mx > best[0]:
-            best = (mx, float(grid.nodes[i]))
-    return ResidualReport("wave-eq", best[0], best[1], tolerance)
+    a, phi = kernel.a[1:-1], kernel.phi[1:-1]      # interior nodes 1..n-2
+    qs = q.evaluate_many(grid.nodes[1:-1])
+    ps = base.evaluate_many(grid.nodes[1:-1])
+    x_fac = np.concatenate([_second_difference(kernel.a, grid.h) - qs @ a, -a], axis=2)
+    z_fac = np.concatenate([phi, _second_difference(kernel.phi, grid.h) - ps @ phi], axis=2)
+    n_dim = phi.shape[1]
+    z_rows = z_fac.reshape((n - 2) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+1}[b]
+    # x node i = 3..n-2 meets y nodes j = 1..i-2, the first (i-2) N rows of z_rows
+    res = np.array([np.max(np.abs(z_rows[:(i - 2) * n_dim] @ x_fac[i - 1].T))
+                    for i in range(3, n - 1)])
+    return ResidualReport("wave-eq", *_peak(res, grid.nodes[3:n - 1]), tolerance)
 
 
-def residual_goursat(kernel: KernelField, p: Problem, pert: Perturbation,
+def residual_goursat(kernel: KernelField, p: Problem,
                      tolerance: float = 1e-6) -> list[ResidualReport]:
     """Boundary and diagonal identities pinning the kernel down.
 
@@ -160,20 +172,16 @@ def residual_goursat(kernel: KernelField, p: Problem, pert: Perturbation,
     k_x0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.phi[0])
     dk_y0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.dphi[0])
     g_res = k_x0 @ p.left.A.T + dk_y0 @ p.left.B.T
-    g_max = float(np.max(np.abs(g_res)))
-    g_loc = float(grid.nodes[int(np.argmax(np.max(np.abs(g_res), axis=(1, 2))))])
 
     f00 = p.left.B.T @ (kernel.thetas * kernel.coeffs[None, :]) @ kernel.thetas.T @ p.left.B
     dq = 2.0 * kernel.diagonal_derivative()
     half_int = 0.5 * running_integral(dq, grid.h)
     t_res = kernel.diagonal() - half_int + f00
-    t_max = float(np.max(np.abs(t_res)))
-    t_loc = float(grid.nodes[int(np.argmax(np.max(np.abs(t_res), axis=(1, 2))))])
-    return [ResidualReport("goursat", g_max, g_loc, tolerance),
-            ResidualReport("trace", t_max, t_loc, tolerance)]
+    return [ResidualReport("goursat", *_peak(g_res, grid.nodes), tolerance),
+            ResidualReport("trace", *_peak(t_res, grid.nodes), tolerance)]
 
 
-def residual_transformed_eigen(result: TransformResult, p_new: Problem, lam: float,
+def residual_transformed_eigen(p_new: Problem, lam: float,
                                psi: SampledVectorFunction,
                                tolerance: float = 1e-3,
                                boundary_tolerance: float = 1e-8) -> ResidualReport:
@@ -188,13 +196,10 @@ def residual_transformed_eigen(result: TransformResult, p_new: Problem, lam: flo
     grid = psi.grid
     if grid.n < 5:
         raise GridTooSmall("eigen-ode residual needs at least 5 nodes")
-    h = grid.h
     v = psi.values
-    qs = result.q.evaluate_many(grid.nodes)
-    dd = (v[:-2] - 2 * v[1:-1] + v[2:]) / h**2
-    res = -dd + np.einsum("qab,qb->qa", qs[1:-1], v[1:-1]) - lam * v[1:-1]
-    ode_max = float(np.max(np.abs(res)))
-    loc = float(grid.nodes[1 + int(np.argmax(np.max(np.abs(res), axis=1)))])
+    qs = p_new.potential.evaluate_many(grid.nodes)
+    res = (-_second_difference(v, grid.h) + np.einsum("qab,qb->qa", qs[1:-1], v[1:-1])
+           - lam * v[1:-1])
 
     extras = {}
     if psi.derivs is not None:
@@ -205,7 +210,7 @@ def residual_transformed_eigen(result: TransformResult, p_new: Problem, lam: flo
             "boundary_right": float(np.max(np.abs(b_right))),
             "boundary_tolerance": boundary_tolerance,
         }
-    return ResidualReport("eigen-ode", ode_max, loc, tolerance, extras)
+    return ResidualReport("eigen-ode", *_peak(res, grid.nodes[1:-1]), tolerance, extras)
 
 
 def residual_endpoint(kernel: KernelField, pert: Perturbation,
@@ -224,15 +229,11 @@ def residual_endpoint(kernel: KernelField, pert: Perturbation,
 def residual_representation(kernel: KernelField,
                             psis: tuple[SampledVectorFunction, ...],
                             tolerance: float = 1e-9) -> ResidualReport:
-    """Representation identity a_j(x) = -c_j psi_j(x), entrywise."""
-    worst, loc = 0.0, 0.0
-    for j, psi in enumerate(psis):
-        diff = np.abs(kernel.a[:, :, j] + kernel.coeffs[j] * psi.values)
-        mx = float(np.max(diff))
-        if mx > worst:
-            worst = mx
-            loc = float(kernel.grid.nodes[int(np.argmax(np.max(diff, axis=1)))])
-    return ResidualReport("representation", worst, loc, tolerance)
+    """Representation identity a_j(x) = -c_j psi_j(x), entrywise, one psi per selection."""
+    if not psis:
+        return ResidualReport("representation", 0.0, 0.0, tolerance)
+    diff = kernel.a + kernel.coeffs * np.stack([psi.values for psi in psis], axis=2)
+    return ResidualReport("representation", *_peak(diff, kernel.grid.nodes), tolerance)
 
 
 def commutator_diagnostic(q: MatrixPotential, grid: Grid) -> tuple[float, float]:

@@ -76,3 +76,36 @@ def diagonal_perturbation(report, c=1.0):
     """Selection theta = (0, 1) giving the diagonal transformed potential."""
     k = report.pair_index(1.0)
     return iso.build_perturbation(report, [{"k": k, "i": 1, "c": c, "theta": [0.0, 1.0]}])
+
+
+def dense_kernel(kernel, dtype=float):
+    """K(x_i, y_j) = A(x_i) Phi^T(y_j) at every node pair, shape (n, n, N, N), zero for y > x."""
+    k = np.einsum("iam,jbm->ijab", kernel.a.astype(dtype), kernel.phi.astype(dtype))
+    iy, ix = np.meshgrid(np.arange(kernel.grid.n), np.arange(kernel.grid.n), indexing="ij")
+    k[iy < ix] = 0.0
+    return k
+
+
+def dense_wave_residual(kernel, base, q):
+    """Reference (max |K_xx - Q K - K_yy + K P|, x location) from the dense kernel.
+
+    Differences the (n, n, N, N) kernel samples directly, one x row at a time,
+    on the stencils that stay strictly below the diagonal (j = 1..i-2). The
+    samples are O(1) and the differences are divided by h^2, so in double
+    precision the reference itself carries about 1e-9 relative rounding at
+    n = 401; it is evaluated in long double to stay well below that.
+    """
+    grid = kernel.grid
+    h = np.longdouble(grid.h)
+    k = dense_kernel(kernel, np.longdouble)
+    qs = q.evaluate_many(grid.nodes).astype(np.longdouble)
+    ps = base.evaluate_many(grid.nodes).astype(np.longdouble)
+    best = (0.0, 0.0)
+    for i in range(3, grid.n - 1):
+        j = np.arange(1, i - 1)
+        kxx = (k[i - 1, j] - 2 * k[i, j] + k[i + 1, j]) / h**2
+        kyy = (k[i, j - 1] - 2 * k[i, j] + k[i, j + 1]) / h**2
+        mx = float(np.max(np.abs(kxx - qs[i] @ k[i, j] - kyy + k[i, j] @ ps[j])))
+        if mx > best[0]:
+            best = (mx, float(grid.nodes[i]))
+    return best

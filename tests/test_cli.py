@@ -69,6 +69,17 @@ class TestValidate:
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/problem.json"]) == 2
 
+    def test_header_only_potential_csv_exits_2(self, tmp_path, capsys):
+        (tmp_path / "empty-q.csv").write_text("x,p11\n")
+        obj = {"n": 1, "potential": {"kind": "grid", "path": "empty-q.csv"},
+               "left": {"A": [[1.0]], "B": [[0.0]]},
+               "right": {"A": [[1.0]], "B": [[0.0]]}}
+        f = tmp_path / "empty-q.json"
+        f.write_text(json.dumps(obj))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty-q.csv" in err and "no data rows" in err
+
 
 class TestSpectrum:
     def test_paper_spectrum_artifacts(self, paper_files, tmp_path, capsys):
@@ -132,6 +143,16 @@ class TestSpectrum:
         assert lines[0] == "x,y11,yp11"
         assert len(lines) == 402
         capsys.readouterr()
+
+    def test_dump_path_without_out_is_a_usage_error(self, scalar_files, tmp_path, capsys,
+                                                    monkeypatch):
+        prob, _ = scalar_files
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("isospec.cli.scan_spectrum", lambda *a, **k: pytest.fail("scanned"))
+        before = sorted(tmp_path.iterdir())
+        assert main(["spectrum", str(prob), "--dump-path", "2.0"]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_csv_summary_format(self, scalar_files, capsys):
         prob, _ = scalar_files

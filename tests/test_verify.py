@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,49 @@ class TestIsospectral:
         assert len(obj["pairsA"]) == 3
 
 
+def coupled3_rank_two(n=101):
+    """Rank-two transform of an N = 3 Dirichlet problem with an x-dependent coupled grid P."""
+    grid = iso.Grid.uniform(n)
+    x = grid.nodes
+    rng = np.random.default_rng(3)
+    r, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    samples = r @ np.diag([-1.0, 0.5, 2.0]) @ r.T + 0.4 * np.sin(x)[:, None, None] * np.array(
+        [[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 1.0]])
+    dirichlet = iso.BoundaryPair(np.eye(3), np.zeros((3, 3)))
+    problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+    report = iso.scan_spectrum(problem, -5.0, 8.0, iso.ScanOptions(grid_nodes=n))
+    pert = iso.build_perturbation(report, [(0, 1, 0.7), (2, 1, 0.3)])
+    _, result = iso.transform_problem(problem, pert)
+    return problem, result
+
+
 class TestWaveEquation:
+    def test_factored_matches_dense_reference(self, paper, mixed_rank_one):
+        coupled, coupled_result = coupled3_rank_two()
+        assert coupled_result.kernel.a.shape[1:] == (3, 2)
+        for kernel, base, q in ((mixed_rank_one["kernel"], paper.potential, mixed_rank_one["result"].q),
+                                (coupled_result.kernel, coupled.potential, coupled_result.q)):
+            rep = iso.residual_wave_equation(kernel, base, q)
+            ref_max, ref_loc = oracles.dense_wave_residual(kernel, base, q)
+            assert ref_max > 0
+            assert abs(rep.max_residual - ref_max) <= 1e-9 * ref_max
+            assert rep.location == ref_loc
+
+    def test_peak_memory_stays_linear_in_nodes(self, paper, paper_report):
+        # the dense (n, n, 2, 2) kernel alone would be 82 MB at n = 1601
+        grid = iso.Grid.uniform(1601)
+        pair = iso.eigenbasis(paper, paper_report.pairs[paper_report.pair_index(1.0)].lam, grid)
+        report = iso.SpectrumReport(paper, grid, (0.5, 1.5), iso.ScanOptions(grid_nodes=1601), (pair,))
+        pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]}])
+        _, result = iso.transform_problem(paper, pert)
+        tracemalloc.start()
+        try:
+            rep = iso.residual_wave_equation(result.kernel, paper.potential, result.q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.max_residual <= 5e-4
+        assert peak < 2 * 2**20
     def test_mixed_transform_residual(self, paper, mixed_rank_one):
         rep = iso.residual_wave_equation(mixed_rank_one["kernel"], paper.potential, mixed_rank_one["result"].q)
         assert rep.max_residual <= 5e-4
@@ -67,7 +110,7 @@ class TestWaveEquation:
         q = mixed_rank_one["result"].q
         corrupted = iso.GridPotential(g, q.evaluate_many(g.nodes) + 0.1 * np.eye(2))
         rep = iso.residual_wave_equation(kernel, paper.potential, corrupted)
-        kscale = np.max(np.abs(kernel.kernel_matrix()))
+        kscale = np.max(np.abs(oracles.dense_kernel(kernel)))
         assert rep.max_residual >= 0.09 * kscale
 
     def test_order_decay(self, paper, mixed_rank_one, mixed_rank_one_801):
@@ -85,20 +128,19 @@ class TestWaveEquation:
 
 class TestGoursat:
     def test_dirichlet_trace(self, paper, mixed_rank_one):
-        gs = iso.residual_goursat(mixed_rank_one["kernel"], paper, mixed_rank_one["pert"])
+        gs = iso.residual_goursat(mixed_rank_one["kernel"], paper)
         by_name = {r.name: r for r in gs}
         assert by_name["goursat"].max_residual <= 1e-6
         assert by_name["trace"].max_residual <= 1e-6
 
     def test_empty_perturbation_exact_zero(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
-        gs = iso.residual_goursat(solve_kernel(pert), scalar, pert)
+        gs = iso.residual_goursat(solve_kernel(pert), scalar)
         assert gs[0].max_residual == 0.0
         assert gs[1].max_residual == 0.0
 
     def test_neumann_left_case(self, neumann_left, neumann_transform):
-        gs = iso.residual_goursat(neumann_transform["kernel"], neumann_left,
-                                  neumann_transform["pert"])
+        gs = iso.residual_goursat(neumann_transform["kernel"], neumann_left)
         assert gs[0].max_residual <= 1e-6
         assert gs[1].max_residual <= 1e-6
 
@@ -111,16 +153,15 @@ class TestGoursat:
         assert abs(kernel.k00[0, 0] + f00) < 1e-14
 
     def test_trace_decay(self, paper, mixed_rank_one, mixed_rank_one_801):
-        t1 = iso.residual_goursat(mixed_rank_one["kernel"], paper, mixed_rank_one["pert"])[1]
-        t2 = iso.residual_goursat(mixed_rank_one_801["kernel"], paper, mixed_rank_one_801["pert"])[1]
+        t1 = iso.residual_goursat(mixed_rank_one["kernel"], paper)[1]
+        t2 = iso.residual_goursat(mixed_rank_one_801["kernel"], paper)[1]
         assert t1.max_residual / t2.max_residual >= 3.5
 
 
 class TestTransformedEigen:
     def test_mixed_transform_eigen_residuals(self, mixed_rank_one):
         psi = mixed_rank_one["result"].psis[0]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["result"], mixed_rank_one["problem"],
-                                             psi.lam, psi)
+        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], psi.lam, psi)
         # measured 5.8e-4 at n=401 (h^2-limited); frozen with headroom
         assert rep.max_residual <= 8e-4
         assert rep.extras["boundary_left"] <= 1e-8
@@ -128,10 +169,10 @@ class TestTransformedEigen:
 
     def test_empty_perturbation_matches_original(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
-        new_problem, result = iso.transform_problem(scalar, pert)
+        new_problem, _ = iso.transform_problem(scalar, pert)
         phi = scalar_report.pairs[0].eigenfunction(0)
         psi = iso.transform_eigenfunction(solve_kernel(pert), phi)
-        rep = iso.residual_transformed_eigen(result, new_problem, phi.lam, psi)
+        rep = iso.residual_transformed_eigen(new_problem, phi.lam, psi)
         # psi == phi, so the residual is the original eigenfunction's (near 0)
         assert rep.max_residual <= 1e-4
         assert rep.extras["boundary_left"] <= 1e-10
@@ -146,16 +187,14 @@ class TestTransformedEigen:
 
     def test_wrong_lambda_detected(self, mixed_rank_one):
         psi = mixed_rank_one["result"].psis[0]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["result"], mixed_rank_one["problem"],
-                                             psi.lam + 1.0, psi)
+        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], psi.lam + 1.0, psi)
         scale = np.max(np.abs(psi.values))
         assert rep.max_residual >= 0.9 * scale
 
     def test_order_decay(self, mixed_rank_one, mixed_rank_one_801):
         def resid(bundle):
             psi = bundle["result"].psis[0]
-            return iso.residual_transformed_eigen(bundle["result"], bundle["problem"],
-                                                  psi.lam, psi).max_residual
+            return iso.residual_transformed_eigen(bundle["problem"], psi.lam, psi).max_residual
 
         assert resid(mixed_rank_one) / resid(mixed_rank_one_801) >= 3.5
 
