@@ -11,8 +11,8 @@ from .model import (BoundaryPair, ConstantDiagonalPotential, Grid,
                     GridPotential, MatrixPotential, Problem, ValidationReport,
                     builtin_problem, load_potential_csv, load_problem,
                     problem_from_json_obj, problem_to_json_obj,
-                    register_builtin, validate_problem)
-from .ode import MatrixSolutionPath, evaluate_path, integrate_ivp
+                    validate_problem)
+from .ode import integrate_ivp
 from .quadrature import integral, running_integral
 from .spectrum import (Eigenpair, SampledVectorFunction, ScanOptions,
                        SpectrumReport, characteristic_matrix, eigenbasis,
@@ -32,15 +32,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryPair", "ConstantDiagonalPotential", "Eigenpair", "Grid",
     "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
-    "MatrixSolutionPath", "Perturbation", "PerturbationEntry", "Problem",
-    "ResidualReport", "SampledVectorFunction", "ScanOptions", "SpectrumReport",
-    "TransformResult", "ValidationReport", "boundary_matrices",
-    "build_perturbation", "builtin_problem", "characteristic_matrix",
-    "check_isospectral", "commutator_diagnostic", "compare_spectra",
-    "eigenbasis", "errors", "evaluate_path", "fd_oracle_eigenvalues",
-    "integral", "integrate_ivp", "load_potential_csv", "load_problem",
-    "potential_q", "problem_from_json_obj", "problem_to_json_obj",
-    "register_builtin", "residual_endpoint", "residual_goursat",
+    "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
+    "SampledVectorFunction", "ScanOptions", "SpectrumReport", "TransformResult",
+    "ValidationReport", "boundary_matrices", "build_perturbation",
+    "builtin_problem", "characteristic_matrix", "check_isospectral",
+    "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",
+    "fd_oracle_eigenvalues", "integral", "integrate_ivp", "load_potential_csv",
+    "load_problem", "potential_q", "problem_from_json_obj",
+    "problem_to_json_obj", "residual_endpoint", "residual_goursat",
     "residual_representation", "residual_transformed_eigen",
     "residual_wave_equation", "running_integral", "scan_spectrum",
     "solve_kernel", "transform_eigenfunction", "transform_problem",

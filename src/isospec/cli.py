@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .errors import IsospecError
-from .model import (Grid, GridPotential, Problem, builtin_problem, load_problem,
+from .model import (GridPotential, Problem, builtin_problem, load_problem,
                     potential_to_csv_rows, problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
 from .spectrum import ScanOptions, scan_spectrum
@@ -112,12 +112,11 @@ def cmd_spectrum(args) -> int:
                 serialize.write_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
                                     header, rows)
         if args.dump_path is not None:
-            path = integrate_ivp(problem.potential, args.dump_path,
-                                 problem.left.B.T, -problem.left.A.T, report.grid)
+            y, yp = integrate_ivp(problem.potential, args.dump_path,
+                                  problem.left.B.T, -problem.left.A.T, report.grid)
             n = problem.n
-            rows = np.column_stack([report.grid.nodes,
-                                    path.Y.reshape(report.grid.n, n * n),
-                                    path.Yp.reshape(report.grid.n, n * n)])
+            rows = np.column_stack([report.grid.nodes, y.reshape(report.grid.n, n * n),
+                                    yp.reshape(report.grid.n, n * n)])
             header = (["x"] + [f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                       + [f"yp{i + 1}{j + 1}" for i in range(n) for j in range(n)])
             serialize.write_csv(os.path.join(out, "path.csv"), header, rows)
@@ -138,14 +137,14 @@ def cmd_transform(args) -> int:
     report, pert, new_problem, result = _run_transform(problem, entries, cfg)
     out = _ensure_out(cfg)
 
-    q = result.q
+    q = new_problem.potential
     if not isinstance(q, GridPotential):
         q = GridPotential(report.grid, q.evaluate_many(report.grid.nodes))
     header, rows = potential_to_csv_rows(q)
     serialize.write_csv(os.path.join(out, "q_potential.csv"), header, rows)
     serialize.write_json(os.path.join(out, "boundary.json"), {
-        "Atilde": result.atilde.tolist(),
-        "AtildeRight": result.catilde.tolist(),
+        "Atilde": new_problem.left.A.tolist(),
+        "AtildeRight": new_problem.right.A.tolist(),
         "K00": result.kernel.k00.tolist(),
         "Kpipi": result.kernel.kpipi.tolist(),
     })
@@ -170,7 +169,7 @@ def cmd_verify(args) -> int:
         kernel = result.kernel
         new_report = scan_spectrum(new_problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
         iso = compare_spectra(report, new_report, shift_tol)
-        reports = [residual_wave_equation(kernel, problem.potential, result.q)]
+        reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
         reports += residual_goursat(kernel, problem)
         for psi in result.psis:
             reports.append(residual_transformed_eigen(new_problem, psi.lam, psi))

@@ -69,38 +69,27 @@ class Grid:
     def same_nodes(self, other: "Grid") -> bool:
         return self.n == other.n  # uniform grids on [0, pi] coincide iff sizes match
 
-    def index_of(self, x: float) -> int | None:
-        """Node index of x if x is a node (within 1 ulp scale), else None."""
-        i = int(round(x / self.h))
-        if 0 <= i < self.n and abs(self.nodes[i] - x) <= 32 * np.spacing(np.pi):
-            return i
-        return None
-
 
 class MatrixPotential:
     """Continuous symmetric N x N matrix-valued function on [0, pi].
 
-    Subclasses implement ``evaluate_many``; symmetry of returned samples is
-    enforced by symmetrizing (M + M^T)/2 after interpolation.
+    Subclasses implement ``evaluate_many(xs)``, the (len(xs), N, N) samples at
+    xs, symmetrized as (M + M^T)/2 after interpolation.
     """
 
     dimension: int
     symmetry_defect: float = 0.0
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, xs) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, x: float) -> np.ndarray:
-        self._check_domain(np.asarray([x]))
-        return self.evaluate_many(np.asarray([x], dtype=float))[0]
-
-    def __call__(self, x: float) -> np.ndarray:
-        return self.evaluate(x)
-
     @staticmethod
-    def _check_domain(xs: np.ndarray) -> None:
+    def _check_domain(xs) -> np.ndarray:
+        """xs as a float array, after checking that it lies in [0, pi]."""
+        xs = np.asarray(xs, dtype=float)
         if np.any(xs < -1e-12) or np.any(xs > np.pi + 1e-12):
             raise OutOfDomain("potential evaluated outside [0, pi]")
+        return xs
 
 
 class ConstantDiagonalPotential(MatrixPotential):
@@ -114,8 +103,8 @@ class ConstantDiagonalPotential(MatrixPotential):
         self.dimension = vals.size
         self._mat = _readonly(np.diag(vals))
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        self._check_domain(xs)
+    def evaluate_many(self, xs) -> np.ndarray:
+        xs = self._check_domain(xs)
         return np.broadcast_to(self._mat, (len(xs), self.dimension, self.dimension))
 
     def to_json_obj(self):
@@ -143,9 +132,8 @@ class GridPotential(MatrixPotential):
         self.dimension = samples.shape[1]
         self._spline = CubicSpline(grid.nodes, self.samples, axis=0)
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        self._check_domain(xs)
-        xs = np.asarray(xs, dtype=float)
+    def evaluate_many(self, xs) -> np.ndarray:
+        xs = self._check_domain(xs)
         out = self._spline(np.clip(xs, 0.0, np.pi))
         out = 0.5 * (out + out.transpose(0, 2, 1))
         # exact node lookup beats spline round-off
@@ -277,16 +265,17 @@ def validate_problem(p: Problem) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # builtin catalog
 
-def _dirichlet_pair(n: int) -> BoundaryPair:
-    return BoundaryPair(np.eye(n), np.zeros((n, n)))
+def _dirichlet_problem(values: list[float]) -> Problem:
+    """Constant P = diag(values) with Dirichlet data at both ends."""
+    pair = BoundaryPair(np.eye(len(values)), np.zeros((len(values), len(values))))
+    return Problem(ConstantDiagonalPotential(values), pair, pair)
 
 
-_BUILTINS: dict[str, Callable[[], Problem]] = {}
-
-
-def register_builtin(name: str, factory: Callable[[], Problem]) -> None:
-    """Extend the builtin catalog (user problems)."""
-    _BUILTINS[name] = factory
+_BUILTINS: dict[str, Callable[[], Problem]] = {
+    "paper-example-2x2": lambda: _dirichlet_problem([-3.0, 0.0]),
+    "scalar-zero": lambda: _dirichlet_problem([0.0]),
+    "free-2x2": lambda: _dirichlet_problem([0.0, 0.0]),
+}
 
 
 def builtin_problem(name: str) -> Problem:
@@ -294,8 +283,7 @@ def builtin_problem(name: str) -> Problem:
 
     Known names: ``paper-example-2x2`` (P = diag(-3, 0), Dirichlet both ends,
     eigenvalue 1 has multiplicity 2), ``scalar-zero`` (N=1, P = 0, Dirichlet)
-    and ``free-2x2`` (N=2, P = 0, Dirichlet), plus anything registered via
-    :func:`register_builtin`.
+    and ``free-2x2`` (N=2, P = 0, Dirichlet).
     """
     try:
         return _BUILTINS[name]()
@@ -303,26 +291,8 @@ def builtin_problem(name: str) -> Problem:
         raise UnknownName(f"unknown builtin problem {name!r}; known: {sorted(_BUILTINS)}") from None
 
 
-register_builtin(
-    "paper-example-2x2",
-    lambda: Problem(ConstantDiagonalPotential([-3.0, 0.0]), _dirichlet_pair(2), _dirichlet_pair(2)),
-)
-register_builtin(
-    "scalar-zero",
-    lambda: Problem(ConstantDiagonalPotential([0.0]), _dirichlet_pair(1), _dirichlet_pair(1)),
-)
-register_builtin(
-    "free-2x2",
-    lambda: Problem(ConstantDiagonalPotential([0.0, 0.0]), _dirichlet_pair(2), _dirichlet_pair(2)),
-)
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-def _upper_triangle_header(n: int) -> list[str]:
-    return [f"p{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-
 
 def potential_to_csv_rows(pot: GridPotential) -> tuple[list[str], np.ndarray]:
     """CSV form of a grid potential: columns x, p11, p12, ..., pNN.
@@ -330,10 +300,9 @@ def potential_to_csv_rows(pot: GridPotential) -> tuple[list[str], np.ndarray]:
     Columns list the upper triangle in row-major order; the lower triangle is
     mirrored on load.
     """
-    n = pot.dimension
-    iu = np.triu_indices(n)
+    iu = np.triu_indices(pot.dimension)
     rows = np.column_stack([pot.grid.nodes] + [pot.samples[:, i, j] for i, j in zip(*iu)])
-    return ["x"] + _upper_triangle_header(n), rows
+    return ["x"] + [f"p{i + 1}{j + 1}" for i, j in zip(*iu)], rows
 
 
 def load_potential_csv(path: str) -> GridPotential:
@@ -341,7 +310,13 @@ def load_potential_csv(path: str) -> GridPotential:
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
-        data = np.array([[float(v) for v in row] for row in reader if row])
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"potential CSV {path!r} line {reader.line_num} has "
+                                 f"{len(row)} fields; the header has {len(header)}")
+            rows.append([float(v) for v in row])
+    data = np.array(rows)
     if data.size == 0:
         raise ValueError(f"potential CSV {path!r} has no data rows")
     k = len(header) - 1

@@ -19,11 +19,9 @@ quadrature and kernel algebra node-aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonFiniteState, OutOfDomain
+from .errors import NonFiniteState
 from .model import Grid, MatrixPotential
 
 #: degree of the RK4 step matrix T_i(lambda) in lambda
@@ -109,23 +107,8 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-@dataclass(frozen=True)
-class MatrixSolutionPath:
-    """Y and Y' sampled at the grid nodes for one spectral parameter."""
-
-    grid: Grid
-    lam: float
-    Y: np.ndarray       # (n, N, N)
-    Yp: np.ndarray      # (n, N, N)
-    potential: MatrixPotential
-
-    @property
-    def n(self) -> int:
-        return self.Y.shape[1]
-
-
 def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndarray,
-                  grid: Grid, tables: np.ndarray | None = None) -> MatrixSolutionPath:
+                  grid: Grid, tables: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate -Y'' + P Y = lam Y from x=0 to pi on the grid.
 
     Parameters
@@ -140,8 +123,8 @@ def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndar
 
     Returns
     -------
-    MatrixSolutionPath with Y, Y' at every node; global error O(h^4) for C^2
-    potentials. Deterministic for fixed inputs.
+    (Y, Y'), each (n, N, N): the solution at every node; global error O(h^4)
+    for C^2 potentials. Deterministic for fixed inputs.
     """
     y0 = np.asarray(y0, dtype=float)
     yp0 = np.asarray(yp0, dtype=float)
@@ -157,7 +140,7 @@ def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndar
         for i in range(grid.n - 1):
             np.matmul(steps[i, 0], z[i], out=z[i + 1])
     _check_finite(z[-1])
-    return MatrixSolutionPath(grid, float(lam), z[:, :n].copy(), z[:, n:].copy(), pot)
+    return z[:, :n].copy(), z[:, n:].copy()
 
 
 def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray, yp0: np.ndarray,
@@ -189,34 +172,3 @@ def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray
         return z[:, :n], z[:, n:]
     _check_finite(dz)
     return z[:, :n], z[:, n:], dz[:, :n], dz[:, n:]
-
-
-def _hermite(fa, da, fb, db, h, s):
-    s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * fa + (s3 - 2 * s2 + s) * h * da
-            + (-2 * s3 + 3 * s2) * fb + (s3 - s2) * h * db)
-
-
-def evaluate_path(path: MatrixSolutionPath, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense evaluation (Y(x), Y'(x)); exact at nodes, O(h^4) in between.
-
-    Cubic Hermite in each cell: Y from (Y, Y') node data, Y' from (Y', Y'')
-    with Y'' = (P - lam) Y taken from the differential equation.
-    """
-    if x < -1e-12 or x > np.pi + 1e-12:
-        raise OutOfDomain(f"x={x} outside [0, pi]")
-    grid = path.grid
-    i = grid.index_of(x)
-    if i is not None:
-        return path.Y[i].copy(), path.Yp[i].copy()
-    x = min(max(x, 0.0), np.pi)
-    h = grid.h
-    i = min(int(x / h), grid.n - 2)
-    s = (x - grid.nodes[i]) / h
-    ya, yb = path.Y[i], path.Y[i + 1]
-    da, db = path.Yp[i], path.Yp[i + 1]
-    pa = path.potential.evaluate(grid.nodes[i])
-    pb = path.potential.evaluate(grid.nodes[i + 1])
-    dda = pa @ ya - path.lam * ya
-    ddb = pb @ yb - path.lam * yb
-    return _hermite(ya, da, yb, db, h, s), _hermite(da, dda, db, ddb, h, s)

@@ -44,12 +44,12 @@ class ScanOptions:
 
 @dataclass(frozen=True)
 class SampledVectorFunction:
-    """Vector-valued function sampled on a grid, with derivative samples."""
+    """Samples of phi(x) and phi'(x) on a grid, at the spectral parameter lam."""
 
     grid: Grid
-    values: np.ndarray               # (n, N)
-    derivs: np.ndarray | None = None  # (n, N)
-    lam: float | None = None
+    values: np.ndarray      # (n, N)
+    derivs: np.ndarray      # (n, N)
+    lam: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class Eigenpair:
     residual: float          # sigma_min(W) / local W scale at lam
     grid: Grid
 
-    def eigenfunction(self, l: int) -> SampledVectorFunction:
-        return SampledVectorFunction(self.grid, self.phis[:, :, l],
-                                     self.phi_derivs[:, :, l], self.lam)
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -90,16 +86,6 @@ class SpectrumReport:
         """Eigenvalues repeated by multiplicity, nondecreasing."""
         return np.array([p.lam for p in self.pairs for _ in range(p.multiplicity)])
 
-    def pair_index(self, lam: float, tol: float = 1e-3) -> int:
-        """Index of the eigenpair whose eigenvalue is closest to lam (within tol)."""
-        if not self.pairs:
-            raise IndexError("empty spectrum report")
-        lams = np.array([p.lam for p in self.pairs])
-        k = int(np.argmin(np.abs(lams - lam)))
-        if abs(lams[k] - lam) > tol:
-            raise IndexError(f"no eigenvalue within {tol} of {lam}")
-        return k
-
     def to_json_obj(self):
         return [
             {"lambda": p.lam, "multiplicity": p.multiplicity, "residual": p.residual}
@@ -110,8 +96,7 @@ class SpectrumReport:
 def characteristic_matrix(p: Problem, lam: float, grid: Grid,
                           tables=None) -> np.ndarray:
     """W(lambda) = cB Y'(pi) + cA Y(pi) with Y(0) = B^T, Y'(0) = -A^T."""
-    y_pi, yp_pi = integrate_final_batch(p.potential, [lam], p.left.B.T, -p.left.A.T, grid, tables)
-    return p.right.B @ yp_pi[0] + p.right.A @ y_pi[0]
+    return _char_batch(p, [lam], grid, tables)[0]
 
 
 def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bool = False):
@@ -311,13 +296,13 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid, rank_tol: float = DEFAULT_R
             f"sigma_min(W({lam_k})) = {svals[-1]:.3e} exceeds {thresh:.3e}; not an eigenvalue"
         )
     v_k = vt[-m:][::-1].T                    # (N, m), most-null direction first
-    path = integrate_ivp(p.potential, lam_k, p.left.B.T, -p.left.A.T, grid, tables)
-    z = path.Y @ v_k                         # (n, N, m)
+    y, yp = integrate_ivp(p.potential, lam_k, p.left.B.T, -p.left.A.T, grid, tables)
+    z = y @ v_k                              # (n, N, m)
     gram = integral(np.einsum("qni,qnj->qij", z, z), grid.h)
     d, u = np.linalg.eigh(gram)
     thetas = v_k @ u
-    phis = path.Y @ thetas
-    phi_derivs = path.Yp @ thetas
+    phis = y @ thetas
+    phi_derivs = yp @ thetas
     return Eigenpair(float(lam_k), m, thetas, phis, phi_derivs,
                      np.maximum(d, 0.0), float(svals[-1] / scale), grid)
 

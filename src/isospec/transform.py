@@ -80,17 +80,22 @@ class Perturbation:
 
 
 def _normalize_entries(entries) -> list[PerturbationEntry]:
+    """Entries as PerturbationEntry, refusing non-integral k, i (rather than
+    truncating them) and non-finite c, theta."""
     out = []
-    for e in entries:
-        if isinstance(e, PerturbationEntry):
-            out.append(e)
-        elif isinstance(e, dict):
-            theta = e.get("theta")
-            out.append(PerturbationEntry(int(e["k"]), int(e["i"]), float(e["c"]),
-                                         tuple(float(t) for t in theta) if theta is not None else None))
-        else:
-            k, i, c = e
-            out.append(PerturbationEntry(int(k), int(i), float(c)))
+    for n, e in enumerate(entries):
+        if isinstance(e, dict):
+            e = PerturbationEntry(e["k"], e["i"], e["c"], e.get("theta"))
+        elif not isinstance(e, PerturbationEntry):
+            e = PerturbationEntry(*e)
+        name = f"perturbation entry {n} (k={e.k}, i={e.i}, c={e.c})"
+        k, i, c = float(e.k), float(e.i), float(e.c)
+        theta = None if e.theta is None else tuple(float(t) for t in e.theta)
+        if not (k.is_integer() and i.is_integer()):
+            raise IndexOutOfRange(f"{name}: k and i must be integers")
+        if not np.isfinite(c) or (theta is not None and not np.all(np.isfinite(theta))):
+            raise ConditionViolated(f"{name}: c and theta must be finite")
+        out.append(PerturbationEntry(int(k), int(i), c, theta))
     return out
 
 
@@ -106,10 +111,10 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     Raises
     ------
     IndexOutOfRange
-        Bad k or i, or duplicate (k, i).
+        Bad or non-integral k or i, or duplicate (k, i).
     ConditionViolated
-        Some 1 + c ||phi||^2 <= 0 (message carries the margin), or
-        non-orthogonal same-eigenspace selections.
+        A non-finite c or theta, some 1 + c ||phi||^2 <= 0 (message carries
+        the margin), or non-orthogonal same-eigenspace selections.
     """
     entries = _normalize_entries(entries)
     seen = set()
@@ -156,11 +161,11 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
                 raise NotAnEigenvalue(
                     f"theta for entry (k={e.k}, i={e.i}) is not a null vector of W({pair.lam:.6g})"
                 )
-            path = integrate_ivp(report.problem.potential, pair.lam,
-                                 report.problem.left.B.T, -report.problem.left.A.T, grid, tables)
+            y, yp = integrate_ivp(report.problem.potential, pair.lam,
+                                  report.problem.left.B.T, -report.problem.left.A.T, grid, tables)
             thetas[:, j] = theta
-            phis[:, :, j] = path.Y @ theta
-            phi_derivs[:, :, j] = path.Yp @ theta
+            phis[:, :, j] = y @ theta
+            phi_derivs[:, :, j] = yp @ theta
             norms_sq[j] = integral(np.einsum("qn,qn->q", phis[:, :, j], phis[:, :, j]), grid.h)
 
     for j, e in enumerate(entries):
@@ -200,7 +205,7 @@ class KernelField:
     a: np.ndarray           # (n, N, M) coefficient functions a_j(x)
     da: np.ndarray          # (n, N, M) their derivatives
     gram: np.ndarray        # (n, M, M) running Gram G(x)
-    resolvent: np.ndarray   # (n, M, M) (I + G(x) C)^{-1}
+    resolvent_sv: np.ndarray  # (n, M) singular values of I + G(x) C, descending
 
     @property
     def rank(self) -> int:
@@ -226,9 +231,8 @@ class KernelField:
 
 def _empty_kernel(grid: Grid, n_dim: int) -> KernelField:
     z = np.zeros((grid.n, n_dim, 0))
-    zm = np.zeros((grid.n, 0, 0))
     return KernelField(grid, np.zeros(0), np.zeros((n_dim, 0)), np.zeros(0),
-                       z, z, z, z, zm, zm)
+                       z, z, z, z, np.zeros((grid.n, 0, 0)), np.zeros((grid.n, 0)))
 
 
 def solve_kernel(pert: Perturbation) -> KernelField:
@@ -276,7 +280,7 @@ def solve_kernel(pert: Perturbation) -> KernelField:
     gp = np.einsum("qni,qnj->qij", phi, phi)
     da = -(dphi * c[None, None, :]) @ resolvent - a @ ((gp * c[None, None, :]) @ resolvent)
     return KernelField(grid, pert.lambdas.copy(), pert.thetas.copy(), c.copy(),
-                       phi, dphi, a, da, gram, resolvent)
+                       phi, dphi, a, da, gram, sv)
 
 
 def potential_q(kernel: KernelField, base: MatrixPotential) -> MatrixPotential:
@@ -306,8 +310,8 @@ def boundary_matrices(kernel: KernelField, p: Problem) -> tuple[np.ndarray, np.n
     return atilde, catilde
 
 
-def transform_eigenfunction(kernel: KernelField, phi: SampledVectorFunction,
-                            lam: float | None = None) -> SampledVectorFunction:
+def transform_eigenfunction(kernel: KernelField,
+                            phi: SampledVectorFunction) -> SampledVectorFunction:
     """psi(x) = phi(x) + int_0^x K(x, t) phi(t) dt via the running quadrature.
 
     With the degenerate representation this is phi + A(x) w(x) where
@@ -316,27 +320,20 @@ def transform_eigenfunction(kernel: KernelField, phi: SampledVectorFunction,
     """
     if not kernel.grid.same_nodes(phi.grid):
         raise GridMismatch("eigenfunction is not sampled on the kernel grid")
-    lam = phi.lam if lam is None else float(lam)
     if kernel.rank == 0:
-        return SampledVectorFunction(phi.grid, phi.values.copy(),
-                                     None if phi.derivs is None else phi.derivs.copy(), lam)
-    w = running_integral(np.einsum("qnm,qn->qm", kernel.phi, phi.values), kernel.grid.h)
+        return SampledVectorFunction(phi.grid, phi.values.copy(), phi.derivs.copy(), phi.lam)
+    pointwise = np.einsum("qnm,qn->qm", kernel.phi, phi.values)
+    w = running_integral(pointwise, kernel.grid.h)
     psi = phi.values + np.einsum("qnm,qm->qn", kernel.a, w)
-    dpsi = None
-    if phi.derivs is not None:
-        pointwise = np.einsum("qnm,qn->qm", kernel.phi, phi.values)
-        dpsi = (phi.derivs + np.einsum("qnm,qm->qn", kernel.da, w)
-                + np.einsum("qnm,qm->qn", kernel.a, pointwise))
-    return SampledVectorFunction(phi.grid, psi, dpsi, lam)
+    dpsi = (phi.derivs + np.einsum("qnm,qm->qn", kernel.da, w)
+            + np.einsum("qnm,qm->qn", kernel.a, pointwise))
+    return SampledVectorFunction(phi.grid, psi, dpsi, phi.lam)
 
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Transformed potential, boundary matrices, diagnostics, and the solved kernel."""
+    """Transformed eigenfunctions, diagnostics, and the solved kernel."""
 
-    q: MatrixPotential
-    atilde: np.ndarray
-    catilde: np.ndarray
     psis: tuple[SampledVectorFunction, ...]
     diagnostics: dict
     kernel: KernelField
@@ -368,8 +365,7 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
         "selfadjoint_defect_right": float(np.max(np.abs(p.right.B @ catilde.T - catilde @ p.right.B.T))),
     }
     if kernel.rank:
-        sv = np.linalg.svd(np.eye(kernel.rank) + kernel.gram * kernel.coeffs[None, None, :],
-                           compute_uv=False)
+        sv = kernel.resolvent_sv
         diag["resolvent_min_sigma"] = float(sv[:, -1].min())
         diag["resolvent_max_cond"] = float((sv[:, 0] / sv[:, -1]).max())
         gpi = kernel.gram[-1]
@@ -377,7 +373,6 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
         diag["final_gram_offdiagonal_max"] = float(np.max(np.abs(off))) if kernel.rank > 1 else 0.0
         # the boundary formulas use K(0,0) from the solved kernel; the opposite
         # sign convention is surfaced here so a mismatch is visible, not guessed
-        b = p.left.B
-        alt = p.left.A + b @ kernel.k00
+        alt = p.left.A + p.left.B @ kernel.k00
         diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - atilde)))
-    return new_problem, TransformResult(q, atilde, catilde, tuple(psis), diag, kernel)
+    return new_problem, TransformResult(tuple(psis), diag, kernel)

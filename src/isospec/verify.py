@@ -201,15 +201,13 @@ def residual_transformed_eigen(p_new: Problem, lam: float,
     res = (-_second_difference(v, grid.h) + np.einsum("qab,qb->qa", qs[1:-1], v[1:-1])
            - lam * v[1:-1])
 
-    extras = {}
-    if psi.derivs is not None:
-        b_left = p_new.left.B @ psi.derivs[0] + p_new.left.A @ v[0]
-        b_right = p_new.right.B @ psi.derivs[-1] + p_new.right.A @ v[-1]
-        extras = {
-            "boundary_left": float(np.max(np.abs(b_left))),
-            "boundary_right": float(np.max(np.abs(b_right))),
-            "boundary_tolerance": boundary_tolerance,
-        }
+    b_left = p_new.left.B @ psi.derivs[0] + p_new.left.A @ v[0]
+    b_right = p_new.right.B @ psi.derivs[-1] + p_new.right.A @ v[-1]
+    extras = {
+        "boundary_left": float(np.max(np.abs(b_left))),
+        "boundary_right": float(np.max(np.abs(b_right))),
+        "boundary_tolerance": boundary_tolerance,
+    }
     return ResidualReport("eigen-ode", *_peak(res, grid.nodes[1:-1]), tolerance, extras)
 
 

@@ -66,15 +66,29 @@ def scalar_q(x):
     return diagonal_q22(x)
 
 
+def pair_index(report, lam, tol=1e-3):
+    """Index of the eigenpair of report whose eigenvalue is closest to lam (within tol)."""
+    lams = np.array([p.lam for p in report.pairs])
+    k = int(np.argmin(np.abs(lams - lam)))
+    assert abs(lams[k] - lam) <= tol, f"no eigenvalue within {tol} of {lam}"
+    return k
+
+
+def eigenfunction(pair, l):
+    """Branch l (0-based) of an eigenpair as a sampled vector function."""
+    return iso.SampledVectorFunction(pair.grid, pair.phis[:, :, l], pair.phi_derivs[:, :, l],
+                                     pair.lam)
+
+
 def mixed_perturbation(report, c=1.0):
     """The worked rank-one selection: theta = (-2, -1) makes Y(x;1) theta = (sin 2x, sin x)."""
-    k = report.pair_index(1.0)
+    k = pair_index(report, 1.0)
     return iso.build_perturbation(report, [{"k": k, "i": 1, "c": c, "theta": [-2.0, -1.0]}])
 
 
 def diagonal_perturbation(report, c=1.0):
     """Selection theta = (0, 1) giving the diagonal transformed potential."""
-    k = report.pair_index(1.0)
+    k = pair_index(report, 1.0)
     return iso.build_perturbation(report, [{"k": k, "i": 1, "c": c, "theta": [0.0, 1.0]}])
 
 

@@ -75,8 +75,8 @@ def test_criterion_2_isospectral_transform(paper):
     iso801 = iso.compare_spectra(run801["report"], rescan801, 1e-4)
 
     ratio = iso401.max_shift / iso801.max_shift if iso801.max_shift > 0 else np.inf
-    exact_boundaries = (np.array_equal(run401["result"].atilde, np.eye(2))
-                        and np.array_equal(run401["result"].catilde, np.eye(2)))
+    exact_boundaries = (np.array_equal(run401["problem"].left.A, np.eye(2))
+                        and np.array_equal(run401["problem"].right.A, np.eye(2)))
     ok = (iso401.multiplicity_match and iso401.max_shift <= 1e-4
           and ratio >= 3.5 and exact_boundaries and elapsed <= 30.0)
     _line(2, "isospectral transform", ok,
@@ -86,13 +86,13 @@ def test_criterion_2_isospectral_transform(paper):
 
 def test_criterion_3_nondiagonalizability(paper, mixed401):
     grid = mixed401["kernel"].grid
-    mixed_value, _ = iso.commutator_diagnostic(mixed401["result"].q, grid)
+    mixed_value, _ = iso.commutator_diagnostic(mixed401["problem"].potential, grid)
 
     pert_diag = oracles.diagonal_perturbation(mixed401["report"])
-    _, result_diag = iso.transform_problem(paper, pert_diag)
-    diag_value, _ = iso.commutator_diagnostic(result_diag.q, grid)
-    q11 = np.max(np.abs(result_diag.q.samples[:, 0, 0] + 3.0))
-    q12 = np.max(np.abs(result_diag.q.samples[:, 0, 1]))
+    problem_diag, _ = iso.transform_problem(paper, pert_diag)
+    diag_value, _ = iso.commutator_diagnostic(problem_diag.potential, grid)
+    q11 = np.max(np.abs(problem_diag.potential.samples[:, 0, 0] + 3.0))
+    q12 = np.max(np.abs(problem_diag.potential.samples[:, 0, 1]))
 
     ok = mixed_value > 0.1 and diag_value <= 1e-8 and q11 <= 1e-9 and q12 <= 1e-9
     _line(3, "non-diagonalizability certificate", ok,
@@ -127,9 +127,10 @@ def test_criterion_5_identity_residual_suite(paper, mixed401, mixed801):
     by_name = {r.name: r for r in gs}
     trace = by_name["trace"].max_residual
     goursat = by_name["goursat"].max_residual
-    wave = iso.residual_wave_equation(mixed401["kernel"], paper.potential, mixed401["result"].q).max_residual
+    wave = iso.residual_wave_equation(mixed401["kernel"], paper.potential,
+                                      mixed401["problem"].potential).max_residual
     wave_fine = iso.residual_wave_equation(mixed801["kernel"], paper.potential,
-                                           mixed801["result"].q).max_residual
+                                           mixed801["problem"].potential).max_residual
     decay = wave / wave_fine if wave_fine > 0 else np.inf
     endpoint = iso.residual_endpoint(mixed401["kernel"], mixed401["pert"], mixed401["result"].psis).max_residual
     representation = iso.residual_representation(mixed401["kernel"], mixed401["result"].psis).max_residual
@@ -159,11 +160,11 @@ def test_criterion_7_property_suite(paper, mixed401):
     # Wronskian conservation on a generic pair of paths
     rng = np.random.default_rng(42)
     grid = iso.Grid.uniform(401)
-    p1 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
-                           rng.normal(size=(2, 2)), grid)
-    p2 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
-                           rng.normal(size=(2, 2)), grid)
-    w = np.einsum("qab,qac->qbc", p1.Y, p2.Yp) - np.einsum("qab,qac->qbc", p1.Yp, p2.Y)
+    y1, yp1 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
+                                rng.normal(size=(2, 2)), grid)
+    y2, yp2 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
+                                rng.normal(size=(2, 2)), grid)
+    w = np.einsum("qab,qac->qbc", y1, yp2) - np.einsum("qab,qac->qbc", yp1, y2)
     drift = float(np.max(np.abs(w - w[0]))) / np.pi
 
     # self-adjointness preservation on a non-Dirichlet transform
@@ -177,7 +178,7 @@ def test_criterion_7_property_suite(paper, mixed401):
                     nres.diagnostics["selfadjoint_defect_right"])
 
     # orthogonal eigenspace basis at the double eigenvalue
-    pair = mixed401["report"].pairs[mixed401["report"].pair_index(1.0)]
+    pair = mixed401["report"].pairs[oracles.pair_index(mixed401["report"], 1.0)]
     ip = integral(np.einsum("qn,qn->q", pair.phis[:, :, 0], pair.phis[:, :, 1]), grid.h)
     ortho = abs(ip) / np.sqrt(pair.norms_sq[0] * pair.norms_sq[1])
 

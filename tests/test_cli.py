@@ -80,6 +80,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empty-q.csv" in err and "no data rows" in err
 
+    def test_short_potential_csv_row_exits_2(self, tmp_path, capsys):
+        (tmp_path / "short-q.csv").write_text("x,p11,p12,p22\n0,1\n")
+        obj = {"n": 2, "potential": {"kind": "grid", "path": "short-q.csv"},
+               "left": {"A": np.eye(2).tolist(), "B": np.zeros((2, 2)).tolist()},
+               "right": {"A": np.eye(2).tolist(), "B": np.zeros((2, 2)).tolist()}}
+        f = tmp_path / "short-q.json"
+        f.write_text(json.dumps(obj))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "short-q.csv" in err and "line 2" in err
+
 
 class TestSpectrum:
     def test_paper_spectrum_artifacts(self, paper_files, tmp_path, capsys):
@@ -178,6 +189,53 @@ class TestTransform:
         assert qpot.dimension == 2
         assert (out / "psi_k1_i1.csv").exists()
         assert (out / "kernel_diagnostics.json").exists()
+
+    def test_robin_and_mixed_boundary_matrices(self, tmp_path, capsys):
+        # Robin left (B = I), rank-one B on the right: both ends move with K
+        left_a = [[1.0, 0.2], [0.2, -0.5]]
+        right_a, right_b = [[1.0, 0.0], [0.0, 0.7]], [[0.0, 0.0], [0.0, 1.0]]
+        obj = {"n": 2, "potential": {"kind": "constant-diagonal", "values": [-1.0, 0.5]},
+               "left": {"A": left_a, "B": np.eye(2).tolist()},
+               "right": {"A": right_a, "B": right_b}}
+        prob, pert = tmp_path / "robin.json", tmp_path / "robin-pert.json"
+        prob.write_text(json.dumps(obj))
+        pert.write_text(json.dumps([{"k": 0, "i": 1, "c": 0.7}]))
+        out = tmp_path / "tr"
+        assert main(["transform", str(prob), str(pert), "--min", "-5", "--max", "20",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        b = {k: np.array(v) for k, v in json.loads((out / "boundary.json").read_text()).items()}
+        assert np.array_equal(b["Atilde"], np.array(left_a) - np.eye(2) @ b["K00"])
+        assert np.array_equal(b["AtildeRight"], np.array(right_a) - np.array(right_b) @ b["Kpipi"])
+        assert not np.array_equal(b["Atilde"], left_a)
+        assert not np.array_equal(b["AtildeRight"], right_a)
+
+    @pytest.mark.parametrize("entry, error", [
+        ('{"k": 1.7, "i": 1, "c": 1.0}', "IndexOutOfRange"),
+        ('{"k": 1, "i": 1.5, "c": 1.0}', "IndexOutOfRange"),
+        ('{"k": 1, "i": 1, "c": NaN}', "ConditionViolated"),
+        ('{"k": 1, "i": 1, "c": Infinity}', "ConditionViolated"),
+        ('{"k": 1, "i": 1, "c": 1.0, "theta": [-2.0, -Infinity]}', "ConditionViolated"),
+    ], ids=["k-fraction", "i-fraction", "c-nan", "c-infinity", "theta-infinity"])
+    def test_bad_entry_exits_1_before_writing(self, paper_files, tmp_path, capsys, entry, error):
+        prob, _ = paper_files
+        pert = tmp_path / "bad.json"
+        pert.write_text(f"[{entry}]")
+        out = tmp_path / "never"
+        assert main(["transform", str(prob), str(pert), "--min", "-5", "--max", "20",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert error in err and "perturbation entry 0" in err
+        assert not out.exists()
+
+    def test_integral_float_indices_accepted(self, scalar_files, tmp_path, capsys):
+        prob, _ = scalar_files
+        pert = tmp_path / "floats.json"
+        pert.write_text(json.dumps([{"k": 0.0, "i": 1.0, "c": 1.0}]))
+        assert main(["transform", str(prob), str(pert), "--min", "0.5", "--max", "10",
+                     "--out", str(tmp_path / "tr")]) == 0
+        assert "kernel rank 1" in capsys.readouterr().out
+        assert (tmp_path / "tr" / "psi_k0_i1.csv").exists()
 
     def test_empty_perturbation_writes_base_potential(self, scalar_files, tmp_path, capsys):
         prob, _ = scalar_files

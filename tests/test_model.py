@@ -25,32 +25,26 @@ class TestGrid:
         with pytest.raises(ValueError):
             iso.Grid(np.linspace(0, 3.0, 11))
 
-    def test_index_of(self):
-        g = iso.Grid.uniform(401)
-        assert g.index_of(g.nodes[137]) == 137
-        assert g.index_of(np.pi / 2) == 200
-        assert g.index_of(0.123456) is None
-
 
 class TestPotentials:
     def test_constant_diagonal(self):
         pot = iso.ConstantDiagonalPotential([-3.0, 0.0])
         assert pot.dimension == 2
-        assert np.array_equal(pot.evaluate(1.3), np.diag([-3.0, 0.0]))
+        assert np.array_equal(pot.evaluate_many([1.3])[0], np.diag([-3.0, 0.0]))
 
     def test_grid_potential_node_values_exact(self):
         g = iso.Grid.uniform(41)
         samples = np.einsum("q,ab->qab", np.sin(g.nodes), np.array([[2.0, 1.0], [1.0, 0.5]]))
         pot = iso.GridPotential(g, samples)
         for i in (0, 7, 40):
-            assert np.array_equal(pot.evaluate(g.nodes[i]), samples[i])
+            assert np.array_equal(pot.evaluate_many([g.nodes[i]])[0], samples[i])
 
     def test_grid_potential_between_nodes_symmetric_and_accurate(self):
         g = iso.Grid.uniform(201)
         samples = np.einsum("q,ab->qab", np.cos(g.nodes), np.eye(2))
         pot = iso.GridPotential(g, samples)
         x = 1.2345
-        m = pot.evaluate(x)
+        m = pot.evaluate_many([x])[0]
         assert np.array_equal(m, m.T)
         assert abs(m[0, 0] - np.cos(x)) < 1e-8
 
@@ -65,7 +59,16 @@ class TestPotentials:
     def test_domain_enforced(self):
         pot = iso.ConstantDiagonalPotential([0.0])
         with pytest.raises(OutOfDomain):
-            pot.evaluate(3.5)
+            pot.evaluate_many(np.array([3.5]))
+
+    def test_evaluate_many_accepts_lists(self):
+        g = iso.Grid.uniform(41)
+        samples = np.einsum("q,ab->qab", np.cos(g.nodes), np.array([[1.0, 0.5], [0.5, -1.0]]))
+        for pot in (iso.ConstantDiagonalPotential([-3.0, 0.0]), iso.GridPotential(g, samples)):
+            assert np.array_equal(pot.evaluate_many([1.3]), pot.evaluate_many(np.array([1.3])))
+            assert pot.evaluate_many([0.0, 1.3]).shape == (2, 2, 2)
+            with pytest.raises(OutOfDomain):
+                pot.evaluate_many([3.5])
 
 
 class TestValidation:
@@ -111,7 +114,7 @@ class TestBuiltins:
     def test_paper_example_is_the_worked_setup(self):
         p = iso.builtin_problem("paper-example-2x2")
         assert p.n == 2
-        assert np.array_equal(p.potential.evaluate(0.3), np.diag([-3.0, 0.0]))
+        assert np.array_equal(p.potential.evaluate_many([0.3])[0], np.diag([-3.0, 0.0]))
         assert np.array_equal(p.left.A, np.eye(2))
         assert np.array_equal(p.left.B, np.zeros((2, 2)))
         assert np.array_equal(p.right.A, np.eye(2))
@@ -124,10 +127,6 @@ class TestBuiltins:
         with pytest.raises(UnknownName):
             iso.builtin_problem("does-not-exist")
 
-    def test_user_catalog_registration(self):
-        iso.register_builtin("tmp-test-problem", lambda: iso.builtin_problem("scalar-zero"))
-        assert iso.builtin_problem("tmp-test-problem").n == 1
-
 
 class TestSerialization:
     def test_problem_json_roundtrip(self):
@@ -137,7 +136,7 @@ class TestSerialization:
         assert obj["potential"]["kind"] == "constant-diagonal"
         q = problem_from_json_obj(json.loads(json.dumps(obj)))
         assert np.array_equal(q.left.A, p.left.A)
-        assert np.array_equal(q.potential.evaluate(0.5), p.potential.evaluate(0.5))
+        assert np.array_equal(q.potential.evaluate_many([0.5]), p.potential.evaluate_many([0.5]))
 
     def test_grid_potential_csv_roundtrip(self, tmp_path):
         g = iso.Grid.uniform(41)
@@ -172,4 +171,26 @@ class TestSerialization:
                "left": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]},
                "right": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]}}
         p = problem_from_json_obj(obj)
-        assert np.array_equal(p.potential.evaluate(1.0), np.diag([-3.0, 0.0]))
+        assert np.array_equal(p.potential.evaluate_many([1.0])[0], np.diag([-3.0, 0.0]))
+
+
+class TestPublicApi:
+    def test_all_is_pinned_and_resolves(self):
+        assert iso.__all__ == [
+            "BoundaryPair", "ConstantDiagonalPotential", "Eigenpair", "Grid",
+            "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
+            "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
+            "SampledVectorFunction", "ScanOptions", "SpectrumReport", "TransformResult",
+            "ValidationReport", "boundary_matrices", "build_perturbation",
+            "builtin_problem", "characteristic_matrix", "check_isospectral",
+            "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",
+            "fd_oracle_eigenvalues", "integral", "integrate_ivp", "load_potential_csv",
+            "load_problem", "potential_q", "problem_from_json_obj",
+            "problem_to_json_obj", "residual_endpoint", "residual_goursat",
+            "residual_representation", "residual_transformed_eigen",
+            "residual_wave_equation", "running_integral", "scan_spectrum",
+            "solve_kernel", "transform_eigenfunction", "transform_problem",
+            "validate_problem",
+        ]
+        assert iso.__all__ == sorted(iso.__all__)
+        assert all(getattr(iso, name) is not None for name in iso.__all__)

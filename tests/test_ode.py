@@ -2,43 +2,45 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec.errors import NonFiniteState, OutOfDomain
+from isospec.errors import NonFiniteState
 from isospec.ode import integrate_final_batch, potential_tables
 
 
 def dirichlet_path(problem, lam, n=401):
+    """(grid, Y, Y') of the Dirichlet solution Y(0) = 0, Y'(0) = -I."""
     grid = iso.Grid.uniform(n)
-    return iso.integrate_ivp(problem.potential, lam,
-                             problem.left.B.T, -problem.left.A.T, grid)
+    y, yp = iso.integrate_ivp(problem.potential, lam,
+                              problem.left.B.T, -problem.left.A.T, grid)
+    return grid, y, yp
 
 
 class TestIntegration:
     def test_scalar_sine(self, scalar):
-        path = dirichlet_path(scalar, 1.0)
-        assert np.max(np.abs(path.Y[:, 0, 0] + np.sin(path.grid.nodes))) < 1e-8
-        assert abs(path.Y[-1, 0, 0]) < 1e-8
+        grid, y, _ = dirichlet_path(scalar, 1.0)
+        assert np.max(np.abs(y[:, 0, 0] + np.sin(grid.nodes))) < 1e-8
+        assert abs(y[-1, 0, 0]) < 1e-8
 
     def test_paper_example_diagonal_channels(self, paper):
         # each channel decouples: Y = diag(-sin(2x)/2, -sin x) at lambda = 1
-        path = dirichlet_path(paper, 1.0)
-        xs = path.grid.nodes
-        assert np.max(np.abs(path.Y[:, 0, 0] + np.sin(2 * xs) / 2)) < 1e-8
-        assert np.max(np.abs(path.Y[:, 1, 1] + np.sin(xs))) < 1e-8
-        assert np.max(np.abs(path.Y[:, 0, 1])) == 0.0
-        assert np.max(np.abs(path.Y[-1])) < 1e-8
+        grid, y, _ = dirichlet_path(paper, 1.0)
+        xs = grid.nodes
+        assert np.max(np.abs(y[:, 0, 0] + np.sin(2 * xs) / 2)) < 1e-8
+        assert np.max(np.abs(y[:, 1, 1] + np.sin(xs))) < 1e-8
+        assert np.max(np.abs(y[:, 0, 1])) == 0.0
+        assert np.max(np.abs(y[-1])) < 1e-8
 
     def test_constant_solution_is_exact(self, scalar):
         grid = iso.Grid.uniform(101)
-        path = iso.integrate_ivp(scalar.potential, 0.0, np.ones((1, 1)), np.zeros((1, 1)), grid)
-        assert np.array_equal(path.Y[:, 0, 0], np.ones(101))
+        y, _ = iso.integrate_ivp(scalar.potential, 0.0, np.ones((1, 1)), np.zeros((1, 1)), grid)
+        assert np.array_equal(y[:, 0, 0], np.ones(101))
 
     def test_initial_data_stored_exactly(self, paper):
         grid = iso.Grid.uniform(51)
         y0 = np.array([[1.0, 2.0], [3.0, 4.0]])
         yp0 = np.array([[0.5, 0.0], [0.0, -0.5]])
-        path = iso.integrate_ivp(paper.potential, 2.2, y0, yp0, grid)
-        assert np.array_equal(path.Y[0], y0)
-        assert np.array_equal(path.Yp[0], yp0)
+        y, yp = iso.integrate_ivp(paper.potential, 2.2, y0, yp0, grid)
+        assert np.array_equal(y[0], y0)
+        assert np.array_equal(yp[0], yp0)
 
     def test_nonfinite_detected(self, scalar):
         with pytest.raises(NonFiniteState):
@@ -46,63 +48,41 @@ class TestIntegration:
 
 
 class TestEvaluatePath:
-    def test_node_lookup_exact(self, scalar):
-        path = dirichlet_path(scalar, 1.0)
-        y, yp = iso.evaluate_path(path, path.grid.nodes[123])
-        assert np.array_equal(y, path.Y[123])
-        assert np.array_equal(yp, path.Yp[123])
+    """Path values at named nodes."""
 
     def test_half_pi_value(self, scalar):
-        path = dirichlet_path(scalar, 1.0)
-        y, _ = iso.evaluate_path(path, np.pi / 2)
-        assert abs(y[0, 0] + 1.0) < 1e-8
+        _, y, _ = dirichlet_path(scalar, 1.0)
+        assert abs(y[200, 0, 0] + 1.0) < 1e-8          # node 200 of 401 is pi/2
 
     def test_paper_endpoint_derivative(self, paper):
         # oracle: d/dx diag(-sin(2x)/2, -sin x) = diag(-cos 2x, -cos x) -> diag(-1, 1) at pi
-        path = dirichlet_path(paper, 1.0)
-        y, yp = iso.evaluate_path(path, np.pi)
-        assert np.max(np.abs(y)) < 1e-7
-        assert np.max(np.abs(yp - np.diag([-1.0, 1.0]))) < 1e-7
-
-    def test_dense_fourth_order(self, scalar):
-        path = dirichlet_path(scalar, 1.0)
-        for x in (0.7123456, 2.01, 3.1):
-            y, yp = iso.evaluate_path(path, x)
-            assert abs(y[0, 0] + np.sin(x)) < 1e-9
-            assert abs(yp[0, 0] + np.cos(x)) < 1e-9
-
-    def test_out_of_domain(self, scalar):
-        path = dirichlet_path(scalar, 1.0)
-        with pytest.raises(OutOfDomain):
-            iso.evaluate_path(path, -0.5)
-        with pytest.raises(OutOfDomain):
-            iso.evaluate_path(path, 4.0)
+        _, y, yp = dirichlet_path(paper, 1.0)
+        assert np.max(np.abs(y[-1])) < 1e-7
+        assert np.max(np.abs(yp[-1] - np.diag([-1.0, 1.0]))) < 1e-7
 
 
 class TestProperties:
     def test_wronskian_constant_for_random_data(self, paper):
         rng = np.random.default_rng(7)
         grid = iso.Grid.uniform(401)
-        p1 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
-                               rng.normal(size=(2, 2)), grid)
-        p2 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
-                               rng.normal(size=(2, 2)), grid)
-        w = (np.einsum("qab,qac->qbc", p1.Y, p2.Yp)
-             - np.einsum("qab,qac->qbc", p1.Yp, p2.Y))
+        y1, yp1 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
+                                    rng.normal(size=(2, 2)), grid)
+        y2, yp2 = iso.integrate_ivp(paper.potential, 2.7, rng.normal(size=(2, 2)),
+                                    rng.normal(size=(2, 2)), grid)
+        w = np.einsum("qab,qac->qbc", y1, yp2) - np.einsum("qab,qac->qbc", yp1, y2)
         assert np.max(np.abs(w - w[0])) < 1e-8 * np.pi
 
     def test_wronskian_zero_for_selfadjoint_data(self, paper):
-        path = dirichlet_path(paper, 5.3)
-        w = (np.einsum("qab,qac->qbc", path.Y, path.Yp)
-             - np.einsum("qab,qac->qbc", path.Yp, path.Y))
+        _, y, yp = dirichlet_path(paper, 5.3)
+        w = np.einsum("qab,qac->qbc", y, yp) - np.einsum("qab,qac->qbc", yp, y)
         assert np.max(np.abs(w)) < 1e-8 * np.pi
 
     def test_fourth_order_convergence(self, scalar):
         def max_err(n):
             grid = iso.Grid.uniform(n)
-            path = iso.integrate_ivp(scalar.potential, 9.3, np.zeros((1, 1)), -np.eye(1), grid)
+            y, _ = iso.integrate_ivp(scalar.potential, 9.3, np.zeros((1, 1)), -np.eye(1), grid)
             mu = np.sqrt(9.3)
-            return np.max(np.abs(path.Y[:, 0, 0] + np.sin(mu * grid.nodes) / mu))
+            return np.max(np.abs(y[:, 0, 0] + np.sin(mu * grid.nodes) / mu))
 
         assert max_err(51) / max_err(101) >= 12.0
 
@@ -111,10 +91,10 @@ class TestProperties:
         grid = iso.Grid.uniform(201)
         m = rng.normal(size=(2, 2))
         y0, yp0 = np.eye(2), 0.5 * np.eye(2)
-        a = iso.integrate_ivp(paper.potential, 3.3, y0 @ m, yp0 @ m, grid)
-        b = iso.integrate_ivp(paper.potential, 3.3, y0, yp0, grid)
-        assert np.max(np.abs(a.Y - b.Y @ m)) < 1e-12
-        assert np.max(np.abs(a.Yp - b.Yp @ m)) < 1e-12
+        ya, ypa = iso.integrate_ivp(paper.potential, 3.3, y0 @ m, yp0 @ m, grid)
+        yb, ypb = iso.integrate_ivp(paper.potential, 3.3, y0, yp0, grid)
+        assert np.max(np.abs(ya - yb @ m)) < 1e-12
+        assert np.max(np.abs(ypa - ypb @ m)) < 1e-12
 
 
 def random_grid_potential(n_dim, n_nodes, seed):
@@ -157,9 +137,9 @@ class TestStepKernel:
         y_tree, yp_tree = integrate_final_batch(pot, lams, y0, yp0, grid, tables)
         for k, lam in enumerate(lams):
             y_ref, yp_ref = rk4_reference(pot, lam, y0, yp0, grid)
-            path = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
+            y_path, yp_path = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
             scale = max(np.max(np.abs(y_ref)), np.max(np.abs(yp_ref)))
-            for y, yp in ((y_tree[k], yp_tree[k]), (path.Y[-1], path.Yp[-1])):
+            for y, yp in ((y_tree[k], yp_tree[k]), (y_path[-1], yp_path[-1])):
                 assert np.max(np.abs(y - y_ref)) <= 1e-12 * scale
                 assert np.max(np.abs(yp - yp_ref)) <= 1e-12 * scale
 

@@ -153,7 +153,7 @@ class TestScan:
         assert len(report.pairs) == 7
         lams = np.array([p.lam for p in report.pairs])
         assert np.max(np.abs(lams - [p.lam for p in paper_report.pairs])) <= 1e-9
-        double = report.pairs[report.pair_index(1.0)]
+        double = report.pairs[oracles.pair_index(report, 1.0)]
         assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
 
     def test_every_paper_bracket_converges_by_newton(self, paper, paper_report, monkeypatch):
@@ -206,7 +206,7 @@ class TestScan:
 class TestEigenbasis:
     def test_paper_double_eigenspace_span(self, paper, paper_report):
         # eigenspace of lambda=1 is span{(sin 2x, 0), (0, sin x)}
-        pair = paper_report.pairs[paper_report.pair_index(1.0)]
+        pair = paper_report.pairs[oracles.pair_index(paper_report, 1.0)]
         xs = pair.grid.nodes
         for l in range(2):
             phi = pair.phis[:, :, l]
@@ -217,7 +217,7 @@ class TestEigenbasis:
             assert np.max(np.abs(phi[:, 1] - c2 * np.sin(xs))) < 1e-7
 
     def test_within_eigenspace_orthogonality(self, paper_report):
-        pair = paper_report.pairs[paper_report.pair_index(1.0)]
+        pair = paper_report.pairs[oracles.pair_index(paper_report, 1.0)]
         g = pair.grid
         ip = integral(np.einsum("qn,qn->q", pair.phis[:, :, 0], pair.phis[:, :, 1]), g.h)
         assert abs(ip) <= 1e-8 * np.sqrt(pair.norms_sq[0] * pair.norms_sq[1])

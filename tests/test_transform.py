@@ -41,13 +41,13 @@ class TestBuildPerturbation:
             iso.build_perturbation(scalar_report, [(0, 1, 0.5), (0, 1, 0.2)])
 
     def test_theta_must_be_null_vector(self, paper_report):
-        k4 = paper_report.pair_index(4.0)     # simple eigenvalue of the second channel
+        k4 = oracles.pair_index(paper_report, 4.0)     # simple eigenvalue of the second channel
         with pytest.raises(iso.errors.NotAnEigenvalue):
             iso.build_perturbation(paper_report, [{"k": k4, "i": 1, "c": 1.0,
                                                    "theta": [1.0, 0.0]}])
 
     def test_same_eigenspace_selections_must_be_orthogonal(self, paper_report):
-        k1 = paper_report.pair_index(1.0)
+        k1 = oracles.pair_index(paper_report, 1.0)
         entries = [{"k": k1, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
                    {"k": k1, "i": 2, "c": 0.5, "theta": [1.0, 1.0]}]
         with pytest.raises(ConditionViolated):
@@ -55,7 +55,7 @@ class TestBuildPerturbation:
 
     def test_orthogonal_pair_in_eigenspace_accepted(self, paper_report):
         # (sin 2x, sin x) and (sin 2x, -4 sin x)/2... : theta (-2, 1) gives (sin 2x, -sin x)
-        k1 = paper_report.pair_index(1.0)
+        k1 = oracles.pair_index(paper_report, 1.0)
         entries = [{"k": k1, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
                    {"k": k1, "i": 2, "c": 0.5, "theta": [-2.0, 1.0]}]
         pert = iso.build_perturbation(paper_report, entries)
@@ -132,7 +132,7 @@ class TestPotentialQ:
     def test_matches_displayed_closed_form(self, paper, mixed_rank_one):
         # measured 6.0e-9 at n=401; the closed form is fully analytic
         kernel = mixed_rank_one["kernel"]
-        q = mixed_rank_one["result"].q
+        q = mixed_rank_one["problem"].potential
         xs = kernel.grid.nodes
         expected = np.array([oracles.mixed_q(x) for x in xs])
         assert np.max(np.abs(q.samples - expected)) <= 1e-8
@@ -153,7 +153,7 @@ class TestPotentialQ:
         assert q is scalar.potential
 
     def test_symmetry_defect_recorded(self, mixed_rank_one):
-        q = mixed_rank_one["result"].q
+        q = mixed_rank_one["problem"].potential
         assert q.symmetry_defect <= 1e-9
         assert np.array_equal(q.samples, q.samples.transpose(0, 2, 1))
 
@@ -176,7 +176,7 @@ class TestBoundaryMatrices:
         pert = neumann_transform["pert"]
         expected = -pert.coeffs[0] * np.outer(kernel.phi[0, :, 0], kernel.phi[0, :, 0])
         assert np.max(np.abs(kernel.k00 - expected)) < 1e-14
-        atilde = neumann_transform["result"].atilde
+        atilde = neumann_transform["problem"].left.A
         assert np.max(np.abs(atilde - (neumann_left.left.A - neumann_left.left.B @ kernel.k00))) == 0.0
 
     def test_selfadjointness_preserved(self, neumann_transform):
@@ -207,20 +207,21 @@ class TestTransformEigenfunction:
     def test_empty_kernel_is_identity(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         kernel = solve_kernel(pert)
-        phi = scalar_report.pairs[0].eigenfunction(0)
+        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
         psi = iso.transform_eigenfunction(kernel, phi)
         assert np.array_equal(psi.values, phi.values)
         assert np.array_equal(psi.derivs, phi.derivs)
 
     def test_grid_mismatch(self, mixed_rank_one, scalar_report):
-        phi = scalar_report.pairs[0].eigenfunction(0)
-        coarse = SampledVectorFunction(iso.Grid.uniform(51), np.zeros((51, 2)), None, 1.0)
+        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
+        zeros = np.zeros((51, 2))
+        coarse = SampledVectorFunction(iso.Grid.uniform(51), zeros, zeros, 1.0)
         with pytest.raises(GridMismatch):
             iso.transform_eigenfunction(mixed_rank_one["kernel"], coarse)
 
     def test_fine_grid_ode_residual(self, paper, paper_report):
         # -psi'' + Q psi = psi to 1e-6 needs h^2 ~ 1e-7: n = 12801
-        lam = paper_report.pairs[paper_report.pair_index(1.0)].lam
+        lam = paper_report.pairs[oracles.pair_index(paper_report, 1.0)].lam
         grid = iso.Grid.uniform(12801)
         pair = iso.eigenbasis(paper, lam, grid)
         report = iso.SpectrumReport(paper, grid, (0.5, 1.5),
@@ -242,8 +243,8 @@ class TestIdentities:
         assert rep.max_residual <= 1e-8
 
     def test_rank_two_transform_still_isospectral_identities(self, paper, paper_report):
-        k1 = paper_report.pair_index(1.0)
-        k0 = paper_report.pair_index(-2.0)
+        k1 = oracles.pair_index(paper_report, 1.0)
+        k0 = oracles.pair_index(paper_report, -2.0)
         pert = iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)])
         kernel = solve_kernel(pert)
         new_problem, result = iso.transform_problem(paper, pert)
@@ -266,7 +267,7 @@ class TestTransformProblem:
         report = iso.scan_spectrum(new_problem, 0.5, 10.0)
         assert np.max(np.abs(report.sigma_sequence - [1.0, 4.0, 9.0])) < 1e-6
         # and the potential matches the scalar closed form
-        q = scalar_transform["result"].q
+        q = scalar_transform["problem"].potential
         expected = np.array([oracles.scalar_q(x) for x in q.grid.nodes])
         assert np.max(np.abs(q.samples[:, 0, 0] - expected)) < 1e-8
 

@@ -63,16 +63,17 @@ def coupled3_rank_two(n=101):
     problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
     report = iso.scan_spectrum(problem, -5.0, 8.0, iso.ScanOptions(grid_nodes=n))
     pert = iso.build_perturbation(report, [(0, 1, 0.7), (2, 1, 0.3)])
-    _, result = iso.transform_problem(problem, pert)
-    return problem, result
+    new_problem, result = iso.transform_problem(problem, pert)
+    return problem, new_problem, result
 
 
 class TestWaveEquation:
     def test_factored_matches_dense_reference(self, paper, mixed_rank_one):
-        coupled, coupled_result = coupled3_rank_two()
+        coupled, coupled_new, coupled_result = coupled3_rank_two()
         assert coupled_result.kernel.a.shape[1:] == (3, 2)
-        for kernel, base, q in ((mixed_rank_one["kernel"], paper.potential, mixed_rank_one["result"].q),
-                                (coupled_result.kernel, coupled.potential, coupled_result.q)):
+        for kernel, base, q in ((mixed_rank_one["kernel"], paper.potential,
+                                 mixed_rank_one["problem"].potential),
+                                (coupled_result.kernel, coupled.potential, coupled_new.potential)):
             rep = iso.residual_wave_equation(kernel, base, q)
             ref_max, ref_loc = oracles.dense_wave_residual(kernel, base, q)
             assert ref_max > 0
@@ -82,20 +83,22 @@ class TestWaveEquation:
     def test_peak_memory_stays_linear_in_nodes(self, paper, paper_report):
         # the dense (n, n, 2, 2) kernel alone would be 82 MB at n = 1601
         grid = iso.Grid.uniform(1601)
-        pair = iso.eigenbasis(paper, paper_report.pairs[paper_report.pair_index(1.0)].lam, grid)
+        lam = paper_report.pairs[oracles.pair_index(paper_report, 1.0)].lam
+        pair = iso.eigenbasis(paper, lam, grid)
         report = iso.SpectrumReport(paper, grid, (0.5, 1.5), iso.ScanOptions(grid_nodes=1601), (pair,))
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]}])
-        _, result = iso.transform_problem(paper, pert)
+        new_problem, result = iso.transform_problem(paper, pert)
         tracemalloc.start()
         try:
-            rep = iso.residual_wave_equation(result.kernel, paper.potential, result.q)
+            rep = iso.residual_wave_equation(result.kernel, paper.potential, new_problem.potential)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.max_residual <= 5e-4
         assert peak < 2 * 2**20
     def test_mixed_transform_residual(self, paper, mixed_rank_one):
-        rep = iso.residual_wave_equation(mixed_rank_one["kernel"], paper.potential, mixed_rank_one["result"].q)
+        rep = iso.residual_wave_equation(mixed_rank_one["kernel"], paper.potential,
+                                         mixed_rank_one["problem"].potential)
         assert rep.max_residual <= 5e-4
 
     def test_zero_kernel_zero_residual(self, scalar, scalar_report):
@@ -107,15 +110,15 @@ class TestWaveEquation:
     def test_corrupted_q_detected(self, paper, mixed_rank_one):
         kernel = mixed_rank_one["kernel"]
         g = kernel.grid
-        q = mixed_rank_one["result"].q
+        q = mixed_rank_one["problem"].potential
         corrupted = iso.GridPotential(g, q.evaluate_many(g.nodes) + 0.1 * np.eye(2))
         rep = iso.residual_wave_equation(kernel, paper.potential, corrupted)
         kscale = np.max(np.abs(oracles.dense_kernel(kernel)))
         assert rep.max_residual >= 0.09 * kscale
 
     def test_order_decay(self, paper, mixed_rank_one, mixed_rank_one_801):
-        r1 = iso.residual_wave_equation(mixed_rank_one["kernel"], paper.potential, mixed_rank_one["result"].q)
-        r2 = iso.residual_wave_equation(mixed_rank_one_801["kernel"], paper.potential, mixed_rank_one_801["result"].q)
+        r1, r2 = (iso.residual_wave_equation(b["kernel"], paper.potential, b["problem"].potential)
+                  for b in (mixed_rank_one, mixed_rank_one_801))
         assert r1.max_residual / r2.max_residual >= 3.5
 
     def test_grid_too_small(self, scalar_report):
@@ -170,7 +173,7 @@ class TestTransformedEigen:
     def test_empty_perturbation_matches_original(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         new_problem, _ = iso.transform_problem(scalar, pert)
-        phi = scalar_report.pairs[0].eigenfunction(0)
+        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
         psi = iso.transform_eigenfunction(solve_kernel(pert), phi)
         rep = iso.residual_transformed_eigen(new_problem, phi.lam, psi)
         # psi == phi, so the residual is the original eigenfunction's (near 0)
@@ -201,16 +204,18 @@ class TestTransformedEigen:
 
 class TestCommutator:
     def test_mixed_transform_noncommuting(self, mixed_rank_one):
-        value, _ = iso.commutator_diagnostic(mixed_rank_one["result"].q, mixed_rank_one["kernel"].grid)
+        value, _ = iso.commutator_diagnostic(mixed_rank_one["problem"].potential,
+                                             mixed_rank_one["kernel"].grid)
         assert value > 0.1
 
     def test_diagonal_transform_commutes(self, paper, paper_report):
         pert = oracles.diagonal_perturbation(paper_report)
-        new_problem, result = iso.transform_problem(paper, pert)
-        value, _ = iso.commutator_diagnostic(result.q, iso.Grid.uniform(401))
+        new_problem, _ = iso.transform_problem(paper, pert)
+        q = new_problem.potential
+        value, _ = iso.commutator_diagnostic(q, iso.Grid.uniform(401))
         assert value <= 1e-8
-        assert np.max(np.abs(result.q.samples[:, 0, 0] + 3.0)) <= 1e-9
-        assert np.max(np.abs(result.q.samples[:, 0, 1])) <= 1e-9
+        assert np.max(np.abs(q.samples[:, 0, 0] + 3.0)) <= 1e-9
+        assert np.max(np.abs(q.samples[:, 0, 1])) <= 1e-9
 
     def test_constant_diagonal_zero(self, paper):
         value, _ = iso.commutator_diagnostic(paper.potential, iso.Grid.uniform(101))
@@ -220,7 +225,7 @@ class TestCommutator:
         rng = np.random.default_rng(3)
         r, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         g = mixed_rank_one["kernel"].grid
-        q = mixed_rank_one["result"].q
+        q = mixed_rank_one["problem"].potential
         rotated = iso.GridPotential(
             g, np.einsum("ab,qbc,cd->qad", r.T, q.evaluate_many(g.nodes), r))
         v1, _ = iso.commutator_diagnostic(q, g)
