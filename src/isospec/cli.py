@@ -94,6 +94,10 @@ def cmd_spectrum(args) -> int:
         raise ValueError("--dump-path writes path.csv and needs --out")
     problem = load_problem(args.problem)
     report = scan_spectrum(problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
+    if args.dump_path is not None:
+        # integrated before --out exists, so an overflow leaves no artifacts
+        y, yp = integrate_ivp(problem.potential, args.dump_path,
+                              problem.left.B.T, -problem.left.A.T, report.grid)
     obj = report.to_json_obj()
     if args.format == "csv":
         print("lambda,multiplicity,residual")
@@ -112,8 +116,6 @@ def cmd_spectrum(args) -> int:
                 serialize.write_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
                                     header, rows)
         if args.dump_path is not None:
-            y, yp = integrate_ivp(problem.potential, args.dump_path,
-                                  problem.left.B.T, -problem.left.A.T, report.grid)
             n = problem.n
             rows = np.column_stack([report.grid.nodes, y.reshape(report.grid.n, n * n),
                                     yp.reshape(report.grid.n, n * n)])

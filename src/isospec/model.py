@@ -315,7 +315,10 @@ def load_potential_csv(path: str) -> GridPotential:
             if len(row) != len(header):
                 raise ValueError(f"potential CSV {path!r} line {reader.line_num} has "
                                  f"{len(row)} fields; the header has {len(header)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"potential CSV {path!r} line {reader.line_num}: {exc}") from None
     data = np.array(rows)
     if data.size == 0:
         raise ValueError(f"potential CSV {path!r} has no data rows")
@@ -323,7 +326,10 @@ def load_potential_csv(path: str) -> GridPotential:
     n_dim = int(round((np.sqrt(8 * k + 1) - 1) / 2))
     if n_dim * (n_dim + 1) // 2 != k:
         raise DimensionMismatch(f"{k} potential columns do not form an upper triangle")
-    grid = Grid(data[:, 0])
+    try:
+        grid = Grid(data[:, 0])
+    except ValueError as exc:
+        raise ValueError(f"potential CSV {path!r}: {exc}") from None
     samples = np.empty((grid.n, n_dim, n_dim))
     col = 1
     for i in range(n_dim):

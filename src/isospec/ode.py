@@ -11,7 +11,8 @@ grid); every propagation evaluates them:
 
 * endpoints (:func:`integrate_final_batch`) multiply T_{n-2} ... T_0 in a
   pairwise tree, ceil(log2(n-1)) batched matrix products per chunk of lambdas;
-* paths (:func:`integrate_ivp`) fold z_{i+1} = T_i z_i node by node.
+* paths (:func:`integrate_ivp`) fold z_{i+1} = T_i z_i node by node, one
+  batched product per step for all lambdas of a call.
 
 Eigenfunction data is smooth, so no adaptivity: fixed grids keep downstream
 quadrature and kernel algebra node-aligned.
@@ -26,8 +27,9 @@ from .model import Grid, MatrixPotential
 
 #: degree of the RK4 step matrix T_i(lambda) in lambda
 STEP_DEGREE = 4
-#: bytes of step matrices evaluated at once by the endpoint tree; bounds the
-#: (chunk, n-1, 2N, 2N) stack of a lambda chunk
+#: bytes of step matrices evaluated at once; bounds the (chunk, n-1, 2N, 2N)
+#: stack of a lambda chunk in the endpoint tree and the (block, L, 2N, 2N)
+#: stack of a step block in the path fold
 _TREE_BYTES = 1 << 20
 
 
@@ -107,15 +109,15 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndarray,
+def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
                   grid: Grid, tables: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate -Y'' + P Y = lam Y from x=0 to pi on the grid.
 
     Parameters
     ----------
     pot : MatrixPotential
-    lam : float
-        Real spectral parameter.
+    lam : float or 1-D array of L floats
+        Real spectral parameter(s).
     y0, yp0 : (N, N) arrays
         Initial Y(0) and Y'(0).
     grid : Grid
@@ -123,8 +125,12 @@ def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndar
 
     Returns
     -------
-    (Y, Y'), each (n, N, N): the solution at every node; global error O(h^4)
-    for C^2 potentials. Deterministic for fixed inputs.
+    (Y, Y'): the solution at every node, each (n, N, N) for a scalar lam and
+    (L, n, N, N) for an array, lambda axis first. Global error O(h^4) for C^2
+    potentials. Deterministic for fixed inputs.
+
+    All lambdas are folded together, one batched matrix product per step;
+    the step matrices are evaluated in blocks of steps that fit _TREE_BYTES.
     """
     y0 = np.asarray(y0, dtype=float)
     yp0 = np.asarray(yp0, dtype=float)
@@ -132,15 +138,26 @@ def integrate_ivp(pot: MatrixPotential, lam: float, y0: np.ndarray, yp0: np.ndar
         raise ValueError("initial data must be N x N matching the potential")
     if tables is None:
         tables = potential_tables(pot, grid)
-    steps, _ = _step_matrices(tables, np.array([float(lam)]), derivative=False)
-    n = pot.dimension
-    z = np.empty((grid.n, 2 * n, n))
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a scalar or a 1-D array")
+    scalar = lams.ndim == 0
+    lams = np.atleast_1d(lams)
+    s, _, n2, _ = tables.shape
+    n = n2 // 2
+    block = max(1, _TREE_BYTES // (lams.size * n2 * n2 * 8))
+    z = np.empty((grid.n, lams.size, n2, n))
     z[0] = _initial_state(y0, yp0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n - 1):
-            np.matmul(steps[i, 0], z[i], out=z[i + 1])
+        for lo in range(0, s, block):
+            steps, _ = _step_matrices(tables[lo:lo + block], lams, derivative=False)
+            for i, step in enumerate(steps, lo):
+                np.matmul(step, z[i], out=z[i + 1])
     _check_finite(z[-1])
-    return z[:, :n].copy(), z[:, n:].copy()
+    z = np.moveaxis(z, 1, 0)                        # (L, n, 2N, N)
+    if scalar:
+        z = z[0]
+    return z[..., :n, :].copy(), z[..., n:, :].copy()
 
 
 def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray, yp0: np.ndarray,

@@ -55,7 +55,16 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
+    """Write a header line and one %.17g-formatted line per row.
+
+    Every value is checked before the file is opened, so a non-finite value
+    raises ValueError and leaves no file behind.
+    """
+    rows = np.atleast_2d(rows)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        raise ValueError(f"cannot serialize non-finite value {rows[bad][0]} to {path}")
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            f.write(",".join(format_float(v) for v in row) + "\n")
+        f.writelines(fmt % tuple(row) for row in rows.tolist())

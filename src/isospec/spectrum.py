@@ -56,7 +56,8 @@ class SampledVectorFunction:
 class Eigenpair:
     """One eigenvalue with an L2-orthogonal basis of its eigenspace.
 
-    thetas holds null vectors of W(lambda_k) as columns; phis[:, :, l] samples
+    thetas holds null vectors of W(lambda_k) as columns, each signed so that
+    its largest-magnitude entry is positive; phis[:, :, l] samples
     the eigenfunction Y(x; lambda_k) theta_l. norms_sq are the squared L2
     norms of those eigenfunctions.
     """
@@ -267,14 +268,49 @@ def _newton_refine(p: Problem, a: np.ndarray, b: np.ndarray, grid: Grid, tables,
 # ---------------------------------------------------------------------------
 # eigenspace basis
 
+def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
+    """Flip each column so that its largest-magnitude entry (the first on
+    ties) is positive; the null vectors of W are defined only up to sign."""
+    lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(thetas.shape[1])]
+    return np.where(lead < 0, -thetas, thetas)
+
+
+def _eigenpairs(p: Problem, lams, scales, grid: Grid, rank_tol: float, tables,
+                svd) -> list[Eigenpair]:
+    """Eigenpairs at refined eigenvalues lams, all formed in one batch.
+
+    svd = (svals (L, N), vt (L, N, N)) is the full SVD of W at lams, the one
+    the caller took for its rank test. The multiplicity at lams[k] is
+    the count of singular values at most rank_tol * scales[k]. A null-space
+    basis V_k comes from the SVD; the matrix int_0^pi (Y V_k)^T (Y V_k) dx is
+    diagonalized by an orthogonal U, and theta_l are the columns of V_k U,
+    which makes the eigenfunctions Y theta_l mutually L2-orthogonal. Each
+    theta_l is signed by :func:`_canonical_signs`. One batched path fold gives
+    Y at every lambda.
+    """
+    lams = np.asarray(lams, dtype=float)
+    svals, vt = svd
+    mult = np.sum(svals <= rank_tol * np.asarray(scales)[:, None], axis=1)
+    for lam, m, sv, sc in zip(lams, mult, svals, scales):
+        if m == 0:
+            raise NotAnEigenvalue(f"sigma_min(W({lam})) = {sv[-1]:.3e} exceeds "
+                                  f"{rank_tol * sc:.3e}; not an eigenvalue")
+    y, yp = integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
+    pairs = []
+    for k, m in enumerate(mult):
+        v_k = vt[k, -m:][::-1].T                 # (N, m), most-null direction first
+        z = y[k] @ v_k                           # (n, N, m)
+        gram = integral(np.einsum("qni,qnj->qij", z, z), grid.h)
+        d, u = np.linalg.eigh(gram)
+        thetas = _canonical_signs(v_k @ u)
+        pairs.append(Eigenpair(float(lams[k]), int(m), thetas, y[k] @ thetas, yp[k] @ thetas,
+                               np.maximum(d, 0.0), float(svals[k, -1] / scales[k]), grid))
+    return pairs
+
+
 def eigenbasis(p: Problem, lam_k: float, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
                scale: float | None = None, tables=None) -> Eigenpair:
-    """Eigenpair at a refined eigenvalue lam_k.
-
-    A null-space basis v_1..v_m of W(lam_k) comes from the SVD; the matrix
-    V = int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal U and
-    theta_l are the columns of V_k U, which makes the eigenfunctions
-    Y theta_l mutually L2-orthogonal.
+    """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
     The rank decision compares singular values against rank_tol times a local
     scale of W. sigma_1(W(lam_k)) itself vanishes at full-multiplicity
@@ -283,28 +319,11 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid, rank_tol: float = DEFAULT_R
     """
     if tables is None:
         tables = potential_tables(p.potential, grid)
-    w = characteristic_matrix(p, lam_k, grid, tables)
-    _, svals, vt = np.linalg.svd(w)
+    _, svals, vt = np.linalg.svd(_char_batch(p, [lam_k], grid, tables))
     if scale is None:
-        probes = [lam_k - 0.25, lam_k + 0.25]
-        _, s1 = _sigma_batch(p, probes, grid, tables)
-        scale = max(float(svals[0]), float(np.max(s1)))
-    thresh = rank_tol * scale
-    m = int(np.sum(svals <= thresh))
-    if m == 0:
-        raise NotAnEigenvalue(
-            f"sigma_min(W({lam_k})) = {svals[-1]:.3e} exceeds {thresh:.3e}; not an eigenvalue"
-        )
-    v_k = vt[-m:][::-1].T                    # (N, m), most-null direction first
-    y, yp = integrate_ivp(p.potential, lam_k, p.left.B.T, -p.left.A.T, grid, tables)
-    z = y @ v_k                              # (n, N, m)
-    gram = integral(np.einsum("qni,qnj->qij", z, z), grid.h)
-    d, u = np.linalg.eigh(gram)
-    thetas = v_k @ u
-    phis = y @ thetas
-    phi_derivs = yp @ thetas
-    return Eigenpair(float(lam_k), m, thetas, phis, phi_derivs,
-                     np.maximum(d, 0.0), float(svals[-1] / scale), grid)
+        _, s1 = _sigma_batch(p, [lam_k - 0.25, lam_k + 0.25], grid, tables)
+        scale = max(float(svals[0, 0]), float(np.max(s1)))
+    return _eigenpairs(p, [lam_k], [scale], grid, rank_tol, tables, (svals, vt))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +339,9 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     minimum is bracketed; Newton's method on W refines every bracket until
     its step is at most opts.tol, and a bracket where it does not converge
     is dropped; a root is accepted iff it lies in the window and sigma_min
-    falls below rank_tol times the local scale of W; finally the oracle's
+    falls below rank_tol times the local scale of W, and the one SVD of W
+    per root that decides this also gives the eigenspace bases of all
+    accepted roots (:func:`_eigenpairs`); finally the oracle's
     count of eigenvalues away from the window edges must not exceed the
     multiplicities found.
 
@@ -360,34 +381,39 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     smin, s1 = _sigma_batch(p, lams, grid, tables)
 
     i = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
-    found: list[tuple[float, float]] = []   # (lambda, scale)
+    found: list[tuple[float, float, int]] = []   # (lambda, scale, index into roots)
     if i.size:
         roots, converged = _newton_refine(p, lams[i - 1], lams[i + 1], grid, tables, opts.tol)
         roots = roots[converged]
         bscale = np.max([s1[i - 1], s1[i], s1[i + 1]], axis=0)[converged]
-        rmin, r1 = _sigma_batch(p, roots, grid, tables)
-        for lam, sm, sx, sc in zip(roots, rmin, r1, bscale):
-            scale = max(sx, sc)
-            if lambda_min <= lam <= lambda_max and scale > 0 and sm <= opts.rank_tol * scale:
-                found.append((float(lam), float(scale)))
+        # one W and one full SVD per root serve the rank test and the eigenbasis
+        _, rsvals, rvt = np.linalg.svd(_char_batch(p, roots, grid, tables))
+        for k, (lam, sv, sc) in enumerate(zip(roots, rsvals, bscale)):
+            scale = max(sv[0], sc)
+            if lambda_min <= lam <= lambda_max and scale > 0 and sv[-1] <= opts.rank_tol * scale:
+                found.append((float(lam), float(scale), k))
 
     found.sort()
-    merged: list[tuple[float, float]] = []
-    for lam, sc in found:
+    merged: list[tuple[float, float, int]] = []
+    for lam, sc, k in found:
         merge_tol = max(100 * opts.tol, 1e-8) * (1.0 + abs(lam))
         if merged and lam - merged[-1][0] <= merge_tol:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], sc))
+            merged[-1] = (merged[-1][0], max(merged[-1][1], sc), merged[-1][2])
             continue
-        merged.append((lam, sc))
+        merged.append((lam, sc, k))
 
-    for (la, _), (lb, _) in zip(merged, merged[1:]):
+    for (la, _, _), (lb, _, _) in zip(merged, merged[1:]):
         if lb - la < cell:
             raise WindowTooCoarse(
                 f"eigenvalues {la:.6g} and {lb:.6g} lie inside one sweep cell "
                 f"({cell:.3g}); the sweep cannot separate them"
             )
 
-    pairs = [eigenbasis(p, lam, grid, opts.rank_tol, scale=sc, tables=tables) for lam, sc in merged]
+    pairs = []
+    if merged:
+        keep = [k for _, _, k in merged]
+        pairs = _eigenpairs(p, [lam for lam, _, _ in merged], [sc for _, sc, _ in merged],
+                            grid, opts.rank_tol, tables, (rsvals[keep], rvt[keep]))
 
     margin = lambda v: cell + 0.1 + 2 * h_o**2 * (1.0 + v * v)
     interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)

@@ -91,6 +91,32 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "short-q.csv" in err and "line 2" in err
 
+    def test_non_numeric_potential_field_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "abc-q.csv").write_text("x,p11\n0,1\n1.5,abc\n3.14159,1\n")
+        obj = {"n": 1, "potential": {"kind": "grid", "path": "abc-q.csv"},
+               "left": {"A": [[1.0]], "B": [[0.0]]},
+               "right": {"A": [[1.0]], "B": [[0.0]]}}
+        f = tmp_path / "abc-q.json"
+        f.write_text(json.dumps(obj))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "abc-q.csv" in err and "line 3" in err
+        assert "'abc'" in err
+
+    @pytest.mark.parametrize("xs", ["0,1,3.141592653589793", "0,1.5,3.0"],
+                             ids=["non-uniform", "short-of-pi"])
+    def test_bad_potential_x_column_names_file(self, tmp_path, capsys, xs):
+        body = "".join(f"{x},0\n" for x in xs.split(","))
+        (tmp_path / "x-q.csv").write_text("x,p11\n" + body)
+        obj = {"n": 1, "potential": {"kind": "grid", "path": "x-q.csv"},
+               "left": {"A": [[1.0]], "B": [[0.0]]},
+               "right": {"A": [[1.0]], "B": [[0.0]]}}
+        f = tmp_path / "x-q.json"
+        f.write_text(json.dumps(obj))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x-q.csv" in err and "grid must" in err
+
 
 class TestSpectrum:
     def test_paper_spectrum_artifacts(self, paper_files, tmp_path, capsys):
@@ -154,6 +180,14 @@ class TestSpectrum:
         assert lines[0] == "x,y11,yp11"
         assert len(lines) == 402
         capsys.readouterr()
+
+    def test_overflowing_dump_path_writes_nothing(self, paper_files, tmp_path, capsys):
+        prob, _ = paper_files
+        out = tmp_path / "s2"
+        assert main(["spectrum", str(prob), "--min", "-5", "--max", "20",
+                     "--dump-path=-1e8", "--out", str(out)]) == 1
+        assert "NonFiniteState" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_path_without_out_is_a_usage_error(self, scalar_files, tmp_path, capsys,
                                                     monkeypatch):

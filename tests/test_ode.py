@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import isospec as iso
+from isospec import ode
 from isospec.errors import NonFiniteState
 from isospec.ode import integrate_final_batch, potential_tables
 
@@ -155,3 +156,44 @@ class TestStepKernel:
             scale = max(np.max(np.abs(y_one)), np.max(np.abs(yp_one)))
             assert np.max(np.abs(y_all[k] - y_one[0])) <= 1e-13 * scale
             assert np.max(np.abs(yp_all[k] - yp_one[0])) <= 1e-13 * scale
+
+
+class TestBatchedPath:
+    """integrate_ivp with an array of lambdas folds them all at once."""
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    @pytest.mark.parametrize("end", ["dirichlet", "robin"])
+    def test_batch_matches_per_lambda_calls(self, n_dim, end):
+        pot, grid = random_grid_potential(n_dim, 201, seed=20 + n_dim)
+        if end == "dirichlet":
+            y0, yp0 = np.zeros((n_dim, n_dim)), -np.eye(n_dim)
+        else:
+            # Robin left end B = I: Y(0) = B^T, Y'(0) = -A^T with A symmetric
+            a = np.random.default_rng(n_dim).normal(size=(n_dim, n_dim))
+            y0, yp0 = np.eye(n_dim), -(a + a.T)
+        tables = potential_tables(pot, grid)
+        lams = np.array([-6.0, -0.5, 0.3, 17.0, 40.0])
+        y_all, yp_all = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        assert y_all.shape == yp_all.shape == (lams.size, grid.n, n_dim, n_dim)
+        for k, lam in enumerate(lams):
+            y, yp = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
+            assert y.shape == (grid.n, n_dim, n_dim)
+            scale = max(np.max(np.abs(y)), np.max(np.abs(yp)))
+            assert np.max(np.abs(y_all[k] - y)) <= 1e-13 * scale
+            assert np.max(np.abs(yp_all[k] - yp)) <= 1e-13 * scale
+
+    def test_step_blocks_do_not_change_the_path(self, monkeypatch):
+        # a small step-matrix budget folds the path in many blocks of steps
+        pot, grid = random_grid_potential(4, 201, seed=9)
+        y0, yp0 = np.zeros((4, 4)), -np.eye(4)
+        lams = np.linspace(-2.0, 9.0, 6)
+        whole = iso.integrate_ivp(pot, lams, y0, yp0, grid)
+        monkeypatch.setattr(ode, "_TREE_BYTES", 3 * lams.size * 64 * 8)
+        blocked = iso.integrate_ivp(pot, lams, y0, yp0, grid)
+        assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+
+    def test_overflowing_lambda_in_batch_raises(self, scalar):
+        grid = iso.Grid.uniform(101)
+        with pytest.raises(NonFiniteState):
+            iso.integrate_ivp(scalar.potential, np.array([1.0, -1e8, 4.0]),
+                              scalar.left.B.T, -scalar.left.A.T, grid)

@@ -323,3 +323,49 @@ class TestOracle:
             return np.max(np.abs(np.sort(fd) - np.array([1.0, 4.0, 9.0])))
 
         assert err(101) / err(201) > 3.5
+
+
+def coupled4_x_dependent():
+    """N = 4 Dirichlet grid potential with x-dependent eigenvalues and a
+    rotating eigenbasis, so every channel couples to every other."""
+    rng = np.random.default_rng(3)
+    rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    grid = iso.Grid.uniform(401)
+    samples = np.empty((grid.n, 4, 4))
+    for q, x in enumerate(grid.nodes):
+        g = np.eye(4)
+        g[:2, :2] = [[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]]
+        m = g @ rot
+        samples[q] = m @ np.diag([-3.0 + x, 0.5 * np.sin(3 * x), 1.5, -0.5 - x]) @ m.T
+    dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+    return iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+
+
+class TestBatchedEigenpairs:
+    def test_scan_pairs_match_single_root_eigenbasis(self):
+        # no sign alignment: the canonical sign makes both paths agree
+        p = coupled4_x_dependent()
+        report = iso.scan_spectrum(p, -5.0, 15.0)
+        assert len(report.pairs) >= 8
+        for pair in report.pairs:
+            one = iso.eigenbasis(p, pair.lam, report.grid)
+            assert one.multiplicity == pair.multiplicity
+            for l in range(pair.multiplicity):
+                assert np.max(np.abs(one.thetas[:, l] - pair.thetas[:, l])) <= 1e-10
+                for a, b in ((one.phis, pair.phis), (one.phi_derivs, pair.phi_derivs)):
+                    assert np.max(np.abs(a[:, :, l] - b[:, :, l])) <= 1e-10 * np.max(np.abs(b))
+
+    def test_thetas_canonically_signed(self, paper_report):
+        # one batch holds the double eigenvalue 1 next to simple ones
+        # (test_paper_sigma_sequence pins the multiplicities)
+        for pair in paper_report.pairs:
+            m = pair.multiplicity
+            assert pair.thetas.shape == (2, m)
+            assert pair.phis.shape == pair.phi_derivs.shape == (paper_report.grid.n, 2, m)
+            for theta in pair.thetas.T:
+                assert theta[np.argmax(np.abs(theta))] > 0
+
+    def test_canonical_sign_takes_first_entry_on_ties(self):
+        thetas = np.array([[-0.5, 0.5, 0.2], [0.5, -0.5, -0.9]])
+        assert np.array_equal(spectrum._canonical_signs(thetas),
+                              np.array([[0.5, 0.5, -0.2], [-0.5, -0.5, 0.9]]))
