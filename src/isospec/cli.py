@@ -18,8 +18,8 @@ import numpy as np
 
 from . import serialize
 from .errors import IsospecError
-from .model import (GridPotential, Problem, builtin_problem, load_problem,
-                    potential_to_csv_rows, problem_to_json_obj, validate_problem)
+from .model import (Problem, builtin_problem, load_problem, potential_to_csv_rows,
+                    problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
 from .spectrum import ScanOptions, scan_spectrum
 from .transform import build_perturbation, transform_problem
@@ -139,10 +139,7 @@ def cmd_transform(args) -> int:
     report, pert, new_problem, result = _run_transform(problem, entries, cfg)
     out = _ensure_out(cfg)
 
-    q = new_problem.potential
-    if not isinstance(q, GridPotential):
-        q = GridPotential(report.grid, q.evaluate_many(report.grid.nodes))
-    header, rows = potential_to_csv_rows(q)
+    header, rows = potential_to_csv_rows(new_problem.potential)
     serialize.write_csv(os.path.join(out, "q_potential.csv"), header, rows)
     serialize.write_json(os.path.join(out, "boundary.json"), {
         "Atilde": new_problem.left.A.tolist(),
@@ -151,8 +148,8 @@ def cmd_transform(args) -> int:
         "Kpipi": result.kernel.kpipi.tolist(),
     })
     serialize.write_json(os.path.join(out, "kernel_diagnostics.json"), result.diagnostics)
-    for entry, psi in zip(pert.entries, result.psis):
-        rows = np.column_stack([report.grid.nodes, psi.values])
+    for j, entry in enumerate(pert.entries):
+        rows = np.column_stack([report.grid.nodes, result.psi[:, :, j]])
         header = ["x"] + [f"c{j + 1}" for j in range(problem.n)]
         serialize.write_csv(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"), header, rows)
     print(f"wrote transform artifacts to {out} (kernel rank {pert.rank})")
@@ -173,10 +170,11 @@ def cmd_verify(args) -> int:
         iso = compare_spectra(report, new_report, shift_tol)
         reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
         reports += residual_goursat(kernel, problem)
-        for psi in result.psis:
-            reports.append(residual_transformed_eigen(new_problem, psi.lam, psi))
-        reports.append(residual_endpoint(kernel, pert, result.psis))
-        reports.append(residual_representation(kernel, result.psis))
+        for j, lam in enumerate(kernel.lambdas):
+            reports.append(residual_transformed_eigen(new_problem, lam, result.psi[:, :, j],
+                                                      result.dpsi[:, :, j]))
+        reports.append(residual_endpoint(kernel, pert, result.psi))
+        reports.append(residual_representation(kernel, result.psi))
         print(f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
               f"max shift {iso.max_shift:.3e} (tolerance {shift_tol:.0e}), "
               f"multiplicities {'match' if iso.multiplicity_match else 'DIFFER'}")

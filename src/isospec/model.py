@@ -66,9 +66,6 @@ class Grid:
     def h(self) -> float:
         return np.pi / (self.nodes.size - 1)
 
-    def same_nodes(self, other: "Grid") -> bool:
-        return self.n == other.n  # uniform grids on [0, pi] coincide iff sizes match
-
 
 class MatrixPotential:
     """Continuous symmetric N x N matrix-valued function on [0, pi].

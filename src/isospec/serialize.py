@@ -50,8 +50,10 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    """Render obj, then write it; a render error leaves no file behind."""
+    text = dumps_json(obj)
     with open(path, "w") as f:
-        f.write(dumps_json(obj))
+        f.write(text)
 
 
 def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:

@@ -43,16 +43,6 @@ class ScanOptions:
 
 
 @dataclass(frozen=True)
-class SampledVectorFunction:
-    """Samples of phi(x) and phi'(x) on a grid, at the spectral parameter lam."""
-
-    grid: Grid
-    values: np.ndarray      # (n, N)
-    derivs: np.ndarray      # (n, N)
-    lam: float
-
-
-@dataclass(frozen=True)
 class Eigenpair:
     """One eigenvalue with an L2-orthogonal basis of its eigenspace.
 
@@ -308,21 +298,19 @@ def _eigenpairs(p: Problem, lams, scales, grid: Grid, rank_tol: float, tables,
     return pairs
 
 
-def eigenbasis(p: Problem, lam_k: float, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
-               scale: float | None = None, tables=None) -> Eigenpair:
+def eigenbasis(p: Problem, lam_k: float, grid: Grid,
+               rank_tol: float = DEFAULT_RANK_TOL) -> Eigenpair:
     """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
     The rank decision compares singular values against rank_tol times a local
     scale of W. sigma_1(W(lam_k)) itself vanishes at full-multiplicity
     eigenvalues, so the scale is taken as max of sigma_1 at lam_k and at
-    lam_k +/- 0.25 unless the caller supplies one.
+    lam_k +/- 0.25.
     """
-    if tables is None:
-        tables = potential_tables(p.potential, grid)
+    tables = potential_tables(p.potential, grid)
     _, svals, vt = np.linalg.svd(_char_batch(p, [lam_k], grid, tables))
-    if scale is None:
-        _, s1 = _sigma_batch(p, [lam_k - 0.25, lam_k + 0.25], grid, tables)
-        scale = max(float(svals[0, 0]), float(np.max(s1)))
+    _, s1 = _sigma_batch(p, [lam_k - 0.25, lam_k + 0.25], grid, tables)
+    scale = max(float(svals[0, 0]), float(np.max(s1)))
     return _eigenpairs(p, [lam_k], [scale], grid, rank_tol, tables, (svals, vt))[0]
 
 

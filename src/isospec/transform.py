@@ -31,8 +31,7 @@ from .errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
 from .model import BoundaryPair, Grid, GridPotential, MatrixPotential, Problem
 from .ode import integrate_ivp, potential_tables
 from .quadrature import integral, running_integral
-from .spectrum import (SampledVectorFunction, SpectrumReport,
-                       characteristic_matrix)
+from .spectrum import SpectrumReport, characteristic_matrix
 
 #: relative resolvent singularity threshold for I + G(x) C
 RESOLVENT_TOL = 1e-12
@@ -81,16 +80,21 @@ class Perturbation:
 
 def _normalize_entries(entries) -> list[PerturbationEntry]:
     """Entries as PerturbationEntry, refusing non-integral k, i (rather than
-    truncating them) and non-finite c, theta."""
+    truncating them) and non-finite c, theta; an entry that is not k, i, c[,
+    theta] numbers raises ValueError naming its position."""
     out = []
     for n, e in enumerate(entries):
-        if isinstance(e, dict):
-            e = PerturbationEntry(e["k"], e["i"], e["c"], e.get("theta"))
-        elif not isinstance(e, PerturbationEntry):
-            e = PerturbationEntry(*e)
+        try:
+            if isinstance(e, dict):
+                e = PerturbationEntry(e["k"], e["i"], e["c"], e.get("theta"))
+            elif not isinstance(e, PerturbationEntry):
+                e = PerturbationEntry(*e)
+            k, i, c = float(e.k), float(e.i), float(e.c)
+            theta = None if e.theta is None else tuple(float(t) for t in e.theta)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"perturbation entry {n} is not a {{k, i, c[, theta]}} "
+                             f"entry of numbers ({type(exc).__name__}: {exc})") from None
         name = f"perturbation entry {n} (k={e.k}, i={e.i}, c={e.c})"
-        k, i, c = float(e.k), float(e.i), float(e.c)
-        theta = None if e.theta is None else tuple(float(t) for t in e.theta)
         if not (k.is_integer() and i.is_integer()):
             raise IndexOutOfRange(f"{name}: k and i must be integers")
         if not np.isfinite(c) or (theta is not None and not np.all(np.isfinite(theta))):
@@ -229,12 +233,6 @@ class KernelField:
         return self.a[-1] @ self.phi[-1].T
 
 
-def _empty_kernel(grid: Grid, n_dim: int) -> KernelField:
-    z = np.zeros((grid.n, n_dim, 0))
-    return KernelField(grid, np.zeros(0), np.zeros((n_dim, 0)), np.zeros(0),
-                       z, z, z, z, np.zeros((grid.n, 0, 0)), np.zeros((grid.n, 0)))
-
-
 def solve_kernel(pert: Perturbation) -> KernelField:
     """Solve the kernel integral equation in closed degenerate form.
 
@@ -256,23 +254,22 @@ def solve_kernel(pert: Perturbation) -> KernelField:
     grid = pert.grid
     phi, dphi = pert.phis, pert.phi_derivs
 
-    m = pert.rank
-    if m == 0:
-        return _empty_kernel(grid, pert.source.problem.n)
     c = pert.coeffs
     gram = running_integral(np.einsum("qni,qnj->qij", phi, phi), grid.h)
-    res_mat = np.eye(m) + gram * c[None, None, :]
+    res_mat = np.eye(pert.rank) + gram * c[None, None, :]
     # det(I + G(0)C) = 1; in the uniqueness regime the determinant never
     # reaches zero, so a non-positive value at any node flags a crossing even
     # when no node lands exactly on the singularity
     dets = np.linalg.det(res_mat)
     sv = np.linalg.svd(res_mat, compute_uv=False)
-    bad = (dets <= RESOLVENT_TOL) | (sv[:, -1] <= RESOLVENT_TOL * np.maximum(sv[:, 0], 1.0))
+    # the initial values keep the test well defined at rank 0
+    sv_min = sv.min(axis=1, initial=np.inf)
+    bad = (dets <= RESOLVENT_TOL) | (sv_min <= RESOLVENT_TOL * sv.max(axis=1, initial=1.0))
     if np.any(bad):
         q = int(np.argmax(bad))
         raise SingularResolvent(
             f"I + G(x)C is singular on [0, x] for x = {grid.nodes[q]:.6g} "
-            f"(det = {dets[q]:.3e}, sigma_min = {sv[q, -1]:.3e})"
+            f"(det = {dets[q]:.3e}, sigma_min = {sv_min[q]:.3e})"
         )
     resolvent = np.linalg.inv(res_mat)
     phi_c = phi * c[None, None, :]
@@ -283,15 +280,13 @@ def solve_kernel(pert: Perturbation) -> KernelField:
                        phi, dphi, a, da, gram, sv)
 
 
-def potential_q(kernel: KernelField, base: MatrixPotential) -> MatrixPotential:
+def potential_q(kernel: KernelField, base: MatrixPotential) -> GridPotential:
     """Transformed potential Q(x) = P(x) + 2 d/dx K(x, x), sampled on the kernel grid.
 
     The diagonal derivative is analytic (no differencing of K samples, which
     would amplify quadrature noise into the spectrum re-scan). Samples are
     symmetrized; the pre-symmetrization defect is recorded on the result.
     """
-    if kernel.rank == 0:
-        return base
     grid = kernel.grid
     q = base.evaluate_many(grid.nodes) + 2.0 * kernel.diagonal_derivative()
     return GridPotential(grid, q)
@@ -301,40 +296,39 @@ def boundary_matrices(kernel: KernelField, p: Problem) -> tuple[np.ndarray, np.n
     """(Atilde, cAtilde) = (A - B K(0,0), cA - cB K(pi,pi)).
 
     K(0,0) and K(pi,pi) are taken from the solved kernel representation. With
-    Dirichlet data (B = cB = 0) both matrices are returned unchanged.
+    Dirichlet data (B = cB = 0) or rank 0 both matrices equal A and cA.
     """
-    if kernel.rank == 0:
-        return p.left.A.copy(), p.right.A.copy()
     atilde = p.left.A - p.left.B @ kernel.k00
     catilde = p.right.A - p.right.B @ kernel.kpipi
     return atilde, catilde
 
 
-def transform_eigenfunction(kernel: KernelField,
-                            phi: SampledVectorFunction) -> SampledVectorFunction:
+def transform_eigenfunction(kernel: KernelField, phi: np.ndarray,
+                            dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi(x) = phi(x) + int_0^x K(x, t) phi(t) dt via the running quadrature.
 
-    With the degenerate representation this is phi + A(x) w(x) where
-    w(x) = int_0^x Phi^T phi dt; the derivative samples come along analytically
-    as phi' + A'(x) w(x) + A(x) Phi^T(x) phi(x). psi(0) = phi(0) exactly.
+    phi and dphi are (n, N, L) stacks of L functions and their derivatives on
+    the kernel grid. With the degenerate representation psi = phi + A(x) w(x)
+    where w(x) = int_0^x Phi^T phi dt; the derivative samples come along
+    analytically as phi' + A'(x) w(x) + A(x) Phi^T(x) phi(x). psi(0) = phi(0)
+    exactly. Returns the (psi, psi') stacks.
     """
-    if not kernel.grid.same_nodes(phi.grid):
-        raise GridMismatch("eigenfunction is not sampled on the kernel grid")
-    if kernel.rank == 0:
-        return SampledVectorFunction(phi.grid, phi.values.copy(), phi.derivs.copy(), phi.lam)
-    pointwise = np.einsum("qnm,qn->qm", kernel.phi, phi.values)
+    if phi.shape[0] != kernel.grid.n or dphi.shape[0] != kernel.grid.n:
+        raise GridMismatch("eigenfunctions are not sampled on the kernel grid")
+    pointwise = np.einsum("qnm,qnl->qml", kernel.phi, phi)
     w = running_integral(pointwise, kernel.grid.h)
-    psi = phi.values + np.einsum("qnm,qm->qn", kernel.a, w)
-    dpsi = (phi.derivs + np.einsum("qnm,qm->qn", kernel.da, w)
-            + np.einsum("qnm,qm->qn", kernel.a, pointwise))
-    return SampledVectorFunction(phi.grid, psi, dpsi, phi.lam)
+    psi = phi + np.einsum("qnm,qml->qnl", kernel.a, w)
+    dpsi = (dphi + np.einsum("qnm,qml->qnl", kernel.da, w)
+            + np.einsum("qnm,qml->qnl", kernel.a, pointwise))
+    return psi, dpsi
 
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Transformed eigenfunctions, diagnostics, and the solved kernel."""
+    """Transformed eigenfunctions of the selections, diagnostics, and the solved kernel."""
 
-    psis: tuple[SampledVectorFunction, ...]
+    psi: np.ndarray         # (n, N, M), psi[:, :, j] transforms selection j
+    dpsi: np.ndarray        # (n, N, M) derivative samples
     diagnostics: dict
     kernel: KernelField
 
@@ -345,22 +339,18 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
     Returns the isospectral problem (Q, Atilde, B, cAtilde, cB) and a
     TransformResult carrying the transformed eigenfunctions of the selected
     branches, numerical diagnostics and the solved kernel. An empty
-    perturbation returns the problem unchanged.
+    perturbation gives P sampled on the grid and the original boundary matrices.
     """
     kernel = solve_kernel(pert)
     q = potential_q(kernel, p.potential)
     atilde, catilde = boundary_matrices(kernel, p)
-    psis = []
-    for j in range(kernel.rank):
-        phi_j = SampledVectorFunction(kernel.grid, kernel.phi[:, :, j],
-                                      kernel.dphi[:, :, j], float(kernel.lambdas[j]))
-        psis.append(transform_eigenfunction(kernel, phi_j))
+    psi, dpsi = transform_eigenfunction(kernel, kernel.phi, kernel.dphi)
 
     new_problem = Problem(q, BoundaryPair(atilde, p.left.B), BoundaryPair(catilde, p.right.B))
 
     diag = {
         "rank": kernel.rank,
-        "q_presymmetrization_defect": float(getattr(q, "symmetry_defect", 0.0)),
+        "q_presymmetrization_defect": float(q.symmetry_defect),
         "selfadjoint_defect_left": float(np.max(np.abs(p.left.B @ atilde.T - atilde @ p.left.B.T))),
         "selfadjoint_defect_right": float(np.max(np.abs(p.right.B @ catilde.T - catilde @ p.right.B.T))),
     }
@@ -375,4 +365,4 @@ def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, Transfor
         # sign convention is surfaced here so a mismatch is visible, not guessed
         alt = p.left.A + p.left.B @ kernel.k00
         diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - atilde)))
-    return new_problem, TransformResult(tuple(psis), diag, kernel)
+    return new_problem, TransformResult(psi, dpsi, diag, kernel)

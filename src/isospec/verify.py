@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GridTooSmall
 from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
-from .spectrum import SampledVectorFunction, ScanOptions, SpectrumReport, scan_spectrum
+from .spectrum import ScanOptions, SpectrumReport, scan_spectrum
 from .transform import KernelField, Perturbation
 
 
@@ -44,7 +44,8 @@ class IsospectralReport:
             "window": list(self.window),
             "pairsA": [[l, m] for l, m in self.pairs_a],
             "pairsB": [[l, m] for l, m in self.pairs_b],
-            "maxShift": self.max_shift,
+            # counts that differ give an infinite shift, which JSON cannot hold
+            "maxShift": self.max_shift if np.isfinite(self.max_shift) else None,
             "multiplicityMatch": self.multiplicity_match,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
@@ -117,7 +118,7 @@ def _peak(res: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
     A residual that is identically zero (or has no entries) reports node 0.
     """
-    mag = np.abs(res).reshape(x.size, -1).max(axis=1, initial=0.0)
+    mag = np.abs(res).max(axis=tuple(range(1, res.ndim)), initial=0.0)
     q = int(np.argmax(mag))
     return (float(mag[q]), float(x[q])) if mag[q] > 0 else (0.0, 0.0)
 
@@ -165,10 +166,6 @@ def residual_goursat(kernel: KernelField, p: Problem,
              B^T (sum_j c_j theta_j theta_j^T) B and Q - P = 2 d/dx K(x,x).
     """
     grid = kernel.grid
-    if kernel.rank == 0:
-        return [ResidualReport("goursat", 0.0, 0.0, tolerance),
-                ResidualReport("trace", 0.0, 0.0, tolerance)]
-
     k_x0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.phi[0])
     dk_y0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.dphi[0])
     g_res = k_x0 @ p.left.A.T + dk_y0 @ p.left.B.T
@@ -181,28 +178,27 @@ def residual_goursat(kernel: KernelField, p: Problem,
             ResidualReport("trace", *_peak(t_res, grid.nodes), tolerance)]
 
 
-def residual_transformed_eigen(p_new: Problem, lam: float,
-                               psi: SampledVectorFunction,
-                               tolerance: float = 1e-3,
+def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
+                               dpsi: np.ndarray, tolerance: float = 1e-3,
                                boundary_tolerance: float = 1e-8) -> ResidualReport:
     """-psi'' + Q psi = lam psi by differencing, plus both boundary residuals.
 
-    The ODE residual uses centered second-order differences at interior
-    nodes; boundary residuals ||B psi'(0) + Atilde psi(0)|| and
+    psi and dpsi are (n, N) samples on the uniform n-node grid. The ODE
+    residual uses centered second-order differences at interior nodes;
+    boundary residuals ||B psi'(0) + Atilde psi(0)|| and
     ||cB psi'(pi) + cAtilde psi(pi)|| use the analytic derivative samples.
     The default tolerance encodes the O(h^2) truncation at the default
     401-node grid; pin a tighter value on finer grids.
     """
-    grid = psi.grid
-    if grid.n < 5:
+    if psi.shape[0] < 5:
         raise GridTooSmall("eigen-ode residual needs at least 5 nodes")
-    v = psi.values
+    grid = Grid.uniform(psi.shape[0])
     qs = p_new.potential.evaluate_many(grid.nodes)
-    res = (-_second_difference(v, grid.h) + np.einsum("qab,qb->qa", qs[1:-1], v[1:-1])
-           - lam * v[1:-1])
+    res = (-_second_difference(psi, grid.h) + np.einsum("qab,qb->qa", qs[1:-1], psi[1:-1])
+           - lam * psi[1:-1])
 
-    b_left = p_new.left.B @ psi.derivs[0] + p_new.left.A @ v[0]
-    b_right = p_new.right.B @ psi.derivs[-1] + p_new.right.A @ v[-1]
+    b_left = p_new.left.B @ dpsi[0] + p_new.left.A @ psi[0]
+    b_right = p_new.right.B @ dpsi[-1] + p_new.right.A @ psi[-1]
     extras = {
         "boundary_left": float(np.max(np.abs(b_left))),
         "boundary_right": float(np.max(np.abs(b_right))),
@@ -211,26 +207,21 @@ def residual_transformed_eigen(p_new: Problem, lam: float,
     return ResidualReport("eigen-ode", *_peak(res, grid.nodes[1:-1]), tolerance, extras)
 
 
-def residual_endpoint(kernel: KernelField, pert: Perturbation,
-                      psis: tuple[SampledVectorFunction, ...],
+def residual_endpoint(kernel: KernelField, pert: Perturbation, psi: np.ndarray,
                       tolerance: float = 1e-8) -> ResidualReport:
-    """Endpoint identity psi_l(pi) (1 + c_l ||phi_l||^2) = phi_l(pi), relative."""
-    worst = 0.0
-    for j, psi in enumerate(psis):
-        phi_pi = kernel.phi[-1, :, j]
-        lhs = psi.values[-1] * (1.0 + pert.coeffs[j] * pert.norms_sq[j])
-        scale = max(1.0, float(np.max(np.abs(kernel.phi[:, :, j]))))
-        worst = max(worst, float(np.max(np.abs(lhs - phi_pi))) / scale)
-    return ResidualReport("endpoint", worst, float(np.pi), tolerance)
+    """Endpoint identity psi_l(pi) (1 + c_l ||phi_l||^2) = phi_l(pi), relative,
+    for the (n, N, M) stack psi of transformed selections."""
+    lhs = psi[-1] * (1.0 + pert.coeffs * pert.norms_sq)
+    scale = np.maximum(1.0, np.abs(kernel.phi).max(axis=(0, 1)))
+    worst = np.max(np.abs(lhs - kernel.phi[-1]), axis=0) / scale
+    return ResidualReport("endpoint", float(worst.max(initial=0.0)), float(np.pi), tolerance)
 
 
-def residual_representation(kernel: KernelField,
-                            psis: tuple[SampledVectorFunction, ...],
+def residual_representation(kernel: KernelField, psi: np.ndarray,
                             tolerance: float = 1e-9) -> ResidualReport:
-    """Representation identity a_j(x) = -c_j psi_j(x), entrywise, one psi per selection."""
-    if not psis:
-        return ResidualReport("representation", 0.0, 0.0, tolerance)
-    diff = kernel.a + kernel.coeffs * np.stack([psi.values for psi in psis], axis=2)
+    """Representation identity a_j(x) = -c_j psi_j(x), entrywise, for the
+    (n, N, M) stack psi of transformed selections."""
+    diff = kernel.a + kernel.coeffs * psi
     return ResidualReport("representation", *_peak(diff, kernel.grid.nodes), tolerance)
 
 

@@ -74,12 +74,6 @@ def pair_index(report, lam, tol=1e-3):
     return k
 
 
-def eigenfunction(pair, l):
-    """Branch l (0-based) of an eigenpair as a sampled vector function."""
-    return iso.SampledVectorFunction(pair.grid, pair.phis[:, :, l], pair.phi_derivs[:, :, l],
-                                     pair.lam)
-
-
 def mixed_perturbation(report, c=1.0):
     """The worked rank-one selection: theta = (-2, -1) makes Y(x;1) theta = (sin 2x, sin x)."""
     k = pair_index(report, 1.0)

@@ -132,8 +132,8 @@ def test_criterion_5_identity_residual_suite(paper, mixed401, mixed801):
     wave_fine = iso.residual_wave_equation(mixed801["kernel"], paper.potential,
                                            mixed801["problem"].potential).max_residual
     decay = wave / wave_fine if wave_fine > 0 else np.inf
-    endpoint = iso.residual_endpoint(mixed401["kernel"], mixed401["pert"], mixed401["result"].psis).max_residual
-    representation = iso.residual_representation(mixed401["kernel"], mixed401["result"].psis).max_residual
+    endpoint = iso.residual_endpoint(mixed401["kernel"], mixed401["pert"], mixed401["result"].psi).max_residual
+    representation = iso.residual_representation(mixed401["kernel"], mixed401["result"].psi).max_residual
 
     ok = (trace <= 1e-6 and goursat <= 1e-6 and wave <= 5e-4 and decay >= 3.5
           and endpoint <= 1e-8 and representation <= 1e-9)

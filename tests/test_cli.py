@@ -262,6 +262,20 @@ class TestTransform:
         assert error in err and "perturbation entry 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [
+        '1', '[0, 1]', '{"k": null, "i": 1, "c": 1.0}', '{"k": 0, "i": 1}',
+        '{"k": 0, "i": 1, "c": 1.0, "theta": 2.0}',
+    ], ids=["number", "short-list", "null-k", "missing-c", "scalar-theta"])
+    def test_malformed_entry_exits_2_before_writing(self, scalar_files, tmp_path, capsys, entry):
+        prob, _ = scalar_files
+        pert = tmp_path / "malformed.json"
+        pert.write_text(f"[{{\"k\": 0, \"i\": 1, \"c\": 1.0}}, {entry}]")
+        out = tmp_path / "never"
+        assert main(["transform", str(prob), str(pert), "--min", "0.5", "--max", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: perturbation entry 1 ")
+        assert not out.exists()
+
     def test_integral_float_indices_accepted(self, scalar_files, tmp_path, capsys):
         prob, _ = scalar_files
         pert = tmp_path / "floats.json"
@@ -409,6 +423,20 @@ class TestVerify:
         printed = json.loads(capsys.readouterr().out)
         assert json.loads((out / "verify.json").read_text()) == \
             {"isospectral": printed, "residuals": []}
+
+    def test_count_mismatch_fails_with_null_shift(self, paper_files, tmp_path, capsys):
+        # [-5, 3] holds three eigenvalues of the paper problem and two of free-2x2
+        prob, _ = paper_files
+        assert main(["example", "free-2x2"]) == 0
+        free = tmp_path / "free.json"
+        free.write_text(capsys.readouterr().out)
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(free), "--min", "-5", "--max", "3",
+                     "--out", str(out)]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["maxShift"] is None and printed["verdict"] == "fail"
+        assert len(printed["pairsA"]) == 2 and len(printed["pairsB"]) == 1
+        assert json.loads((out / "verify.json").read_text())["isospectral"] == printed
 
     @pytest.mark.parametrize("command", ["verify", "transform"])
     def test_format_flag_rejected(self, scalar_files, tmp_path, command, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isospec.serialize import format_float, write_csv
+from isospec.serialize import format_float, write_csv, write_json
 
 
 def per_value_csv(header, rows):
@@ -32,4 +32,12 @@ class TestWriteCsv:
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="non-finite"):
             write_csv(str(path), ["x", "a"], rows)
+        assert not path.exists()
+
+
+class TestWriteJson:
+    def test_render_error_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json(str(path), {"a": [1.0, np.inf]})
         assert not path.exists()

@@ -7,7 +7,6 @@ import isospec as iso
 from isospec.errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
                             SingularResolvent)
 from isospec.quadrature import running_integral
-from isospec.spectrum import SampledVectorFunction
 from isospec.transform import solve_kernel
 
 import oracles
@@ -147,10 +146,11 @@ class TestPotentialQ:
         expected = np.array([oracles.diagonal_q22(x) for x in xs])
         assert np.max(np.abs(q.samples[:, 1, 1] - expected)) < 1e-8
 
-    def test_empty_perturbation_returns_base(self, scalar, scalar_report):
-        pert = iso.build_perturbation(scalar_report, [])
-        q = iso.potential_q(solve_kernel(pert), scalar.potential)
-        assert q is scalar.potential
+    def test_empty_perturbation_samples_base(self, paper, paper_report):
+        pert = iso.build_perturbation(paper_report, [])
+        q = iso.potential_q(solve_kernel(pert), paper.potential)
+        nodes = paper_report.grid.nodes
+        assert np.array_equal(q.samples, paper.potential.evaluate_many(nodes))
 
     def test_symmetry_defect_recorded(self, mixed_rank_one):
         q = mixed_rank_one["problem"].potential
@@ -188,36 +188,57 @@ class TestBoundaryMatrices:
 class TestTransformEigenfunction:
     def test_endpoint_value_vanishes(self, mixed_rank_one):
         # psi(pi) = phi(pi) / (1 + c ||phi||^2) and phi(pi) = 0 here
-        psi = mixed_rank_one["result"].psis[0]
-        assert np.max(np.abs(psi.values[-1])) < 1e-8
+        psi = mixed_rank_one["result"].psi[:, :, 0]
+        assert np.max(np.abs(psi[-1])) < 1e-8
 
     def test_rank_one_closed_form(self, mixed_rank_one):
         # psi = phi / (1 + c g(x)) with the same running g
         kernel = mixed_rank_one["kernel"]
-        psi = mixed_rank_one["result"].psis[0]
+        psi = mixed_rank_one["result"].psi[:, :, 0]
         phi = kernel.phi[:, :, 0]
         g = running_integral(np.einsum("qn,qn->q", phi, phi), kernel.grid.h)
-        assert np.max(np.abs(psi.values - phi / (1 + g)[:, None])) < 1e-13
+        assert np.max(np.abs(psi - phi / (1 + g)[:, None])) < 1e-13
 
     def test_initial_value_preserved(self, scalar_transform):
         kernel = scalar_transform["kernel"]
-        psi = scalar_transform["result"].psis[0]
-        assert np.array_equal(psi.values[0], kernel.phi[0, :, 0])
+        psi = scalar_transform["result"].psi[:, :, 0]
+        assert np.array_equal(psi[0], kernel.phi[0, :, 0])
 
     def test_empty_kernel_is_identity(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         kernel = solve_kernel(pert)
-        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
-        psi = iso.transform_eigenfunction(kernel, phi)
-        assert np.array_equal(psi.values, phi.values)
-        assert np.array_equal(psi.derivs, phi.derivs)
+        pair = scalar_report.pairs[0]
+        psi, dpsi = iso.transform_eigenfunction(kernel, pair.phis, pair.phi_derivs)
+        assert np.array_equal(psi, pair.phis)
+        assert np.array_equal(dpsi, pair.phi_derivs)
 
-    def test_grid_mismatch(self, mixed_rank_one, scalar_report):
-        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
-        zeros = np.zeros((51, 2))
-        coarse = SampledVectorFunction(iso.Grid.uniform(51), zeros, zeros, 1.0)
+    @pytest.mark.parametrize("which", ["mixed-rank-one", "paper-rank-two"])
+    def test_stack_equals_column_by_column(self, paper_report, mixed_rank_one, which):
+        # one L = 3 call gives the same bits as three single-column calls
+        if which == "mixed-rank-one":
+            kernel = mixed_rank_one["kernel"]
+        else:
+            k1 = oracles.pair_index(paper_report, 1.0)
+            k0 = oracles.pair_index(paper_report, -2.0)
+            kernel = solve_kernel(iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)]))
+        # the selections themselves, then eigenfunctions of the scan
+        phi = np.concatenate([kernel.phi] + [p.phis for p in paper_report.pairs], axis=2)[:, :, :3]
+        dphi = np.concatenate([kernel.dphi] + [p.phi_derivs for p in paper_report.pairs],
+                              axis=2)[:, :, :3]
+        psi, dpsi = iso.transform_eigenfunction(kernel, phi, dphi)
+        assert psi.shape == dpsi.shape == phi.shape
+        for j in range(3):
+            one, done = iso.transform_eigenfunction(kernel, phi[:, :, j:j + 1], dphi[:, :, j:j + 1])
+            assert np.array_equal(psi[:, :, j:j + 1], one)
+            assert np.array_equal(dpsi[:, :, j:j + 1], done)
+            # and the same bits as the one-vector contraction psi = phi + A w
+            w = running_integral(np.einsum("qnm,qn->qm", kernel.phi, phi[:, :, j]), kernel.grid.h)
+            assert np.array_equal(psi[:, :, j], phi[:, :, j] + np.einsum("qnm,qm->qn", kernel.a, w))
+
+    def test_grid_mismatch(self, mixed_rank_one):
+        coarse = np.zeros((51, 2, 1))
         with pytest.raises(GridMismatch):
-            iso.transform_eigenfunction(mixed_rank_one["kernel"], coarse)
+            iso.transform_eigenfunction(mixed_rank_one["kernel"], coarse, coarse)
 
     def test_fine_grid_ode_residual(self, paper, paper_report):
         # -psi'' + Q psi = psi to 1e-6 needs h^2 ~ 1e-7: n = 12801
@@ -229,17 +250,19 @@ class TestTransformEigenfunction:
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0,
                                                 "theta": [-2.0, -1.0]}])
         new_problem, result = iso.transform_problem(paper, pert)
-        res = iso.residual_transformed_eigen(new_problem, lam, result.psis[0], tolerance=1e-6)
+        res = iso.residual_transformed_eigen(new_problem, lam, result.psi[:, :, 0],
+                                             result.dpsi[:, :, 0], tolerance=1e-6)
         assert res.max_residual <= 1e-6
 
 
 class TestIdentities:
     def test_representation_a_equals_minus_c_psi(self, mixed_rank_one):
-        rep = iso.residual_representation(mixed_rank_one["kernel"], mixed_rank_one["result"].psis)
+        rep = iso.residual_representation(mixed_rank_one["kernel"], mixed_rank_one["result"].psi)
         assert rep.max_residual <= 1e-9
 
     def test_endpoint_formula_relative(self, mixed_rank_one):
-        rep = iso.residual_endpoint(mixed_rank_one["kernel"], mixed_rank_one["pert"], mixed_rank_one["result"].psis)
+        rep = iso.residual_endpoint(mixed_rank_one["kernel"], mixed_rank_one["pert"],
+                                    mixed_rank_one["result"].psi)
         assert rep.max_residual <= 1e-8
 
     def test_rank_two_transform_still_isospectral_identities(self, paper, paper_report):
@@ -248,19 +271,30 @@ class TestIdentities:
         pert = iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)])
         kernel = solve_kernel(pert)
         new_problem, result = iso.transform_problem(paper, pert)
-        rep = iso.residual_representation(kernel, result.psis)
+        rep = iso.residual_representation(kernel, result.psi)
         assert rep.max_residual <= 1e-9
         gs = iso.residual_goursat(kernel, paper)
         assert gs[1].max_residual <= 1e-6
 
 
 class TestTransformProblem:
-    def test_empty_returns_problem_unchanged(self, scalar, scalar_report):
-        pert = iso.build_perturbation(scalar_report, [])
-        new_problem, result = iso.transform_problem(scalar, pert)
-        assert new_problem.potential is scalar.potential
-        assert np.array_equal(new_problem.left.A, scalar.left.A)
-        assert result.psis == ()
+    def test_empty_perturbation_takes_general_path(self, neumann_left):
+        # rank 0 runs the general formulas: empty stacks, Q = P at the nodes,
+        # Atilde = A, and identities that hold exactly
+        report = iso.scan_spectrum(neumann_left, 0.0, 8.0)
+        pert = iso.build_perturbation(report, [])
+        new_problem, result = iso.transform_problem(neumann_left, pert)
+        n = report.grid.n
+        assert result.kernel.a.shape == result.psi.shape == result.dpsi.shape == (n, 1, 0)
+        nodes = report.grid.nodes
+        assert np.array_equal(new_problem.potential.evaluate_many(nodes),
+                              neumann_left.potential.evaluate_many(nodes))
+        assert np.array_equal(new_problem.left.A, neumann_left.left.A)
+        assert np.array_equal(new_problem.right.A, neumann_left.right.A)
+        reps = iso.residual_goursat(result.kernel, neumann_left)
+        reps.append(iso.residual_representation(result.kernel, result.psi))
+        assert [(r.name, r.max_residual, r.location) for r in reps] == [
+            ("goursat", 0.0, 0.0), ("trace", 0.0, 0.0), ("representation", 0.0, 0.0)]
 
     def test_scalar_rank_one_spectrum_preserved(self, scalar, scalar_transform):
         new_problem = scalar_transform["problem"]

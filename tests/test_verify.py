@@ -163,8 +163,9 @@ class TestGoursat:
 
 class TestTransformedEigen:
     def test_mixed_transform_eigen_residuals(self, mixed_rank_one):
-        psi = mixed_rank_one["result"].psis[0]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], psi.lam, psi)
+        result = mixed_rank_one["result"]
+        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
+                                             result.psi[:, :, 0], result.dpsi[:, :, 0])
         # measured 5.8e-4 at n=401 (h^2-limited); frozen with headroom
         assert rep.max_residual <= 8e-4
         assert rep.extras["boundary_left"] <= 1e-8
@@ -173,9 +174,9 @@ class TestTransformedEigen:
     def test_empty_perturbation_matches_original(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         new_problem, _ = iso.transform_problem(scalar, pert)
-        phi = oracles.eigenfunction(scalar_report.pairs[0], 0)
-        psi = iso.transform_eigenfunction(solve_kernel(pert), phi)
-        rep = iso.residual_transformed_eigen(new_problem, phi.lam, psi)
+        pair = scalar_report.pairs[0]
+        psi, dpsi = iso.transform_eigenfunction(solve_kernel(pert), pair.phis, pair.phi_derivs)
+        rep = iso.residual_transformed_eigen(new_problem, pair.lam, psi[:, :, 0], dpsi[:, :, 0])
         # psi == phi, so the residual is the original eigenfunction's (near 0)
         assert rep.max_residual <= 1e-4
         assert rep.extras["boundary_left"] <= 1e-10
@@ -189,15 +190,17 @@ class TestTransformedEigen:
         assert ok.passed
 
     def test_wrong_lambda_detected(self, mixed_rank_one):
-        psi = mixed_rank_one["result"].psis[0]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], psi.lam + 1.0, psi)
-        scale = np.max(np.abs(psi.values))
+        result = mixed_rank_one["result"]
+        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0] + 1.0,
+                                             result.psi[:, :, 0], result.dpsi[:, :, 0])
+        scale = np.max(np.abs(result.psi))
         assert rep.max_residual >= 0.9 * scale
 
     def test_order_decay(self, mixed_rank_one, mixed_rank_one_801):
         def resid(bundle):
-            psi = bundle["result"].psis[0]
-            return iso.residual_transformed_eigen(bundle["problem"], psi.lam, psi).max_residual
+            result = bundle["result"]
+            return iso.residual_transformed_eigen(bundle["problem"], result.kernel.lambdas[0],
+                                                  result.psi[:, :, 0], result.dpsi[:, :, 0]).max_residual
 
         assert resid(mixed_rank_one) / resid(mixed_rank_one_801) >= 3.5
 
