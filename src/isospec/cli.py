@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,40 +31,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    grid_nodes: int = 401
-    lambda_min: float = -10.0
-    lambda_max: float = 30.0
-    tol: float = 1e-10
-    rank_tol: float = 1e-6
-    out_dir: str = ""               # artifact directory; empty writes none
-
-    def __post_init__(self):
-        if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
-            raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
-        if not (np.isfinite(self.lambda_min) and np.isfinite(self.lambda_max)
-                and self.lambda_min < self.lambda_max):
-            raise ValueError("lambda window must be finite with --min < --max")
-        if self.tol <= 0 or self.rank_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def scan_options(self) -> ScanOptions:
-        return ScanOptions(tol=min(self.tol, 1e-8), rank_tol=self.rank_tol,
-                           grid_nodes=self.grid_nodes)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        grid_nodes=args.grid,
-        lambda_min=args.lam_min,
-        lambda_max=args.lam_max,
-        tol=args.tol,
-        rank_tol=args.rank_tol,
-        out_dir=args.out,
-    )
+def _scan_options(args) -> ScanOptions:
+    """The scan settings of the common flags, with --tol capped at 1e-8."""
+    return ScanOptions(tol=min(args.tol, 1e-8), rank_tol=args.rank_tol, grid_nodes=args.grid)
 
 
 def _load_perturbation_file(path: str) -> list[dict]:
@@ -76,11 +44,6 @@ def _load_perturbation_file(path: str) -> list[dict]:
     return entries
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
 def cmd_validate(args) -> int:
     problem = load_problem(args.problem)
     report = validate_problem(problem)
@@ -89,11 +52,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _config(args)
+    opts = _scan_options(args)
     if args.dump_path is not None and not args.out:
         raise ValueError("--dump-path writes path.csv and needs --out")
     problem = load_problem(args.problem)
-    report = scan_spectrum(problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
+    report = scan_spectrum(problem, args.lam_min, args.lam_max, opts)
     if args.dump_path is not None:
         # integrated before --out exists, so an overflow leaves no artifacts
         y, yp = integrate_ivp(problem.potential, args.dump_path,
@@ -107,7 +70,8 @@ def cmd_spectrum(args) -> int:
     else:
         sys.stdout.write(serialize.dumps_json(obj))
     if args.out:
-        out = _ensure_out(cfg)
+        out = args.out
+        os.makedirs(out, exist_ok=True)
         serialize.write_json(os.path.join(out, "spectrum.json"), obj)
         for k, pair in enumerate(report.pairs):
             for l in range(pair.multiplicity):
@@ -125,19 +89,21 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _run_transform(problem: Problem, entries: list[dict], cfg: RunConfig):
-    report = scan_spectrum(problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
+def _run_transform(problem: Problem, entries: list[dict], opts: ScanOptions, window: tuple):
+    report = scan_spectrum(problem, *window, opts)
     pert = build_perturbation(report, entries)
     new_problem, result = transform_problem(problem, pert)
     return report, pert, new_problem, result
 
 
 def cmd_transform(args) -> int:
-    cfg = _config(args)
+    opts = _scan_options(args)
     problem = load_problem(args.problem)
     entries = _load_perturbation_file(args.perturbation)
-    report, pert, new_problem, result = _run_transform(problem, entries, cfg)
-    out = _ensure_out(cfg)
+    report, pert, new_problem, result = _run_transform(problem, entries, opts,
+                                                       (args.lam_min, args.lam_max))
+    out = args.out
+    os.makedirs(out, exist_ok=True)
 
     header, rows = potential_to_csv_rows(new_problem.potential)
     serialize.write_csv(os.path.join(out, "q_potential.csv"), header, rows)
@@ -157,16 +123,17 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
+    opts = _scan_options(args)
+    window = (args.lam_min, args.lam_max)
     shift_tol = args.shift_tol
     reports = []
 
     if args.pipeline:
         problem = load_problem(args.problem_a)
         entries = _load_perturbation_file(args.problem_b)
-        report, pert, new_problem, result = _run_transform(problem, entries, cfg)
+        report, pert, new_problem, result = _run_transform(problem, entries, opts, window)
         kernel = result.kernel
-        new_report = scan_spectrum(new_problem, cfg.lambda_min, cfg.lambda_max, cfg.scan_options())
+        new_report = scan_spectrum(new_problem, *window, opts)
         iso = compare_spectra(report, new_report, shift_tol)
         reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
         reports += residual_goursat(kernel, problem)
@@ -184,12 +151,12 @@ def cmd_verify(args) -> int:
     else:
         pa = load_problem(args.problem_a)
         pb = load_problem(args.problem_b)
-        iso = check_isospectral(pa, pb, (cfg.lambda_min, cfg.lambda_max),
-                                shift_tol, cfg.scan_options())
+        iso = check_isospectral(pa, pb, window, shift_tol, opts)
         sys.stdout.write(serialize.dumps_json(iso.to_json_obj()))
 
     if args.out:
-        serialize.write_json(os.path.join(_ensure_out(cfg), "verify.json"), {
+        os.makedirs(args.out, exist_ok=True)
+        serialize.write_json(os.path.join(args.out, "verify.json"), {
             "isospectral": iso.to_json_obj(),
             "residuals": [rep.to_json_obj() for rep in reports],
         })
@@ -217,14 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
                                              "isospectral transforms on [0, pi].")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, window=(-10.0, 30.0), out_required=False):
-        p.add_argument("--grid", type=int, default=401, help="x-grid node count (odd, >= 5)")
-        p.add_argument("--min", dest="lam_min", type=float, default=window[0],
+    def common(p, out_required=False):
+        p.add_argument("--grid", type=int, default=ScanOptions.grid_nodes,
+                       help="x-grid node count (odd, >= 5)")
+        p.add_argument("--min", dest="lam_min", type=float, default=-10.0,
                        help="lambda window lower edge")
-        p.add_argument("--max", dest="lam_max", type=float, default=window[1],
+        p.add_argument("--max", dest="lam_max", type=float, default=30.0,
                        help="lambda window upper edge")
-        p.add_argument("--tol", type=float, default=1e-10, help="eigenvalue refinement tolerance")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-6,
+        p.add_argument("--tol", type=float, default=ScanOptions.tol,
+                       help="eigenvalue refinement tolerance")
+        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=ScanOptions.rank_tol,
                        help="relative rank threshold for multiplicities")
         p.add_argument("--out", default="", required=out_required,
                        help="output directory for artifacts")
@@ -270,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IsospecError as exc:

@@ -27,8 +27,10 @@ SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a: np.ndarray, name: str) -> np.ndarray:
     a = np.array(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
     a.flags.writeable = False
     return a
 
@@ -40,7 +42,7 @@ class Grid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = _readonly(self.nodes)
+        nodes = _readonly(self.nodes, "grid nodes")
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("grid needs at least 3 nodes")
@@ -96,9 +98,9 @@ class ConstantDiagonalPotential(MatrixPotential):
         vals = np.atleast_1d(np.asarray(values, dtype=float))
         if vals.ndim != 1:
             raise DimensionMismatch("constant-diagonal potential takes a vector")
-        self.values = _readonly(vals)
+        self.values = _readonly(vals, "constant-diagonal potential values")
         self.dimension = vals.size
-        self._mat = _readonly(np.diag(vals))
+        self._mat = _readonly(np.diag(vals), "constant-diagonal potential values")
 
     def evaluate_many(self, xs) -> np.ndarray:
         xs = self._check_domain(xs)
@@ -116,7 +118,7 @@ class GridPotential(MatrixPotential):
     """
 
     def __init__(self, grid: Grid, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=float)
+        samples = _readonly(samples, "grid potential samples")
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise DimensionMismatch("grid potential samples must be (n, N, N)")
         if samples.shape[0] != grid.n:
@@ -125,7 +127,7 @@ class GridPotential(MatrixPotential):
         defect = float(np.max(np.abs(samples - samples.transpose(0, 2, 1))))
         self.symmetry_defect = defect / scale
         self.grid = grid
-        self.samples = _readonly(0.5 * (samples + samples.transpose(0, 2, 1)))
+        self.samples = _readonly(0.5 * (samples + samples.transpose(0, 2, 1)), "grid potential samples")
         self.dimension = samples.shape[1]
         self._spline = CubicSpline(grid.nodes, self.samples, axis=0)
 
@@ -156,8 +158,8 @@ class BoundaryPair:
     B: np.ndarray
 
     def __post_init__(self):
-        A = _readonly(self.A)
-        B = _readonly(self.B)
+        A = _readonly(self.A, "boundary matrix A")
+        B = _readonly(self.B, "boundary matrix B")
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
             raise DimensionMismatch("boundary pair matrices must be square and equally sized")
         object.__setattr__(self, "A", A)

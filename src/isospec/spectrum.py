@@ -14,7 +14,7 @@ flags any eigenvalue lost that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -24,8 +24,6 @@ from .model import RANK_RTOL, BoundaryPair, Grid, Problem
 from .ode import integrate_final_batch, integrate_ivp, potential_tables
 from .quadrature import integral
 
-#: default relative threshold deciding rank deficiency of W
-DEFAULT_RANK_TOL = 1e-6
 #: lambda spacing of the sigma_min sweep, unless the oracle gap asks for less
 SCAN_CELL = 0.05
 #: node count of the finite-difference oracle grid
@@ -35,11 +33,18 @@ ORACLE_NODES = 201
 @dataclass(frozen=True)
 class ScanOptions:
     """Settings of :func:`scan_spectrum`: refinement tolerance, rank
-    threshold and the x-grid of the IVP integration."""
+    threshold and the x-grid of the IVP integration. Raises ValueError unless
+    grid_nodes is odd and >= 5 and both tolerances are positive (NaN is rejected)."""
 
     tol: float = 1e-10              # final Newton step size on each eigenvalue
-    rank_tol: float = DEFAULT_RANK_TOL
+    rank_tol: float = 1e-6          # relative threshold deciding rank deficiency of W
     grid_nodes: int = 401           # x-grid for the IVP integration
+
+    def __post_init__(self):
+        if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
+            raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
+        if not self.tol > 0 or not self.rank_tol > 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,7 @@ def _eigenpairs(p: Problem, lams, scales, grid: Grid, rank_tol: float, tables,
 
 
 def eigenbasis(p: Problem, lam_k: float, grid: Grid,
-               rank_tol: float = DEFAULT_RANK_TOL) -> Eigenpair:
+               rank_tol: float = ScanOptions.rank_tol) -> Eigenpair:
     """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
     The rank decision compares singular values against rank_tol times a local
@@ -335,14 +340,16 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
 
     Raises
     ------
+    ValueError
+        If the window is not finite with lambda_min < lambda_max.
     WindowTooCoarse
         If the oracle eigenvalue gap is below the resolvable scale, two
         accepted eigenvalues lie inside one sweep cell, or the oracle
         predicts more interior eigenvalues than were found (one the sweep
         skipped, or whose bracket Newton dropped).
     """
-    if not lambda_min < lambda_max:
-        raise ValueError("need lambda_min < lambda_max")
+    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
+        raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
     grid = Grid.uniform(opts.grid_nodes)
 
     h_o = np.pi / (ORACLE_NODES - 1)
@@ -413,4 +420,4 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
             f"but the scan found {found_count}"
         )
 
-    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), replace(opts), tuple(pairs))
+    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), opts, tuple(pairs))

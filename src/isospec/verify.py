@@ -102,7 +102,9 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
 
 
 def compare_spectra(ra: SpectrumReport, rb: SpectrumReport, tol: float) -> IsospectralReport:
-    """Positional comparison of two already-computed reports."""
+    """Positional comparison of two already-computed reports; tol must be positive and finite."""
+    if not 0 < tol < np.inf:
+        raise ValueError("shift tolerance must be positive and finite (--shift-tol)")
     pa = tuple((p.lam, p.multiplicity) for p in ra.pairs)
     pb = tuple((p.lam, p.multiplicity) for p in rb.pairs)
     sa, sb = ra.sigma_sequence, rb.sigma_sequence

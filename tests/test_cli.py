@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec.cli import RunConfig, main
+from isospec.cli import main
 from isospec.model import load_potential_csv
 from isospec.serialize import dumps_json
 
@@ -32,19 +32,49 @@ def scalar_files(tmp_path, capsys):
 
 
 class TestRunConfig:
-    def test_defaults_valid(self):
-        cfg = RunConfig()
-        assert cfg.grid_nodes == 401
+    """The run settings: declared once in ScanOptions, checked where the scan reads them."""
 
-    def test_invariants(self):
+    def test_defaults_valid(self, paper_files, capsys):
+        prob, _ = paper_files
+        assert main(["spectrum", str(prob)]) == 0
+        printed = [(r["lambda"], r["multiplicity"]) for r in json.loads(capsys.readouterr().out)]
+        report = iso.scan_spectrum(iso.load_problem(str(prob)), -10.0, 30.0)
+        assert report.options == iso.ScanOptions(grid_nodes=401, tol=1e-10, rank_tol=1e-6)
+        assert printed == [(p.lam, p.multiplicity) for p in report.pairs]
+
+    def test_invariants(self, paper):
         with pytest.raises(ValueError):
-            RunConfig(grid_nodes=400)          # even
+            iso.ScanOptions(grid_nodes=400)          # even
         with pytest.raises(ValueError):
-            RunConfig(grid_nodes=3)            # too small
+            iso.ScanOptions(grid_nodes=3)            # too small
         with pytest.raises(ValueError):
-            RunConfig(lambda_min=2.0, lambda_max=1.0)
+            iso.scan_spectrum(paper, 2.0, 1.0)
         with pytest.raises(ValueError):
-            RunConfig(tol=-1e-10)
+            iso.ScanOptions(tol=-1e-10)
+
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", float("nan")),
+                                              ("rank_tol", -1.0), ("rank_tol", float("nan"))])
+    def test_bad_tolerance_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            iso.ScanOptions(**{field: value})
+
+    @pytest.mark.parametrize("window", [(-np.inf, 5.0), (0.0, np.inf), (np.nan, 5.0)],
+                             ids=["-inf", "inf", "nan"])
+    def test_non_finite_window_is_a_value_error(self, paper, window):
+        with pytest.raises(ValueError, match="lambda window must be finite"):
+            iso.scan_spectrum(paper, *window)
+
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rank-tol", "nan"], ["--tol", "0"],
+                                       ["--grid", "400"], ["--min", "3", "--max", "1"],
+                                       ["--min=-inf"]],
+                             ids=["tol-nan", "rank-tol-nan", "tol-zero", "even-grid",
+                                  "reversed-window", "infinite-min"])
+    def test_bad_setting_exits_2(self, paper_files, tmp_path, capsys, flags):
+        prob, _ = paper_files
+        out = tmp_path / "never"
+        assert main(["spectrum", str(prob), "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestValidate:
@@ -68,6 +98,16 @@ class TestValidate:
 
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/problem.json"]) == 2
+
+    def test_infinite_potential_value_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "inf.json"
+        f.write_text('{"n": 2, "potential": {"kind": "constant-diagonal", "values": [Infinity, 0]},'
+                     ' "left": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]},'
+                     ' "right": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]}}')
+        assert main(["validate", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: constant-diagonal potential values must be finite\n"
 
     def test_header_only_potential_csv_exits_2(self, tmp_path, capsys):
         (tmp_path / "empty-q.csv").write_text("x,p11\n")
@@ -438,6 +478,18 @@ class TestVerify:
         assert len(printed["pairsA"]) == 2 and len(printed["pairsB"]) == 1
         assert json.loads((out / "verify.json").read_text())["isospectral"] == printed
 
+    @pytest.mark.parametrize("shift_tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("pipeline", [[], ["--pipeline"]], ids=["two-problem", "pipeline"])
+    def test_bad_shift_tol_exits_2(self, scalar_files, tmp_path, capsys, shift_tol, pipeline):
+        prob, pert = scalar_files
+        second = pert if pipeline else prob
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(second), *pipeline, "--min", "0.5", "--max", "10",
+                     "--shift-tol", shift_tol, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: shift tolerance must be positive and finite (--shift-tol)\n"
+
     @pytest.mark.parametrize("command", ["verify", "transform"])
     def test_format_flag_rejected(self, scalar_files, tmp_path, command, capsys):
         prob, pert = scalar_files
@@ -445,6 +497,19 @@ class TestVerify:
             main([command, str(prob), str(pert), "--out", str(tmp_path / "o"), "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+class TestIOErrors:
+    @pytest.mark.parametrize("argv", [
+        "spectrum {prob} --min 0.5 --max 10 --out {prob}",
+        "validate {tmp}",
+        "transform {prob} {pert} --min 0.5 --max 10 --out {prob}/x",
+        "verify {prob} {pert} --pipeline --min 0.5 --max 10 --out {prob}",
+    ], ids=["out-is-a-file", "problem-is-a-directory", "out-below-a-file", "verify-out-is-a-file"])
+    def test_os_error_exits_2(self, scalar_files, tmp_path, capsys, argv):
+        prob, pert = scalar_files
+        assert main(argv.format(prob=prob, pert=pert, tmp=tmp_path).split()) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
 
 
 class TestExample:

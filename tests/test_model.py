@@ -71,6 +71,31 @@ class TestPotentials:
                 pot.evaluate_many([3.5])
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: iso.Grid(np.where(np.arange(11) == 5, v, np.linspace(0, np.pi, 11))),
+         "grid nodes"),
+        (lambda v: iso.ConstantDiagonalPotential([v, 0.0]), "constant-diagonal potential values"),
+        (lambda v: iso.GridPotential(iso.Grid.uniform(11),
+                                     np.where(np.arange(11)[:, None, None] == 3, v,
+                                              np.zeros((11, 2, 2)))), "grid potential samples"),
+        (lambda v: iso.BoundaryPair(np.array([[1.0, v], [v, 1.0]]), np.zeros((2, 2))),
+         "boundary matrix A"),
+        (lambda v: iso.BoundaryPair(np.eye(2), np.array([[0.0, 0.0], [0.0, v]])),
+         "boundary matrix B"),
+    ], ids=["grid", "constant-diagonal", "grid-potential", "boundary-A", "boundary-B"])
+    def test_constructor_names_the_field(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            make(bad)
+
+    def test_json_nan_rejected_on_load(self):
+        obj = json.loads('{"n": 1, "potential": {"kind": "constant-diagonal", "values": [0]},'
+                         ' "left": {"A": [[NaN]], "B": [[0]]}, "right": {"A": [[1]], "B": [[0]]}}')
+        with pytest.raises(ValueError, match="boundary matrix A"):
+            problem_from_json_obj(obj)
+
+
 class TestValidation:
     def test_builtins_all_pass(self):
         for name in ("paper-example-2x2", "scalar-zero", "free-2x2"):

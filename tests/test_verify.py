@@ -43,6 +43,11 @@ class TestIsospectral:
         assert not report.passed
         assert report.max_shift == float("inf")
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_shift_tolerance_must_be_positive_and_finite(self, scalar_report, tol):
+        with pytest.raises(ValueError, match="shift tolerance"):
+            iso.compare_spectra(scalar_report, scalar_report, tol)
+
     def test_json_shape(self, scalar_report):
         report = iso.compare_spectra(scalar_report, scalar_report, 1e-6)
         obj = report.to_json_obj()
