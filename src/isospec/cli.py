@@ -62,13 +62,7 @@ def cmd_spectrum(args) -> int:
         y, yp = integrate_ivp(problem.potential, args.dump_path,
                               problem.left.B.T, -problem.left.A.T, report.grid)
     obj = report.to_json_obj()
-    if args.format == "csv":
-        print("lambda,multiplicity,residual")
-        for row in obj:
-            print(",".join(serialize.format_float(row[k]) if k != "multiplicity" else str(row[k])
-                           for k in ("lambda", "multiplicity", "residual")))
-    else:
-        sys.stdout.write(serialize.dumps_json(obj))
+    # artifacts before stdout, so an --out that cannot be written prints nothing
     if args.out:
         out = args.out
         os.makedirs(out, exist_ok=True)
@@ -86,6 +80,13 @@ def cmd_spectrum(args) -> int:
             header = (["x"] + [f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                       + [f"yp{i + 1}{j + 1}" for i in range(n) for j in range(n)])
             serialize.write_csv(os.path.join(out, "path.csv"), header, rows)
+    if args.format == "csv":
+        print("lambda,multiplicity,residual")
+        for row in obj:
+            print(",".join(serialize.format_float(row[k]) if k != "multiplicity" else str(row[k])
+                           for k in ("lambda", "multiplicity", "residual")))
+    else:
+        sys.stdout.write(serialize.dumps_json(obj))
     return EXIT_OK
 
 
@@ -142,24 +143,27 @@ def cmd_verify(args) -> int:
                                                       result.dpsi[:, :, j]))
         reports.append(residual_endpoint(kernel, pert, result.psi))
         reports.append(residual_representation(kernel, result.psi))
-        print(f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
-              f"max shift {iso.max_shift:.3e} (tolerance {shift_tol:.0e}), "
-              f"multiplicities {'match' if iso.multiplicity_match else 'DIFFER'}")
-        for rep in reports:
-            print(f"[{'pass' if rep.passed else 'FAIL'}] {rep.name}: "
-                  f"max residual {rep.max_residual:.3e} (tolerance {rep.tolerance:.0e})")
+        lines = [f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
+                 f"max shift {iso.max_shift:.3e} (tolerance {shift_tol:.0e}), "
+                 f"multiplicities {'match' if iso.multiplicity_match else 'DIFFER'}"]
+        lines += [f"[{'pass' if rep.passed else 'FAIL'}] {rep.name}: "
+                  f"max residual {rep.max_residual:.3e} (tolerance {rep.tolerance:.0e})"
+                  for rep in reports]
+        text = "".join(line + "\n" for line in lines)
     else:
         pa = load_problem(args.problem_a)
         pb = load_problem(args.problem_b)
         iso = check_isospectral(pa, pb, window, shift_tol, opts)
-        sys.stdout.write(serialize.dumps_json(iso.to_json_obj()))
+        text = serialize.dumps_json(iso.to_json_obj())
 
+    # verify.json before stdout, so an --out that cannot be written prints nothing
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         serialize.write_json(os.path.join(args.out, "verify.json"), {
             "isospectral": iso.to_json_obj(),
             "residuals": [rep.to_json_obj() for rep in reports],
         })
+    sys.stdout.write(text)
     passed = iso.passed and all(rep.passed for rep in reports)
     return EXIT_OK if passed else EXIT_DOMAIN
 

@@ -4,15 +4,24 @@
 
 A classical 4th-order Runge-Kutta step on z = (Y, Y') with step h taken from
 the grid. For z' = M z with M = [[0, I], [P - lambda, 0]] sampled at the
-nodes and the half-step, one step is z_{i+1} = T_i(lambda) z_i, and T_i is a
-polynomial of degree 4 in lambda whose 2N x 2N coefficients depend only on P
+nodes and the half-step, one step is z_{i+1} = T_i(lambda) z_i. Every stage
+matrix is M0 - lambda E with E = [[0, 0], [I, 0]] and E^2 = 0, so a product
+of the four stages holds at most two (non-adjacent) E factors: T_i is a
+polynomial of degree 2 in lambda whose 2N x 2N coefficients depend only on P
 and the grid. :func:`potential_tables` builds them once per (potential,
-grid); every propagation evaluates them:
+grid), together with the degree-4 products T_{2j+1} T_{2j} of consecutive
+step pairs; every propagation evaluates them:
 
-* endpoints (:func:`integrate_final_batch`) multiply T_{n-2} ... T_0 in a
-  pairwise tree, ceil(log2(n-1)) batched matrix products per chunk of lambdas;
+* endpoints (:func:`integrate_final_batch`) multiply the pair leaves
+  ... (T_3 T_2)(T_1 T_0) in a pairwise tree, ceil(log2(ceil((n-1)/2)))
+  batched matrix products per chunk of lambdas; with an odd step count the
+  last step is a leaf of its own;
 * paths (:func:`integrate_ivp`) fold z_{i+1} = T_i z_i node by node, one
   batched product per step for all lambdas of a call.
+
+Leaves stay at two steps: the monomial sum of a longer product cancels at
+large sqrt(lambda) times its length (octets lose about 2e-10 relative at
+lambda = 4e4 on 401 nodes, pairs stay within a few 1e-13).
 
 Eigenfunction data is smooth, so no adaptivity: fixed grids keep downstream
 quadrature and kernel algebra node-aligned.
@@ -25,11 +34,11 @@ import numpy as np
 from .errors import NonFiniteState
 from .model import Grid, MatrixPotential
 
-#: degree of the RK4 step matrix T_i(lambda) in lambda
-STEP_DEGREE = 4
-#: bytes of step matrices evaluated at once; bounds the (chunk, n-1, 2N, 2N)
-#: stack of a lambda chunk in the endpoint tree and the (block, L, 2N, 2N)
-#: stack of a step block in the path fold
+#: degree of the RK4 step matrix T_i(lambda) in lambda (E^2 = 0 caps it at 2)
+STEP_DEGREE = 2
+#: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
+#: 2N, 2N) stack of pair leaves of a lambda chunk in the endpoint tree and the
+#: (block, L, 2N, 2N) stack of a step block in the path fold
 _TREE_BYTES = 1 << 20
 
 
@@ -37,22 +46,28 @@ def _apply_m(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficients of M(lambda) U(lambda) for M = [[0, I], [P - lambda, 0]].
 
     p is (s, N, N); u is (s, d+1, 2N, 2N), coefficient k of a degree-d
-    polynomial. Returns (s, d+2, 2N, 2N).
+    polynomial. Returns (s, min(d+2, STEP_DEGREE+1), 2N, 2N): within an RK4
+    stage expansion the coefficients above STEP_DEGREE are exact zeros
+    (E^2 = 0), so they are not formed.
     """
     s, d1, n2, _ = u.shape
     n = n2 // 2
-    k = np.zeros((s, d1 + 1, n2, n2))
+    k = np.zeros((s, min(d1 + 1, STEP_DEGREE + 1), n2, n2))
     k[:, :d1, :n] = u[:, :, n:]
     k[:, :d1, n:] = p[:, None] @ u[:, :, :n]
-    k[:, 1:, n:] -= u[:, :, :n]
+    k[:, 1:, n:] -= u[:, :k.shape[1] - 1, :n]
     return k
 
 
-def potential_tables(pot: MatrixPotential, grid: Grid) -> np.ndarray:
-    """RK4 step polynomials C, shape (n-1, 5, 2N, 2N): T_i(lam) = sum_k lam^k C[i, k].
+def potential_tables(pot: MatrixPotential, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 step and pair-leaf polynomials (C, Pi) of a potential on a grid.
 
-    T_i is the classical RK4 step on z = (Y, Y') with P taken at node i, at the
-    half-step and at node i+1, expanded stage by stage in lambda.
+    C, shape (n-1, 3, 2N, 2N), gives T_i(lam) = sum_k lam^k C[i, k]: the
+    classical RK4 step on z = (Y, Y') with P taken at node i, at the half-step
+    and at node i+1, expanded stage by stage in lambda. Pi, shape
+    (ceil((n-1)/2), 5, 2N, 2N), gives T_{2j+1}(lam) T_{2j}(lam) =
+    sum_k lam^k Pi[j, k]; with an odd step count the last leaf is the last
+    step alone, zero-padded to degree 4.
     """
     p_nodes = pot.evaluate_many(grid.nodes)
     p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
@@ -68,20 +83,35 @@ def potential_tables(pot: MatrixPotential, grid: Grid) -> np.ndarray:
         if frac is not None:
             u = k * (frac * h)
             u[:, 0] += np.eye(2 * n)
-    return c
+    full = s // 2
+    pairs = np.zeros((full + s % 2, 2 * STEP_DEGREE + 1, 2 * n, 2 * n))
+    lo, hi = c[0:2 * full:2], c[1::2]
+    for a in range(STEP_DEGREE + 1):
+        for b in range(STEP_DEGREE + 1):
+            pairs[:full, a + b] += hi[:, a] @ lo[:, b]
+    if s % 2:
+        pairs[-1, :STEP_DEGREE + 1] = c[-1]
+    return c, pairs
 
 
-def _step_matrices(tables: np.ndarray, lams: np.ndarray, derivative: bool):
-    """T_i(lam) for every step and lambda, (n-1, L, 2N, 2N), and dT/dlam if asked."""
-    s, d1, n2, _ = tables.shape
-    flat = tables.reshape(s, d1, n2 * n2)
-    powers = lams[:, None] ** np.arange(d1)
-    t = (powers @ flat).reshape(s, lams.size, n2, n2)
+def _step_matrices(coeffs: np.ndarray, lams: np.ndarray, derivative: bool):
+    """Polynomials sum_k lam^k coeffs[:, k] at every lambda, (s, L, 2N, 2N), and d/dlam if asked.
+
+    coeffs is (s, d+1, 2N, 2N): the step or pair-leaf tables of :func:`potential_tables`.
+    """
+    s, d1, n2, _ = coeffs.shape
+    flat = coeffs.reshape(s, d1, n2 * n2)
+    # matmul sends a single row through BLAS gemv, which rounds differently
+    # from the gemm of a batch; a duplicated row keeps every value independent
+    # of how many lambdas are evaluated with it
+    rows = max(2, lams.size)
+    powers = np.resize(lams, rows)[:, None] ** np.arange(d1)
+    t = (powers @ flat)[:, :lams.size].reshape(s, lams.size, n2, n2)
     if not derivative:
         return t, None
     dpowers = np.zeros_like(powers)
     dpowers[:, 1:] = np.arange(1, d1) * powers[:, :-1]
-    return t, (dpowers @ flat).reshape(s, lams.size, n2, n2)
+    return t, (dpowers @ flat)[:, :lams.size].reshape(s, lams.size, n2, n2)
 
 
 def _tree_product(t: np.ndarray, dt: np.ndarray | None):
@@ -109,8 +139,9 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
-                  grid: Grid, tables: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, grid: Grid,
+                  tables: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate -Y'' + P Y = lam Y from x=0 to pi on the grid.
 
     Parameters
@@ -121,7 +152,8 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
     y0, yp0 : (N, N) arrays
         Initial Y(0) and Y'(0).
     grid : Grid
-    tables : optional precomputed output of :func:`potential_tables`.
+    tables : optional precomputed output of :func:`potential_tables`; the
+        path reads its single steps.
 
     Returns
     -------
@@ -136,21 +168,20 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
     yp0 = np.asarray(yp0, dtype=float)
     if y0.shape != (pot.dimension, pot.dimension) or yp0.shape != y0.shape:
         raise ValueError("initial data must be N x N matching the potential")
-    if tables is None:
-        tables = potential_tables(pot, grid)
+    c = (potential_tables(pot, grid) if tables is None else tables)[0]
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
     scalar = lams.ndim == 0
     lams = np.atleast_1d(lams)
-    s, _, n2, _ = tables.shape
+    s, _, n2, _ = c.shape
     n = n2 // 2
     block = max(1, _TREE_BYTES // (lams.size * n2 * n2 * 8))
     z = np.empty((grid.n, lams.size, n2, n))
     z[0] = _initial_state(y0, yp0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, s, block):
-            steps, _ = _step_matrices(tables[lo:lo + block], lams, derivative=False)
+            steps, _ = _step_matrices(c[lo:lo + block], lams, derivative=False)
             for i, step in enumerate(steps, lo):
                 np.matmul(step, z[i], out=z[i + 1])
     _check_finite(z[-1])
@@ -161,26 +192,27 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
 
 
 def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray, yp0: np.ndarray,
-                          grid: Grid, tables: np.ndarray | None = None, derivative: bool = False):
+                          grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None,
+                          derivative: bool = False):
     """Endpoint (Y(pi), Y'(pi)) for a batch of lambda values, shape (L, N, N) each.
 
-    The step matrices of a chunk of lambdas are multiplied in a pairwise tree.
-    With ``derivative=True`` also returns (dY(pi)/dlam, dY'(pi)/dlam), the
-    exact lambda-derivatives of the discrete endpoint map.
+    The pair leaves of :func:`potential_tables` are evaluated for a chunk of
+    lambdas and multiplied in a pairwise tree. With ``derivative=True`` also
+    returns (dY(pi)/dlam, dY'(pi)/dlam), the exact lambda-derivatives of the
+    discrete endpoint map.
     """
-    if tables is None:
-        tables = potential_tables(pot, grid)
+    pairs = (potential_tables(pot, grid) if tables is None else tables)[1]
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     z0 = _initial_state(y0, yp0)
-    s, _, n2, _ = tables.shape
+    m, _, n2, _ = pairs.shape
     n = n2 // 2
-    chunk = max(1, _TREE_BYTES // ((1 + derivative) * s * n2 * n2 * 8))
+    chunk = max(1, _TREE_BYTES // ((1 + derivative) * m * n2 * n2 * 8))
     z = np.empty((lams.size, n2, n))
     dz = np.empty_like(z) if derivative else None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, lams.size, chunk):
             sl = slice(lo, lo + chunk)
-            prod, dprod = _tree_product(*_step_matrices(tables, lams[sl], derivative))
+            prod, dprod = _tree_product(*_step_matrices(pairs, lams[sl], derivative))
             z[sl] = prod @ z0
             if derivative:
                 dz[sl] = dprod @ z0

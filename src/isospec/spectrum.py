@@ -34,7 +34,8 @@ ORACLE_NODES = 201
 class ScanOptions:
     """Settings of :func:`scan_spectrum`: refinement tolerance, rank
     threshold and the x-grid of the IVP integration. Raises ValueError unless
-    grid_nodes is odd and >= 5 and both tolerances are positive (NaN is rejected)."""
+    grid_nodes is odd and >= 5, tol > 0 and 0 < rank_tol < 1 (NaN is rejected):
+    a rank_tol of 1 or more would count every singular value of W."""
 
     tol: float = 1e-10              # final Newton step size on each eigenvalue
     rank_tol: float = 1e-6          # relative threshold deciding rank deficiency of W
@@ -43,8 +44,8 @@ class ScanOptions:
     def __post_init__(self):
         if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
             raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
-        if not self.tol > 0 or not self.rank_tol > 0:
-            raise ValueError("tolerances must be positive")
+        if not self.tol > 0 or not 0 < self.rank_tol < 1:
+            raise ValueError("tolerances must be positive, with rank_tol below 1")
 
 
 @dataclass(frozen=True)

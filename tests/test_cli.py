@@ -53,7 +53,9 @@ class TestRunConfig:
             iso.ScanOptions(tol=-1e-10)
 
     @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", float("nan")),
-                                              ("rank_tol", -1.0), ("rank_tol", float("nan"))])
+                                              ("rank_tol", -1.0), ("rank_tol", float("nan")),
+                                              ("rank_tol", 1.0), ("rank_tol", 1e3),
+                                              ("rank_tol", float("inf"))])
     def test_bad_tolerance_is_a_value_error(self, field, value):
         with pytest.raises(ValueError, match="tolerances must be positive"):
             iso.ScanOptions(**{field: value})
@@ -66,9 +68,11 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rank-tol", "nan"], ["--tol", "0"],
                                        ["--grid", "400"], ["--min", "3", "--max", "1"],
-                                       ["--min=-inf"]],
+                                       ["--min=-inf"], ["--rank-tol", "1"], ["--rank-tol", "1e3"],
+                                       ["--rank-tol", "inf"]],
                              ids=["tol-nan", "rank-tol-nan", "tol-zero", "even-grid",
-                                  "reversed-window", "infinite-min"])
+                                  "reversed-window", "infinite-min", "rank-tol-1",
+                                  "rank-tol-1e3", "rank-tol-inf"])
     def test_bad_setting_exits_2(self, paper_files, tmp_path, capsys, flags):
         prob, _ = paper_files
         out = tmp_path / "never"
@@ -510,6 +514,20 @@ class TestIOErrors:
         prob, pert = scalar_files
         assert main(argv.format(prob=prob, pert=pert, tmp=tmp_path).split()) == 2
         assert capsys.readouterr().err.startswith("error: [Errno ")
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum {prob} --min 0.5 --max 10 --out {prob}",
+        "spectrum {prob} --min 0.5 --max 10 --format csv --out {prob}",
+        "verify {prob} {pert} --pipeline --min 0.5 --max 10 --out {prob}",
+        "verify {prob} {prob} --min 0.5 --max 10 --out {prob}",
+    ], ids=["spectrum", "spectrum-csv", "verify-pipeline", "verify-two-problem"])
+    def test_unwritable_out_prints_nothing(self, scalar_files, capsys, argv):
+        # the results are computed, but none reach stdout when --out fails
+        prob, pert = scalar_files
+        assert main(argv.format(prob=prob, pert=pert).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 17] File exists")
 
 
 class TestExample:

@@ -133,7 +133,9 @@ class TestStepKernel:
         rng = np.random.default_rng(10 + n_dim)
         y0, yp0 = rng.normal(size=(n_dim, n_dim)), rng.normal(size=(n_dim, n_dim))
         tables = potential_tables(pot, grid)
-        assert tables.shape == (grid.n - 1, 5, 2 * n_dim, 2 * n_dim)
+        steps, pairs = tables
+        assert steps.shape == (grid.n - 1, 3, 2 * n_dim, 2 * n_dim)
+        assert pairs.shape == (grid.n // 2, 5, 2 * n_dim, 2 * n_dim)
         lams = np.array([-4.0, 0.3, 17.0])
         y_tree, yp_tree = integrate_final_batch(pot, lams, y0, yp0, grid, tables)
         for k, lam in enumerate(lams):
@@ -156,6 +158,64 @@ class TestStepKernel:
             scale = max(np.max(np.abs(y_one)), np.max(np.abs(yp_one)))
             assert np.max(np.abs(y_all[k] - y_one[0])) <= 1e-13 * scale
             assert np.max(np.abs(yp_all[k] - yp_one[0])) <= 1e-13 * scale
+
+
+def single_step_fold(tables, lams, y0, yp0):
+    """Endpoint z = (Y, Y') and dz/dlam folded one RK4 step at a time."""
+    steps, dsteps = ode._step_matrices(tables[0], lams, derivative=True)
+    z = np.broadcast_to(np.concatenate((y0, yp0)), (lams.size, 2 * len(y0), len(y0)))
+    dz = np.zeros_like(z)
+    for t, dt in zip(steps, dsteps):
+        z, dz = t @ z, dt @ z + t @ dz
+    return z, dz
+
+
+class TestPairLeaves:
+    """The endpoint tree multiplies precomputed products of step pairs."""
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    def test_pair_tree_matches_single_step_fold(self, n_dim):
+        pot, grid = random_grid_potential(n_dim, 401, seed=30 + n_dim)
+        rng = np.random.default_rng(n_dim)
+        y0, yp0 = rng.normal(size=(n_dim, n_dim)), rng.normal(size=(n_dim, n_dim))
+        tables = potential_tables(pot, grid)
+        lams = np.array([-1e4, -5.0, 20.0, 2600.0, 4e4])
+        y, yp, dy, dyp = integrate_final_batch(pot, lams, y0, yp0, grid, tables, derivative=True)
+        y_path, yp_path = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        z_ref, dz_ref = single_step_fold(tables, lams, y0, yp0)
+        for k in range(lams.size):
+            assert np.array_equal(z_ref[k], np.concatenate((y_path[k, -1], yp_path[k, -1])))
+            scale, dscale = np.max(np.abs(z_ref[k])), np.max(np.abs(dz_ref[k]))
+            assert np.max(np.abs(np.concatenate((y[k], yp[k])) - z_ref[k])) <= 1e-12 * scale
+            assert np.max(np.abs(np.concatenate((dy[k], dyp[k])) - dz_ref[k])) <= 1e-12 * dscale
+
+    def test_odd_step_count_matches_reference(self):
+        # an even node count leaves the last step as a leaf of its own
+        pot, grid = random_grid_potential(2, 200, seed=3)
+        steps, pairs = potential_tables(pot, grid)
+        assert steps.shape[0] == 199 and pairs.shape[0] == 100
+        assert np.array_equal(pairs[-1, :3], steps[-1]) and not pairs[-1, 3:].any()
+        y0, yp0 = np.eye(2), np.array([[0.5, 1.0], [1.0, -2.0]])
+        lams = np.array([-4.0, 0.3, 17.0])
+        y, yp = integrate_final_batch(pot, lams, y0, yp0, grid)
+        for k, lam in enumerate(lams):
+            y_ref, yp_ref = rk4_reference(pot, lam, y0, yp0, grid)
+            scale = max(np.max(np.abs(y_ref)), np.max(np.abs(yp_ref)))
+            assert np.max(np.abs(y[k] - y_ref)) <= 1e-12 * scale
+            assert np.max(np.abs(yp[k] - yp_ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_tree_chunks_do_not_change_endpoints(self, monkeypatch, derivative):
+        # a small budget evaluates the leaves a few lambdas at a time, down
+        # to one lambda per chunk; every endpoint stays bit-identical
+        pot, grid = random_grid_potential(4, 401, seed=12)
+        y0, yp0 = np.zeros((4, 4)), -np.eye(4)
+        lams = np.linspace(-30.0, 400.0, 37)
+        whole = integrate_final_batch(pot, lams, y0, yp0, grid, derivative=derivative)
+        for budget in (1, 3 * 200 * 64 * 8):
+            monkeypatch.setattr(ode, "_TREE_BYTES", budget)
+            chunked = integrate_final_batch(pot, lams, y0, yp0, grid, derivative=derivative)
+            assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 class TestBatchedPath:
