@@ -2,14 +2,16 @@
 
 lambda is an eigenvalue iff W(lambda) = cB Y'(pi; lambda) + cA Y(pi; lambda)
 is singular, where Y solves the matrix IVP with Y(0) = B^T, Y'(0) = -A^T.
-Multiplicity equals the nullity of W. Roots are located as minima of
-sigma_min(W(lambda)): determinant sign changes miss even-multiplicity
-eigenvalues, which are exactly the interesting case here. Each bracketed
-minimum is refined by Newton's method on W itself (successive linear
-problems, Ruhe 1973), which converges quadratically at simple and at
-semi-simple multiple eigenvalues alike. A bracket where Newton fails is
-dropped; the eigenvalue count of an independent finite-difference oracle
-flags any eigenvalue lost that way.
+Multiplicity equals the nullity of W. Under RK4, W is a polynomial in lambda
+(of degree 2(n-1)), so on a window it is resolved to rounding by a Chebyshev
+interpolant of low degree, and the real roots of that matrix polynomial come
+from one block colleague pencil (Effenberger & Kressner, BIT 52, 2012): a
+root of any multiplicity is found, where determinant sign changes miss the
+even-multiplicity ones. Each pencil root starts Newton's method on W itself
+(successive linear problems, Ruhe 1973), which converges quadratically at
+simple and at semi-simple multiple eigenvalues alike. A start where Newton
+fails is dropped; the eigenvalue count of an independent finite-difference
+oracle flags any eigenvalue lost that way.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
@@ -24,8 +27,6 @@ from .model import RANK_RTOL, BoundaryPair, Grid, Problem
 from .ode import integrate_final_batch, integrate_ivp, potential_tables
 from .quadrature import integral
 
-#: lambda spacing of the sigma_min sweep, unless the oracle gap asks for less
-SCAN_CELL = 0.05
 #: node count of the finite-difference oracle grid
 ORACLE_NODES = 201
 
@@ -106,10 +107,14 @@ def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bo
     return w, p.right.B @ ends[3] + p.right.A @ ends[2]
 
 
-def _sigma_batch(p, lams, grid, tables):
-    w = _char_batch(p, np.asarray(lams, dtype=float), grid, tables)
-    s = np.linalg.svd(w, compute_uv=False)
-    return s[:, -1], s[:, 0]
+def _local_scales(p, lams, s1, grid, tables) -> np.ndarray:
+    """Scale of W for the rank decision at each of lams: the max of sigma_1
+    at lam (given as s1) and at lam +/- 0.25. sigma_1(W(lam)) itself
+    vanishes at eigenvalues of full multiplicity N."""
+    lams = np.asarray(lams, dtype=float)
+    w = _char_batch(p, np.concatenate([lams - 0.25, lams + 0.25]), grid, tables)
+    probes = np.linalg.svd(w, compute_uv=False)[:, 0].reshape(2, lams.size)
+    return np.maximum(s1, probes.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,40 +206,172 @@ def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray
     return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
 
 
-def _cluster(values: np.ndarray, tol_fn) -> list[float]:
-    """Representatives of groups of near-equal sorted values."""
-    reps: list[float] = []
-    for v in values:
-        if reps and abs(v - reps[-1]) <= tol_fn(v):
-            continue
-        reps.append(float(v))
-    return reps
+# ---------------------------------------------------------------------------
+# root location: Chebyshev interpolants of W and their colleague pencils
+
+#: largest change of the size of W across one piece, a factor of 1e5: with the
+#: series chopped at _CHOP_RTOL of its largest coefficient, W stays resolved to
+#: about 1e-8 of its local size everywhere on the piece
+_ENVELOPE_RANGE = 1e5
+#: change of the growth exponent pi sqrt(pmin - lambda) across one piece below pmin
+_ENVELOPE_STEP = np.log(_ENVELOPE_RANGE)
+#: first sampling degree of a piece; doubling it reuses every earlier sample
+_FIRST_DEGREE = 8
+#: trailing Chebyshev coefficients below this fraction of the largest are chopped
+_CHOP_RTOL = 1e-13
+#: pencil dimension N d that caps the degree at max(_FIRST_DEGREE, _MAX_PENCIL // N);
+#: bigger QZ solves cost more than the samples that splitting a piece takes
+_MAX_PENCIL = 96
+#: least half-width of the interval W is interpolated on, in units of
+#: sqrt(max(|lambda - pmin|, 1)): the phase (or growth exponent)
+#: pi sqrt(|lambda - pmin|) of W moves by about +/- 0.16 across it, so W varies
+#: on the scale of its size there, far above the rounding of its evaluation
+_MIN_HALF_WIDTH = 0.1
+#: a pencil root x counts as real when |Im x| is at most this, and inside its
+#: piece when it lies within this many half-widths of it
+_ROOT_SLACK = 1e-6
+
+
+def _envelope_pieces(pmin: float, lambda_min: float, lambda_max: float) -> np.ndarray:
+    """Edges of the pieces that [lambda_min, lambda_max] is cut into a priori.
+
+    Below pmin, the smallest eigenvalue of P over the grid nodes, every
+    channel of W grows at most like exp(pi sqrt(pmin - lambda)). The cuts
+    split that exponent into equal steps of at most _ENVELOPE_STEP, so each
+    piece spans a bounded dynamic range of W and its interpolant resolves
+    the small values near roots. Above pmin, W oscillates with slowly varying
+    amplitude and is not cut.
+    """
+    e_lo, e_hi = (np.pi * np.sqrt(max(pmin - lam, 0.0)) for lam in (lambda_min, lambda_max))
+    steps = int(np.ceil((e_lo - e_hi) / _ENVELOPE_STEP))
+    cuts = pmin - (np.linspace(e_lo, e_hi, steps + 1)[1:-1] / np.pi) ** 2
+    return np.concatenate([[lambda_min], cuts, [lambda_max]])
+
+
+def _chebyshev_coeffs(values: np.ndarray) -> np.ndarray:
+    """Coefficients C_k of sum_k C_k T_k(x) interpolating values (d+1, N, N)
+    taken at the Chebyshev points of the second kind x_j = cos(j pi / d)."""
+    d = values.shape[0] - 1
+    c = scipy.fft.dct(values, type=1, axis=0) / d
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _chopped_degree(c: np.ndarray) -> int | None:
+    """Degree of the series c after chopping, or None if it is not resolved.
+
+    Coefficients below _CHOP_RTOL times the largest are negligible; the
+    series is resolved when its last max(2, d/8) coefficients all are.
+    """
+    d = c.shape[0] - 1
+    norms = np.max(np.abs(c), axis=(1, 2))
+    big = np.flatnonzero(norms > _CHOP_RTOL * norms.max())
+    top = int(big[-1]) if big.size else 0
+    return max(top, 2) if top <= d - max(2, d // 8) else None
+
+
+def _colleague_roots(c: np.ndarray) -> np.ndarray:
+    """Real roots of the matrix polynomial sum_k C_k T_k(x), d >= 2, ascending.
+
+    With u_k = T_k(x) v, the block colleague pencil A - x B encodes
+    x u_0 = u_1, x u_k = (u_{k+1} + u_{k-1}) / 2 for 0 < k < d-1, and, with
+    C_d u_d eliminated by P(x) v = 0, 2 C_d x u_{d-1} = C_d u_{d-2} -
+    sum_{k<d} C_k u_k. Finite roots within _ROOT_SLACK of the real axis count.
+    """
+    d, n = c.shape[0] - 1, c.shape[1]
+    c = c / np.max(np.abs(c))
+    a = np.zeros((d, n, d, n))
+    b = np.zeros((d, n, d, n))
+    k = np.arange(d)
+    b[k, :, k, :] = np.eye(n)
+    a[0, :, 1, :] = np.eye(n)
+    a[k[1:-1], :, k[:-2], :] = 0.5 * np.eye(n)
+    a[k[1:-1], :, k[2:], :] = 0.5 * np.eye(n)
+    a[-1] = -c[:-1].transpose(1, 0, 2)
+    a[-1, :, -2, :] += c[-1]
+    b[-1, :, -1, :] = 2.0 * c[-1]
+    x = scipy.linalg.eigvals(a.reshape(d * n, d * n), b.reshape(d * n, d * n))
+    x = x[np.isfinite(x)]
+    return np.sort(x[np.abs(x.imag) <= _ROOT_SLACK].real)
+
+
+def _piece_roots(p: Problem, lo: float, hi: float, pmin: float, grid: Grid,
+                 tables) -> np.ndarray:
+    """Estimates of the real roots of W on [lo, hi], ascending.
+
+    W is interpolated on [lo, hi], widened about its midpoint mid to the
+    half-width _MIN_HALF_WIDTH sqrt(max(|mid - pmin|, 1)) if it is narrower:
+    on a narrower interval around a root, the variation of W sinks toward
+    the rounding of its evaluation and no degree resolves it. W is sampled
+    at Chebyshev points of the second kind, doubling the degree from
+    _FIRST_DEGREE while it is below the largest pencil degree,
+    max(_FIRST_DEGREE, _MAX_PENCIL // N). Once the chopped series is
+    resolved within that degree and the largest samples of W on the two
+    halves of the interval differ by at most _ENVELOPE_RANGE, its colleague
+    pencil gives the roots. Otherwise [lo, hi] is bisected: the size of W
+    can change fast where no a priori cut foresees it, as under the
+    numerical damping of RK4 at large lambda h^2.
+
+    Raises WindowTooCoarse if W is not resolved on an interval of the least
+    half-width, where rounding dominates its samples: RK4 near its stability
+    limit (lambda h^2 ~ 8), or W a small difference of large terms.
+    """
+    mid = 0.5 * (lo + hi)
+    least = _MIN_HALF_WIDTH * np.sqrt(max(abs(mid - pmin), 1.0))
+    half = max(0.5 * (hi - lo), least)
+    top = max(_FIRST_DEGREE, _MAX_PENCIL // p.n)
+    d = _FIRST_DEGREE
+    w = _char_batch(p, mid + half * np.cos(np.pi * np.arange(d + 1) / d), grid, tables)
+    while True:
+        c = _chebyshev_coeffs(w)
+        chop = _chopped_degree(c)
+        resolved = chop is not None and chop <= top
+        if resolved or d >= top:
+            break
+        odd = _char_batch(p, mid + half * np.cos(np.pi * np.arange(1, 2 * d, 2) / (2 * d)),
+                          grid, tables)
+        both = np.empty((2 * d + 1,) + w.shape[1:])
+        both[0::2], both[1::2] = w, odd
+        w, d = both, 2 * d
+    size = np.max(np.abs(w), axis=(1, 2))        # samples run from x = 1 to x = -1
+    upper, lower = size[:d // 2 + 1].max(), size[d // 2:].max()
+    even = max(upper, lower) <= _ENVELOPE_RANGE * min(upper, lower)
+    if resolved and (even or half == least):
+        lams = mid + half * _colleague_roots(c[:chop + 1])
+        slack = _ROOT_SLACK * half
+        return lams[(lams >= lo - slack) & (lams <= hi + slack)]
+    if half == least:
+        raise WindowTooCoarse(
+            f"W is not resolved at degree {d} on [{mid - half:.9g}, {mid + half:.9g}]: "
+            f"rounding dominates it there; refine the grid or move the window")
+    return np.concatenate([_piece_roots(p, lo, mid, pmin, grid, tables),
+                           _piece_roots(p, mid, hi, pmin, grid, tables)])
 
 
 # ---------------------------------------------------------------------------
 # refinement
 
-#: Newton passes a bracket gets before it is dropped
+#: Newton passes a start gets before it is dropped
 _NEWTON_PASSES = 8
 #: dW/dlambda counts as singular below this relative smallest singular value
 _SINGULAR_RTOL = 1e-13
 
 
-def _newton_refine(p: Problem, a: np.ndarray, b: np.ndarray, grid: Grid, tables,
+def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid, tables,
                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Newton iteration on W(lambda) over the brackets [a, b].
+    """Batched Newton iteration on W(lambda) from starts, each within its radius.
 
     Each pass solves W(lam) v = mu W'(lam) v and steps lam <- lam - mu with mu
-    the eigenvalue of smallest modulus, starting from the bracket midpoints.
-    Near an eigenvalue lam_k of multiplicity m, W(lam) ~ (lam - lam_k) W'(lam)
-    on the m-dimensional null space, so mu ~ lam - lam_k and convergence is
-    quadratic even at semi-simple multiple eigenvalues. A bracket converges
-    when |mu| <= tol; it fails when its iterate leaves [a, b], W' is singular
-    there, or it has not converged within _NEWTON_PASSES passes.
+    the eigenvalue of smallest modulus. Near an eigenvalue lam_k of
+    multiplicity m, W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null
+    space, so mu ~ lam - lam_k and convergence is quadratic even at
+    semi-simple multiple eigenvalues. A start converges when |mu| <= tol; it
+    fails when its iterate moves farther than its radius from the start, W'
+    is singular there, or it has not converged within _NEWTON_PASSES passes.
 
-    Returns the iterates and a mask of the brackets that converged.
+    Returns the iterates and a mask of the starts that converged.
     """
-    lam = 0.5 * (a + b)
+    lam = np.array(starts, dtype=float)
     active = np.ones(lam.size, dtype=bool)
     converged = np.zeros(lam.size, dtype=bool)
     for _ in range(_NEWTON_PASSES):
@@ -251,7 +388,7 @@ def _newton_refine(p: Problem, a: np.ndarray, b: np.ndarray, grid: Grid, tables,
         mus = np.linalg.eigvals(np.linalg.solve(dw, w))
         mu = mus[np.arange(idx.size), np.argmin(np.abs(mus), axis=1)].real
         step = lam[idx] - mu
-        inside = (step >= a[idx]) & (step <= b[idx])
+        inside = np.abs(step - starts[idx]) <= radius[idx]
         active[idx[~inside]] = False
         idx, step, mu = idx[inside], step[inside], mu[inside]
         lam[idx] = step
@@ -308,46 +445,61 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid,
                rank_tol: float = ScanOptions.rank_tol) -> Eigenpair:
     """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
-    The rank decision compares singular values against rank_tol times a local
-    scale of W. sigma_1(W(lam_k)) itself vanishes at full-multiplicity
-    eigenvalues, so the scale is taken as max of sigma_1 at lam_k and at
-    lam_k +/- 0.25.
+    The rank decision compares singular values against rank_tol times the
+    local scale of W of :func:`_local_scales`, the rule the scan uses.
+    Raises ValueError unless 0 < rank_tol < 1.
     """
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must satisfy 0 < rank_tol < 1, got {rank_tol}")
     tables = potential_tables(p.potential, grid)
     _, svals, vt = np.linalg.svd(_char_batch(p, [lam_k], grid, tables))
-    _, s1 = _sigma_batch(p, [lam_k - 0.25, lam_k + 0.25], grid, tables)
-    scale = max(float(svals[0, 0]), float(np.max(s1)))
-    return _eigenpairs(p, [lam_k], [scale], grid, rank_tol, tables, (svals, vt))[0]
+    scales = _local_scales(p, [lam_k], svals[:, 0], grid, tables)
+    return _eigenpairs(p, [lam_k], scales, grid, rank_tol, tables, (svals, vt))[0]
 
 
 # ---------------------------------------------------------------------------
 # spectrum scan
 
+def _first_of_runs(values: np.ndarray, rtol: float) -> np.ndarray:
+    """Mask keeping each sorted value that lies more than rtol (1 + |value|)
+    above the last value kept."""
+    keep = np.zeros(values.size, dtype=bool)
+    last = -np.inf
+    for k, v in enumerate(values):
+        if v - last > rtol * (1.0 + abs(v)):
+            keep[k], last = True, v
+    return keep
+
+
 def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                   opts: ScanOptions = ScanOptions()) -> SpectrumReport:
     """All eigenvalues in [lambda_min, lambda_max] with multiplicities.
 
-    One path: the finite-difference oracle sets the sweep cell (SCAN_CELL,
-    or a third of the smallest oracle eigenvalue gap if that is smaller);
-    sigma_min(W) is sampled on that lambda grid and each interior local
-    minimum is bracketed; Newton's method on W refines every bracket until
-    its step is at most opts.tol, and a bracket where it does not converge
-    is dropped; a root is accepted iff it lies in the window and sigma_min
-    falls below rank_tol times the local scale of W, and the one SVD of W
-    per root that decides this also gives the eigenspace bases of all
-    accepted roots (:func:`_eigenpairs`); finally the oracle's
-    count of eigenvalues away from the window edges must not exceed the
-    multiplicities found.
+    One path. The window is cut into pieces of bounded dynamic range of W
+    (:func:`_envelope_pieces`), and the colleague pencil of a chopped
+    Chebyshev interpolant of W on each piece gives root estimates
+    (:func:`_piece_roots`). Estimates closer than the merge tolerance
+    max(100 opts.tol, 1e-8) (1 + |lambda|) are one start; Newton's method on
+    W refines each start until its step is at most opts.tol, within half
+    the gap to the nearest other start plus the merge tolerance, and a start
+    where it does not converge is dropped. Converged roots in the window are
+    merged with the same tolerance. A root is accepted iff sigma_min(W)
+    falls below rank_tol times the local scale of W (:func:`_local_scales`),
+    and the one SVD of W per root that decides this also gives the
+    eigenspace bases of all accepted roots (:func:`_eigenpairs`). Finally
+    the finite-difference oracle's count of eigenvalues away from the
+    window edges must not exceed the multiplicities found.
 
     Raises
     ------
     ValueError
         If the window is not finite with lambda_min < lambda_max.
     WindowTooCoarse
-        If the oracle eigenvalue gap is below the resolvable scale, two
-        accepted eigenvalues lie inside one sweep cell, or the oracle
-        predicts more interior eigenvalues than were found (one the sweep
-        skipped, or whose bracket Newton dropped).
+        If the oracle predicts more interior eigenvalues than were found
+        (one whose start Newton dropped, or that no pencil found), or W is
+        not resolved on a piece of the least width (:func:`_piece_roots`).
+    NonFiniteState
+        If W overflows at some sampled lambda.
     """
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
         raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
@@ -356,62 +508,33 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     h_o = np.pi / (ORACLE_NODES - 1)
     all_oracle = fd_oracle_eigenvalues(p, ORACLE_NODES)
     oracle_vals = all_oracle[(all_oracle >= lambda_min) & (all_oracle <= lambda_max)]
-    reps = _cluster(oracle_vals, lambda v: max(1e-3, h_o**2 * (1.0 + v * v)))
-    resolution = SCAN_CELL
-    if len(reps) >= 2:
-        gap = float(np.min(np.diff(reps)))
-        floor = max(1e-4, 16 * opts.tol)
-        if gap / 3.0 < floor:
-            raise WindowTooCoarse(
-                f"oracle eigenvalue gap {gap:.3e} is below the resolvable scale"
-            )
-        resolution = min(resolution, gap / 3.0)
 
     tables = potential_tables(p.potential, grid)
-    n_samples = int(np.ceil((lambda_max - lambda_min) / resolution)) + 1
-    lams = np.linspace(lambda_min, lambda_max, max(n_samples, 3))
-    cell = lams[1] - lams[0]
-    # one extra sample past each edge makes a minimum at an edge interior, so
-    # every bracket straddles its minimum and no root-free edge bracket exists
-    lams = np.concatenate([[lambda_min - cell], lams, [lambda_max + cell]])
-    smin, s1 = _sigma_batch(p, lams, grid, tables)
-
-    i = np.where((smin[1:-1] <= smin[:-2]) & (smin[1:-1] <= smin[2:]))[0] + 1
-    found: list[tuple[float, float, int]] = []   # (lambda, scale, index into roots)
-    if i.size:
-        roots, converged = _newton_refine(p, lams[i - 1], lams[i + 1], grid, tables, opts.tol)
-        roots = roots[converged]
-        bscale = np.max([s1[i - 1], s1[i], s1[i + 1]], axis=0)[converged]
-        # one W and one full SVD per root serve the rank test and the eigenbasis
-        _, rsvals, rvt = np.linalg.svd(_char_batch(p, roots, grid, tables))
-        for k, (lam, sv, sc) in enumerate(zip(roots, rsvals, bscale)):
-            scale = max(sv[0], sc)
-            if lambda_min <= lam <= lambda_max and scale > 0 and sv[-1] <= opts.rank_tol * scale:
-                found.append((float(lam), float(scale), k))
-
-    found.sort()
-    merged: list[tuple[float, float, int]] = []
-    for lam, sc, k in found:
-        merge_tol = max(100 * opts.tol, 1e-8) * (1.0 + abs(lam))
-        if merged and lam - merged[-1][0] <= merge_tol:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], sc), merged[-1][2])
-            continue
-        merged.append((lam, sc, k))
-
-    for (la, _, _), (lb, _, _) in zip(merged, merged[1:]):
-        if lb - la < cell:
-            raise WindowTooCoarse(
-                f"eigenvalues {la:.6g} and {lb:.6g} lie inside one sweep cell "
-                f"({cell:.3g}); the sweep cannot separate them"
-            )
+    pmin = float(np.min(np.linalg.eigvalsh(p.potential.evaluate_many(grid.nodes))))
+    edges = _envelope_pieces(pmin, lambda_min, lambda_max)
+    starts = np.sort(np.concatenate([_piece_roots(p, lo, hi, pmin, grid, tables)
+                                     for lo, hi in zip(edges, edges[1:])]))
+    merge_rtol = max(100 * opts.tol, 1e-8)
+    starts = starts[_first_of_runs(starts, merge_rtol)]
+    # a lone start may move across the whole window
+    far = 2.0 * (lambda_max - lambda_min)
+    gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
+    radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + merge_rtol * (1.0 + np.abs(starts))
+    roots, converged = _newton_refine(p, starts, radius, grid, tables, opts.tol)
+    roots = np.sort(roots[converged & (roots >= lambda_min) & (roots <= lambda_max)])
+    roots = roots[_first_of_runs(roots, merge_rtol)]
 
     pairs = []
-    if merged:
-        keep = [k for _, _, k in merged]
-        pairs = _eigenpairs(p, [lam for lam, _, _ in merged], [sc for _, sc, _ in merged],
-                            grid, opts.rank_tol, tables, (rsvals[keep], rvt[keep]))
+    if roots.size:
+        # one W and one full SVD per root serve the rank test and the eigenbasis
+        _, svals, vt = np.linalg.svd(_char_batch(p, roots, grid, tables))
+        scales = _local_scales(p, roots, svals[:, 0], grid, tables)
+        ok = (scales > 0) & (svals[:, -1] <= opts.rank_tol * scales)
+        if ok.any():
+            pairs = _eigenpairs(p, roots[ok], scales[ok], grid, opts.rank_tol, tables,
+                                (svals[ok], vt[ok]))
 
-    margin = lambda v: cell + 0.1 + 2 * h_o**2 * (1.0 + v * v)
+    margin = lambda v: 0.15 + 2 * h_o**2 * (1.0 + v * v)
     interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)
                                  for v in oracle_vals]))
     found_count = sum(q.multiplicity for q in pairs)

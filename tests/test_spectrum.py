@@ -46,6 +46,17 @@ def dense_lumped_fem_eigenvalues(p, n_nodes):
     return scipy.linalg.eigvalsh(t.T @ k @ t, t.T @ (np.repeat(mass, n)[:, None] * t))
 
 
+def cos3_diagonal(n_dim):
+    """P = diag(d_j + j cos 3x), j = 1..N, d = linspace(-3, 1.5, N), Dirichlet ends."""
+    grid = iso.Grid.uniform(401)
+    d = np.linspace(-3.0, 1.5, n_dim)
+    j = np.arange(1, n_dim + 1)
+    samples = np.zeros((grid.n, n_dim, n_dim))
+    samples[:, j - 1, j - 1] = d + j * np.cos(3 * grid.nodes)[:, None]
+    dirichlet = iso.BoundaryPair(np.eye(n_dim), np.zeros((n_dim, n_dim)))
+    return iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+
+
 def dirichlet_2x2(p11, p22):
     return iso.Problem(iso.ConstantDiagonalPotential([p11, p22]),
                        iso.BoundaryPair(np.eye(2), np.zeros((2, 2))),
@@ -128,9 +139,14 @@ class TestScan:
         assert lams == [0.98, 1.0, 3.98, 4.0]
         assert all(p.multiplicity == 1 for p in report.pairs)
 
-    def test_unresolvable_gap_raises(self):
-        with pytest.raises(WindowTooCoarse):
-            iso.scan_spectrum(dirichlet_2x2(-1e-5, 0.0), 0.5, 2.0)
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_near_double_roots_are_two_simple_roots(self, delta):
+        # two simple roots delta apart, not one double root
+        report = iso.scan_spectrum(dirichlet_2x2(-delta, 0.0), 0.5, 2.0)
+        assert [p.multiplicity for p in report.pairs] == [1, 1]
+        lams = np.array([p.lam for p in report.pairs])
+        assert np.max(np.abs(lams - [1.0 - delta, 1.0])) <= 1e-9
+        assert abs(lams[1] - lams[0] - delta) <= 1e-12
 
     def test_multiplicity_capped_by_dimension(self, paper_report):
         assert all(p.multiplicity <= 2 for p in paper_report.pairs)
@@ -156,34 +172,64 @@ class TestScan:
         double = report.pairs[oracles.pair_index(report, 1.0)]
         assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
 
-    def test_every_paper_bracket_converges_by_newton(self, paper, paper_report, monkeypatch):
-        # sigma_min falls toward the root at 22 across the upper edge 20; the
-        # sweep past the edge keeps that slope out of the brackets
-        masks = []
+    def test_every_paper_pencil_start_converges_by_newton(self, paper, paper_report, monkeypatch):
+        # the root at 22 lies past the upper edge 20; no pencil start leads there
+        calls = []
         newton = spectrum._newton_refine
 
-        def recording(*args):
-            lam, converged = newton(*args)
-            masks.append(converged.copy())
+        def recording(p, starts, radius, *args):
+            lam, converged = newton(p, starts, radius, *args)
+            calls.append((starts.copy(), radius.copy(), converged.copy()))
             return lam, converged
 
         monkeypatch.setattr(spectrum, "_newton_refine", recording)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
-        assert len(masks) == 1 and masks[0].size == len(report.pairs)
-        assert masks[0].all()
+        assert len(calls) == 1
+        starts, radius, converged = calls[0]
+        assert starts.size == len(report.pairs) and converged.all()
+        assert np.all(np.diff(starts) > 0) and np.all(radius > 0)
         assert max(p.lam for p in report.pairs) < 17.0
         assert np.array_equal(report.sigma_sequence, paper_report.sigma_sequence)
 
     def test_dropped_brackets_fail_the_oracle_count(self, paper, monkeypatch):
-        # with no Newton pass every bracket is dropped; the scan must refuse
+        # with no Newton pass every start is dropped; the scan must refuse
         # rather than return a short spectrum
         monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 0)
         with pytest.raises(WindowTooCoarse, match="oracle predicts 8"):
             iso.scan_spectrum(paper, -5.0, 20.0)
 
+    def test_roots_failing_the_rank_test_fail_the_oracle_count(self, paper):
+        # every Newton root is rejected; the scan must refuse, not crash
+        with pytest.raises(WindowTooCoarse, match="oracle predicts 8"):
+            iso.scan_spectrum(paper, -5.0, 20.0, iso.ScanOptions(rank_tol=1e-300))
+
+    def test_unresolvable_piece_raises(self, scalar):
+        # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at
+        # any degree; bisection stops at the least interpolation width
+        with pytest.raises(WindowTooCoarse, match="not resolved"):
+            iso.scan_spectrum(scalar, 1.2e5, 1.4e5)
+
+    def test_damped_high_window_equals_its_halves(self, scalar):
+        # RK4 damps W by about 1e-22 across [6e4, 7e4] at 401 nodes; a piece
+        # whose halves differ in size by more than 1e5 is bisected
+        whole = [p.lam for p in iso.scan_spectrum(scalar, 6e4, 7e4).pairs]
+        halves = [p.lam for lo, hi in ((6e4, 6.4e4), (6.4e4, 7e4))
+                  for p in iso.scan_spectrum(scalar, lo, hi).pairs]
+        assert len(whole) == len(halves) == 27
+        assert np.max(np.abs(np.subtract(whole, halves))) <= 1e-8
+
+    @pytest.mark.parametrize("width", [1.0, 1e-4, 1e-7])
+    def test_narrow_window_at_high_root(self, scalar, width):
+        # W is interpolated on at least a fixed fraction of its oscillation,
+        # so its variation stays far above rounding however narrow the window
+        root = iso.scan_spectrum(scalar, 2490.0, 2510.0).pairs[0].lam
+        report = iso.scan_spectrum(scalar, root - width, root + width)
+        assert [p.multiplicity for p in report.pairs] == [1]
+        assert abs(report.pairs[0].lam - root) <= 1e-9
+
     def test_scalar_squares_up_to_400(self, scalar):
-        # above lambda ~ 70 the oracle's O(h^2 lambda^2) drift exceeds two sweep
-        # cells, so only the sweep locates roots; it finds exactly k^2, each simple
+        # above lambda ~ 70 the oracle's O(h^2 lambda^2) drift exceeds its
+        # margin, so only the pencil locates roots; it finds exactly k^2, each simple
         report = iso.scan_spectrum(scalar, 0.5, 410.0)
         assert [p.multiplicity for p in report.pairs] == [1] * 20
         exact = np.arange(1, 21) ** 2
@@ -201,6 +247,24 @@ class TestScan:
         obj = scalar_report.to_json_obj()
         assert [round(r["lambda"]) for r in obj] == [1, 4, 9]
         assert all(set(r) == {"lambda", "multiplicity", "residual"} for r in obj)
+
+    def test_wide_negative_window_same_spectrum(self, paper, paper_report):
+        # W grows by exp(pi sqrt(997)) across [-1000, -3]; the envelope pieces
+        # keep the roots near -2 resolved
+        report = iso.scan_spectrum(paper, -1000.0, 20.0)
+        assert [p.multiplicity for p in report.pairs] == [p.multiplicity for p in paper_report.pairs]
+        lams = np.array([p.lam for p in report.pairs])
+        assert np.max(np.abs(lams - [p.lam for p in paper_report.pairs])) <= 1e-9
+
+    @pytest.mark.parametrize("n_dim", [4, 8])
+    def test_oscillating_diagonal_problem_scans_fully(self, n_dim):
+        # at N = 4 the eigenvalue near 1.27 sits 0.2 above one at 1.069 whose
+        # slowly rising sigma_min hides its narrow dip from sampling
+        report = iso.scan_spectrum(cos3_diagonal(n_dim), -5.0, 60.0)
+        assert [p.multiplicity for p in report.pairs] == [1] * (7 * n_dim)
+        if n_dim == 4:
+            lams = np.array([p.lam for p in report.pairs])
+            assert np.sum(np.abs(lams - 1.17) < 0.15) == 2
 
 
 class TestEigenbasis:
@@ -254,8 +318,55 @@ class TestEigenbasis:
         with pytest.raises(NotAnEigenvalue):
             iso.eigenbasis(paper, 2.0, iso.Grid.uniform(401))
 
+    @pytest.mark.parametrize("rank_tol", [1e3, 1.0, 0.0, -1.0, float("nan")])
+    def test_bad_rank_tol_is_a_value_error(self, paper, rank_tol):
+        # 1e3 counted every singular value: multiplicity 2 at the simple -2
+        with pytest.raises(ValueError, match="rank_tol"):
+            iso.eigenbasis(paper, -1.9999999999365838, iso.Grid.uniform(401), rank_tol=rank_tol)
+
     def test_residual_small_at_eigenvalue(self, paper_report):
         assert all(p.residual < 1e-7 for p in paper_report.pairs)
+
+
+class TestChebyshevRoots:
+    def test_coefficients_of_a_matrix_polynomial(self):
+        # diag(T_3 - 0.5 T_1, 2 T_0 + T_2) sampled at degree 8 points
+        x = np.cos(np.pi * np.arange(9) / 8)
+        values = np.zeros((9, 2, 2))
+        values[:, 0, 0] = 4 * x**3 - 3 * x - 0.5 * x
+        values[:, 1, 1] = 2 + (2 * x**2 - 1)
+        c = spectrum._chebyshev_coeffs(values)
+        expect = np.zeros((9, 2, 2))
+        expect[3, 0, 0], expect[1, 0, 0] = 1.0, -0.5
+        expect[0, 1, 1], expect[2, 1, 1] = 2.0, 1.0
+        assert np.max(np.abs(c - expect)) <= 1e-15
+        assert spectrum._chopped_degree(c) == 3
+
+    def test_unresolved_series_is_not_chopped(self):
+        x = np.cos(np.pi * np.arange(9) / 8)
+        c = spectrum._chebyshev_coeffs(np.cos(20 * x)[:, None, None])
+        assert spectrum._chopped_degree(c) is None
+
+    def test_colleague_roots_of_coupled_polynomial(self):
+        # P(x) = R diag((x - 0.3)(x + 0.5), (x - 0.3)(x - 2)) R^T: a double
+        # root at 0.3 and simple ones at -0.5 and 2
+        x = np.cos(np.pi * np.arange(9) / 8)
+        rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+        diag = np.zeros((9, 2, 2))
+        diag[:, 0, 0] = (x - 0.3) * (x + 0.5)
+        diag[:, 1, 1] = (x - 0.3) * (x - 2.0)
+        c = spectrum._chebyshev_coeffs(rot @ diag @ rot.T)
+        roots = spectrum._colleague_roots(c[:spectrum._chopped_degree(c) + 1])
+        assert np.max(np.abs(roots - [-0.5, 0.3, 0.3, 2.0])) <= 1e-12
+
+    def test_envelope_pieces_bound_the_growth_exponent(self):
+        edges = spectrum._envelope_pieces(-3.0, -1000.0, 20.0)
+        assert edges[0] == -1000.0 and edges[-1] == 20.0
+        exponent = np.pi * np.sqrt(np.maximum(-3.0 - edges, 0.0))
+        assert np.all(np.diff(edges) > 0)
+        assert np.all(-np.diff(exponent) <= np.log(1e5) + 1e-9)
+        assert edges[-2] < -3.0
+        assert np.array_equal(spectrum._envelope_pieces(-3.0, -5.0, 20.0), [-5.0, 20.0])
 
 
 class TestOracle:
