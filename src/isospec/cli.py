@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 
 def _scan_options(args) -> ScanOptions:
     """The scan settings of the common flags, with --tol capped at 1e-8."""
-    return ScanOptions(tol=min(args.tol, 1e-8), rank_tol=args.rank_tol, grid_nodes=args.grid)
+    return ScanOptions(tol=min(args.tol, 1e-8), grid_nodes=args.grid)
 
 
 def _load_perturbation_file(path: str) -> list[dict]:
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lambda window upper edge")
         p.add_argument("--tol", type=float, default=ScanOptions.tol,
                        help="eigenvalue refinement tolerance")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=ScanOptions.rank_tol,
-                       help="relative rank threshold for multiplicities")
         p.add_argument("--out", default="", required=out_required,
                        help="output directory for artifacts")
 

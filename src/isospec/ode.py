@@ -16,8 +16,10 @@ step pairs; every propagation evaluates them:
   ... (T_3 T_2)(T_1 T_0) in a pairwise tree, ceil(log2(ceil((n-1)/2)))
   batched matrix products per chunk of lambdas; with an odd step count the
   last step is a leaf of its own;
-* paths (:func:`integrate_ivp`) fold z_{i+1} = T_i z_i node by node, one
-  batched product per step for all lambdas of a call.
+* paths (:func:`_fold`) fold z_{i+1} = T_i z_i node by node, one batched
+  product per step for all lambdas of a call, and keep the nodes asked for:
+  all of them for :func:`integrate_ivp`, every k-th for the eigenvalue
+  count of :mod:`isospec.spectrum`.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -139,6 +141,30 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
+def _fold(c: np.ndarray, lams: np.ndarray, z0: np.ndarray, stride: int) -> np.ndarray:
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 at the nodes i = 0, stride,
+    2 stride, ... and at the last node, shape (K, L, 2N, N) for the L lambdas.
+
+    c holds the step tables of :func:`potential_tables`. All lambdas are
+    folded together, one batched matrix product per step; the step matrices
+    are evaluated in blocks of steps that fit _TREE_BYTES, and a node that is
+    not kept stores nothing.
+    """
+    s, _, n2, _ = c.shape
+    block = max(1, _TREE_BYTES // (lams.size * n2 * n2 * 8))
+    out = np.empty((-(-s // stride) + 1, lams.size) + z0.shape)
+    out[0] = z0
+    z = out[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, s, block):
+            steps, _ = _step_matrices(c[lo:lo + block], lams, derivative=False)
+            for i, step in enumerate(steps, lo + 1):
+                kept = i % stride == 0 or i == s        # node i goes to slot ceil(i / stride)
+                z = np.matmul(step, z, out=out[-(-i // stride)] if kept else None)
+    _check_finite(out[-1])
+    return out
+
+
 def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, grid: Grid,
                   tables: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +187,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     (L, n, N, N) for an array, lambda axis first. Global error O(h^4) for C^2
     potentials. Deterministic for fixed inputs.
 
-    All lambdas are folded together, one batched matrix product per step;
-    the step matrices are evaluated in blocks of steps that fit _TREE_BYTES.
+    All lambdas are folded together by :func:`_fold`, which keeps every node.
     """
     y0 = np.asarray(y0, dtype=float)
     yp0 = np.asarray(yp0, dtype=float)
@@ -173,21 +198,11 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
     scalar = lams.ndim == 0
-    lams = np.atleast_1d(lams)
-    s, _, n2, _ = c.shape
-    n = n2 // 2
-    block = max(1, _TREE_BYTES // (lams.size * n2 * n2 * 8))
-    z = np.empty((grid.n, lams.size, n2, n))
-    z[0] = _initial_state(y0, yp0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, s, block):
-            steps, _ = _step_matrices(c[lo:lo + block], lams, derivative=False)
-            for i, step in enumerate(steps, lo):
-                np.matmul(step, z[i], out=z[i + 1])
-    _check_finite(z[-1])
+    z = _fold(c, np.atleast_1d(lams), _initial_state(y0, yp0), 1)
     z = np.moveaxis(z, 1, 0)                        # (L, n, 2N, N)
     if scalar:
         z = z[0]
+    n = pot.dimension
     return z[..., :n, :].copy(), z[..., n:, :].copy()
 
 

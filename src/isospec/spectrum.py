@@ -1,4 +1,4 @@
-"""Characteristic matrix, eigenvalue scan, and eigenspace bases.
+"""Characteristic matrix, eigenvalue scan and count, and eigenspace bases.
 
 lambda is an eigenvalue iff W(lambda) = cB Y'(pi; lambda) + cA Y(pi; lambda)
 is singular, where Y solves the matrix IVP with Y(0) = B^T, Y'(0) = -A^T.
@@ -10,8 +10,13 @@ root of any multiplicity is found, where determinant sign changes miss the
 even-multiplicity ones. Each pencil root starts Newton's method on W itself
 (successive linear problems, Ruhe 1973), which converges quadratically at
 simple and at semi-simple multiple eigenvalues alike. A start where Newton
-fails is dropped; the eigenvalue count of an independent finite-difference
-oracle flags any eigenvalue lost that way.
+fails is dropped. Which roots are eigenvalues, and with what multiplicity,
+is decided by counting: the matrix oscillation theorem gives N(lambda), the
+number of eigenvalues below lambda of the discrete problem the scan solves,
+from the winding of a unitary map of the solution frame along x (Atkinson
+1964, *Discrete and Continuous Boundary Problems*; Greenberg & Marletta,
+SLEUTH, ACM TOMS 1997). The finite-difference oracle discretises the problem
+independently; it is a cross-check that the scan does not call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .model import RANK_RTOL, BoundaryPair, Grid, Problem
-from .ode import integrate_final_batch, integrate_ivp, potential_tables
+from .ode import _fold, _initial_state, integrate_final_batch, integrate_ivp, potential_tables
 from .quadrature import integral
 
 #: node count of the finite-difference oracle grid
@@ -33,20 +38,18 @@ ORACLE_NODES = 201
 
 @dataclass(frozen=True)
 class ScanOptions:
-    """Settings of :func:`scan_spectrum`: refinement tolerance, rank
-    threshold and the x-grid of the IVP integration. Raises ValueError unless
-    grid_nodes is odd and >= 5, tol > 0 and 0 < rank_tol < 1 (NaN is rejected):
-    a rank_tol of 1 or more would count every singular value of W."""
+    """Settings of :func:`scan_spectrum`: refinement tolerance and the x-grid
+    of the IVP integration. Raises ValueError unless grid_nodes is odd and
+    >= 5 and tol > 0 (NaN is rejected)."""
 
     tol: float = 1e-10              # final Newton step size on each eigenvalue
-    rank_tol: float = 1e-6          # relative threshold deciding rank deficiency of W
     grid_nodes: int = 401           # x-grid for the IVP integration
 
     def __post_init__(self):
         if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
             raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
-        if not self.tol > 0 or not 0 < self.rank_tol < 1:
-            raise ValueError("tolerances must be positive, with rank_tol below 1")
+        if not self.tol > 0:
+            raise ValueError("refinement tolerances must be positive (--tol)")
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class Eigenpair:
     phis: np.ndarray         # (n, N, m)
     phi_derivs: np.ndarray   # (n, N, m)
     norms_sq: np.ndarray     # (m,)
-    residual: float          # sigma_min(W) / local W scale at lam
+    residual: float          # |mu| of one Newton step on W at lam
     grid: Grid
 
 
@@ -105,16 +108,6 @@ def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bo
     if not derivative:
         return w
     return w, p.right.B @ ends[3] + p.right.A @ ends[2]
-
-
-def _local_scales(p, lams, s1, grid, tables) -> np.ndarray:
-    """Scale of W for the rank decision at each of lams: the max of sigma_1
-    at lam (given as s1) and at lam +/- 0.25. sigma_1(W(lam)) itself
-    vanishes at eigenvalues of full multiplicity N."""
-    lams = np.asarray(lams, dtype=float)
-    w = _char_batch(p, np.concatenate([lams - 0.25, lams + 0.25]), grid, tables)
-    probes = np.linalg.svd(w, compute_uv=False)[:, 0].reshape(2, lams.size)
-    return np.maximum(s1, probes.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +197,87 @@ def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray
         _set_band(band, end[None], np.array([last]), np.array([last]))
         _set_band(band, c_r[None], np.array([last]), np.array([last - n_dim]))
     return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue count
+
+#: largest N s h the count unwraps: a bound on the step of arg det(Y' + i s Y)
+#: between nodes, kept below pi with room for the phase error of RK4
+_MAX_PHASE_STEP = 2.5
+#: a boundary eigenphase within this of 0 mod 2 pi is the exact 0 of a ker B
+#: direction, which rounding may move to either side of 0
+_PHASE_SLACK = 1e-9
+
+
+def _potential_range(p: Problem, grid: Grid) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of P over the grid nodes."""
+    e = np.linalg.eigvalsh(p.potential.evaluate_many(grid.nodes))
+    return float(e.min()), float(e.max())
+
+
+def _boundary_phases(pair: BoundaryPair, s: np.ndarray, upper: bool) -> np.ndarray:
+    """Sum of the eigenphases of Theta = X conj(X)^{-1}, X = -A^T + i s B^T,
+    for each of s: the map Theta of the frame (B^T, -A^T) of the boundary
+    plane. Phases lie in [0, 2 pi), or in (0, 2 pi] with upper; a phase
+    within _PHASE_SLACK of 0 mod 2 pi is taken as 0, or as 2 pi with upper."""
+    x = -pair.A.T + 1j * s[:, None, None] * pair.B.T
+    ph = np.angle(np.linalg.eigvals(np.linalg.solve(x.conj(), x)))
+    return np.where(np.abs(ph) <= _PHASE_SLACK, 2 * np.pi * upper, ph % (2 * np.pi)).sum(axis=1)
+
+
+def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float]) -> np.ndarray:
+    """The eigenvalue counts of :func:`_counts` before rounding to integers."""
+    lams = np.asarray(lams, dtype=float)
+    n = p.n
+    s = np.sqrt(np.maximum(np.maximum(np.abs(lams - prange[0]), np.abs(lams - prange[1])), 1.0))
+    step = n * s * grid.h
+    if step.max() > _MAX_PHASE_STEP:
+        raise WindowTooCoarse(
+            f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
+            f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
+            f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
+    z = _fold(tables[0], lams, _initial_state(p.left.B.T, -p.left.A.T),
+              max(1, int(1.0 / step.max())))
+    g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
+    sign, _ = np.linalg.slogdet(g)
+    delta = 2.0 * np.angle(sign[1:] * sign[:-1].conj()).sum(axis=0)
+    # Theta(pi)^{-1} Theta_R is similar to G^{-1} X conj(X)^{-1} conj(G), G = g at pi
+    x = -p.right.A.T + 1j * s[:, None, None] * p.right.B.T
+    meet = np.linalg.solve(g[-1], x @ np.linalg.solve(x.conj(), g[-1].conj()))
+    end = (np.angle(np.linalg.eigvals(meet)) % (2 * np.pi)).sum(axis=1)
+    total = (_boundary_phases(p.left, s, False) + delta
+             - _boundary_phases(p.right, s, True) + end)
+    return total / (2 * np.pi)
+
+
+def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float]) -> np.ndarray:
+    """N(lambda), the number of eigenvalues below each of lams, with
+    multiplicity, of the discrete problem whose W the scan evaluates.
+
+    Along the RK4 path of the frame (Y, Y') from (B^T, -A^T), the map
+    Theta(x) = G conj(G)^{-1}, G = Y' + i s Y, is unitary up to the
+    symplectic defect of RK4, and lambda is an eigenvalue of multiplicity m
+    iff Theta(pi) and Theta_R, the same map of the right boundary plane
+    (cB^T, -cA^T), agree on an m-dimensional subspace. The matrix
+    oscillation theorem then gives
+
+        2 pi N = sum of phases of Theta(0) in [0, 2 pi) + Delta
+                 - sum of phases of Theta_R in (0, 2 pi]
+                 + sum of phases of Theta(pi)^{-1} Theta_R in [0, 2 pi),
+
+    Delta the unwrapped change of arg det Theta = 2 arg det G from 0 to pi
+    (:func:`_boundary_phases` fixes the side of exact boundary phases 0).
+    With s^2 = max(|lambda - pmin|, |lambda - pmax|, 1), pmin and pmax of
+    prange the extreme eigenvalues of P over the nodes, each channel's phase
+    moves by at most s h per node, so det G is sampled every k nodes of one
+    :func:`isospec.ode._fold` of all lams, k the largest with N s k h <= 1.
+    The count is independent of s; lams must not be eigenvalues.
+
+    Raises WindowTooCoarse if N s h exceeds _MAX_PHASE_STEP at one of lams:
+    det G then turns too far between nodes to unwrap.
+    """
+    return np.rint(_raw_counts(p, lams, grid, tables, prange)).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +431,13 @@ _NEWTON_PASSES = 8
 _SINGULAR_RTOL = 1e-13
 
 
+def _newton_steps(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """The eigenvalue mu of smallest modulus of W v = mu W' v for each
+    (W, W') of the batch: the Newton step on W, complex in general."""
+    mus = np.linalg.eigvals(np.linalg.solve(dw, w))
+    return mus[np.arange(mus.shape[0]), np.argmin(np.abs(mus), axis=1)]
+
+
 def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid, tables,
                    tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Batched Newton iteration on W(lambda) from starts, each within its radius.
@@ -385,8 +466,7 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
         idx, w, dw = idx[regular], w[regular], dw[regular]
         if idx.size == 0:
             break
-        mus = np.linalg.eigvals(np.linalg.solve(dw, w))
-        mu = mus[np.arange(idx.size), np.argmin(np.abs(mus), axis=1)].real
+        mu = _newton_steps(w, dw).real
         step = lam[idx] - mu
         inside = np.abs(step - starts[idx]) <= radius[idx]
         active[idx[~inside]] = False
@@ -408,26 +488,31 @@ def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -thetas, thetas)
 
 
-def _eigenpairs(p: Problem, lams, scales, grid: Grid, rank_tol: float, tables,
-                svd) -> list[Eigenpair]:
-    """Eigenpairs at refined eigenvalues lams, all formed in one batch.
+def _merge_rtol(tol: float) -> float:
+    """Relative merge tolerance max(100 tol, 1e-8) of roots refined to tol:
+    roots closer than it times (1 + |lambda|) are one root, which stands for
+    every eigenvalue that close to it."""
+    return max(100 * tol, 1e-8)
 
-    svd = (svals (L, N), vt (L, N, N)) is the full SVD of W at lams, the one
-    the caller took for its rank test. The multiplicity at lams[k] is
-    the count of singular values at most rank_tol * scales[k]. A null-space
-    basis V_k comes from the SVD; the matrix int_0^pi (Y V_k)^T (Y V_k) dx is
-    diagonalized by an orthogonal U, and theta_l are the columns of V_k U,
-    which makes the eigenfunctions Y theta_l mutually L2-orthogonal. Each
-    theta_l is signed by :func:`_canonical_signs`. One batched path fold gives
-    Y at every lambda.
+
+def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables) -> list[Eigenpair]:
+    """Eigenpairs at refined eigenvalues lams of multiplicities mult, all
+    formed in one batch.
+
+    A null-space basis V_k is the mult[k] right singular vectors of
+    W(lams[k]) with the smallest singular values; the matrix
+    int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal U, and
+    theta_l are the columns of V_k U, which makes the eigenfunctions
+    Y theta_l mutually L2-orthogonal. Each theta_l is signed by
+    :func:`_canonical_signs`. The residual is |mu| of one Newton step at
+    lams[k] (:func:`_newton_steps`), about the distance to the nearest
+    eigenvalue of the discrete problem. One batched path fold gives Y at
+    every lambda.
     """
     lams = np.asarray(lams, dtype=float)
-    svals, vt = svd
-    mult = np.sum(svals <= rank_tol * np.asarray(scales)[:, None], axis=1)
-    for lam, m, sv, sc in zip(lams, mult, svals, scales):
-        if m == 0:
-            raise NotAnEigenvalue(f"sigma_min(W({lam})) = {sv[-1]:.3e} exceeds "
-                                  f"{rank_tol * sc:.3e}; not an eigenvalue")
+    w, dw = _char_batch(p, lams, grid, tables, derivative=True)
+    vt = np.linalg.svd(w)[2]
+    residuals = np.abs(_newton_steps(w, dw))
     y, yp = integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
     pairs = []
     for k, m in enumerate(mult):
@@ -437,24 +522,26 @@ def _eigenpairs(p: Problem, lams, scales, grid: Grid, rank_tol: float, tables,
         d, u = np.linalg.eigh(gram)
         thetas = _canonical_signs(v_k @ u)
         pairs.append(Eigenpair(float(lams[k]), int(m), thetas, y[k] @ thetas, yp[k] @ thetas,
-                               np.maximum(d, 0.0), float(svals[k, -1] / scales[k]), grid))
+                               np.maximum(d, 0.0), float(residuals[k]), grid))
     return pairs
 
 
-def eigenbasis(p: Problem, lam_k: float, grid: Grid,
-               rank_tol: float = ScanOptions.rank_tol) -> Eigenpair:
+def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
     """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
-    The rank decision compares singular values against rank_tol times the
-    local scale of W of :func:`_local_scales`, the rule the scan uses.
-    Raises ValueError unless 0 < rank_tol < 1.
+    Its multiplicity is the rise of the eigenvalue count (:func:`_counts`)
+    from lam_k - delta to lam_k + delta, delta the scan's merge tolerance at
+    the default tol (:func:`_merge_rtol`): the rule the scan applies to a
+    multiple root. Raises NotAnEigenvalue if the count does not rise there.
     """
-    if not 0 < rank_tol < 1:
-        raise ValueError(f"rank_tol must satisfy 0 < rank_tol < 1, got {rank_tol}")
     tables = potential_tables(p.potential, grid)
-    _, svals, vt = np.linalg.svd(_char_batch(p, [lam_k], grid, tables))
-    scales = _local_scales(p, [lam_k], svals[:, 0], grid, tables)
-    return _eigenpairs(p, [lam_k], scales, grid, rank_tol, tables, (svals, vt))[0]
+    delta = _merge_rtol(ScanOptions.tol) * (1.0 + abs(lam_k))
+    below, above = _counts(p, [lam_k - delta, lam_k + delta], grid, tables,
+                           _potential_range(p, grid))
+    if above <= below:
+        raise NotAnEigenvalue(f"the eigenvalue count does not rise within {delta:.3g} "
+                              f"of {lam_k}; not an eigenvalue")
+    return _eigenpairs(p, [lam_k], [above - below], grid, tables)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,45 +563,50 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     """All eigenvalues in [lambda_min, lambda_max] with multiplicities.
 
     One path. The window is cut into pieces of bounded dynamic range of W
-    (:func:`_envelope_pieces`), and the colleague pencil of a chopped
-    Chebyshev interpolant of W on each piece gives root estimates
-    (:func:`_piece_roots`). Estimates closer than the merge tolerance
-    max(100 opts.tol, 1e-8) (1 + |lambda|) are one start; Newton's method on
-    W refines each start until its step is at most opts.tol, within half
-    the gap to the nearest other start plus the merge tolerance, and a start
-    where it does not converge is dropped. Converged roots in the window are
-    merged with the same tolerance. A root is accepted iff sigma_min(W)
-    falls below rank_tol times the local scale of W (:func:`_local_scales`),
-    and the one SVD of W per root that decides this also gives the
-    eigenspace bases of all accepted roots (:func:`_eigenpairs`). Finally
-    the finite-difference oracle's count of eigenvalues away from the
-    window edges must not exceed the multiplicities found.
+    (:func:`_envelope_pieces`); when it is cut, the eigenvalue count N of
+    :func:`_counts` at the cuts picks the pieces that hold eigenvalues. The
+    colleague pencil of a chopped Chebyshev interpolant of W on each such
+    piece gives root estimates (:func:`_piece_roots`). Estimates closer than
+    the merge tolerance delta = max(100 opts.tol, 1e-8) (1 + |lambda|) are
+    one start; Newton's method on W refines each start until its step is at
+    most opts.tol, within half the gap to the nearest other start plus
+    delta, and a start where it does not converge is dropped. Converged
+    roots in the window are merged within delta. N is then counted at the
+    window edges and at the midpoints between roots: a root's multiplicity
+    is the rise of N across it, and a root across which N does not rise is
+    not an eigenvalue. A rise m >= 2 must equal the rise of N from
+    root - delta to root + delta. The eigenspace bases of the accepted roots
+    come from one SVD of W per root (:func:`_eigenpairs`).
 
     Raises
     ------
     ValueError
         If the window is not finite with lambda_min < lambda_max.
     WindowTooCoarse
-        If the oracle predicts more interior eigenvalues than were found
-        (one whose start Newton dropped, or that no pencil found), or W is
-        not resolved on a piece of the least width (:func:`_piece_roots`).
+        If the rise of N across the window differs from the multiplicities
+        found (an eigenvalue whose start Newton dropped, or that no pencil
+        found),
+        a root's rise of N is not all within delta of it (an eigenvalue the
+        pencil folded into a neighbour), N s h exceeds the limit of the count
+        at a counted lambda (:func:`_counts`), or W is not resolved on a
+        piece of the least width (:func:`_piece_roots`).
     NonFiniteState
-        If W overflows at some sampled lambda.
+        If W or the path of the count overflows at some lambda.
     """
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
         raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
     grid = Grid.uniform(opts.grid_nodes)
-
-    h_o = np.pi / (ORACLE_NODES - 1)
-    all_oracle = fd_oracle_eigenvalues(p, ORACLE_NODES)
-    oracle_vals = all_oracle[(all_oracle >= lambda_min) & (all_oracle <= lambda_max)]
-
     tables = potential_tables(p.potential, grid)
-    pmin = float(np.min(np.linalg.eigvalsh(p.potential.evaluate_many(grid.nodes))))
-    edges = _envelope_pieces(pmin, lambda_min, lambda_max)
-    starts = np.sort(np.concatenate([_piece_roots(p, lo, hi, pmin, grid, tables)
-                                     for lo, hi in zip(edges, edges[1:])]))
-    merge_rtol = max(100 * opts.tol, 1e-8)
+    prange = _potential_range(p, grid)
+    edges = _envelope_pieces(prange[0], lambda_min, lambda_max)
+    pieces = list(zip(edges[:-1], edges[1:]))
+    if len(pieces) > 1:
+        # a piece across which N does not rise holds no root
+        rise = np.diff(_counts(p, edges, grid, tables, prange))
+        pieces = [piece for piece, r in zip(pieces, rise) if r > 0]
+    starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
+                                                     for lo, hi in pieces]))
+    merge_rtol = _merge_rtol(opts.tol)
     starts = starts[_first_of_runs(starts, merge_rtol)]
     # a lone start may move across the whole window
     far = 2.0 * (lambda_max - lambda_min)
@@ -524,24 +616,25 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     roots = np.sort(roots[converged & (roots >= lambda_min) & (roots <= lambda_max)])
     roots = roots[_first_of_runs(roots, merge_rtol)]
 
-    pairs = []
-    if roots.size:
-        # one W and one full SVD per root serve the rank test and the eigenbasis
-        _, svals, vt = np.linalg.svd(_char_batch(p, roots, grid, tables))
-        scales = _local_scales(p, roots, svals[:, 0], grid, tables)
-        ok = (scales > 0) & (svals[:, -1] <= opts.rank_tol * scales)
-        if ok.any():
-            pairs = _eigenpairs(p, roots[ok], scales[ok], grid, opts.rank_tol, tables,
-                                (svals[ok], vt[ok]))
-
-    margin = lambda v: 0.15 + 2 * h_o**2 * (1.0 + v * v)
-    interior_count = int(np.sum([(v - lambda_min) > margin(v) and (lambda_max - v) > margin(v)
-                                 for v in oracle_vals]))
-    found_count = sum(q.multiplicity for q in pairs)
-    if interior_count > found_count:
+    probes = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
+    counts = _counts(p, probes, grid, tables, prange)
+    mult = np.diff(counts)[:roots.size]          # with no root, the one rise is no root's
+    multiple = np.flatnonzero(mult > 1)
+    if multiple.size:
+        delta = merge_rtol * (1.0 + np.abs(roots[multiple]))
+        below, above = _counts(p, np.concatenate([roots[multiple] - delta, roots[multiple] + delta]),
+                               grid, tables, prange).reshape(2, -1)
+        for k, m, d in zip(multiple, above - below, delta):
+            if m != mult[k]:
+                raise WindowTooCoarse(
+                    f"the eigenvalue count finds {mult[k]} eigenvalues in [{probes[k]:.9g}, "
+                    f"{probes[k + 1]:.9g}] but {m} within {d:.3g} of the root {roots[k]:.9g} "
+                    f"there; the scan found no root for the others")
+    found = int(mult[mult > 0].sum())
+    if found != counts[-1] - counts[0]:
         raise WindowTooCoarse(
-            f"finite-difference oracle predicts {interior_count} interior eigenvalues "
-            f"but the scan found {found_count}"
-        )
-
+            f"the eigenvalue count predicts {counts[-1] - counts[0]} eigenvalues in "
+            f"[{lambda_min:.9g}, {lambda_max:.9g}] but the scan found {found}")
+    ok = mult > 0
+    pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables) if ok.any() else []
     return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), opts, tuple(pairs))

@@ -19,6 +19,10 @@ from .quadrature import running_integral
 from .spectrum import ScanOptions, SpectrumReport, scan_spectrum
 from .transform import KernelField, Perturbation
 
+#: a residual below this is at the rounding level of the O(1) quantities the
+#: identities compare, and where it peaks is noise: verify.json writes no location
+LOCATION_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class IsospectralReport:
@@ -54,7 +58,9 @@ class IsospectralReport:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max-norm residual of one identity over the grid."""
+    """Max-norm residual of one identity over the grid, and the x where it
+    peaks; the JSON form writes that location as null for a residual below
+    LOCATION_FLOOR."""
 
     name: str
     max_residual: float
@@ -75,7 +81,7 @@ class ResidualReport:
         obj = {
             "name": self.name,
             "maxResidual": self.max_residual,
-            "location": self.location,
+            "location": self.location if self.max_residual >= LOCATION_FLOOR else None,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestRunConfig:
         assert main(["spectrum", str(prob)]) == 0
         printed = [(r["lambda"], r["multiplicity"]) for r in json.loads(capsys.readouterr().out)]
         report = iso.scan_spectrum(iso.load_problem(str(prob)), -10.0, 30.0)
-        assert report.options == iso.ScanOptions(grid_nodes=401, tol=1e-10, rank_tol=1e-6)
+        assert report.options == iso.ScanOptions(grid_nodes=401, tol=1e-10)
         assert printed == [(p.lam, p.multiplicity) for p in report.pairs]
 
     def test_invariants(self, paper):
@@ -57,8 +58,16 @@ class TestRunConfig:
                                               ("rank_tol", 1.0), ("rank_tol", 1e3),
                                               ("rank_tol", float("inf"))])
     def test_bad_tolerance_is_a_value_error(self, field, value):
-        with pytest.raises(ValueError, match="tolerances must be positive"):
+        # rank_tol is gone: every value of it, the once-bad ones included, is
+        # refused as an unknown field rather than silently ignored
+        error, match = ((ValueError, "tolerances must be positive") if field == "tol"
+                        else (TypeError, "rank_tol"))
+        with pytest.raises(error, match=match):
             iso.ScanOptions(**{field: value})
+
+    def test_rank_threshold_is_gone(self):
+        # multiplicities come from the eigenvalue count
+        assert [f.name for f in dataclasses.fields(iso.ScanOptions)] == ["tol", "grid_nodes"]
 
     @pytest.mark.parametrize("window", [(-np.inf, 5.0), (0.0, np.inf), (np.nan, 5.0)],
                              ids=["-inf", "inf", "nan"])
@@ -76,8 +85,29 @@ class TestRunConfig:
     def test_bad_setting_exits_2(self, paper_files, tmp_path, capsys, flags):
         prob, _ = paper_files
         out = tmp_path / "never"
-        assert main(["spectrum", str(prob), "--out", str(out)] + flags) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        argv = ["spectrum", str(prob), "--out", str(out)] + flags
+        if flags[0] == "--rank-tol":
+            # the flag is gone: argparse refuses it with a usage message
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: ")
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "transform", "verify"])
+    def test_removed_rank_tol_flag_is_a_usage_error(self, paper_files, tmp_path, capsys,
+                                                     command):
+        prob, pert = paper_files
+        args = [str(prob)] if command == "spectrum" else [str(prob), str(pert)]
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(out), "--rank-tol", "1e-6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unrecognized arguments: --rank-tol" in err
         assert not out.exists()
 
 
@@ -481,6 +511,21 @@ class TestVerify:
         assert printed["maxShift"] is None and printed["verdict"] == "fail"
         assert len(printed["pairsA"]) == 2 and len(printed["pairsB"]) == 1
         assert json.loads((out / "verify.json").read_text())["isospectral"] == printed
+
+    def test_noise_level_residual_has_no_location(self, paper_files, tmp_path, capsys):
+        # at grid 1601 the representation residual is 2.2e-16, and where it
+        # peaks moved between revisions with no change to any verdict
+        prob, pert = paper_files
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(pert), "--pipeline", "--grid", "1601",
+                     "--min", "-5", "--max", "20", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = json.loads((out / "verify.json").read_text())["residuals"]
+        located = {r["name"]: r["location"] is not None for r in rows}
+        assert located == {"wave-eq": True, "goursat": False, "trace": True, "eigen-ode": True,
+                           "endpoint": False, "representation": False}
+        assert all((r["maxResidual"] >= iso.verify.LOCATION_FLOOR) == located[r["name"]]
+                   for r in rows)
 
     @pytest.mark.parametrize("shift_tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("pipeline", [[], ["--pipeline"]], ids=["two-problem", "pipeline"])

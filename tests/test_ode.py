@@ -252,6 +252,20 @@ class TestBatchedPath:
         blocked = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
 
+    @pytest.mark.parametrize("stride", [3, 7, 200, 400])
+    def test_strided_fold_keeps_the_path_nodes(self, monkeypatch, stride):
+        # 200 steps: every stride-th node and the last, in blocks of steps
+        pot, grid = random_grid_potential(2, 201, seed=5)
+        y0, yp0 = np.zeros((2, 2)), -np.eye(2)
+        lams = np.array([-3.0, 0.5, 11.0])
+        y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
+        monkeypatch.setattr(ode, "_TREE_BYTES", 5 * lams.size * 16 * 8)
+        z = ode._fold(potential_tables(pot, grid)[0], lams, np.vstack([y0, yp0]), stride)
+        nodes = np.union1d(np.arange(0, grid.n, stride), [grid.n - 1])
+        assert z.shape == (nodes.size, lams.size, 4, 2)
+        assert np.array_equal(z[:, :, :2], y[:, nodes].swapaxes(0, 1))
+        assert np.array_equal(z[:, :, 2:], yp[:, nodes].swapaxes(0, 1))
+
     def test_overflowing_lambda_in_batch_raises(self, scalar):
         grid = iso.Grid.uniform(101)
         with pytest.raises(NonFiniteState):

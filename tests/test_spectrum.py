@@ -57,6 +57,39 @@ def cos3_diagonal(n_dim):
     return iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
 
 
+def coupled4_robin_problems():
+    """N = 4 grid potential R diag(-3, 0, 1.5, -0.5) R^T (1 + x) with a
+    Robin right end (B^{-1} A symmetric), and either a Dirichlet left end or
+    a rank-two B along two rotated directions."""
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    grid = iso.Grid.uniform(401)
+    samples = q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T * (1 + grid.nodes)[:, None, None]
+    s = rng.standard_normal((4, 4))
+    robin = iso.BoundaryPair(q @ (s + s.T), q)        # B^{-1} A = s + s^T
+    dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+    potential = iso.GridPotential(grid, samples)
+    rank_two = iso.BoundaryPair(q @ np.diag([0.5, -1.0, 1.0, 1.0]) @ q.T,
+                                q @ np.diag([1.0, 1.0, 0.0, 0.0]) @ q.T)
+    return iso.Problem(potential, dirichlet, robin), iso.Problem(potential, rank_two, robin)
+
+
+def robin_pair():
+    """-y'' = lambda y with y'(0) = -40 y(0) and y'(pi) = 40 y(pi): two
+    boundary-layer eigenvalues near -1600, exponentially close together."""
+    return iso.Problem(iso.ConstantDiagonalPotential([0.0]),
+                       iso.BoundaryPair(np.array([[40.0]]), np.array([[1.0]])),
+                       iso.BoundaryPair(np.array([[-40.0]]), np.array([[1.0]])))
+
+
+def counts(p, lams, raw=False):
+    """Eigenvalue counts N(lambda) of p at 401 nodes, rounded unless raw."""
+    grid = iso.Grid.uniform(401)
+    count = spectrum._raw_counts if raw else spectrum._counts
+    return count(p, np.asarray(lams, dtype=float), grid, potential_tables(p.potential, grid),
+                 spectrum._potential_range(p, grid))
+
+
 def dirichlet_2x2(p11, p22):
     return iso.Problem(iso.ConstantDiagonalPotential([p11, p22]),
                        iso.BoundaryPair(np.eye(2), np.zeros((2, 2))),
@@ -151,16 +184,20 @@ class TestScan:
     def test_multiplicity_capped_by_dimension(self, paper_report):
         assert all(p.multiplicity <= 2 for p in paper_report.pairs)
 
-    def test_rank_decision_self_consistent(self, paper, paper_report):
-        grid = paper_report.grid
-        opts = paper_report.options
+    def test_multiplicity_is_the_count_jump(self, paper, paper_report):
+        # the count rises by the multiplicity within the merge tolerance of
+        # each root, and by nothing else across the window
+        lams = np.array([p.lam for p in paper_report.pairs])
+        delta = spectrum._merge_rtol(paper_report.options.tol) * (1.0 + np.abs(lams))
+        n = counts(paper, np.concatenate([[-5.0], lams - delta, lams + delta, [20.0]]))
+        rises = n[1 + lams.size:-1] - n[1:1 + lams.size]
+        assert list(rises) == [p.multiplicity for p in paper_report.pairs]
+        assert n[-1] - n[0] == rises.sum() == 8
+        # and the null basis spans that many directions of small singular values
         for pair in paper_report.pairs:
-            w = iso.characteristic_matrix(paper, pair.lam, grid)
-            svals = np.linalg.svd(w, compute_uv=False)
-            scale = max(svals[0], 1.0)  # W scale is O(1) for these problems
-            assert svals[-pair.multiplicity] <= opts.rank_tol * scale
-            if pair.multiplicity < paper.n:
-                assert svals[-pair.multiplicity - 1] > opts.rank_tol * scale
+            svals = np.linalg.svd(iso.characteristic_matrix(paper, pair.lam, pair.grid),
+                                  compute_uv=False)
+            assert np.all(svals[-pair.multiplicity:] <= 1e-6 * max(svals[0], 1.0))
 
     def test_shifted_window_same_spectrum(self, paper, paper_report):
         # Newton from other starting points converges to the same roots
@@ -191,17 +228,40 @@ class TestScan:
         assert max(p.lam for p in report.pairs) < 17.0
         assert np.array_equal(report.sigma_sequence, paper_report.sigma_sequence)
 
-    def test_dropped_brackets_fail_the_oracle_count(self, paper, monkeypatch):
+    def test_dropped_starts_fail_the_count(self, paper, monkeypatch):
         # with no Newton pass every start is dropped; the scan must refuse
         # rather than return a short spectrum
         monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 0)
-        with pytest.raises(WindowTooCoarse, match="oracle predicts 8"):
+        with pytest.raises(WindowTooCoarse, match="count predicts 8 eigenvalues .* found 0"):
             iso.scan_spectrum(paper, -5.0, 20.0)
 
-    def test_roots_failing_the_rank_test_fail_the_oracle_count(self, paper):
-        # every Newton root is rejected; the scan must refuse, not crash
-        with pytest.raises(WindowTooCoarse, match="oracle predicts 8"):
-            iso.scan_spectrum(paper, -5.0, 20.0, iso.ScanOptions(rank_tol=1e-300))
+    def test_root_without_a_count_jump_is_rejected(self, paper, paper_report, monkeypatch):
+        # converged roots at 2.5 and 7.5 added to Newton's: the count does not
+        # rise across them, so they are dropped and the spectrum is unchanged
+        newton = spectrum._newton_refine
+
+        def with_extra_roots(*args):
+            lam, converged = newton(*args)
+            return np.append(lam, [2.5, 7.5]), np.append(converged, [True, True])
+
+        monkeypatch.setattr(spectrum, "_newton_refine", with_extra_roots)
+        report = iso.scan_spectrum(paper, -5.0, 20.0)
+        assert [(p.lam, p.multiplicity) for p in report.pairs] == \
+            [(p.lam, p.multiplicity) for p in paper_report.pairs]
+
+    def test_root_standing_for_a_missed_neighbour_raises(self, paper, monkeypatch):
+        # Newton's root at 6 dropped: the count rises by 2 between the
+        # midpoints around the root at 4, but by 1 within the merge tolerance
+        # of it, so 4 is not taken as a double eigenvalue
+        newton = spectrum._newton_refine
+
+        def without_six(*args):
+            lam, converged = newton(*args)
+            return lam, converged & (np.abs(lam - 6.0) > 0.5)
+
+        monkeypatch.setattr(spectrum, "_newton_refine", without_six)
+        with pytest.raises(WindowTooCoarse, match="finds 2 eigenvalues .* but 1 within"):
+            iso.scan_spectrum(paper, -5.0, 20.0)
 
     def test_unresolvable_piece_raises(self, scalar):
         # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at
@@ -228,16 +288,16 @@ class TestScan:
         assert abs(report.pairs[0].lam - root) <= 1e-9
 
     def test_scalar_squares_up_to_400(self, scalar):
-        # above lambda ~ 70 the oracle's O(h^2 lambda^2) drift exceeds its
-        # margin, so only the pencil locates roots; it finds exactly k^2, each simple
+        # the pencil finds exactly k^2, each simple, and the count confirms
+        # all 20 up to the window's upper edge
         report = iso.scan_spectrum(scalar, 0.5, 410.0)
         assert [p.multiplicity for p in report.pairs] == [1] * 20
         exact = np.arange(1, 21) ** 2
         assert np.max(np.abs(report.sigma_sequence - exact)) <= 1e-2
 
     def test_roots_just_outside_window_rejected(self, scalar):
-        # sigma_min at an edge 1e-9 from the discrete root near 4 is far below
-        # the rank threshold, but the root itself lies outside the window
+        # an edge 1e-9 from the discrete root near 4: Newton converges to the
+        # root, which lies outside the window, and the count leaves it out
         root = iso.scan_spectrum(scalar, 3.5, 4.5).pairs[0].lam
         assert iso.scan_spectrum(scalar, root + 1e-9, 8.0).pairs == ()
         below = iso.scan_spectrum(scalar, 0.5, root - 1e-9)
@@ -248,10 +308,21 @@ class TestScan:
         assert [round(r["lambda"]) for r in obj] == [1, 4, 9]
         assert all(set(r) == {"lambda", "multiplicity", "residual"} for r in obj)
 
-    def test_wide_negative_window_same_spectrum(self, paper, paper_report):
+    def test_wide_negative_window_same_spectrum(self, paper, paper_report, monkeypatch):
         # W grows by exp(pi sqrt(997)) across [-1000, -3]; the envelope pieces
-        # keep the roots near -2 resolved
+        # keep the roots near -2 resolved, and the count at the cuts skips
+        # the 8 pieces below -3 that hold no eigenvalue (264 of 328 W
+        # evaluations when each was sampled)
+        evaluated = []
+        char_batch = spectrum._char_batch
+
+        def counting(p, lams, *args, **kwargs):
+            evaluated.append(np.size(lams))
+            return char_batch(p, lams, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_char_batch", counting)
         report = iso.scan_spectrum(paper, -1000.0, 20.0)
+        assert sum(evaluated) < 100
         assert [p.multiplicity for p in report.pairs] == [p.multiplicity for p in paper_report.pairs]
         lams = np.array([p.lam for p in report.pairs])
         assert np.max(np.abs(lams - [p.lam for p in paper_report.pairs])) <= 1e-9
@@ -265,6 +336,73 @@ class TestScan:
         if n_dim == 4:
             lams = np.array([p.lam for p in report.pairs])
             assert np.sum(np.abs(lams - 1.17) < 0.15) == 2
+
+
+class TestCount:
+    def test_dirichlet_channels_closed_form(self):
+        # eigenvalues k^2 + p_i; probes at least 0.05 from every one of them
+        problem = iso.Problem(iso.ConstantDiagonalPotential([-3.0, 0.0, 1.5]),
+                              iso.BoundaryPair(np.eye(3), np.zeros((3, 3))),
+                              iso.BoundaryPair(np.eye(3), np.zeros((3, 3))))
+        exact = (np.arange(1, 10)[:, None] ** 2 + [-3.0, 0.0, 1.5]).ravel()
+        lams = np.arange(-4.6, 60.0, 0.9)
+        assert np.min(np.abs(lams[:, None] - exact)) >= 0.05
+        assert list(counts(problem, lams)) == [int(np.sum(exact < lam)) for lam in lams]
+
+    def test_neumann_left_dirichlet_right_closed_form(self):
+        # -y'' = lambda y, y'(0) = 0, y(pi) = 0: eigenvalues (k + 1/2)^2
+        problem = iso.Problem(iso.ConstantDiagonalPotential([0.0]),
+                              iso.BoundaryPair(np.zeros((1, 1)), np.eye(1)),
+                              iso.BoundaryPair(np.eye(1), np.zeros((1, 1))))
+        exact = (np.arange(20) + 0.5) ** 2
+        lams = np.arange(0.1, 100.0, 0.7)
+        assert np.min(np.abs(lams[:, None] - exact)) >= 0.05
+        assert list(counts(problem, lams)) == [int(np.sum(exact < lam)) for lam in lams]
+
+    def test_zero_below_the_spectrum(self, paper):
+        assert list(counts(paper, [-1000.0, -100.0, -5.0, -2.5])) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("which", ["mixed-end", "robin-dirichlet", "robin-rank-two"])
+    def test_matches_oracle_count_at_low_lambda(self, which):
+        # the mixed-end and rank-two ends have ker B directions whose boundary
+        # phase is an exact 0: taken on the wrong side of 0, it counts one too many
+        problem = {"mixed-end": mixed_end_problem(),
+                   "robin-dirichlet": coupled4_robin_problems()[0],
+                   "robin-rank-two": coupled4_robin_problems()[1]}[which]
+        fd = iso.fd_oracle_eigenvalues(problem, 201)
+        lams = np.concatenate([[fd[0] - 1.0], 0.5 * (fd[:8] + fd[1:9])])
+        assert list(counts(problem, lams)) == list(range(9))
+        raw = counts(problem, lams, raw=True)
+        assert np.max(np.abs(raw - np.rint(raw))) <= 1e-9
+
+    def test_raw_counts_are_integers(self, paper, scalar):
+        for problem, lams in ((paper, np.linspace(-50.0, 30.0, 37)),
+                              (scalar, np.linspace(0.3, 2600.3, 41))):
+            raw = counts(problem, lams, raw=True)
+            assert np.max(np.abs(raw - np.rint(raw))) <= 1e-9
+
+    def test_boundary_phase_of_ker_b_is_exactly_zero(self):
+        # left end of mixed_end_problem: X = R diag(-0.4 + i s, -1) R^T, so the
+        # phases are 2 arg(-0.4 + i s) and, along ker B, 0 (2 pi on the right)
+        left = mixed_end_problem().left
+        s = np.array([1.0, 3.0, 40.0])
+        robin = 2 * np.angle(-0.4 + 1j * s)
+        assert np.max(np.abs(spectrum._boundary_phases(left, s, False) - robin)) <= 1e-12
+        assert np.max(np.abs(spectrum._boundary_phases(left, s, True) - robin - 2 * np.pi)) <= 1e-12
+
+    def test_robin_boundary_layer_pair_is_counted(self):
+        # W is a small difference of terms of size 1e56 near the pair at -1600
+        assert list(counts(robin_pair(), [-2000.0, -1700.0, -1500.0, 10.0])) == [0, 0, 2, 5]
+
+    def test_robin_boundary_layer_pair_is_not_lost(self):
+        # the FD oracle's margin did not flag the missed pair: 3 of 5 returned
+        with pytest.raises(WindowTooCoarse):
+            iso.scan_spectrum(robin_pair(), -2000.0, 10.0)
+
+    def test_phase_step_beyond_the_limit_raises(self):
+        # N s h = 8 sqrt(2006.5) pi / 400 = 2.8 at lambda = 2000
+        with pytest.raises(WindowTooCoarse, match="N s h <= 2.5"):
+            iso.scan_spectrum(cos3_diagonal(8), -5.0, 2000.0)
 
 
 class TestEigenbasis:
@@ -320,9 +458,19 @@ class TestEigenbasis:
 
     @pytest.mark.parametrize("rank_tol", [1e3, 1.0, 0.0, -1.0, float("nan")])
     def test_bad_rank_tol_is_a_value_error(self, paper, rank_tol):
-        # 1e3 counted every singular value: multiplicity 2 at the simple -2
-        with pytest.raises(ValueError, match="rank_tol"):
+        # the threshold is gone (1e3 once counted every singular value:
+        # multiplicity 2 at the simple -2); any value of it is refused
+        with pytest.raises(TypeError, match="rank_tol"):
             iso.eigenbasis(paper, -1.9999999999365838, iso.Grid.uniform(401), rank_tol=rank_tol)
+
+    def test_multiplicity_is_the_count_rise(self, paper):
+        # no threshold to set: a rank_tol of 1e3 once gave multiplicity 2 at
+        # the simple -2
+        grid = iso.Grid.uniform(401)
+        assert iso.eigenbasis(paper, -1.9999999999365838, grid).multiplicity == 1
+        assert iso.eigenbasis(paper, 1.0, grid).multiplicity == 2
+        # two simple roots 1e-6 apart lie farther apart than the merge tolerance
+        assert iso.eigenbasis(dirichlet_2x2(-1e-6, 0.0), 1.0, grid).multiplicity == 1
 
     def test_residual_small_at_eigenvalue(self, paper_report):
         assert all(p.residual < 1e-7 for p in paper_report.pairs)
@@ -407,21 +555,8 @@ class TestOracle:
         assert err(101) / err(201) >= 3.5
 
     def test_matches_dense_assembly(self):
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        grid = iso.Grid.uniform(401)
-        samples = q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T * (1 + grid.nodes)[:, None, None]
-        s = rng.standard_normal((4, 4))
-        robin = iso.BoundaryPair(q @ (s + s.T), q)        # B^{-1} A = s + s^T
-        dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
-        potential = iso.GridPotential(grid, samples)
-        # rank-two B along two rotated directions: bandwidth 2 + 4 - 1
-        rank_two = iso.BoundaryPair(q @ np.diag([0.5, -1.0, 1.0, 1.0]) @ q.T,
-                                    q @ np.diag([1.0, 1.0, 0.0, 0.0]) @ q.T)
-        problems = (iso.Problem(potential, dirichlet, robin),
-                    iso.Problem(potential, rank_two, robin),
-                    mixed_end_problem())
-        for problem in problems:
+        # the rank-two B gives a bandwidth of 2 + 4 - 1
+        for problem in coupled4_robin_problems() + (mixed_end_problem(),):
             fd = iso.fd_oracle_eigenvalues(problem, 101)
             dense = dense_lumped_fem_eigenvalues(problem, 101)
             assert fd.shape == dense.shape
