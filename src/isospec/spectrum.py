@@ -531,8 +531,8 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
 
     Its multiplicity is the rise of the eigenvalue count (:func:`_counts`)
     from lam_k - delta to lam_k + delta, delta the scan's merge tolerance at
-    the default tol (:func:`_merge_rtol`): the rule the scan applies to a
-    multiple root. Raises NotAnEigenvalue if the count does not rise there.
+    the default tol (:func:`_merge_rtol`): the rule the scan applies to every
+    root. Raises NotAnEigenvalue if the count does not rise there.
     """
     tables = potential_tables(p.potential, grid)
     delta = _merge_rtol(ScanOptions.tol) * (1.0 + abs(lam_k))
@@ -571,25 +571,22 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     one start; Newton's method on W refines each start until its step is at
     most opts.tol, within half the gap to the nearest other start plus
     delta, and a start where it does not converge is dropped. Converged
-    roots in the window are merged within delta. N is then counted at the
-    window edges and at the midpoints between roots: a root's multiplicity
-    is the rise of N across it, and a root across which N does not rise is
-    not an eigenvalue. A rise m >= 2 must equal the rise of N from
-    root - delta to root + delta. The eigenspace bases of the accepted roots
-    come from one SVD of W per root (:func:`_eigenpairs`).
+    roots in the window are merged within delta. One count of N at the
+    window edges and at both ends of each root's window, root +/- delta cut
+    at the midpoints to its neighbours, decides them all: a root's
+    multiplicity is the rise of N across its window (0 rejects it), and N
+    must not rise between windows. The eigenspace bases of the accepted
+    roots come from one SVD of W per root (:func:`_eigenpairs`).
 
     Raises
     ------
     ValueError
         If the window is not finite with lambda_min < lambda_max.
     WindowTooCoarse
-        If the rise of N across the window differs from the multiplicities
-        found (an eigenvalue whose start Newton dropped, or that no pencil
-        found),
-        a root's rise of N is not all within delta of it (an eigenvalue the
-        pencil folded into a neighbour), N s h exceeds the limit of the count
-        at a counted lambda (:func:`_counts`), or W is not resolved on a
-        piece of the least width (:func:`_piece_roots`).
+        If N rises between root windows (an eigenvalue that no root lies
+        within delta of; the message names the gap), N s h exceeds the
+        limit of the count at a counted lambda (:func:`_counts`), or W is
+        not resolved on a piece of the least width (:func:`_piece_roots`).
     NonFiniteState
         If W or the path of the count overflows at some lambda.
     """
@@ -616,25 +613,19 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     roots = np.sort(roots[converged & (roots >= lambda_min) & (roots <= lambda_max)])
     roots = roots[_first_of_runs(roots, merge_rtol)]
 
-    probes = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
-    counts = _counts(p, probes, grid, tables, prange)
-    mult = np.diff(counts)[:roots.size]          # with no root, the one rise is no root's
-    multiple = np.flatnonzero(mult > 1)
-    if multiple.size:
-        delta = merge_rtol * (1.0 + np.abs(roots[multiple]))
-        below, above = _counts(p, np.concatenate([roots[multiple] - delta, roots[multiple] + delta]),
-                               grid, tables, prange).reshape(2, -1)
-        for k, m, d in zip(multiple, above - below, delta):
-            if m != mult[k]:
-                raise WindowTooCoarse(
-                    f"the eigenvalue count finds {mult[k]} eigenvalues in [{probes[k]:.9g}, "
-                    f"{probes[k + 1]:.9g}] but {m} within {d:.3g} of the root {roots[k]:.9g} "
-                    f"there; the scan found no root for the others")
-    found = int(mult[mult > 0].sum())
-    if found != counts[-1] - counts[0]:
-        raise WindowTooCoarse(
-            f"the eigenvalue count predicts {counts[-1] - counts[0]} eigenvalues in "
-            f"[{lambda_min:.9g}, {lambda_max:.9g}] but the scan found {found}")
+    # probes: lambda_min, then each root's window ends, then lambda_max; the
+    # rises alternate between gaps (even) and root windows (odd)
+    mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
+    delta = merge_rtol * (1.0 + np.abs(roots))
+    ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
+    probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
+    rise = np.diff(_counts(p, probes, grid, tables, prange))
+    missed = 2 * np.flatnonzero(rise[0::2])
+    if missed.size:
+        k = missed[0]
+        raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
+                              f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
+    mult = rise[1::2]
     ok = mult > 0
     pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables) if ok.any() else []
     return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), opts, tuple(pairs))

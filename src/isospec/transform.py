@@ -29,9 +29,8 @@ import numpy as np
 from .errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
                      NotAnEigenvalue, SingularResolvent)
 from .model import BoundaryPair, Grid, GridPotential, MatrixPotential, Problem
-from .ode import integrate_ivp, potential_tables
-from .quadrature import integral, running_integral
-from .spectrum import SpectrumReport, characteristic_matrix
+from .quadrature import running_integral
+from .spectrum import SpectrumReport
 
 #: relative resolvent singularity threshold for I + G(x) C
 RESOLVENT_TOL = 1e-12
@@ -44,10 +43,11 @@ class PerturbationEntry:
     """One selected eigenfunction: eigenvalue index k, branch i (1-based), weight c.
 
     ``theta`` optionally overrides the stored branch with the eigenfunction
-    Y(x; lambda_k) theta for an explicit null vector theta, which is how a
-    specific direction inside a degenerate eigenspace (where the orthogonal
-    basis is not unique) is selected. The eigenfunction is used unnormalized,
-    so c is interpreted relative to its norm.
+    Y(x; lambda_k) theta for an explicit vector theta in the reported
+    eigenspace, which is how a specific direction inside a degenerate
+    eigenspace (where the orthogonal basis is not unique) is selected. The
+    eigenfunction is used unnormalized, so c is interpreted relative to its
+    norm.
     """
 
     k: int
@@ -107,15 +107,22 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     """Resolve and validate perturbation entries against a spectrum report.
 
     Each entry addresses eigenvalue index k (position in the report) and
-    branch i in 1..m_k; the positivity condition 1 + c ||phi||^2 > 0 is
-    checked against the stored norms. Entries carrying an explicit theta are
-    validated to lie in the null space of W(lambda_k) and, within one
-    eigenspace, to stay L2-orthogonal to the other selections.
+    branch i in 1..m_k, and becomes a coefficient vector u in the report's
+    eigenspace basis: e_i, or thetas^T theta for an entry with theta, whose
+    theta must lie in the span of the stored thetas (orthonormal columns)
+    within 1e-5 relative. Its theta, eigenfunction samples and squared norm
+    are the stored thetas u, phis u, phi_derivs u and norms_sq . u^2; no ODE
+    is integrated. The positivity condition 1 + c ||phi||^2 > 0 is checked
+    against those norms, and selections within one eigenspace must stay
+    L2-orthogonal.
 
     Raises
     ------
     IndexOutOfRange
-        Bad or non-integral k or i, or duplicate (k, i).
+        Bad or non-integral k or i, duplicate (k, i), or a theta of the
+        wrong length.
+    NotAnEigenvalue
+        A theta farther than 1e-5 |theta| from the reported eigenspace.
     ConditionViolated
         A non-finite c or theta, some 1 + c ||phi||^2 <= 0 (message carries
         the margin), or non-orthogonal same-eigenspace selections.
@@ -142,50 +149,40 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     thetas = np.empty((n_dim, m))
     phis = np.empty((grid.n, n_dim, m))
     phi_derivs = np.empty((grid.n, n_dim, m))
-
-    tables = None
+    coords = []                 # each selection in its stored eigenspace basis
     for j, e in enumerate(entries):
         pair = report.pairs[e.k]
-        lambdas[j] = pair.lam
-        coeffs[j] = e.c
         if e.theta is None:
-            thetas[:, j] = pair.thetas[:, e.i - 1]
-            phis[:, :, j] = pair.phis[:, :, e.i - 1]
-            phi_derivs[:, :, j] = pair.phi_derivs[:, :, e.i - 1]
-            norms_sq[j] = pair.norms_sq[e.i - 1]
+            u = np.eye(pair.multiplicity)[e.i - 1]
         else:
             theta = np.asarray(e.theta, dtype=float)
             if theta.shape != (n_dim,):
                 raise IndexOutOfRange(f"theta for entry (k={e.k}, i={e.i}) must have length {n_dim}")
-            if tables is None:
-                tables = potential_tables(report.problem.potential, grid)
-            w = characteristic_matrix(report.problem, pair.lam, grid, tables)
-            scale = max(np.linalg.norm(w, 2), pair.residual + 1.0) * np.linalg.norm(theta)
-            if np.linalg.norm(w @ theta) > 1e-5 * scale:
-                raise NotAnEigenvalue(
-                    f"theta for entry (k={e.k}, i={e.i}) is not a null vector of W({pair.lam:.6g})"
-                )
-            y, yp = integrate_ivp(report.problem.potential, pair.lam,
-                                  report.problem.left.B.T, -report.problem.left.A.T, grid, tables)
-            thetas[:, j] = theta
-            phis[:, :, j] = y @ theta
-            phi_derivs[:, :, j] = yp @ theta
-            norms_sq[j] = integral(np.einsum("qn,qn->q", phis[:, :, j], phis[:, :, j]), grid.h)
-
-    for j, e in enumerate(entries):
-        margin = 1.0 + coeffs[j] * norms_sq[j]
+            u = pair.thetas.T @ theta
+            if np.linalg.norm(theta - pair.thetas @ u) > 1e-5 * np.linalg.norm(theta):
+                raise NotAnEigenvalue(f"theta for entry (k={e.k}, i={e.i}) is not in the "
+                                      f"eigenspace of lambda = {pair.lam:.6g}")
+        coords.append(u)
+        lambdas[j] = pair.lam
+        coeffs[j] = e.c
+        thetas[:, j] = pair.thetas @ u
+        phis[:, :, j] = pair.phis @ u
+        phi_derivs[:, :, j] = pair.phi_derivs @ u
+        norms_sq[j] = pair.norms_sq @ u**2
+        margin = 1.0 + e.c * norms_sq[j]
         if margin <= 0.0:
             raise ConditionViolated(
                 f"entry (k={e.k}, i={e.i}, c={e.c}): 1 + c*||phi||^2 = {margin:.6g} <= 0 "
                 f"(||phi||^2 = {norms_sq[j]:.6g})"
             )
 
-    # selections sharing an eigenspace must stay mutually L2-orthogonal
+    # selections sharing an eigenspace must stay mutually L2-orthogonal; its
+    # stored eigenfunctions are, so their inner product is u_j . (norms_sq u_l)
     for j in range(m):
         for l in range(j + 1, m):
             if entries[j].k != entries[l].k:
                 continue
-            ip = integral(np.einsum("qn,qn->q", phis[:, :, j], phis[:, :, l]), grid.h)
+            ip = coords[j] @ (report.pairs[entries[j].k].norms_sq * coords[l])
             if abs(ip) > ORTHO_TOL * np.sqrt(norms_sq[j] * norms_sq[l]):
                 raise ConditionViolated(
                     f"entries (k={entries[j].k}, i={entries[j].i}) and "

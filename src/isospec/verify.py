@@ -1,10 +1,10 @@
 """Independent numerical verification of the transform's structural identities.
 
 Everything here re-derives quantities by a route different from the one that
-produced them: spectra are re-scanned, kernel PDE residuals use second-order
-differencing of the degenerate representation, and the non-commutativity
-diagnostic certifies that a matrix potential is not simultaneously
-diagonalizable.
+produced them: spectra are re-scanned, the kernel PDE residual differences
+the factors of the degenerate representation to fourth order, and the
+non-commutativity diagnostic certifies that a matrix potential is not
+simultaneously diagonalizable.
 """
 
 from __future__ import annotations
@@ -136,32 +136,37 @@ def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
     return (v[:-2] - 2 * v[1:-1] + v[2:]) / h**2
 
 
+def _second_difference4(v: np.ndarray, h: float) -> np.ndarray:
+    """Five-point fourth-order second difference along axis 0 at nodes 2..n-3."""
+    return (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h**2)
+
+
 def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
                            q: MatrixPotential, tolerance: float = 5e-4) -> ResidualReport:
     """Residual of K_xx - Q(x) K = K_yy - K P(y) below the diagonal.
 
-    Second derivatives come from centered second-order differencing of the
-    degenerate kernel representation on nodes whose full stencils stay in the
-    open triangle y < x, so the kink along y = x never enters a stencil. There
-    K(x_i, y_j) = A_i Phi_j^T, so with P = P^T the residual at (x_i, y_j) is
-    X_i Z_j^T, X = [A'' - Q A, -A] and Z = [Phi, Phi'' - P Phi], and the max
-    over the triangle takes one (i - 2) N x 2M by 2M x N product per x row.
+    On y <= x, K(x_i, y_j) = A_i Phi_j^T, so with P = P^T the residual at
+    (x_i, y_j) is X_i Z_j^T, X = [A'' - Q A, -A] and Z = [Phi, Phi'' - P Phi].
+    The factors are smooth in one variable each; their second derivatives
+    take the five-point fourth-order stencil. The max runs over the node
+    pairs j = 2..i-2, whose stencils in x and y stay on y <= x (the kink
+    along y = x enters none), one (i - 3) N x 2M by 2M x N product per x row.
     """
     grid = kernel.grid
     n = grid.n
-    if n < 5:
-        raise GridTooSmall("wave-equation residual needs at least 5 nodes")
-    a, phi = kernel.a[1:-1], kernel.phi[1:-1]      # interior nodes 1..n-2
-    qs = q.evaluate_many(grid.nodes[1:-1])
-    ps = base.evaluate_many(grid.nodes[1:-1])
-    x_fac = np.concatenate([_second_difference(kernel.a, grid.h) - qs @ a, -a], axis=2)
-    z_fac = np.concatenate([phi, _second_difference(kernel.phi, grid.h) - ps @ phi], axis=2)
+    if n < 7:
+        raise GridTooSmall("wave-equation residual needs at least 7 nodes")
+    a, phi = kernel.a[2:-2], kernel.phi[2:-2]      # nodes 2..n-3
+    qs = q.evaluate_many(grid.nodes[2:-2])
+    ps = base.evaluate_many(grid.nodes[2:-2])
+    x_fac = np.concatenate([_second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
+    z_fac = np.concatenate([phi, _second_difference4(kernel.phi, grid.h) - ps @ phi], axis=2)
     n_dim = phi.shape[1]
-    z_rows = z_fac.reshape((n - 2) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+1}[b]
-    # x node i = 3..n-2 meets y nodes j = 1..i-2, the first (i-2) N rows of z_rows
-    res = np.array([np.max(np.abs(z_rows[:(i - 2) * n_dim] @ x_fac[i - 1].T))
-                    for i in range(3, n - 1)])
-    return ResidualReport("wave-eq", *_peak(res, grid.nodes[3:n - 1]), tolerance)
+    z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+2}[b]
+    # x node i = 4..n-3 meets y nodes j = 2..i-2, the first (i-3) N rows of z_rows
+    res = np.array([np.max(np.abs(z_rows[:(i - 3) * n_dim] @ x_fac[i - 2].T))
+                    for i in range(4, n - 2)])
+    return ResidualReport("wave-eq", *_peak(res, grid.nodes[4:n - 2]), tolerance)
 
 
 def residual_goursat(kernel: KernelField, p: Problem,

@@ -98,21 +98,23 @@ def dense_wave_residual(kernel, base, q):
     """Reference (max |K_xx - Q K - K_yy + K P|, x location) from the dense kernel.
 
     Differences the (n, n, N, N) kernel samples directly, one x row at a time,
-    on the stencils that stay strictly below the diagonal (j = 1..i-2). The
-    samples are O(1) and the differences are divided by h^2, so in double
-    precision the reference itself carries about 1e-9 relative rounding at
-    n = 401; it is evaluated in long double to stay well below that.
+    with the five-point fourth-order stencil, on the node pairs whose stencils
+    in x and in y stay on y <= x (j = 2..i-2). The samples are O(1) and the
+    differences are divided by h^2, so in double precision the reference
+    itself carries about 1e-9 relative rounding at n = 401; it is evaluated in
+    long double to stay well below that.
     """
     grid = kernel.grid
     h = np.longdouble(grid.h)
     k = dense_kernel(kernel, np.longdouble)
     qs = q.evaluate_many(grid.nodes).astype(np.longdouble)
     ps = base.evaluate_many(grid.nodes).astype(np.longdouble)
+    w = np.array([-1, 16, -30, 16, -1], dtype=np.longdouble) / (12 * h**2)
     best = (0.0, 0.0)
-    for i in range(3, grid.n - 1):
-        j = np.arange(1, i - 1)
-        kxx = (k[i - 1, j] - 2 * k[i, j] + k[i + 1, j]) / h**2
-        kyy = (k[i, j - 1] - 2 * k[i, j] + k[i, j + 1]) / h**2
+    for i in range(4, grid.n - 2):
+        j = np.arange(2, i - 1)
+        kxx = sum(wt * k[i + s, j] for wt, s in zip(w, range(-2, 3)))
+        kyy = sum(wt * k[i, j + s] for wt, s in zip(w, range(-2, 3)))
         mx = float(np.max(np.abs(kxx - qs[i] @ k[i, j] - kyy + k[i, j] @ ps[j])))
         if mx > best[0]:
             best = (mx, float(grid.nodes[i]))

@@ -449,6 +449,20 @@ class TestVerify:
         assert rc == 0
         assert out.count("[pass]") == 7 and "[FAIL]" not in out
 
+    def test_paper_rank_two_pipeline_passes(self, paper_files, tmp_path, capsys):
+        # both branches of the double eigenvalue 1: the second-order wave
+        # residual read 6.43e-4 here at grid 401, over its 5e-4 tolerance
+        prob, _ = paper_files
+        pert = tmp_path / "pert2.json"
+        pert.write_text('[{"k": 1, "i": 1, "c": 1, "theta": [-2, -1]},'
+                        ' {"k": 1, "i": 2, "c": 0.5, "theta": [-2, 1]}]')
+        rc = main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5", "--max", "20"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("[pass]") == 8 and "[FAIL]" not in out
+        wave = float(out.split("[pass] wave-eq: max residual ")[1].split()[0])
+        assert wave <= 5e-5
+
     def test_corrupted_q_file_fails(self, scalar_files, tmp_path, capsys):
         # tamper with the written transformed potential, rebuild a problem
         # from it, and check the eigenvalue comparison flags the corruption

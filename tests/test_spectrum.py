@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -250,9 +252,9 @@ class TestScan:
             [(p.lam, p.multiplicity) for p in paper_report.pairs]
 
     def test_root_standing_for_a_missed_neighbour_raises(self, paper, monkeypatch):
-        # Newton's root at 6 dropped: the count rises by 2 between the
-        # midpoints around the root at 4, but by 1 within the merge tolerance
-        # of it, so 4 is not taken as a double eigenvalue
+        # Newton's root at 6 dropped: the count rises by 1 within the merge
+        # tolerance of the root at 4, and by 1 more in the gap between it and
+        # the root at 9, so 4 is not taken as a double eigenvalue
         newton = spectrum._newton_refine
 
         def without_six(*args):
@@ -260,8 +262,41 @@ class TestScan:
             return lam, converged & (np.abs(lam - 6.0) > 0.5)
 
         monkeypatch.setattr(spectrum, "_newton_refine", without_six)
-        with pytest.raises(WindowTooCoarse, match="finds 2 eigenvalues .* but 1 within"):
+        with pytest.raises(WindowTooCoarse,
+                           match=r"predicts 1 eigenvalues in \[4\.00000005, 8\.99999995\] "
+                                 r"but the scan found 0 there"):
             iso.scan_spectrum(paper, -5.0, 20.0)
+
+    def test_simple_root_off_by_more_than_delta_raises(self, paper, monkeypatch):
+        # Newton's root at 4 moved by 1e-6, far beyond the merge tolerance
+        # 5e-8 there but still flagged converged: the count does not rise
+        # within delta of it, and the gap below it holds the eigenvalue 4
+        newton = spectrum._newton_refine
+
+        def moved(*args):
+            lam, converged = newton(*args)
+            return np.where(np.abs(lam - 4.0) < 0.5, lam + 1e-6, lam), converged
+
+        monkeypatch.setattr(spectrum, "_newton_refine", moved)
+        with pytest.raises(WindowTooCoarse, match="predicts 1 eigenvalues") as err:
+            iso.scan_spectrum(paper, -5.0, 20.0)
+        lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(err.value)).groups())
+        assert lo < 4.0 < hi < 4.000001
+
+    @pytest.mark.parametrize("window", [(-5.0, 20.0), (1.5, 3.5), (-2.5, 0.0)])
+    def test_uncut_window_counts_once(self, paper, monkeypatch, window):
+        # one count gives every root its multiplicity and checks every gap
+        calls = []
+        count = spectrum._counts
+
+        def recording(*args):
+            calls.append(np.size(args[1]))
+            return count(*args)
+
+        monkeypatch.setattr(spectrum, "_counts", recording)
+        report = iso.scan_spectrum(paper, *window)
+        assert len(spectrum._envelope_pieces(-3.0, *window)) == 2
+        assert calls == [2 + 2 * len(report.pairs)]
 
     def test_unresolvable_piece_raises(self, scalar):
         # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at

@@ -45,6 +45,36 @@ class TestBuildPerturbation:
             iso.build_perturbation(paper_report, [{"k": k4, "i": 1, "c": 1.0,
                                                    "theta": [1.0, 0.0]}])
 
+    def test_theta_off_the_eigenspace_is_refused(self, paper_report):
+        # the eigenspace at the simple eigenvalue 4 is spanned by (0, 1)
+        k4 = oracles.pair_index(paper_report, 4.0)
+        with pytest.raises(iso.errors.NotAnEigenvalue, match="not in the eigenspace"):
+            iso.build_perturbation(paper_report, [{"k": k4, "i": 1, "c": 1.0,
+                                                   "theta": [1e-3, 1.0]}])
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_stored_column_as_theta_selects_the_stored_branch(self, paper_report, i):
+        k1 = oracles.pair_index(paper_report, 1.0)
+        column = paper_report.pairs[k1].thetas[:, i - 1]
+        plain = iso.build_perturbation(paper_report, [(k1, i, 1.0)])
+        given = iso.build_perturbation(paper_report, [{"k": k1, "i": i, "c": 1.0,
+                                                       "theta": list(column)}])
+        tripled = iso.build_perturbation(paper_report, [{"k": k1, "i": i, "c": 1.0,
+                                                         "theta": list(3 * column)}])
+        for name in ("thetas", "phis", "phi_derivs", "norms_sq"):
+            assert np.array_equal(getattr(given, name), getattr(plain, name))
+        assert np.allclose(tripled.phis, 3 * plain.phis, rtol=1e-13, atol=0)
+        assert np.allclose(tripled.phi_derivs, 3 * plain.phi_derivs, rtol=1e-13, atol=0)
+        assert np.allclose(tripled.norms_sq, 9 * plain.norms_sq, rtol=1e-13, atol=0)
+
+    def test_theta_selection_integrates_no_ode(self, paper_report, monkeypatch):
+        # the selection is read from the stored eigenspace; every IVP
+        # integration (integrate_ivp, integrate_final_batch) starts here
+        from isospec import ode
+        monkeypatch.setattr(ode, "_initial_state", lambda *a: pytest.fail("integrated"))
+        pert = oracles.mixed_perturbation(paper_report)
+        assert pert.rank == 1
+
     def test_same_eigenspace_selections_must_be_orthogonal(self, paper_report):
         k1 = oracles.pair_index(paper_report, 1.0)
         entries = [{"k": k1, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
