@@ -151,6 +151,9 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     take the five-point fourth-order stencil. The max runs over the node
     pairs j = 2..i-2, whose stencils in x and y stay on y <= x (the kink
     along y = x enters none), one (i - 3) N x 2M by 2M x N product per x row.
+    The rows next to the ends (y node 1, x node n-2) have no centered
+    five-point stencil and are not checked. Raises GridTooSmall below 7
+    nodes, where no node pair is left.
     """
     grid = kernel.grid
     n = grid.n

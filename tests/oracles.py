@@ -101,8 +101,8 @@ def dense_wave_residual(kernel, base, q):
     with the five-point fourth-order stencil, on the node pairs whose stencils
     in x and in y stay on y <= x (j = 2..i-2). The samples are O(1) and the
     differences are divided by h^2, so in double precision the reference
-    itself carries about 1e-9 relative rounding at n = 401; it is evaluated in
-    long double to stay well below that.
+    itself would carry about eps max|K| / h^2 of rounding (2.5e-12 at n = 401);
+    it is evaluated in long double to stay well below that.
     """
     grid = kernel.grid
     h = np.longdouble(grid.h)

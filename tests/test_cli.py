@@ -463,6 +463,15 @@ class TestVerify:
         wave = float(out.split("[pass] wave-eq: max residual ")[1].split()[0])
         assert wave <= 5e-5
 
+    def test_pipeline_grid_five_has_no_wave_residual(self, scalar_files, capsys):
+        # 5 nodes leave no node pair for the five-point stencils in x and y
+        prob, pert = scalar_files
+        rc = main(["verify", str(prob), str(pert), "--pipeline", "--min", "0.5",
+                   "--max", "5", "--grid", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: GridTooSmall: wave-equation residual needs at least 7")
+
     def test_corrupted_q_file_fails(self, scalar_files, tmp_path, capsys):
         # tamper with the written transformed potential, rebuild a problem
         # from it, and check the eigenvalue comparison flags the corruption

@@ -82,10 +82,11 @@ class TestWaveEquation:
             rep = iso.residual_wave_equation(kernel, base, q)
             ref_max, ref_loc = oracles.dense_wave_residual(kernel, base, q)
             assert ref_max > 0
-            # the double-precision stencil (weights summing to 64/12 in modulus)
-            # rounds each second difference by a few eps max|K| / h^2
-            rounding = 20 * np.finfo(float).eps * np.max(np.abs(oracles.dense_kernel(kernel)))
-            assert abs(rep.max_residual - ref_max) <= 1e-9 * ref_max + rounding / kernel.grid.h**2
+            # the double-precision stencil rounds at about eps max|K| / h^2 (1e-6
+            # of the residual at n = 401); the factored and dense values differ
+            # by 0.69 (paper, n = 401) and 0.95 (coupled3, n = 101) times that
+            rounding = np.finfo(float).eps * np.max(np.abs(oracles.dense_kernel(kernel)))
+            assert abs(rep.max_residual - ref_max) <= 2 * rounding / kernel.grid.h**2
             assert rep.location == ref_loc
 
     def test_peak_memory_stays_linear_in_nodes(self, paper, paper_report):
