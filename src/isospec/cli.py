@@ -31,11 +31,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _scan_options(args) -> ScanOptions:
-    """The scan settings of the common flags, with --tol capped at 1e-8."""
-    return ScanOptions(tol=min(args.tol, 1e-8), grid_nodes=args.grid)
-
-
 def _load_perturbation_file(path: str) -> list[dict]:
     with open(path) as f:
         entries = json.load(f)
@@ -52,7 +47,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    opts = _scan_options(args)
+    opts = ScanOptions(args.grid)
     if args.dump_path is not None and not args.out:
         raise ValueError("--dump-path writes path.csv and needs --out")
     problem = load_problem(args.problem)
@@ -98,7 +93,7 @@ def _run_transform(problem: Problem, entries: list[dict], opts: ScanOptions, win
 
 
 def cmd_transform(args) -> int:
-    opts = _scan_options(args)
+    opts = ScanOptions(args.grid)
     problem = load_problem(args.problem)
     entries = _load_perturbation_file(args.perturbation)
     report, pert, new_problem, result = _run_transform(problem, entries, opts,
@@ -124,7 +119,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opts = _scan_options(args)
+    opts = ScanOptions(args.grid)
     window = (args.lam_min, args.lam_max)
     shift_tol = args.shift_tol
     reports = []
@@ -139,8 +134,8 @@ def cmd_verify(args) -> int:
         reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
         reports += residual_goursat(kernel, problem)
         for j, lam in enumerate(kernel.lambdas):
-            reports.append(residual_transformed_eigen(new_problem, lam, result.psi[:, :, j],
-                                                      result.dpsi[:, :, j]))
+            reports += residual_transformed_eigen(new_problem, lam, result.psi[:, :, j],
+                                                  result.dpsi[:, :, j])
         reports.append(residual_endpoint(kernel, pert, result.psi))
         reports.append(residual_representation(kernel, result.psi))
         lines = [f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
@@ -195,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lambda window lower edge")
         p.add_argument("--max", dest="lam_max", type=float, default=30.0,
                        help="lambda window upper edge")
-        p.add_argument("--tol", type=float, default=ScanOptions.tol,
-                       help="eigenvalue refinement tolerance")
         p.add_argument("--out", default="", required=out_required,
                        help="output directory for artifacts")
 

@@ -207,14 +207,6 @@ class Check:
     defect: float
     threshold: float
 
-    def to_json_obj(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "defect": float(self.defect),
-            "threshold": float(self.threshold),
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -223,9 +215,6 @@ class ValidationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_obj(self):
-        return {"passed": self.all_passed, "checks": [c.to_json_obj() for c in self.checks]}
 
     def __str__(self):
         lines = []

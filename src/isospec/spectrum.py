@@ -38,18 +38,14 @@ ORACLE_NODES = 201
 
 @dataclass(frozen=True)
 class ScanOptions:
-    """Settings of :func:`scan_spectrum`: refinement tolerance and the x-grid
-    of the IVP integration. Raises ValueError unless grid_nodes is odd and
-    >= 5 and tol > 0 (NaN is rejected)."""
+    """Settings of :func:`scan_spectrum`: the x-grid of the IVP integration.
+    Raises ValueError unless grid_nodes is odd and >= 5."""
 
-    tol: float = 1e-10              # final Newton step size on each eigenvalue
     grid_nodes: int = 401           # x-grid for the IVP integration
 
     def __post_init__(self):
         if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
             raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
-        if not self.tol > 0:
-            raise ValueError("refinement tolerances must be positive (--tol)")
 
 
 @dataclass(frozen=True)
@@ -335,10 +331,14 @@ def _chopped_degree(c: np.ndarray) -> int | None:
     """Degree of the series c after chopping, or None if it is not resolved.
 
     Coefficients below _CHOP_RTOL times the largest are negligible; the
-    series is resolved when its last max(2, d/8) coefficients all are.
+    series is resolved when its last max(2, d/8) coefficients all are. An
+    all-zero series, as from W that RK4 damps to 0 at large lambda h^2,
+    resolves nothing.
     """
     d = c.shape[0] - 1
     norms = np.max(np.abs(c), axis=(1, 2))
+    if not norms.any():
+        return None
     big = np.flatnonzero(norms > _CHOP_RTOL * norms.max())
     top = int(big[-1]) if big.size else 0
     return max(top, 2) if top <= d - max(2, d // 8) else None
@@ -427,6 +427,11 @@ def _piece_roots(p: Problem, lo: float, hi: float, pmin: float, grid: Grid,
 
 #: Newton passes a start gets before it is dropped
 _NEWTON_PASSES = 8
+#: a start converges once its Newton step is at most this
+_NEWTON_TOL = 1e-10
+#: roots closer than this times (1 + |lambda|) are one root, which stands for
+#: every eigenvalue that close to it
+_MERGE_RTOL = 1e-8
 #: dW/dlambda counts as singular below this relative smallest singular value
 _SINGULAR_RTOL = 1e-13
 
@@ -438,15 +443,15 @@ def _newton_steps(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return mus[np.arange(mus.shape[0]), np.argmin(np.abs(mus), axis=1)]
 
 
-def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid, tables,
-                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid,
+                   tables) -> tuple[np.ndarray, np.ndarray]:
     """Batched Newton iteration on W(lambda) from starts, each within its radius.
 
     Each pass solves W(lam) v = mu W'(lam) v and steps lam <- lam - mu with mu
     the eigenvalue of smallest modulus. Near an eigenvalue lam_k of
     multiplicity m, W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null
     space, so mu ~ lam - lam_k and convergence is quadratic even at
-    semi-simple multiple eigenvalues. A start converges when |mu| <= tol; it
+    semi-simple multiple eigenvalues. A start converges when |mu| <= _NEWTON_TOL; it
     fails when its iterate moves farther than its radius from the start, W'
     is singular there, or it has not converged within _NEWTON_PASSES passes.
 
@@ -472,7 +477,7 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
         active[idx[~inside]] = False
         idx, step, mu = idx[inside], step[inside], mu[inside]
         lam[idx] = step
-        done = np.abs(mu) <= tol
+        done = np.abs(mu) <= _NEWTON_TOL
         converged[idx[done]] = True
         active[idx[done]] = False
     return lam, converged
@@ -486,13 +491,6 @@ def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
     ties) is positive; the null vectors of W are defined only up to sign."""
     lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(thetas.shape[1])]
     return np.where(lead < 0, -thetas, thetas)
-
-
-def _merge_rtol(tol: float) -> float:
-    """Relative merge tolerance max(100 tol, 1e-8) of roots refined to tol:
-    roots closer than it times (1 + |lambda|) are one root, which stands for
-    every eigenvalue that close to it."""
-    return max(100 * tol, 1e-8)
 
 
 def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables) -> list[Eigenpair]:
@@ -530,12 +528,12 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
     """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
 
     Its multiplicity is the rise of the eigenvalue count (:func:`_counts`)
-    from lam_k - delta to lam_k + delta, delta the scan's merge tolerance at
-    the default tol (:func:`_merge_rtol`): the rule the scan applies to every
-    root. Raises NotAnEigenvalue if the count does not rise there.
+    from lam_k - delta to lam_k + delta, delta = _MERGE_RTOL (1 + |lam_k|)
+    the scan's merge tolerance: the rule the scan applies to every root.
+    Raises NotAnEigenvalue if the count does not rise there.
     """
     tables = potential_tables(p.potential, grid)
-    delta = _merge_rtol(ScanOptions.tol) * (1.0 + abs(lam_k))
+    delta = _MERGE_RTOL * (1.0 + abs(lam_k))
     below, above = _counts(p, [lam_k - delta, lam_k + delta], grid, tables,
                            _potential_range(p, grid))
     if above <= below:
@@ -547,13 +545,13 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
 # ---------------------------------------------------------------------------
 # spectrum scan
 
-def _first_of_runs(values: np.ndarray, rtol: float) -> np.ndarray:
-    """Mask keeping each sorted value that lies more than rtol (1 + |value|)
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask keeping each sorted value that lies more than _MERGE_RTOL (1 + |value|)
     above the last value kept."""
     keep = np.zeros(values.size, dtype=bool)
     last = -np.inf
     for k, v in enumerate(values):
-        if v - last > rtol * (1.0 + abs(v)):
+        if v - last > _MERGE_RTOL * (1.0 + abs(v)):
             keep[k], last = True, v
     return keep
 
@@ -567,16 +565,16 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     :func:`_counts` at the cuts picks the pieces that hold eigenvalues. The
     colleague pencil of a chopped Chebyshev interpolant of W on each such
     piece gives root estimates (:func:`_piece_roots`). Estimates closer than
-    the merge tolerance delta = max(100 opts.tol, 1e-8) (1 + |lambda|) are
-    one start; Newton's method on W refines each start until its step is at
-    most opts.tol, within half the gap to the nearest other start plus
-    delta, and a start where it does not converge is dropped. Converged
-    roots in the window are merged within delta. One count of N at the
-    window edges and at both ends of each root's window, root +/- delta cut
-    at the midpoints to its neighbours, decides them all: a root's
-    multiplicity is the rise of N across its window (0 rejects it), and N
-    must not rise between windows. The eigenspace bases of the accepted
-    roots come from one SVD of W per root (:func:`_eigenpairs`).
+    the merge tolerance delta = 1e-8 (1 + |lambda|) are one start; Newton's
+    method on W refines each start until its step is at most 1e-10, within
+    half the gap to the nearest other start plus delta, and a start where it
+    does not converge is dropped. Converged roots in the window are merged
+    within delta. One count of N at the window edges and at both ends of
+    each root's window, root +/- delta cut at the midpoints to its
+    neighbours, decides them all: a root's multiplicity is the rise of N
+    across its window (0 rejects it), and N must not rise between windows.
+    The eigenspace bases of the accepted roots come from one SVD of W per
+    root (:func:`_eigenpairs`).
 
     Raises
     ------
@@ -603,20 +601,19 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         pieces = [piece for piece, r in zip(pieces, rise) if r > 0]
     starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
                                                      for lo, hi in pieces]))
-    merge_rtol = _merge_rtol(opts.tol)
-    starts = starts[_first_of_runs(starts, merge_rtol)]
+    starts = starts[_first_of_runs(starts)]
     # a lone start may move across the whole window
     far = 2.0 * (lambda_max - lambda_min)
     gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
-    radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + merge_rtol * (1.0 + np.abs(starts))
-    roots, converged = _newton_refine(p, starts, radius, grid, tables, opts.tol)
+    radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
+    roots, converged = _newton_refine(p, starts, radius, grid, tables)
     roots = np.sort(roots[converged & (roots >= lambda_min) & (roots <= lambda_max)])
-    roots = roots[_first_of_runs(roots, merge_rtol)]
+    roots = roots[_first_of_runs(roots)]
 
     # probes: lambda_min, then each root's window ends, then lambda_max; the
     # rises alternate between gaps (even) and root windows (odd)
     mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
-    delta = merge_rtol * (1.0 + np.abs(roots))
+    delta = _MERGE_RTOL * (1.0 + np.abs(roots))
     ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
     probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
     rise = np.diff(_counts(p, probes, grid, tables, prange))

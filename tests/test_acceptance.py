@@ -24,8 +24,8 @@ def _line(num, label, ok, details):
     assert ok, f"criterion {num} failed: {details}"
 
 
-def _pipeline(paper, n, tol=1e-12):
-    opts = iso.ScanOptions(grid_nodes=n, tol=tol)
+def _pipeline(paper, n):
+    opts = iso.ScanOptions(grid_nodes=n)
     report = iso.scan_spectrum(paper, *WINDOW, opts)
     pert = oracles.mixed_perturbation(report)
     kernel = solve_kernel(pert)

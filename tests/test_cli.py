@@ -40,7 +40,7 @@ class TestRunConfig:
         assert main(["spectrum", str(prob)]) == 0
         printed = [(r["lambda"], r["multiplicity"]) for r in json.loads(capsys.readouterr().out)]
         report = iso.scan_spectrum(iso.load_problem(str(prob)), -10.0, 30.0)
-        assert report.options == iso.ScanOptions(grid_nodes=401, tol=1e-10)
+        assert report.options == iso.ScanOptions(grid_nodes=401)
         assert printed == [(p.lam, p.multiplicity) for p in report.pairs]
 
     def test_invariants(self, paper):
@@ -50,24 +50,22 @@ class TestRunConfig:
             iso.ScanOptions(grid_nodes=3)            # too small
         with pytest.raises(ValueError):
             iso.scan_spectrum(paper, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            iso.ScanOptions(tol=-1e-10)
 
     @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", float("nan")),
+                                              ("tol", -1e-10), ("tol", 1e-8), ("tol", 1e-13),
                                               ("rank_tol", -1.0), ("rank_tol", float("nan")),
                                               ("rank_tol", 1.0), ("rank_tol", 1e3),
                                               ("rank_tol", float("inf"))])
     def test_bad_tolerance_is_a_value_error(self, field, value):
-        # rank_tol is gone: every value of it, the once-bad ones included, is
-        # refused as an unknown field rather than silently ignored
-        error, match = ((ValueError, "tolerances must be positive") if field == "tol"
-                        else (TypeError, "rank_tol"))
-        with pytest.raises(error, match=match):
+        # tol and rank_tol are gone: every value of them, the once-bad ones
+        # included, is refused as an unknown field rather than silently ignored
+        with pytest.raises(TypeError, match=field):
             iso.ScanOptions(**{field: value})
 
     def test_rank_threshold_is_gone(self):
-        # multiplicities come from the eigenvalue count
-        assert [f.name for f in dataclasses.fields(iso.ScanOptions)] == ["tol", "grid_nodes"]
+        # multiplicities come from the eigenvalue count, and Newton and the
+        # root merge run at fixed tolerances
+        assert [f.name for f in dataclasses.fields(iso.ScanOptions)] == ["grid_nodes"]
 
     @pytest.mark.parametrize("window", [(-np.inf, 5.0), (0.0, np.inf), (np.nan, 5.0)],
                              ids=["-inf", "inf", "nan"])
@@ -86,29 +84,38 @@ class TestRunConfig:
         prob, _ = paper_files
         out = tmp_path / "never"
         argv = ["spectrum", str(prob), "--out", str(out)] + flags
-        if flags[0] == "--rank-tol":
+        if flags[0] in ("--rank-tol", "--tol"):
             # the flag is gone: argparse refuses it with a usage message
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert capsys.readouterr().err.startswith("usage: ")
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ") and f"unrecognized arguments: {flags[0]}" in err
         else:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["spectrum", "transform", "verify"])
-    def test_removed_rank_tol_flag_is_a_usage_error(self, paper_files, tmp_path, capsys,
-                                                     command):
+    @staticmethod
+    def _assert_removed_flag(paper_files, tmp_path, capsys, command, flag):
         prob, pert = paper_files
         args = [str(prob)] if command == "spectrum" else [str(prob), str(pert)]
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as exc:
-            main([command, *args, "--out", str(out), "--rank-tol", "1e-6"])
+            main([command, *args, "--out", str(out), flag, "1e-6"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage:") and "unrecognized arguments: --rank-tol" in err
+        assert err.startswith("usage:") and f"unrecognized arguments: {flag}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "transform", "verify"])
+    def test_removed_rank_tol_flag_is_a_usage_error(self, paper_files, tmp_path, capsys,
+                                                     command):
+        self._assert_removed_flag(paper_files, tmp_path, capsys, command, "--rank-tol")
+
+    @pytest.mark.parametrize("command", ["spectrum", "transform", "verify"])
+    def test_removed_tol_flag_is_a_usage_error(self, paper_files, tmp_path, capsys, command):
+        self._assert_removed_flag(paper_files, tmp_path, capsys, command, "--tol")
 
 
 class TestValidate:
@@ -262,6 +269,16 @@ class TestSpectrum:
                      "--dump-path=-1e8", "--out", str(out)]) == 1
         assert "NonFiniteState" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_w_damped_to_zero_exits_1(self, scalar_files, capsys):
+        # RK4 damps W to 0.0 across this window at grid 3201 (lambda h^2 ~ 3.9)
+        prob, _ = scalar_files
+        assert main(["spectrum", str(prob), "--grid", "3201", "--min", "4e6",
+                     "--max", "4.0016e6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: WindowTooCoarse: W is not resolved")
+        assert captured.out == ""
 
     def test_dump_path_without_out_is_a_usage_error(self, scalar_files, tmp_path, capsys,
                                                     monkeypatch):
@@ -447,7 +464,7 @@ class TestVerify:
                    "--min", "-5", "--max", "20"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("[pass]") == 7 and "[FAIL]" not in out
+        assert out.count("[pass]") == 8 and "[FAIL]" not in out
 
     def test_paper_rank_two_pipeline_passes(self, paper_files, tmp_path, capsys):
         # both branches of the double eigenvalue 1: the second-order wave
@@ -459,7 +476,7 @@ class TestVerify:
         rc = main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5", "--max", "20"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("[pass]") == 8 and "[FAIL]" not in out
+        assert out.count("[pass]") == 10 and "[FAIL]" not in out
         wave = float(out.split("[pass] wave-eq: max residual ")[1].split()[0])
         assert wave <= 5e-5
 
@@ -546,7 +563,7 @@ class TestVerify:
         rows = json.loads((out / "verify.json").read_text())["residuals"]
         located = {r["name"]: r["location"] is not None for r in rows}
         assert located == {"wave-eq": True, "goursat": False, "trace": True, "eigen-ode": True,
-                           "endpoint": False, "representation": False}
+                           "eigen-bc": True, "endpoint": False, "representation": False}
         assert all((r["maxResidual"] >= iso.verify.LOCATION_FLOOR) == located[r["name"]]
                    for r in rows)
 

@@ -190,7 +190,7 @@ class TestScan:
         # the count rises by the multiplicity within the merge tolerance of
         # each root, and by nothing else across the window
         lams = np.array([p.lam for p in paper_report.pairs])
-        delta = spectrum._merge_rtol(paper_report.options.tol) * (1.0 + np.abs(lams))
+        delta = spectrum._MERGE_RTOL * (1.0 + np.abs(lams))
         n = counts(paper, np.concatenate([[-5.0], lams - delta, lams + delta, [20.0]]))
         rises = n[1 + lams.size:-1] - n[1:1 + lams.size]
         assert list(rises) == [p.multiplicity for p in paper_report.pairs]
@@ -303,6 +303,16 @@ class TestScan:
         # any degree; bisection stops at the least interpolation width
         with pytest.raises(WindowTooCoarse, match="not resolved"):
             iso.scan_spectrum(scalar, 1.2e5, 1.4e5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_w_damped_to_zero_raises(self, scalar):
+        # at lambda h^2 ~ 3.9 RK4 damps W to 0.0 at every sample; an all-zero
+        # series resolves nothing, so the piece bisects to the least width
+        grid = iso.Grid.uniform(3201)
+        assert not np.any(iso.characteristic_matrix(scalar, 4.0008e6, grid))
+        assert spectrum._chopped_degree(np.zeros((9, 1, 1))) is None
+        with pytest.raises(WindowTooCoarse, match="W is not resolved"):
+            iso.scan_spectrum(scalar, 4e6, 4.0016e6, iso.ScanOptions(grid_nodes=3201))
 
     def test_damped_high_window_equals_its_halves(self, scalar):
         # RK4 damps W by about 1e-22 across [6e4, 7e4] at 401 nodes; a piece

@@ -173,35 +173,43 @@ class TestGoursat:
 class TestTransformedEigen:
     def test_mixed_transform_eigen_residuals(self, mixed_rank_one):
         result = mixed_rank_one["result"]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
-                                             result.psi[:, :, 0], result.dpsi[:, :, 0])
-        # measured 5.8e-4 at n=401 (h^2-limited); frozen with headroom
-        assert rep.max_residual <= 8e-4
-        assert rep.extras["boundary_left"] <= 1e-8
-        assert rep.extras["boundary_right"] <= 1e-8
+        ode, bc = iso.residual_transformed_eigen(mixed_rank_one["problem"],
+                                                 result.kernel.lambdas[0],
+                                                 result.psi[:, :, 0], result.dpsi[:, :, 0])
+        # measured 1.67e-6 at n=401; frozen with headroom
+        assert (ode.name, bc.name) == ("eigen-ode", "eigen-bc")
+        assert ode.max_residual <= 8e-4
+        assert bc.max_residual <= 1e-8
+        assert bc.location in (0.0, np.pi)
 
     def test_empty_perturbation_matches_original(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         new_problem, _ = iso.transform_problem(scalar, pert)
         pair = scalar_report.pairs[0]
         psi, dpsi = iso.transform_eigenfunction(solve_kernel(pert), pair.phis, pair.phi_derivs)
-        rep = iso.residual_transformed_eigen(new_problem, pair.lam, psi[:, :, 0], dpsi[:, :, 0])
+        ode, bc = iso.residual_transformed_eigen(new_problem, pair.lam, psi[:, :, 0],
+                                                 dpsi[:, :, 0])
         # psi == phi, so the residual is the original eigenfunction's (near 0)
-        assert rep.max_residual <= 1e-4
-        assert rep.extras["boundary_left"] <= 1e-10
+        assert ode.max_residual <= 1e-4
+        assert bc.max_residual <= 1e-10
 
-    def test_boundary_residual_decides_verdict(self):
-        extras = {"boundary_left": 0.0, "boundary_right": 1e-6, "boundary_tolerance": 1e-8}
-        rep = iso.ResidualReport("eigen-ode", 1e-5, 0.0, 1e-3, extras)
-        assert not rep.passed
-        assert rep.to_json_obj()["passed"] is False
-        ok = iso.ResidualReport("eigen-ode", 1e-5, 0.0, 1e-3, {**extras, "boundary_right": 1e-9})
-        assert ok.passed
+    def test_boundary_residual_decides_verdict(self, mixed_rank_one):
+        # a psi(0) off by 1e-7 fails the boundary condition on its own line,
+        # while the ODE residual it moves by about 1e-7 / (12 h^2) still passes
+        result = mixed_rank_one["result"]
+        psi = result.psi[:, :, 0].copy()
+        psi[0] += 1e-7
+        ode, bc = iso.residual_transformed_eigen(mixed_rank_one["problem"],
+                                                 result.kernel.lambdas[0], psi,
+                                                 result.dpsi[:, :, 0])
+        assert ode.passed
+        assert not bc.passed and bc.to_json_obj()["passed"] is False
+        assert bc.location == 0.0 and bc.max_residual >= 1e-7 - 1e-9
 
     def test_wrong_lambda_detected(self, mixed_rank_one):
         result = mixed_rank_one["result"]
         rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0] + 1.0,
-                                             result.psi[:, :, 0], result.dpsi[:, :, 0])
+                                             result.psi[:, :, 0], result.dpsi[:, :, 0])[0]
         scale = np.max(np.abs(result.psi))
         assert rep.max_residual >= 0.9 * scale
 
@@ -209,9 +217,18 @@ class TestTransformedEigen:
         def resid(bundle):
             result = bundle["result"]
             return iso.residual_transformed_eigen(bundle["problem"], result.kernel.lambdas[0],
-                                                  result.psi[:, :, 0], result.dpsi[:, :, 0]).max_residual
+                                                  result.psi[:, :, 0],
+                                                  result.dpsi[:, :, 0])[0].max_residual
 
         assert resid(mixed_rank_one) / resid(mixed_rank_one_801) >= 3.5
+
+    def test_grid_too_small(self, mixed_rank_one):
+        # the five-point stencil leaves no node below 7 nodes
+        result = mixed_rank_one["result"]
+        psi, dpsi = result.psi[::80, :, 0], result.dpsi[::80, :, 0]     # 6 nodes
+        with pytest.raises(GridTooSmall, match="at least 7 nodes"):
+            iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
+                                           psi, dpsi)
 
 
 class TestCommutator:
