@@ -17,9 +17,10 @@ step pairs; every propagation evaluates them:
   batched matrix products per chunk of lambdas; with an odd step count the
   last step is a leaf of its own;
 * paths (:func:`_fold`) fold z_{i+1} = T_i z_i node by node, one batched
-  product per step for all lambdas of a call, and keep the nodes asked for:
-  all of them for :func:`integrate_ivp`, every k-th for the eigenvalue
-  count of :mod:`isospec.spectrum`.
+  product per step for all lambdas of a call; each lambda keeps every k-th
+  node or every node. A scan of :mod:`isospec.spectrum` folds once: the
+  eigenvalue count's lambdas keep every k-th node, the roots every node for
+  their eigenpairs; :func:`integrate_ivp` keeps every node.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -39,8 +40,8 @@ from .model import Grid, MatrixPotential
 #: degree of the RK4 step matrix T_i(lambda) in lambda (E^2 = 0 caps it at 2)
 STEP_DEGREE = 2
 #: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
-#: 2N, 2N) stack of pair leaves of a lambda chunk in the endpoint tree and the
-#: (block, L, 2N, 2N) stack of a step block in the path fold
+#: 2N, 2N) pair leaves of a lambda chunk in the endpoint tree and the (block, L,
+#: 2N, 2N) steps with their (block, L, 2N, N) states of a step block in the fold
 _TREE_BYTES = 1 << 20
 
 
@@ -141,28 +142,38 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def _fold(c: np.ndarray, lams: np.ndarray, z0: np.ndarray, stride: int) -> np.ndarray:
-    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 at the nodes i = 0, stride,
-    2 stride, ... and at the last node, shape (K, L, 2N, N) for the L lambdas.
+def _fold(c: np.ndarray, lams: np.ndarray, z0: np.ndarray, stride: int,
+          paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the first L - paths lambdas
+    at the nodes i = 0, stride, 2 stride, ... and the last, (K, L - paths, 2N, N),
+    and of the last paths lambdas at every node, (n, paths, 2N, N).
 
     c holds the step tables of :func:`potential_tables`. All lambdas are
-    folded together, one batched matrix product per step; the step matrices
-    are evaluated in blocks of steps that fit _TREE_BYTES, and a node that is
-    not kept stores nothing.
+    folded together, one batched matrix product per step, in blocks of steps
+    whose step matrices and states fit _TREE_BYTES; the states of a block
+    are copied out to the nodes each lambda keeps once it is done.
     """
     s, _, n2, _ = c.shape
-    block = max(1, _TREE_BYTES // (lams.size * n2 * n2 * 8))
-    out = np.empty((-(-s // stride) + 1, lams.size) + z0.shape)
-    out[0] = z0
-    z = out[0]
+    m = lams.size - paths
+    block = min(s, max(1, _TREE_BYTES // (lams.size * (n2 * n2 + z0.size) * 8)))
+    kept = np.union1d(np.arange(0, s + 1, stride), [s])
+    strided = np.empty((kept.size, m) + z0.shape)
+    path = np.empty((s + 1, paths) + z0.shape)
+    states = np.empty((block + 1, lams.size) + z0.shape)     # nodes lo..lo+block
+    states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, s, block):
             steps, _ = _step_matrices(c[lo:lo + block], lams, derivative=False)
-            for i, step in enumerate(steps, lo + 1):
-                kept = i % stride == 0 or i == s        # node i goes to slot ceil(i / stride)
-                z = np.matmul(step, z, out=out[-(-i // stride)] if kept else None)
-    _check_finite(out[-1])
-    return out
+            hi = lo + len(steps)
+            for j in range(hi - lo):
+                np.matmul(steps[j], states[j], out=states[j + 1])
+            del steps                   # before the next block's steps are evaluated
+            done = (kept >= lo) & (kept <= hi)
+            strided[done] = states[kept[done] - lo, :m]
+            path[lo:hi + 1] = states[:hi - lo + 1, m:]
+            states[0] = states[hi - lo]
+    _check_finite(states[0])
+    return strided, path
 
 
 def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, grid: Grid,
@@ -187,7 +198,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     (L, n, N, N) for an array, lambda axis first. Global error O(h^4) for C^2
     potentials. Deterministic for fixed inputs.
 
-    All lambdas are folded together by :func:`_fold`, which keeps every node.
+    All lambdas are folded together by :func:`_fold`, keeping every node.
     """
     y0 = np.asarray(y0, dtype=float)
     yp0 = np.asarray(yp0, dtype=float)
@@ -198,7 +209,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
     scalar = lams.ndim == 0
-    z = _fold(c, np.atleast_1d(lams), _initial_state(y0, yp0), 1)
+    z = _fold(c, np.atleast_1d(lams), _initial_state(y0, yp0), c.shape[0], lams.size)[1]
     z = np.moveaxis(z, 1, 0)                        # (L, n, 2N, N)
     if scalar:
         z = z[0]

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .model import RANK_RTOL, BoundaryPair, Grid, Problem
-from .ode import _fold, _initial_state, integrate_final_batch, integrate_ivp, potential_tables
+from .ode import _fold, _initial_state, integrate_final_batch, potential_tables
 from .quadrature import integral
 
 #: node count of the finite-difference oracle grid
@@ -222,8 +222,9 @@ def _boundary_phases(pair: BoundaryPair, s: np.ndarray, upper: bool) -> np.ndarr
     return np.where(np.abs(ph) <= _PHASE_SLACK, 2 * np.pi * upper, ph % (2 * np.pi)).sum(axis=1)
 
 
-def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float]) -> np.ndarray:
-    """The eigenvalue counts of :func:`_counts` before rounding to integers."""
+def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
+                roots=()) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_counts` before rounding the counts to integers."""
     lams = np.asarray(lams, dtype=float)
     n = p.n
     s = np.sqrt(np.maximum(np.maximum(np.abs(lams - prange[0]), np.abs(lams - prange[1])), 1.0))
@@ -233,8 +234,9 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
-    z = _fold(tables[0], lams, _initial_state(p.left.B.T, -p.left.A.T),
-              max(1, int(1.0 / step.max())))
+    z, paths = _fold(tables[0], np.concatenate([lams, roots]),
+                     _initial_state(p.left.B.T, -p.left.A.T), max(1, int(1.0 / step.max())),
+                     len(roots))
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
     sign, _ = np.linalg.slogdet(g)
     delta = 2.0 * np.angle(sign[1:] * sign[:-1].conj()).sum(axis=0)
@@ -244,12 +246,14 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
     end = (np.angle(np.linalg.eigvals(meet)) % (2 * np.pi)).sum(axis=1)
     total = (_boundary_phases(p.left, s, False) + delta
              - _boundary_phases(p.right, s, True) + end)
-    return total / (2 * np.pi)
+    return total / (2 * np.pi), paths
 
 
-def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float]) -> np.ndarray:
+def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
+            roots=()) -> tuple[np.ndarray, np.ndarray]:
     """N(lambda), the number of eigenvalues below each of lams, with
-    multiplicity, of the discrete problem whose W the scan evaluates.
+    multiplicity, of the discrete problem whose W the scan evaluates, and
+    the paths (Y, Y') at roots, (n, R, 2N, N), of the same fold.
 
     Along the RK4 path of the frame (Y, Y') from (B^T, -A^T), the map
     Theta(x) = G conj(G)^{-1}, G = Y' + i s Y, is unitary up to the
@@ -268,12 +272,14 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float]) -
     prange the extreme eigenvalues of P over the nodes, each channel's phase
     moves by at most s h per node, so det G is sampled every k nodes of one
     :func:`isospec.ode._fold` of all lams, k the largest with N s k h <= 1.
-    The count is independent of s; lams must not be eigenvalues.
+    The count is independent of s; lams must not be eigenvalues. The roots
+    ride along in that fold and keep every node.
 
     Raises WindowTooCoarse if N s h exceeds _MAX_PHASE_STEP at one of lams:
     det G then turns too far between nodes to unwrap.
     """
-    return np.rint(_raw_counts(p, lams, grid, tables, prange)).astype(int)
+    raw, paths = _raw_counts(p, lams, grid, tables, prange, roots)
+    return np.rint(raw).astype(int), paths
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +493,15 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
 # eigenspace basis
 
 def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
-    """Flip each column so that its largest-magnitude entry (the first on
-    ties) is positive; the null vectors of W are defined only up to sign."""
-    lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(thetas.shape[1])]
+    """Flip each column of each (N, m) matrix so that its largest-magnitude
+    entry (the first on ties) is positive; null vectors of W have no sign."""
+    lead = np.take_along_axis(thetas, np.argmax(np.abs(thetas), axis=-2)[..., None, :], axis=-2)
     return np.where(lead < 0, -thetas, thetas)
 
 
-def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables) -> list[Eigenpair]:
-    """Eigenpairs at refined eigenvalues lams of multiplicities mult, all
-    formed in one batch.
+def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables, paths) -> list[Eigenpair]:
+    """Eigenpairs at refined eigenvalues lams of multiplicities mult, from
+    the paths (Y, Y') at lams, (n, L, 2N, N), of :func:`_counts`.
 
     A null-space basis V_k is the mult[k] right singular vectors of
     W(lams[k]) with the smallest singular values; the matrix
@@ -504,23 +510,29 @@ def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables) -> list[Eigenpair]:
     Y theta_l mutually L2-orthogonal. Each theta_l is signed by
     :func:`_canonical_signs`. The residual is |mu| of one Newton step at
     lams[k] (:func:`_newton_steps`), about the distance to the nearest
-    eigenvalue of the discrete problem. One batched path fold gives Y at
-    every lambda.
+    eigenvalue of the discrete problem. Each multiplicity's roots go in one
+    batch.
     """
     lams = np.asarray(lams, dtype=float)
+    mult = np.asarray(mult)
     w, dw = _char_batch(p, lams, grid, tables, derivative=True)
     vt = np.linalg.svd(w)[2]
     residuals = np.abs(_newton_steps(w, dw))
-    y, yp = integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
-    pairs = []
-    for k, m in enumerate(mult):
-        v_k = vt[k, -m:][::-1].T                 # (N, m), most-null direction first
-        z = y[k] @ v_k                           # (n, N, m)
-        gram = integral(np.einsum("qni,qnj->qij", z, z), grid.h)
+    z = np.moveaxis(paths, 1, 0)                 # (L, n, 2N, N)
+    pairs = [None] * lams.size
+    for m in np.unique(mult):
+        k = np.flatnonzero(mult == m)
+        v = vt[k, -m:][:, ::-1].swapaxes(1, 2)   # (K, N, m), most-null direction first
+        y, yp = z[k, :, :p.n], z[k, :, p.n:]     # (K, n, N, N)
+        # products keep the per-root (N, N) @ (N, m) shape: bits as root by root
+        yv = y @ v[:, None]
+        gram = integral(np.einsum("kqni,kqnj->qkij", yv, yv), grid.h)
         d, u = np.linalg.eigh(gram)
-        thetas = _canonical_signs(v_k @ u)
-        pairs.append(Eigenpair(float(lams[k]), int(m), thetas, y[k] @ thetas, yp[k] @ thetas,
-                               np.maximum(d, 0.0), float(residuals[k]), grid))
+        thetas = _canonical_signs(v @ u)
+        phis, dphis = y @ thetas[:, None], yp @ thetas[:, None]
+        for r, j in enumerate(k):
+            pairs[j] = Eigenpair(float(lams[j]), int(m), thetas[r], phis[r], dphis[r],
+                                 np.maximum(d[r], 0.0), float(residuals[j]), grid)
     return pairs
 
 
@@ -534,12 +546,12 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
     """
     tables = potential_tables(p.potential, grid)
     delta = _MERGE_RTOL * (1.0 + abs(lam_k))
-    below, above = _counts(p, [lam_k - delta, lam_k + delta], grid, tables,
-                           _potential_range(p, grid))
+    (below, above), paths = _counts(p, [lam_k - delta, lam_k + delta], grid, tables,
+                                    _potential_range(p, grid), [lam_k])
     if above <= below:
         raise NotAnEigenvalue(f"the eigenvalue count does not rise within {delta:.3g} "
                               f"of {lam_k}; not an eigenvalue")
-    return _eigenpairs(p, [lam_k], [above - below], grid, tables)[0]
+    return _eigenpairs(p, [lam_k], [above - below], grid, tables, paths)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +609,7 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     pieces = list(zip(edges[:-1], edges[1:]))
     if len(pieces) > 1:
         # a piece across which N does not rise holds no root
-        rise = np.diff(_counts(p, edges, grid, tables, prange))
+        rise = np.diff(_counts(p, edges, grid, tables, prange)[0])
         pieces = [piece for piece, r in zip(pieces, rise) if r > 0]
     starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
                                                      for lo, hi in pieces]))
@@ -616,7 +628,8 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     delta = _MERGE_RTOL * (1.0 + np.abs(roots))
     ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
     probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
-    rise = np.diff(_counts(p, probes, grid, tables, prange))
+    counts, paths = _counts(p, probes, grid, tables, prange, roots)
+    rise = np.diff(counts)
     missed = 2 * np.flatnonzero(rise[0::2])
     if missed.size:
         k = missed[0]
@@ -624,5 +637,6 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
     mult = rise[1::2]
     ok = mult > 0
-    pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables) if ok.any() else []
+    paths = paths[:, ok]            # frees the paths of rejected roots before the eigenpairs
+    pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables, paths) if ok.any() else []
     return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), opts, tuple(pairs))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridTooSmall, NonFiniteState
 from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
 from .spectrum import ScanOptions, SpectrumReport, scan_spectrum
@@ -22,6 +22,7 @@ from .transform import KernelField, Perturbation
 #: a residual below this is at the rounding level of the O(1) quantities the
 #: identities compare, and where it peaks is noise: verify.json writes no location
 LOCATION_FLOOR = 1e-12
+_WAVE_BYTES = 1 << 18      # bytes of one x-row block's products in the wave residual
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,17 @@ def compare_spectra(ra: SpectrumReport, rb: SpectrumReport, tol: float) -> Isosp
     return IsospectralReport(ra.window, pa, pb, shift, mult_match, tol)
 
 
-def _peak(res: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Largest |res| and the node x[q] where it first occurs along axis 0.
-
-    A residual that is identically zero (or has no entries) reports node 0.
+def _peak_report(name: str, res: np.ndarray, x: np.ndarray, tolerance: float) -> ResidualReport:
+    """Report of the largest |res| and the node x[q] where it first occurs
+    along axis 0; an identically zero residual (or none) reports node 0.
+    Raises NonFiniteState, naming the identity, if res holds a NaN or an
+    infinity: a residual that is not finite must not pass.
     """
     mag = np.abs(res).max(axis=tuple(range(1, res.ndim)), initial=0.0)
     q = int(np.argmax(mag))
-    return (float(mag[q]), float(x[q])) if mag[q] > 0 else (0.0, 0.0)
+    if not np.isfinite(mag[q]):
+        raise NonFiniteState(f"the {name} residual is not finite at x = {x[q]:.9g}")
+    return ResidualReport(name, float(mag[q]), float(x[q]) if mag[q] > 0 else 0.0, tolerance)
 
 
 def _second_difference4(v: np.ndarray, h: float) -> np.ndarray:
@@ -136,10 +140,11 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     The factors are smooth in one variable each; their second derivatives
     take the five-point fourth-order stencil. The max runs over the node
     pairs j = 2..i-2, whose stencils in x and y stay on y <= x (the kink
-    along y = x enters none), one (i - 3) N x 2M by 2M x N product per x row.
-    The rows next to the ends (y node 1, x node n-2) have no centered
-    five-point stencil and are not checked. Raises GridTooSmall below 7
-    nodes, where no node pair is left.
+    along y = x enters none), in blocks of x rows: one product of a block's
+    X with the Z of every y node it meets, its own triangle j > i-2 masked,
+    and as many rows as fit _WAVE_BYTES. The rows next to the ends (y node
+    1, x node n-2) have no centered five-point stencil and are not checked.
+    Raises GridTooSmall below 7 nodes, where no node pair is left.
     """
     grid = kernel.grid
     n = grid.n
@@ -151,11 +156,20 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     x_fac = np.concatenate([_second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
     z_fac = np.concatenate([phi, _second_difference4(kernel.phi, grid.h) - ps @ phi], axis=2)
     n_dim = phi.shape[1]
+    x_rows = x_fac[2:].reshape((n - 6) * n_dim, 2 * kernel.rank)   # x nodes 4..n-3
     z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+2}[b]
-    # x node i = 4..n-3 meets y nodes j = 2..i-2, the first (i-3) N rows of z_rows
-    res = np.array([np.max(np.abs(z_rows[:(i - 3) * n_dim] @ x_fac[i - 2].T))
-                    for i in range(4, n - 2)])
-    return ResidualReport("wave-eq", *_peak(res, grid.nodes[4:n - 2]), tolerance)
+    res = np.empty(n - 6)
+    block = max(1, _WAVE_BYTES // (8 * n_dim * z_rows.shape[0]))
+    for lo in range(0, n - 6, block):
+        hi = min(lo + block, n - 6)
+        # x node i = lo+4 .. hi+3 meets y nodes 2..i-2: the first (i-3) N rows of z_rows
+        prod = x_rows[lo * n_dim:hi * n_dim] @ z_rows[:hi * n_dim].T
+        prod = np.abs(prod, out=prod).reshape(hi - lo, n_dim, hi, n_dim)
+        above = np.arange(lo + 1, hi) >= np.arange(lo + 1, hi + 1)[:, None]
+        np.copyto(prod[:, :, lo + 1:], 0.0, where=above[:, None, :, None])
+        res[lo:hi] = prod.max(axis=(1, 2, 3))
+        del prod                        # before the next block's product is formed
+    return _peak_report("wave-eq", res, grid.nodes[4:n - 2], tolerance)
 
 
 def residual_goursat(kernel: KernelField, p: Problem,
@@ -176,8 +190,8 @@ def residual_goursat(kernel: KernelField, p: Problem,
     dq = 2.0 * kernel.diagonal_derivative()
     half_int = 0.5 * running_integral(dq, grid.h)
     t_res = kernel.diagonal() - half_int + f00
-    return [ResidualReport("goursat", *_peak(g_res, grid.nodes), tolerance),
-            ResidualReport("trace", *_peak(t_res, grid.nodes), tolerance)]
+    return [_peak_report("goursat", g_res, grid.nodes, tolerance),
+            _peak_report("trace", t_res, grid.nodes, tolerance)]
 
 
 def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
@@ -202,8 +216,8 @@ def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
            - lam * psi[2:-2])
     ends = np.stack([p_new.left.B @ dpsi[0] + p_new.left.A @ psi[0],
                      p_new.right.B @ dpsi[-1] + p_new.right.A @ psi[-1]])
-    return [ResidualReport("eigen-ode", *_peak(res, grid.nodes[2:-2]), tolerance),
-            ResidualReport("eigen-bc", *_peak(ends, grid.nodes[[0, -1]]), boundary_tolerance)]
+    return [_peak_report("eigen-ode", res, grid.nodes[2:-2], tolerance),
+            _peak_report("eigen-bc", ends, grid.nodes[[0, -1]], boundary_tolerance)]
 
 
 def residual_endpoint(kernel: KernelField, pert: Perturbation, psi: np.ndarray,
@@ -221,7 +235,7 @@ def residual_representation(kernel: KernelField, psi: np.ndarray,
     """Representation identity a_j(x) = -c_j psi_j(x), entrywise, for the
     (n, N, M) stack psi of transformed selections."""
     diff = kernel.a + kernel.coeffs * psi
-    return ResidualReport("representation", *_peak(diff, kernel.grid.nodes), tolerance)
+    return _peak_report("representation", diff, kernel.grid.nodes, tolerance)
 
 
 def commutator_diagnostic(q: MatrixPotential, grid: Grid) -> tuple[float, float]:

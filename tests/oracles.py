@@ -3,12 +3,17 @@
 Everything here is written directly from the analytic solutions of the
 constant-diagonal Dirichlet problems and stays independent of the code paths
 it checks: quadratures appear only where the quantity being tested is itself
-defined through the package's running quadrature.
+defined through the package's running quadrature. At the end come the
+benchmark's coupled N = 4 problem and the straightforward per-row and
+per-root forms of two batched computations, kept to pin the batched ones to
+the same bits.
 """
 
 import numpy as np
 
 import isospec as iso
+from isospec import spectrum, verify
+from isospec.ode import potential_tables
 
 
 def dirichlet_spectrum(diag_values, lo, hi):
@@ -119,3 +124,62 @@ def dense_wave_residual(kernel, base, q):
         if mx > best[0]:
             best = (mx, float(grid.nodes[i]))
     return best
+
+
+def coupled4(n=401, seed=0):
+    """The benchmark's fully coupled N = 4 Dirichlet problem R diag(-3, 0, 1.5, -0.5) R^T
+    on n nodes, R the sign-fixed Q factor of a seeded Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    rot = q * np.sign(np.diag(r))
+    grid = iso.Grid.uniform(n)
+    samples = np.broadcast_to(rot @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ rot.T, (n, 4, 4))
+    dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+    return iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+
+
+def loop_wave_residual(kernel, base, q):
+    """(max_residual, location) of iso.residual_wave_equation, one x row at a time.
+
+    The factors X = [A'' - Q A, -A] and Z = [Phi, Phi'' - P Phi] are formed as
+    there; x node i = 4..n-3 meets the y nodes j = 2..i-2 in one
+    (i - 3) N x 2M by 2M x N product.
+    """
+    grid = kernel.grid
+    n = grid.n
+    a, phi = kernel.a[2:-2], kernel.phi[2:-2]
+    qs = q.evaluate_many(grid.nodes[2:-2])
+    ps = base.evaluate_many(grid.nodes[2:-2])
+    x_fac = np.concatenate([verify._second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
+    z_fac = np.concatenate([phi, verify._second_difference4(kernel.phi, grid.h) - ps @ phi],
+                           axis=2)
+    n_dim = phi.shape[1]
+    z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)
+    res = np.array([np.max(np.abs(z_rows[:(i - 3) * n_dim] @ x_fac[i - 2].T))
+                    for i in range(4, n - 2)])
+    k = int(np.argmax(res))
+    return (float(res[k]), float(grid.nodes[4 + k])) if res[k] > 0 else (0.0, 0.0)
+
+
+def loop_eigenpairs(p, lams, mult, grid):
+    """Eigenpairs of spectrum._eigenpairs, one root at a time, with the paths
+    from iso.integrate_ivp."""
+    tables = potential_tables(p.potential, grid)
+    lams = np.asarray(lams, dtype=float)
+    w, dw = spectrum._char_batch(p, lams, grid, tables, derivative=True)
+    vt = np.linalg.svd(w)[2]
+    residuals = np.abs(spectrum._newton_steps(w, dw))
+    y, yp = iso.integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
+    pairs = []
+    for k, m in enumerate(mult):
+        v_k = vt[k, -m:][::-1].T
+        z = y[k] @ v_k
+        gram = iso.integral(np.einsum("qni,qnj->qij", z, z), grid.h)
+        d, u = np.linalg.eigh(gram)
+        thetas = v_k @ u
+        lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(m)]
+        thetas = np.where(lead < 0, -thetas, thetas)
+        pairs.append(spectrum.Eigenpair(float(lams[k]), int(m), thetas, y[k] @ thetas,
+                                        yp[k] @ thetas, np.maximum(d, 0.0),
+                                        float(residuals[k]), grid))
+    return pairs

@@ -466,6 +466,26 @@ class TestVerify:
         assert rc == 0
         assert out.count("[pass]") == 8 and "[FAIL]" not in out
 
+    def test_non_finite_residual_exits_1(self, paper_files, tmp_path, monkeypatch, capsys):
+        # a NaN in the kernel factor A makes the wave residual NaN, which no
+        # tolerance may pass: exit 1, naming the identity, with no verify.json
+        from isospec import cli
+        wave = cli.residual_wave_equation
+
+        def corrupted(kernel, base, q):
+            a = kernel.a.copy()
+            a[100] = np.nan
+            return wave(dataclasses.replace(kernel, a=a), base, q)
+
+        monkeypatch.setattr(cli, "residual_wave_equation", corrupted)
+        prob, pert = paper_files
+        rc = main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5", "--max", "20",
+                   "--out", str(tmp_path / "v")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "NonFiniteState" in captured.err and "wave-eq" in captured.err
+        assert not (tmp_path / "v").exists()
+
     def test_paper_rank_two_pipeline_passes(self, paper_files, tmp_path, capsys):
         # both branches of the double eigenvalue 1: the second-order wave
         # residual read 6.43e-4 here at grid 401, over its 5e-4 tolerance

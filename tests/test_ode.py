@@ -260,11 +260,17 @@ class TestBatchedPath:
         lams = np.array([-3.0, 0.5, 11.0])
         y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         monkeypatch.setattr(ode, "_TREE_BYTES", 5 * lams.size * 16 * 8)
-        z = ode._fold(potential_tables(pot, grid)[0], lams, np.vstack([y0, yp0]), stride)
         nodes = np.union1d(np.arange(0, grid.n, stride), [grid.n - 1])
-        assert z.shape == (nodes.size, lams.size, 4, 2)
-        assert np.array_equal(z[:, :, :2], y[:, nodes].swapaxes(0, 1))
-        assert np.array_equal(z[:, :, 2:], yp[:, nodes].swapaxes(0, 1))
+        c = potential_tables(pot, grid)[0]
+        # the last `paths` lambdas keep every node instead, in the same fold
+        for paths in range(lams.size + 1):
+            m = lams.size - paths
+            z, path = ode._fold(c, lams, np.vstack([y0, yp0]), stride, paths)
+            assert z.shape == (nodes.size, m, 4, 2) and path.shape == (grid.n, paths, 4, 2)
+            assert np.array_equal(z[:, :, :2], y[:m, nodes].swapaxes(0, 1))
+            assert np.array_equal(z[:, :, 2:], yp[:m, nodes].swapaxes(0, 1))
+            assert np.array_equal(path[:, :, :2], y[m:].swapaxes(0, 1))
+            assert np.array_equal(path[:, :, 2:], yp[m:].swapaxes(0, 1))
 
     def test_overflowing_lambda_in_batch_raises(self, scalar):
         grid = iso.Grid.uniform(101)

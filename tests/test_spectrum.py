@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import isospec as iso
-from isospec import spectrum
+from isospec import ode, spectrum
 from isospec.errors import NonFiniteState, NotAnEigenvalue, WindowTooCoarse
 from isospec.ode import potential_tables
 from isospec.quadrature import integral
@@ -89,7 +89,7 @@ def counts(p, lams, raw=False):
     grid = iso.Grid.uniform(401)
     count = spectrum._raw_counts if raw else spectrum._counts
     return count(p, np.asarray(lams, dtype=float), grid, potential_tables(p.potential, grid),
-                 spectrum._potential_range(p, grid))
+                 spectrum._potential_range(p, grid))[0]
 
 
 def dirichlet_2x2(p11, p22):
@@ -285,18 +285,39 @@ class TestScan:
 
     @pytest.mark.parametrize("window", [(-5.0, 20.0), (1.5, 3.5), (-2.5, 0.0)])
     def test_uncut_window_counts_once(self, paper, monkeypatch, window):
-        # one count gives every root its multiplicity and checks every gap
+        # one count gives every root its multiplicity and checks every gap,
+        # and its fold carries the paths of every root to the eigenpairs
         calls = []
         count = spectrum._counts
 
         def recording(*args):
-            calls.append(np.size(args[1]))
+            calls.append((np.size(args[1]), np.size(args[5])))
             return count(*args)
 
         monkeypatch.setattr(spectrum, "_counts", recording)
         report = iso.scan_spectrum(paper, *window)
         assert len(spectrum._envelope_pieces(-3.0, *window)) == 2
-        assert calls == [2 + 2 * len(report.pairs)]
+        assert calls == [(2 + 2 * len(report.pairs), len(report.pairs))]
+
+    @pytest.mark.parametrize("window,cuts", [((-5.0, 20.0), 0), ((1.5, 3.5), 0),
+                                             ((-1000.0, 20.0), 1)])
+    def test_scan_folds_its_path_once(self, paper, monkeypatch, window, cuts):
+        # the count and the eigenpairs share one fold; a cut window folds once
+        # more for the count at its cuts, and nothing else integrates a path
+        lanes = []
+        fold = spectrum._fold
+
+        def recording(c, lams, z0, stride, paths):
+            lanes.append((lams.size, paths))
+            return fold(c, lams, z0, stride, paths)
+
+        monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(ode, "_fold", recording)
+        report = iso.scan_spectrum(paper, *window)
+        edges = spectrum._envelope_pieces(-3.0, *window)
+        assert (len(edges) > 2) == bool(cuts)
+        roots = len(report.pairs)
+        assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)]
 
     def test_unresolvable_piece_raises(self, scalar):
         # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at
@@ -633,6 +654,26 @@ def coupled4_x_dependent():
 
 
 class TestBatchedEigenpairs:
+    @pytest.mark.parametrize("which", ["paper", "coupled4", "mixed-end"])
+    def test_scan_pairs_match_the_root_loop_bit_for_bit(self, which):
+        # double eigenvalues at 1 next to simple ones (paper, coupled4) and
+        # the mixed Robin ends; the loop takes its paths from integrate_ivp
+        p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
+             "mixed-end": mixed_end_problem()}[which]
+        report = iso.scan_spectrum(p, -5.0, 20.0)
+        assert len({pair.multiplicity for pair in report.pairs}) >= (1 if which == "mixed-end" else 2)
+        ref = oracles.loop_eigenpairs(p, [pair.lam for pair in report.pairs],
+                                      [pair.multiplicity for pair in report.pairs], report.grid)
+        assert len(ref) == len(report.pairs)
+        for pair, b in zip(report.pairs, ref):
+            # eigenbasis folds its one root with its own count
+            for a in (pair, iso.eigenbasis(p, pair.lam, report.grid)):
+                assert (a.lam, a.multiplicity, a.residual, a.grid) == (b.lam, b.multiplicity,
+                                                                      b.residual, b.grid)
+                for f in ("thetas", "phis", "phi_derivs", "norms_sq"):
+                    assert getattr(a, f).shape == getattr(b, f).shape
+                    assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
+
     def test_scan_pairs_match_single_root_eigenbasis(self):
         # no sign alignment: the canonical sign makes both paths agree
         p = coupled4_x_dependent()

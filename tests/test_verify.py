@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec.errors import GridTooSmall
-from isospec.transform import solve_kernel
+from isospec import verify
+from isospec.errors import GridTooSmall, NonFiniteState
+from isospec.transform import KernelField, solve_kernel
 
 import oracles
 
@@ -72,7 +73,75 @@ def coupled3_rank_two(n=101):
     return problem, new_problem, result
 
 
+#: the rank-two perturbation of the paper's double eigenvalue run in CI
+PERT2 = [{"k": 1, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
+         {"k": 1, "i": 2, "c": 0.5, "theta": [-2.0, 1.0]}]
+
+
+def wave_cases(paper, n):
+    """(name, kernel, P, Q) of paper ranks 1, 2 and 0, coupled4 rank 2 and a
+    corrupted Q, all at n nodes."""
+    paper_report = iso.scan_spectrum(paper, -5.0, 20.0, iso.ScanOptions(grid_nodes=n))
+    coupled = oracles.coupled4(n)
+    coupled_report = iso.scan_spectrum(coupled, -5.0, 20.0, iso.ScanOptions(grid_nodes=n))
+    cases = []
+    for name, problem, report, entries in (
+            ("rank1", paper, paper_report, [PERT2[0]]),
+            ("rank2", paper, paper_report, PERT2),
+            ("rank0", paper, paper_report, []),
+            ("coupled4", coupled, coupled_report, [(0, 1, 1.0), (2, 1, 0.5)])):
+        new_problem, result = iso.transform_problem(problem, iso.build_perturbation(report, entries))
+        assert result.kernel.rank == len(entries)
+        cases.append((name, result.kernel, problem.potential, new_problem.potential))
+    kernel, q = cases[0][1], cases[0][3]
+    corrupted = iso.GridPotential(kernel.grid, q.evaluate_many(kernel.grid.nodes) + 0.1 * np.eye(2))
+    return cases + [("corrupted", kernel, paper.potential, corrupted)]
+
+
+def synthetic_kernel(n, rank, seed=1):
+    """A KernelField on n nodes with random factors A and Phi, N = 2."""
+    rng = np.random.default_rng(seed)
+    grid = iso.Grid.uniform(n)
+    a, phi = rng.standard_normal((2, n, 2, rank))
+    zeros = np.zeros((n, 2, rank))
+    return KernelField(grid, np.zeros(rank), np.zeros((2, rank)), np.ones(rank), phi, zeros,
+                       a, zeros, np.zeros((n, rank, rank)), np.ones((n, rank)))
+
+
 class TestWaveEquation:
+    @pytest.mark.parametrize("n", [401, 801])
+    def test_row_blocks_match_the_row_loop_bit_for_bit(self, paper, n):
+        for name, kernel, base, q in wave_cases(paper, n):
+            rep = iso.residual_wave_equation(kernel, base, q)
+            assert (rep.max_residual, rep.location) == oracles.loop_wave_residual(kernel, base, q), name
+
+    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_small_grids_match_the_row_loop_bit_for_bit(self, monkeypatch, n, rows):
+        # blocks of one row, of two rows (the last one partial at 9 nodes),
+        # and the default budget, which takes every row in one block
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal((n, 2, 2))
+        q = iso.GridPotential(iso.Grid.uniform(n), samples + samples.transpose(0, 2, 1))
+        base = iso.ConstantDiagonalPotential([-3.0, 0.0])
+        for rank in (0, 1, 2, 3):
+            kernel = synthetic_kernel(n, rank)
+            if rows is not None:
+                monkeypatch.setattr(verify, "_WAVE_BYTES", rows * 8 * 2 * (n - 4) * 2)
+            rep = iso.residual_wave_equation(kernel, base, q)
+            assert (rep.max_residual, rep.location) == oracles.loop_wave_residual(kernel, base, q)
+            assert (rep.max_residual > 0) == (rank > 0)
+
+    @pytest.mark.parametrize("field,node", [("a", 200), ("phi", 100), ("a", 396)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_residual_raises(self, paper, mixed_rank_one, field, node, value):
+        kernel = mixed_rank_one["kernel"]
+        bad = getattr(kernel, field).copy()
+        bad[node, 1, 0] = value
+        with pytest.raises(NonFiniteState, match="wave-eq"):
+            iso.residual_wave_equation(dataclasses.replace(kernel, **{field: bad}),
+                                       paper.potential, mixed_rank_one["problem"].potential)
+
     def test_factored_matches_dense_reference(self, paper, mixed_rank_one):
         coupled, coupled_new, coupled_result = coupled3_rank_two()
         assert coupled_result.kernel.a.shape[1:] == (3, 2)
@@ -136,6 +205,38 @@ class TestWaveEquation:
         with pytest.raises(GridTooSmall):
             iso.residual_wave_equation(kernel, iso.builtin_problem("scalar-zero").potential,
                                        iso.builtin_problem("scalar-zero").potential)
+
+
+class TestNonFiniteResidual:
+    def test_nan_at_node_zero_does_not_pass(self):
+        x = np.array([0.0, 1.0, 2.0])
+        for res in (np.array([[np.nan], [0.0], [0.0]]), np.array([[0.0], [0.0], [-np.inf]])):
+            with pytest.raises(NonFiniteState, match="the t residual is not finite"):
+                verify._peak_report("t", res, x, 1e-3)
+
+    @pytest.mark.parametrize("field,name", [("phi", "goursat"), ("dphi", "goursat"),
+                                            ("da", "trace")])
+    def test_goursat_and_trace(self, paper, mixed_rank_one, field, name):
+        kernel = mixed_rank_one["kernel"]
+        bad = getattr(kernel, field).copy()
+        bad[0 if field != "da" else 7, 0, 0] = np.nan
+        with pytest.raises(NonFiniteState, match=name):
+            iso.residual_goursat(dataclasses.replace(kernel, **{field: bad}), paper)
+
+    @pytest.mark.parametrize("which,name", [("psi", "eigen-ode"), ("dpsi", "eigen-bc")])
+    def test_transformed_eigen(self, mixed_rank_one, which, name):
+        result = mixed_rank_one["result"]
+        args = {"psi": result.psi[:, :, 0].copy(), "dpsi": result.dpsi[:, :, 0].copy()}
+        args[which][0 if which == "dpsi" else 50, 1] = np.nan
+        with pytest.raises(NonFiniteState, match=name):
+            iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
+                                           args["psi"], args["dpsi"])
+
+    def test_representation(self, mixed_rank_one):
+        psi = mixed_rank_one["result"].psi.copy()
+        psi[0, 0, 0] = np.nan
+        with pytest.raises(NonFiniteState, match="representation"):
+            iso.residual_representation(mixed_rank_one["kernel"], psi)
 
 
 class TestGoursat:
