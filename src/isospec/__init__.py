@@ -14,9 +14,8 @@ from .model import (BoundaryPair, ConstantDiagonalPotential, Grid,
                     validate_problem)
 from .ode import integrate_ivp
 from .quadrature import integral, running_integral
-from .spectrum import (Eigenpair, ScanOptions, SpectrumReport,
-                       characteristic_matrix, eigenbasis,
-                       fd_oracle_eigenvalues, scan_spectrum)
+from .spectrum import (Eigenpair, SpectrumReport, characteristic_matrix,
+                       eigenbasis, fd_oracle_eigenvalues, scan_spectrum)
 from .transform import (KernelField, Perturbation, PerturbationEntry,
                         TransformResult, boundary_matrices,
                         build_perturbation, potential_q, solve_kernel,
@@ -33,7 +32,7 @@ __all__ = [
     "BoundaryPair", "ConstantDiagonalPotential", "Eigenpair", "Grid",
     "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
     "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
-    "ScanOptions", "SpectrumReport", "TransformResult",
+    "SpectrumReport", "TransformResult",
     "ValidationReport", "boundary_matrices", "build_perturbation",
     "builtin_problem", "characteristic_matrix", "check_isospectral",
     "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",

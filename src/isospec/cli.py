@@ -17,10 +17,10 @@ import numpy as np
 
 from . import serialize
 from .errors import IsospecError
-from .model import (Problem, builtin_problem, load_problem, potential_to_csv_rows,
+from .model import (Grid, Problem, builtin_problem, load_problem, potential_to_csv_rows,
                     problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
-from .spectrum import ScanOptions, scan_spectrum
+from .spectrum import DEFAULT_GRID, scan_spectrum
 from .transform import build_perturbation, transform_problem
 from .verify import (check_isospectral, compare_spectra, residual_endpoint,
                      residual_goursat, residual_representation,
@@ -47,15 +47,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    opts = ScanOptions(args.grid)
+    grid = Grid.uniform(args.grid)
     if args.dump_path is not None and not args.out:
         raise ValueError("--dump-path writes path.csv and needs --out")
     problem = load_problem(args.problem)
-    report = scan_spectrum(problem, args.lam_min, args.lam_max, opts)
+    report = scan_spectrum(problem, args.lam_min, args.lam_max, grid)
     if args.dump_path is not None:
         # integrated before --out exists, so an overflow leaves no artifacts
         y, yp = integrate_ivp(problem.potential, args.dump_path,
-                              problem.left.B.T, -problem.left.A.T, report.grid)
+                              problem.left.B.T, -problem.left.A.T, grid)
     obj = report.to_json_obj()
     # artifacts before stdout, so an --out that cannot be written prints nothing
     if args.out:
@@ -64,14 +64,14 @@ def cmd_spectrum(args) -> int:
         serialize.write_json(os.path.join(out, "spectrum.json"), obj)
         for k, pair in enumerate(report.pairs):
             for l in range(pair.multiplicity):
-                rows = np.column_stack([report.grid.nodes, pair.phis[:, :, l]])
+                rows = np.column_stack([grid.nodes, pair.phis[:, :, l]])
                 header = ["x"] + [f"c{j + 1}" for j in range(problem.n)]
                 serialize.write_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
                                     header, rows)
         if args.dump_path is not None:
             n = problem.n
-            rows = np.column_stack([report.grid.nodes, y.reshape(report.grid.n, n * n),
-                                    yp.reshape(report.grid.n, n * n)])
+            rows = np.column_stack([grid.nodes, y.reshape(grid.n, n * n),
+                                    yp.reshape(grid.n, n * n)])
             header = (["x"] + [f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                       + [f"yp{i + 1}{j + 1}" for i in range(n) for j in range(n)])
             serialize.write_csv(os.path.join(out, "path.csv"), header, rows)
@@ -85,19 +85,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _run_transform(problem: Problem, entries: list[dict], opts: ScanOptions, window: tuple):
-    report = scan_spectrum(problem, *window, opts)
+def _run_transform(problem: Problem, entries: list[dict], grid: Grid, window: tuple):
+    report = scan_spectrum(problem, *window, grid)
     pert = build_perturbation(report, entries)
     new_problem, result = transform_problem(problem, pert)
     return report, pert, new_problem, result
 
 
 def cmd_transform(args) -> int:
-    opts = ScanOptions(args.grid)
+    grid = Grid.uniform(args.grid)
     problem = load_problem(args.problem)
     entries = _load_perturbation_file(args.perturbation)
-    report, pert, new_problem, result = _run_transform(problem, entries, opts,
-                                                       (args.lam_min, args.lam_max))
+    _, pert, new_problem, result = _run_transform(problem, entries, grid,
+                                                  (args.lam_min, args.lam_max))
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -111,7 +111,7 @@ def cmd_transform(args) -> int:
     })
     serialize.write_json(os.path.join(out, "kernel_diagnostics.json"), result.diagnostics)
     for j, entry in enumerate(pert.entries):
-        rows = np.column_stack([report.grid.nodes, result.psi[:, :, j]])
+        rows = np.column_stack([grid.nodes, result.psi[:, :, j]])
         header = ["x"] + [f"c{j + 1}" for j in range(problem.n)]
         serialize.write_csv(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"), header, rows)
     print(f"wrote transform artifacts to {out} (kernel rank {pert.rank})")
@@ -119,7 +119,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opts = ScanOptions(args.grid)
+    grid = Grid.uniform(args.grid)
     window = (args.lam_min, args.lam_max)
     shift_tol = args.shift_tol
     reports = []
@@ -127,9 +127,9 @@ def cmd_verify(args) -> int:
     if args.pipeline:
         problem = load_problem(args.problem_a)
         entries = _load_perturbation_file(args.problem_b)
-        report, pert, new_problem, result = _run_transform(problem, entries, opts, window)
+        report, pert, new_problem, result = _run_transform(problem, entries, grid, window)
         kernel = result.kernel
-        new_report = scan_spectrum(new_problem, *window, opts)
+        new_report = scan_spectrum(new_problem, *window, grid)
         iso = compare_spectra(report, new_report, shift_tol)
         reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
         reports += residual_goursat(kernel, problem)
@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
     else:
         pa = load_problem(args.problem_a)
         pb = load_problem(args.problem_b)
-        iso = check_isospectral(pa, pb, window, shift_tol, opts)
+        iso = check_isospectral(pa, pb, window, shift_tol, grid)
         text = serialize.dumps_json(iso.to_json_obj())
 
     # verify.json before stdout, so an --out that cannot be written prints nothing
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, out_required=False):
-        p.add_argument("--grid", type=int, default=ScanOptions.grid_nodes,
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID.n,
                        help="x-grid node count (odd, >= 5)")
         p.add_argument("--min", dest="lam_min", type=float, default=-10.0,
                        help="lambda window lower edge")
@@ -230,8 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -318,13 +318,10 @@ def load_potential_csv(path: str) -> GridPotential:
         grid = Grid(data[:, 0])
     except ValueError as exc:
         raise ValueError(f"potential CSV {path!r}: {exc}") from None
+    # columns are the upper triangle in row-major order, as potential_to_csv_rows writes it
+    i, j = np.triu_indices(n_dim)
     samples = np.empty((grid.n, n_dim, n_dim))
-    col = 1
-    for i in range(n_dim):
-        for j in range(i, n_dim):
-            samples[:, i, j] = data[:, col]
-            samples[:, j, i] = data[:, col]
-            col += 1
+    samples[:, i, j] = samples[:, j, i] = data[:, 1:]
     return GridPotential(grid, samples)
 
 

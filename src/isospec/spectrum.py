@@ -34,18 +34,8 @@ from .quadrature import integral
 
 #: node count of the finite-difference oracle grid
 ORACLE_NODES = 201
-
-
-@dataclass(frozen=True)
-class ScanOptions:
-    """Settings of :func:`scan_spectrum`: the x-grid of the IVP integration.
-    Raises ValueError unless grid_nodes is odd and >= 5."""
-
-    grid_nodes: int = 401           # x-grid for the IVP integration
-
-    def __post_init__(self):
-        if self.grid_nodes < 5 or self.grid_nodes % 2 == 0:
-            raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
+#: x-grid of the IVP integration when the caller names none (the CLI's --grid)
+DEFAULT_GRID = Grid.uniform(401)
 
 
 @dataclass(frozen=True)
@@ -75,7 +65,6 @@ class SpectrumReport:
     problem: Problem
     grid: Grid
     window: tuple[float, float]
-    options: ScanOptions
     pairs: tuple[Eigenpair, ...] = field(default_factory=tuple)
 
     @property
@@ -90,10 +79,9 @@ class SpectrumReport:
         ]
 
 
-def characteristic_matrix(p: Problem, lam: float, grid: Grid,
-                          tables=None) -> np.ndarray:
+def characteristic_matrix(p: Problem, lam: float, grid: Grid) -> np.ndarray:
     """W(lambda) = cB Y'(pi) + cA Y(pi) with Y(0) = B^T, Y'(0) = -A^T."""
-    return _char_batch(p, [lam], grid, tables)[0]
+    return _char_batch(p, [lam], grid, None)[0]
 
 
 def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bool = False):
@@ -569,8 +557,8 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
 
 
 def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
-                  opts: ScanOptions = ScanOptions()) -> SpectrumReport:
-    """All eigenvalues in [lambda_min, lambda_max] with multiplicities.
+                  grid: Grid = DEFAULT_GRID) -> SpectrumReport:
+    """All eigenvalues in [lambda_min, lambda_max], with multiplicities, on grid.
 
     One path. The window is cut into pieces of bounded dynamic range of W
     (:func:`_envelope_pieces`); when it is cut, the eigenvalue count N of
@@ -591,7 +579,8 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     Raises
     ------
     ValueError
-        If the window is not finite with lambda_min < lambda_max.
+        If the grid's node count is not odd and >= 5 (Simpson alignment),
+        or the window is not finite with lambda_min < lambda_max.
     WindowTooCoarse
         If N rises between root windows (an eigenvalue that no root lies
         within delta of; the message names the gap), N s h exceeds the
@@ -600,9 +589,10 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     NonFiniteState
         If W or the path of the count overflows at some lambda.
     """
+    if grid.n < 5 or grid.n % 2 == 0:
+        raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
         raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
-    grid = Grid.uniform(opts.grid_nodes)
     tables = potential_tables(p.potential, grid)
     prange = _potential_range(p, grid)
     edges = _envelope_pieces(prange[0], lambda_min, lambda_max)
@@ -639,4 +629,4 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     ok = mult > 0
     paths = paths[:, ok]            # frees the paths of rejected roots before the eigenpairs
     pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables, paths) if ok.any() else []
-    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), opts, tuple(pairs))
+    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), tuple(pairs))

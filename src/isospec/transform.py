@@ -124,8 +124,9 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     NotAnEigenvalue
         A theta farther than 1e-5 |theta| from the reported eigenspace.
     ConditionViolated
-        A non-finite c or theta, some 1 + c ||phi||^2 <= 0 (message carries
-        the margin), or non-orthogonal same-eigenspace selections.
+        A non-finite c or theta, a selection with ||phi||^2 = 0 (a zero theta),
+        some 1 + c ||phi||^2 <= 0 (message carries the margin), or
+        non-orthogonal same-eigenspace selections.
     """
     entries = _normalize_entries(entries)
     seen = set()
@@ -169,6 +170,9 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
         phis[:, :, j] = pair.phis @ u
         phi_derivs[:, :, j] = pair.phi_derivs @ u
         norms_sq[j] = pair.norms_sq @ u**2
+        if not norms_sq[j] > 0.0:
+            raise ConditionViolated(f"entry (k={e.k}, i={e.i}): ||phi||^2 = {norms_sq[j]:.6g} "
+                                    f"is not positive; the selection certifies nothing")
         margin = 1.0 + e.c * norms_sq[j]
         if margin <= 0.0:
             raise ConditionViolated(

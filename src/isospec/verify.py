@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GridTooSmall, NonFiniteState
 from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
-from .spectrum import ScanOptions, SpectrumReport, scan_spectrum
+from .spectrum import DEFAULT_GRID, SpectrumReport, scan_spectrum
 from .transform import KernelField, Perturbation
 
 #: a residual below this is at the rounding level of the O(1) quantities the
@@ -83,8 +83,8 @@ class ResidualReport:
 
 
 def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
-                      tol: float, opts: ScanOptions = ScanOptions()) -> IsospectralReport:
-    """Scan both problems over the window and compare their eigenvalue sequences.
+                      tol: float, grid: Grid = DEFAULT_GRID) -> IsospectralReport:
+    """Scan both problems over the window on grid and compare their eigenvalue sequences.
 
     Matching is positional in the multiplicity-expanded sequences (the claim
     being verified is equality of the full sequences, not nearest-neighbor
@@ -93,9 +93,8 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
     """
     if p_a.n != p_b.n:
         raise ValueError("problems have different dimensions")
-    lo, hi = window
-    ra = scan_spectrum(p_a, lo, hi, opts)
-    rb = scan_spectrum(p_b, lo, hi, opts)
+    ra = scan_spectrum(p_a, *window, grid)
+    rb = scan_spectrum(p_b, *window, grid)
     return compare_spectra(ra, rb, tol)
 
 
@@ -197,7 +196,8 @@ def residual_goursat(kernel: KernelField, p: Problem,
 def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
                                dpsi: np.ndarray, tolerance: float = 1e-3,
                                boundary_tolerance: float = 1e-8) -> list[ResidualReport]:
-    """Residuals of -psi'' + Q psi = lam psi and of both boundary conditions.
+    """Residuals of -psi'' + Q psi = lam psi and of both boundary conditions,
+    relative to the largest |psi| sample and so free of the selection's scale.
 
     psi and dpsi are (n, N) samples on the uniform n-node grid.
     eigen-ode: the ODE residual, psi'' by the five-point fourth-order stencil
@@ -216,16 +216,17 @@ def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
            - lam * psi[2:-2])
     ends = np.stack([p_new.left.B @ dpsi[0] + p_new.left.A @ psi[0],
                      p_new.right.B @ dpsi[-1] + p_new.right.A @ psi[-1]])
-    return [_peak_report("eigen-ode", res, grid.nodes[2:-2], tolerance),
-            _peak_report("eigen-bc", ends, grid.nodes[[0, -1]], boundary_tolerance)]
+    scale = np.abs(psi).max()
+    return [_peak_report("eigen-ode", res / scale, grid.nodes[2:-2], tolerance),
+            _peak_report("eigen-bc", ends / scale, grid.nodes[[0, -1]], boundary_tolerance)]
 
 
 def residual_endpoint(kernel: KernelField, pert: Perturbation, psi: np.ndarray,
                       tolerance: float = 1e-8) -> ResidualReport:
-    """Endpoint identity psi_l(pi) (1 + c_l ||phi_l||^2) = phi_l(pi), relative,
-    for the (n, N, M) stack psi of transformed selections."""
+    """Endpoint identity psi_l(pi) (1 + c_l ||phi_l||^2) = phi_l(pi), relative
+    to max |phi_l|, for the (n, N, M) stack psi of transformed selections."""
     lhs = psi[-1] * (1.0 + pert.coeffs * pert.norms_sq)
-    scale = np.maximum(1.0, np.abs(kernel.phi).max(axis=(0, 1)))
+    scale = np.abs(kernel.phi).max(axis=(0, 1))
     worst = np.max(np.abs(lhs - kernel.phi[-1]), axis=0) / scale
     return ResidualReport("endpoint", float(worst.max(initial=0.0)), float(np.pi), tolerance)
 

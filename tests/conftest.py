@@ -38,7 +38,7 @@ def mixed_rank_one(paper, paper_report):
 
 @pytest.fixture(scope="session")
 def mixed_rank_one_801(paper):
-    report = iso.scan_spectrum(paper, -5.0, 20.0, iso.ScanOptions(grid_nodes=801))
+    report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(801))
     pert = oracles.mixed_perturbation(report)
     kernel = solve_kernel(pert)
     new_problem, result = iso.transform_problem(paper, pert)

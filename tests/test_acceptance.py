@@ -25,13 +25,13 @@ def _line(num, label, ok, details):
 
 
 def _pipeline(paper, n):
-    opts = iso.ScanOptions(grid_nodes=n)
-    report = iso.scan_spectrum(paper, *WINDOW, opts)
+    grid = iso.Grid.uniform(n)
+    report = iso.scan_spectrum(paper, *WINDOW, grid)
     pert = oracles.mixed_perturbation(report)
     kernel = solve_kernel(pert)
     problem, result = iso.transform_problem(paper, pert)
     return {"report": report, "pert": pert, "kernel": kernel,
-            "problem": problem, "result": result, "opts": opts}
+            "problem": problem, "result": result, "grid": grid}
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def mixed801(paper):
 
 def test_criterion_1_spectrum_reproduction(paper):
     t0 = time.perf_counter()
-    report = iso.scan_spectrum(paper, *WINDOW, iso.ScanOptions(grid_nodes=401))
+    report = iso.scan_spectrum(paper, *WINDOW, iso.Grid.uniform(401))
     elapsed = time.perf_counter() - t0
     sigma = report.sigma_sequence
     mults = [(round(p.lam), p.multiplicity) for p in report.pairs]
@@ -66,12 +66,12 @@ def test_criterion_1_spectrum_reproduction(paper):
 def test_criterion_2_isospectral_transform(paper):
     t0 = time.perf_counter()
     run401 = _pipeline(paper, 401)
-    rescan401 = iso.scan_spectrum(run401["problem"], *WINDOW, run401["opts"])
+    rescan401 = iso.scan_spectrum(run401["problem"], *WINDOW, run401["grid"])
     iso401 = iso.compare_spectra(run401["report"], rescan401, 1e-4)
     elapsed = time.perf_counter() - t0
 
     run801 = _pipeline(paper, 801)
-    rescan801 = iso.scan_spectrum(run801["problem"], *WINDOW, run801["opts"])
+    rescan801 = iso.scan_spectrum(run801["problem"], *WINDOW, run801["grid"])
     iso801 = iso.compare_spectra(run801["report"], rescan801, 1e-4)
 
     ratio = iso401.max_shift / iso801.max_shift if iso801.max_shift > 0 else np.inf

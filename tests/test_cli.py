@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import isospec as iso
+from isospec import cli
 from isospec.cli import main
 from isospec.model import load_potential_csv
 from isospec.serialize import dumps_json
@@ -33,21 +35,30 @@ def scalar_files(tmp_path, capsys):
 
 
 class TestRunConfig:
-    """The run settings: declared once in ScanOptions, checked where the scan reads them."""
+    """The run settings: the default grid declared once in spectrum, the grid
+    rule checked where the scan reads it."""
 
     def test_defaults_valid(self, paper_files, capsys):
         prob, _ = paper_files
         assert main(["spectrum", str(prob)]) == 0
         printed = [(r["lambda"], r["multiplicity"]) for r in json.loads(capsys.readouterr().out)]
         report = iso.scan_spectrum(iso.load_problem(str(prob)), -10.0, 30.0)
-        assert report.options == iso.ScanOptions(grid_nodes=401)
+        assert report.grid.n == 401
+        assert cli.build_parser().parse_args(["spectrum", str(prob)]).grid == 401
         assert printed == [(p.lam, p.multiplicity) for p in report.pairs]
 
+    def test_parser_is_built_once(self, paper_files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["example", "scalar-zero"]) == 0
+        # a reused parser gives each call its own namespace: no value leaks
+        prob, _ = paper_files
+        assert cli._PARSER.parse_args(["spectrum", str(prob), "--grid", "801"]).grid == 801
+        assert cli._PARSER.parse_args(["spectrum", str(prob)]).grid == 401
+
     def test_invariants(self, paper):
-        with pytest.raises(ValueError):
-            iso.ScanOptions(grid_nodes=400)          # even
-        with pytest.raises(ValueError):
-            iso.ScanOptions(grid_nodes=3)            # too small
+        for n in (400, 3):                      # even, too small
+            with pytest.raises(ValueError, match="--grid must be odd and >= 5"):
+                iso.scan_spectrum(paper, 0.0, 5.0, iso.Grid.uniform(n))
         with pytest.raises(ValueError):
             iso.scan_spectrum(paper, 2.0, 1.0)
 
@@ -56,16 +67,19 @@ class TestRunConfig:
                                               ("rank_tol", -1.0), ("rank_tol", float("nan")),
                                               ("rank_tol", 1.0), ("rank_tol", 1e3),
                                               ("rank_tol", float("inf"))])
-    def test_bad_tolerance_is_a_value_error(self, field, value):
+    def test_bad_tolerance_is_a_value_error(self, paper, field, value):
         # tol and rank_tol are gone: every value of them, the once-bad ones
-        # included, is refused as an unknown field rather than silently ignored
+        # included, is refused as an unknown argument rather than silently ignored
         with pytest.raises(TypeError, match=field):
-            iso.ScanOptions(**{field: value})
+            iso.scan_spectrum(paper, 0.0, 5.0, **{field: value})
 
     def test_rank_threshold_is_gone(self):
-        # multiplicities come from the eigenvalue count, and Newton and the
-        # root merge run at fixed tolerances
-        assert [f.name for f in dataclasses.fields(iso.ScanOptions)] == ["grid_nodes"]
+        # multiplicities come from the eigenvalue count, Newton and the root
+        # merge run at fixed tolerances, and the grid is the scan's one setting
+        params = inspect.signature(iso.scan_spectrum).parameters
+        assert list(params) == ["p", "lambda_min", "lambda_max", "grid"]
+        assert [f.name for f in dataclasses.fields(iso.SpectrumReport)] == [
+            "problem", "grid", "window", "pairs"]
 
     @pytest.mark.parametrize("window", [(-np.inf, 5.0), (0.0, np.inf), (np.nan, 5.0)],
                              ids=["-inf", "inf", "nan"])
@@ -499,6 +513,22 @@ class TestVerify:
         assert out.count("[pass]") == 10 and "[FAIL]" not in out
         wave = float(out.split("[pass] wave-eq: max residual ")[1].split()[0])
         assert wave <= 5e-5
+
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_zero_norm_selection_exits_1(self, paper_files, tmp_path, capsys, command):
+        # theta = 0 selects no eigenfunction: every residual would read 0 and
+        # certify nothing
+        prob, _ = paper_files
+        pert = tmp_path / "zero.json"
+        pert.write_text('[{"k": 1, "i": 1, "c": 1, "theta": [0, 0]}]')
+        out = tmp_path / "never"
+        flags = ["--pipeline"] if command == "verify" else []
+        rc = main([command, str(prob), str(pert), *flags, "--min", "-5", "--max", "20",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ConditionViolated: entry (k=1, i=1)")
+        assert not out.exists()
 
     def test_pipeline_grid_five_has_no_wave_residual(self, scalar_files, capsys):
         # 5 nodes leave no node pair for the five-point stencils in x and y

@@ -205,7 +205,7 @@ class TestPublicApi:
             "BoundaryPair", "ConstantDiagonalPotential", "Eigenpair", "Grid",
             "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
             "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
-            "ScanOptions", "SpectrumReport", "TransformResult",
+            "SpectrumReport", "TransformResult",
             "ValidationReport", "boundary_matrices", "build_perturbation",
             "builtin_problem", "characteristic_matrix", "check_isospectral",
             "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",

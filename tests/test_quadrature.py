@@ -39,7 +39,12 @@ def test_vector_valued_integrands_ride_along():
 
 
 def test_full_integral_matches_last_prefix():
-    xs = np.linspace(0, np.pi, 201)
-    f = np.exp(-xs)
-    assert integral(f, xs[1] - xs[0]) == running_integral(f, xs[1] - xs[0])[-1]
+    # bit for bit at odd and even n, small and large, with trailing axes riding along
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 200, 201, 400, 401):
+        xs = np.linspace(0, np.pi, n)
+        h = np.pi / max(n - 1, 1)
+        f = np.exp(-xs)
+        assert integral(f, h) == running_integral(f, h)[-1], n
+        g = np.stack([np.cos(3 * xs), np.sin(xs) ** 2], axis=-1)[:, :, None] * np.arange(1, 4)
+        assert np.array_equal(integral(g, h), running_integral(g, h)[-1]), n
 

@@ -333,7 +333,7 @@ class TestScan:
         assert not np.any(iso.characteristic_matrix(scalar, 4.0008e6, grid))
         assert spectrum._chopped_degree(np.zeros((9, 1, 1))) is None
         with pytest.raises(WindowTooCoarse, match="W is not resolved"):
-            iso.scan_spectrum(scalar, 4e6, 4.0016e6, iso.ScanOptions(grid_nodes=3201))
+            iso.scan_spectrum(scalar, 4e6, 4.0016e6, grid)
 
     def test_damped_high_window_equals_its_halves(self, scalar):
         # RK4 damps W by about 1e-22 across [6e4, 7e4] at 401 nodes; a piece

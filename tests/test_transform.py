@@ -27,6 +27,13 @@ class TestBuildPerturbation:
             oracles.mixed_perturbation(paper_report, c=-2.0 / np.pi)
         assert "1 + c*||phi||^2" in str(err.value)
 
+    @pytest.mark.parametrize("theta", [[0.0, 0.0], [1e-300, 0.0]], ids=["zero", "underflow"])
+    def test_zero_norm_selection_is_refused(self, paper_report, theta):
+        # ||phi||^2 = 0 gives F = 0: every residual would read 0 and certify nothing
+        k1 = oracles.pair_index(paper_report, 1.0)
+        with pytest.raises(ConditionViolated, match=rf"entry \(k={k1}, i=1\).*not positive"):
+            iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": 1.0, "theta": theta}])
+
     def test_empty_accepted(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
         assert pert.rank == 0
@@ -275,8 +282,7 @@ class TestTransformEigenfunction:
         lam = paper_report.pairs[oracles.pair_index(paper_report, 1.0)].lam
         grid = iso.Grid.uniform(12801)
         pair = iso.eigenbasis(paper, lam, grid)
-        report = iso.SpectrumReport(paper, grid, (0.5, 1.5),
-                                    iso.ScanOptions(grid_nodes=12801), (pair,))
+        report = iso.SpectrumReport(paper, grid, (0.5, 1.5), (pair,))
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0,
                                                 "theta": [-2.0, -1.0]}])
         new_problem, result = iso.transform_problem(paper, pert)
@@ -294,6 +300,19 @@ class TestIdentities:
         rep = iso.residual_endpoint(mixed_rank_one["kernel"], mixed_rank_one["pert"],
                                     mixed_rank_one["result"].psi)
         assert rep.max_residual <= 1e-8
+
+    def test_endpoint_is_relative_to_max_phi(self, paper, paper_report):
+        # at theta = 1e-4 (-2, -1) an endpoint error of 1e-6 max |phi| fails,
+        # as it does at theta = (-2, -1): no floor of 1 hides a small selection
+        k1 = oracles.pair_index(paper_report, 1.0)
+        pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": 1e8,
+                                                      "theta": [-2e-4, -1e-4]}])
+        _, result = iso.transform_problem(paper, pert)
+        assert iso.residual_endpoint(result.kernel, pert, result.psi).passed
+        psi = result.psi.copy()
+        psi[-1] += 1e-6 * np.max(np.abs(result.kernel.phi))
+        rep = iso.residual_endpoint(result.kernel, pert, psi)
+        assert not rep.passed and rep.max_residual >= 1e-6
 
     def test_rank_two_transform_still_isospectral_identities(self, paper, paper_report):
         k1 = oracles.pair_index(paper_report, 1.0)

@@ -67,7 +67,7 @@ def coupled3_rank_two(n=101):
         [[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 1.0]])
     dirichlet = iso.BoundaryPair(np.eye(3), np.zeros((3, 3)))
     problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
-    report = iso.scan_spectrum(problem, -5.0, 8.0, iso.ScanOptions(grid_nodes=n))
+    report = iso.scan_spectrum(problem, -5.0, 8.0, grid)
     pert = iso.build_perturbation(report, [(0, 1, 0.7), (2, 1, 0.3)])
     new_problem, result = iso.transform_problem(problem, pert)
     return problem, new_problem, result
@@ -81,9 +81,10 @@ PERT2 = [{"k": 1, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
 def wave_cases(paper, n):
     """(name, kernel, P, Q) of paper ranks 1, 2 and 0, coupled4 rank 2 and a
     corrupted Q, all at n nodes."""
-    paper_report = iso.scan_spectrum(paper, -5.0, 20.0, iso.ScanOptions(grid_nodes=n))
+    grid = iso.Grid.uniform(n)
+    paper_report = iso.scan_spectrum(paper, -5.0, 20.0, grid)
     coupled = oracles.coupled4(n)
-    coupled_report = iso.scan_spectrum(coupled, -5.0, 20.0, iso.ScanOptions(grid_nodes=n))
+    coupled_report = iso.scan_spectrum(coupled, -5.0, 20.0, grid)
     cases = []
     for name, problem, report, entries in (
             ("rank1", paper, paper_report, [PERT2[0]]),
@@ -163,7 +164,7 @@ class TestWaveEquation:
         grid = iso.Grid.uniform(1601)
         lam = paper_report.pairs[oracles.pair_index(paper_report, 1.0)].lam
         pair = iso.eigenbasis(paper, lam, grid)
-        report = iso.SpectrumReport(paper, grid, (0.5, 1.5), iso.ScanOptions(grid_nodes=1601), (pair,))
+        report = iso.SpectrumReport(paper, grid, (0.5, 1.5), (pair,))
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]}])
         new_problem, result = iso.transform_problem(paper, pert)
         tracemalloc.start()
@@ -277,7 +278,7 @@ class TestTransformedEigen:
         ode, bc = iso.residual_transformed_eigen(mixed_rank_one["problem"],
                                                  result.kernel.lambdas[0],
                                                  result.psi[:, :, 0], result.dpsi[:, :, 0])
-        # measured 1.67e-6 at n=401; frozen with headroom
+        # measured 2.29e-6 relative to max |psi| at n=401; frozen with headroom
         assert (ode.name, bc.name) == ("eigen-ode", "eigen-bc")
         assert ode.max_residual <= 8e-4
         assert bc.max_residual <= 1e-8
@@ -296,7 +297,8 @@ class TestTransformedEigen:
 
     def test_boundary_residual_decides_verdict(self, mixed_rank_one):
         # a psi(0) off by 1e-7 fails the boundary condition on its own line,
-        # while the ODE residual it moves by about 1e-7 / (12 h^2) still passes
+        # while the ODE residual it moves by about 1e-7 / (12 h^2) still passes;
+        # both are relative to max |psi|
         result = mixed_rank_one["result"]
         psi = result.psi[:, :, 0].copy()
         psi[0] += 1e-7
@@ -305,14 +307,31 @@ class TestTransformedEigen:
                                                  result.dpsi[:, :, 0])
         assert ode.passed
         assert not bc.passed and bc.to_json_obj()["passed"] is False
-        assert bc.location == 0.0 and bc.max_residual >= 1e-7 - 1e-9
+        assert bc.location == 0.0
+        assert bc.max_residual >= (1e-7 - 1e-9) / np.max(np.abs(psi))
 
     def test_wrong_lambda_detected(self, mixed_rank_one):
         result = mixed_rank_one["result"]
         rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0] + 1.0,
                                              result.psi[:, :, 0], result.dpsi[:, :, 0])[0]
-        scale = np.max(np.abs(result.psi))
-        assert rep.max_residual >= 0.9 * scale
+        # the residual is relative to max |psi|, and lambda is off by 1
+        assert rep.max_residual >= 0.9
+
+    def test_residuals_do_not_depend_on_the_scale_of_theta(self, paper, paper_report):
+        # theta = s (-2, -1) with c = 1/s^2 is one transform at every s: the
+        # kernel depends on c ||phi||^2 only, and the residuals are relative
+        k1 = oracles.pair_index(paper_report, 1.0)
+        values = []
+        for s in (1e-4, 1.0, 1e2, 1e4):
+            pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": s**-2,
+                                                          "theta": [-2.0 * s, -s]}])
+            new_problem, result = iso.transform_problem(paper, pert)
+            reps = iso.residual_transformed_eigen(new_problem, pert.lambdas[0],
+                                                  result.psi[:, :, 0], result.dpsi[:, :, 0])
+            reps.append(iso.residual_endpoint(result.kernel, pert, result.psi))
+            assert all(rep.passed for rep in reps), s
+            values.append([rep.max_residual for rep in reps[:2]])
+        np.testing.assert_allclose(values, [values[1]] * 4, rtol=1e-3)
 
     def test_order_decay(self, mixed_rank_one, mixed_rank_one_801):
         def resid(bundle):
