@@ -21,10 +21,9 @@ from .model import (Grid, Problem, builtin_problem, load_problem, potential_to_c
                     problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
 from .spectrum import DEFAULT_GRID, scan_spectrum
-from .transform import build_perturbation, transform_problem
-from .verify import (check_isospectral, compare_spectra, residual_endpoint,
-                     residual_goursat, residual_representation,
-                     residual_transformed_eigen, residual_wave_equation)
+from .transform import (build_perturbation, kernel_diagnostics, transform_eigenfunction,
+                        transform_problem)
+from .verify import check_isospectral, compare_spectra, pipeline_residuals
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -37,6 +36,12 @@ def _load_perturbation_file(path: str) -> list[dict]:
     if not isinstance(entries, list):
         raise ValueError("perturbation file must hold a JSON list of {k, i, c} entries")
     return entries
+
+
+def _write_stack_csv(path: str, nodes: np.ndarray, values: np.ndarray) -> None:
+    """One (n, N) vector function sampled at nodes as columns x, c1..cN."""
+    header = ["x"] + [f"c{i + 1}" for i in range(values.shape[1])]
+    serialize.write_csv(path, header, np.column_stack([nodes, values]))
 
 
 def cmd_validate(args) -> int:
@@ -64,10 +69,8 @@ def cmd_spectrum(args) -> int:
         serialize.write_json(os.path.join(out, "spectrum.json"), obj)
         for k, pair in enumerate(report.pairs):
             for l in range(pair.multiplicity):
-                rows = np.column_stack([grid.nodes, pair.phis[:, :, l]])
-                header = ["x"] + [f"c{j + 1}" for j in range(problem.n)]
-                serialize.write_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
-                                    header, rows)
+                _write_stack_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
+                                 grid.nodes, pair.phis[:, :, l])
         if args.dump_path is not None:
             n = problem.n
             rows = np.column_stack([grid.nodes, y.reshape(grid.n, n * n),
@@ -87,17 +90,16 @@ def cmd_spectrum(args) -> int:
 
 def _run_transform(problem: Problem, entries: list[dict], grid: Grid, window: tuple):
     report = scan_spectrum(problem, *window, grid)
-    pert = build_perturbation(report, entries)
-    new_problem, result = transform_problem(problem, pert)
-    return report, pert, new_problem, result
+    new_problem, kernel = transform_problem(problem, build_perturbation(report, entries))
+    return report, new_problem, kernel
 
 
 def cmd_transform(args) -> int:
     grid = Grid.uniform(args.grid)
     problem = load_problem(args.problem)
     entries = _load_perturbation_file(args.perturbation)
-    _, pert, new_problem, result = _run_transform(problem, entries, grid,
-                                                  (args.lam_min, args.lam_max))
+    _, new_problem, kernel = _run_transform(problem, entries, grid, (args.lam_min, args.lam_max))
+    pert = kernel.pert
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -106,14 +108,15 @@ def cmd_transform(args) -> int:
     serialize.write_json(os.path.join(out, "boundary.json"), {
         "Atilde": new_problem.left.A.tolist(),
         "AtildeRight": new_problem.right.A.tolist(),
-        "K00": result.kernel.k00.tolist(),
-        "Kpipi": result.kernel.kpipi.tolist(),
+        "K00": kernel.k00.tolist(),
+        "Kpipi": kernel.kpipi.tolist(),
     })
-    serialize.write_json(os.path.join(out, "kernel_diagnostics.json"), result.diagnostics)
+    serialize.write_json(os.path.join(out, "kernel_diagnostics.json"),
+                         kernel_diagnostics(problem, new_problem, kernel))
+    psi, _ = transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
     for j, entry in enumerate(pert.entries):
-        rows = np.column_stack([grid.nodes, result.psi[:, :, j]])
-        header = ["x"] + [f"c{j + 1}" for j in range(problem.n)]
-        serialize.write_csv(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"), header, rows)
+        _write_stack_csv(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"),
+                         grid.nodes, psi[:, :, j])
     print(f"wrote transform artifacts to {out} (kernel rank {pert.rank})")
     return EXIT_OK
 
@@ -127,17 +130,10 @@ def cmd_verify(args) -> int:
     if args.pipeline:
         problem = load_problem(args.problem_a)
         entries = _load_perturbation_file(args.problem_b)
-        report, pert, new_problem, result = _run_transform(problem, entries, grid, window)
-        kernel = result.kernel
+        report, new_problem, kernel = _run_transform(problem, entries, grid, window)
         new_report = scan_spectrum(new_problem, *window, grid)
         iso = compare_spectra(report, new_report, shift_tol)
-        reports = [residual_wave_equation(kernel, problem.potential, new_problem.potential)]
-        reports += residual_goursat(kernel, problem)
-        for j, lam in enumerate(kernel.lambdas):
-            reports += residual_transformed_eigen(new_problem, lam, result.psi[:, :, j],
-                                                  result.dpsi[:, :, j])
-        reports.append(residual_endpoint(kernel, pert, result.psi))
-        reports.append(residual_representation(kernel, result.psi))
+        reports = pipeline_residuals(problem, new_problem, kernel)
         lines = [f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
                  f"max shift {iso.max_shift:.3e} (tolerance {shift_tol:.0e}), "
                  f"multiplicities {'match' if iso.multiplicity_match else 'DIFFER'}"]

@@ -61,21 +61,17 @@ class Perturbation:
     """Validated finite-rank perturbation resolved against a spectrum report."""
 
     entries: tuple[PerturbationEntry, ...]
-    source: SpectrumReport
+    grid: Grid
     lambdas: np.ndarray    # (M,)
     thetas: np.ndarray     # (N, M)
     coeffs: np.ndarray     # (M,)
     norms_sq: np.ndarray   # (M,)
-    phis: np.ndarray       # (n, N, M) on the source grid
+    phis: np.ndarray       # (n, N, M) on grid
     phi_derivs: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.coeffs.size
-
-    @property
-    def grid(self) -> Grid:
-        return self.source.grid
 
 
 def _normalize_entries(entries) -> list[PerturbationEntry]:
@@ -194,19 +190,15 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
                     f"eigenfunctions of the same eigenspace (inner product {ip:.3e})"
                 )
 
-    return Perturbation(tuple(entries), report, lambdas, thetas, coeffs, norms_sq, phis, phi_derivs)
+    return Perturbation(tuple(entries), grid, lambdas, thetas, coeffs, norms_sq, phis, phi_derivs)
 
 
 @dataclass(frozen=True)
 class KernelField:
-    """Solved degenerate kernel K(x, y) = A(x) Phi^T(y) for y <= x (0 above)."""
+    """Solved degenerate kernel K(x, y) = A(x) Phi^T(y) for y <= x (0 above),
+    with Phi the eigenfunction stack of the perturbation it solves."""
 
-    grid: Grid
-    lambdas: np.ndarray     # (M,)
-    thetas: np.ndarray      # (N, M)
-    coeffs: np.ndarray      # (M,)
-    phi: np.ndarray         # (n, N, M)
-    dphi: np.ndarray        # (n, N, M)
+    pert: Perturbation
     a: np.ndarray           # (n, N, M) coefficient functions a_j(x)
     da: np.ndarray          # (n, N, M) their derivatives
     gram: np.ndarray        # (n, M, M) running Gram G(x)
@@ -214,24 +206,19 @@ class KernelField:
 
     @property
     def rank(self) -> int:
-        return self.coeffs.size
+        return self.pert.rank
 
-    def diagonal(self) -> np.ndarray:
-        """K(x, x) samples, (n, N, N)."""
-        return np.einsum("qam,qbm->qab", self.a, self.phi)
-
-    def diagonal_derivative(self) -> np.ndarray:
-        """d/dx K(x, x) = A'(x) Phi^T(x) + A(x) Phi'^T(x), (n, N, N)."""
-        return (np.einsum("qam,qbm->qab", self.da, self.phi)
-                + np.einsum("qam,qbm->qab", self.a, self.dphi))
+    @property
+    def grid(self) -> Grid:
+        return self.pert.grid
 
     @property
     def k00(self) -> np.ndarray:
-        return self.a[0] @ self.phi[0].T
+        return self.a[0] @ self.pert.phis[0].T
 
     @property
     def kpipi(self) -> np.ndarray:
-        return self.a[-1] @ self.phi[-1].T
+        return self.a[-1] @ self.pert.phis[-1].T
 
 
 def solve_kernel(pert: Perturbation) -> KernelField:
@@ -252,11 +239,9 @@ def solve_kernel(pert: Perturbation) -> KernelField:
         If I + G(x) C is numerically singular at some node (outside the
         uniqueness regime).
     """
-    grid = pert.grid
-    phi, dphi = pert.phis, pert.phi_derivs
-
-    c = pert.coeffs
-    gram = running_integral(np.einsum("qni,qnj->qij", phi, phi), grid.h)
+    grid, phi, dphi, c = pert.grid, pert.phis, pert.phi_derivs, pert.coeffs
+    gp = np.einsum("qni,qnj->qij", phi, phi)
+    gram = running_integral(gp, grid.h)
     res_mat = np.eye(pert.rank) + gram * c[None, None, :]
     # det(I + G(0)C) = 1; in the uniqueness regime the determinant never
     # reaches zero, so a non-positive value at any node flags a crossing even
@@ -275,22 +260,22 @@ def solve_kernel(pert: Perturbation) -> KernelField:
     resolvent = np.linalg.inv(res_mat)
     phi_c = phi * c[None, None, :]
     a = -phi_c @ resolvent
-    gp = np.einsum("qni,qnj->qij", phi, phi)
     da = -(dphi * c[None, None, :]) @ resolvent - a @ ((gp * c[None, None, :]) @ resolvent)
-    return KernelField(grid, pert.lambdas.copy(), pert.thetas.copy(), c.copy(),
-                       phi, dphi, a, da, gram, sv)
+    return KernelField(pert, a, da, gram, sv)
 
 
 def potential_q(kernel: KernelField, base: MatrixPotential) -> GridPotential:
     """Transformed potential Q(x) = P(x) + 2 d/dx K(x, x), sampled on the kernel grid.
 
-    The diagonal derivative is analytic (no differencing of K samples, which
-    would amplify quadrature noise into the spectrum re-scan). Samples are
-    symmetrized; the pre-symmetrization defect is recorded on the result.
+    The diagonal derivative A'(x) Phi^T(x) + A(x) Phi'^T(x) is analytic (no
+    differencing of K samples, which would amplify quadrature noise into the
+    spectrum re-scan). Samples are symmetrized; the pre-symmetrization defect
+    is recorded on the result.
     """
-    grid = kernel.grid
-    q = base.evaluate_many(grid.nodes) + 2.0 * kernel.diagonal_derivative()
-    return GridPotential(grid, q)
+    grid, pert = kernel.grid, kernel.pert
+    dk = (np.einsum("qam,qbm->qab", kernel.da, pert.phis)
+          + np.einsum("qam,qbm->qab", kernel.a, pert.phi_derivs))
+    return GridPotential(grid, base.evaluate_many(grid.nodes) + 2.0 * dk)
 
 
 def boundary_matrices(kernel: KernelField, p: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +301,7 @@ def transform_eigenfunction(kernel: KernelField, phi: np.ndarray,
     """
     if phi.shape[0] != kernel.grid.n or dphi.shape[0] != kernel.grid.n:
         raise GridMismatch("eigenfunctions are not sampled on the kernel grid")
-    pointwise = np.einsum("qnm,qnl->qml", kernel.phi, phi)
+    pointwise = np.einsum("qnm,qnl->qml", kernel.pert.phis, phi)
     w = running_integral(pointwise, kernel.grid.h)
     psi = phi + np.einsum("qnm,qml->qnl", kernel.a, w)
     dpsi = (dphi + np.einsum("qnm,qml->qnl", kernel.da, w)
@@ -324,46 +309,35 @@ def transform_eigenfunction(kernel: KernelField, phi: np.ndarray,
     return psi, dpsi
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    """Transformed eigenfunctions of the selections, diagnostics, and the solved kernel."""
-
-    psi: np.ndarray         # (n, N, M), psi[:, :, j] transforms selection j
-    dpsi: np.ndarray        # (n, N, M) derivative samples
-    diagnostics: dict
-    kernel: KernelField
-
-
-def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, TransformResult]:
-    """Compose kernel solve, potential, boundary matrices and eigenfunction maps.
-
-    Returns the isospectral problem (Q, Atilde, B, cAtilde, cB) and a
-    TransformResult carrying the transformed eigenfunctions of the selected
-    branches, numerical diagnostics and the solved kernel. An empty
-    perturbation gives P sampled on the grid and the original boundary matrices.
-    """
+def transform_problem(p: Problem, pert: Perturbation) -> tuple[Problem, KernelField]:
+    """The isospectral problem (Q, Atilde, B, cAtilde, cB) and the solved
+    kernel; an empty perturbation gives P sampled on the grid and the original
+    boundary matrices."""
     kernel = solve_kernel(pert)
-    q = potential_q(kernel, p.potential)
     atilde, catilde = boundary_matrices(kernel, p)
-    psi, dpsi = transform_eigenfunction(kernel, kernel.phi, kernel.dphi)
+    new_problem = Problem(potential_q(kernel, p.potential), BoundaryPair(atilde, p.left.B),
+                          BoundaryPair(catilde, p.right.B))
+    return new_problem, kernel
 
-    new_problem = Problem(q, BoundaryPair(atilde, p.left.B), BoundaryPair(catilde, p.right.B))
 
+def kernel_diagnostics(p: Problem, new_problem: Problem, kernel: KernelField) -> dict:
+    """Numerical health of a transform of p into new_problem by kernel: the
+    symmetry and self-adjointness defects, and at rank > 0 the resolvent's
+    conditioning, the final Gram's cross-talk and the boundary sign gap."""
     diag = {
         "rank": kernel.rank,
-        "q_presymmetrization_defect": float(q.symmetry_defect),
-        "selfadjoint_defect_left": float(np.max(np.abs(p.left.B @ atilde.T - atilde @ p.left.B.T))),
-        "selfadjoint_defect_right": float(np.max(np.abs(p.right.B @ catilde.T - catilde @ p.right.B.T))),
+        "q_presymmetrization_defect": float(new_problem.potential.symmetry_defect),
+        "selfadjoint_defect_left": new_problem.left.symmetry_defect(),
+        "selfadjoint_defect_right": new_problem.right.symmetry_defect(),
     }
     if kernel.rank:
         sv = kernel.resolvent_sv
         diag["resolvent_min_sigma"] = float(sv[:, -1].min())
         diag["resolvent_max_cond"] = float((sv[:, 0] / sv[:, -1]).max())
         gpi = kernel.gram[-1]
-        off = gpi - np.diag(np.diag(gpi))
-        diag["final_gram_offdiagonal_max"] = float(np.max(np.abs(off))) if kernel.rank > 1 else 0.0
+        diag["final_gram_offdiagonal_max"] = float(np.max(np.abs(gpi - np.diag(np.diag(gpi)))))
         # the boundary formulas use K(0,0) from the solved kernel; the opposite
         # sign convention is surfaced here so a mismatch is visible, not guessed
         alt = p.left.A + p.left.B @ kernel.k00
-        diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - atilde)))
-    return new_problem, TransformResult(psi, dpsi, diag, kernel)
+        diag["atilde_alternative_sign_gap"] = float(np.max(np.abs(alt - new_problem.left.A)))
+    return diag

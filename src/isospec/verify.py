@@ -4,7 +4,8 @@ Everything here re-derives quantities by a route different from the one that
 produced them: spectra are re-scanned, the kernel PDE residual differences
 the factors of the degenerate representation to fourth order, and the
 non-commutativity diagnostic certifies that a matrix potential is not
-simultaneously diagonalizable.
+simultaneously diagonalizable. pipeline_residuals runs the whole suite on
+one solved transform.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall, NonFiniteState
+from .errors import ConditionViolated, GridTooSmall, NonFiniteState
 from .model import Grid, MatrixPotential, Problem
 from .quadrature import running_integral
 from .spectrum import DEFAULT_GRID, SpectrumReport, scan_spectrum
-from .transform import KernelField, Perturbation
+from .transform import KernelField, transform_eigenfunction
 
 #: a residual below this is at the rounding level of the O(1) quantities the
 #: identities compare, and where it peaks is noise: verify.json writes no location
@@ -149,11 +150,12 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     n = grid.n
     if n < 7:
         raise GridTooSmall("wave-equation residual needs at least 7 nodes")
-    a, phi = kernel.a[2:-2], kernel.phi[2:-2]      # nodes 2..n-3
+    phis = kernel.pert.phis
+    a, phi = kernel.a[2:-2], phis[2:-2]      # nodes 2..n-3
     qs = q.evaluate_many(grid.nodes[2:-2])
     ps = base.evaluate_many(grid.nodes[2:-2])
     x_fac = np.concatenate([_second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
-    z_fac = np.concatenate([phi, _second_difference4(kernel.phi, grid.h) - ps @ phi], axis=2)
+    z_fac = np.concatenate([phi, _second_difference4(phis, grid.h) - ps @ phi], axis=2)
     n_dim = phi.shape[1]
     x_rows = x_fac[2:].reshape((n - 6) * n_dim, 2 * kernel.rank)   # x nodes 4..n-3
     z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+2}[b]
@@ -171,24 +173,26 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     return _peak_report("wave-eq", res, grid.nodes[4:n - 2], tolerance)
 
 
-def residual_goursat(kernel: KernelField, p: Problem,
+def residual_goursat(kernel: KernelField, p: Problem, q: MatrixPotential,
                      tolerance: float = 1e-6) -> list[ResidualReport]:
     """Boundary and diagonal identities pinning the kernel down.
 
     goursat: K(x,0) A^T + (dK/dy)|_{y=0} B^T = 0 at every node, with the y
     derivative taken from the representation (A(x) Phi'^T(0)).
     trace:   K(x,x) = 1/2 int_0^x [Q - P] dt - F(0,0), where F(0,0) =
-             B^T (sum_j c_j theta_j theta_j^T) B and Q - P = 2 d/dx K(x,x).
+             B^T (sum_j c_j theta_j theta_j^T) B and Q - P is read from the
+             node samples of the transformed potential q, so a wrong Q fails.
     """
     grid = kernel.grid
-    k_x0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.phi[0])
-    dk_y0 = np.einsum("qnm,bm->qnb", kernel.a, kernel.dphi[0])
+    pert = kernel.pert
+    k_x0 = np.einsum("qnm,bm->qnb", kernel.a, pert.phis[0])
+    dk_y0 = np.einsum("qnm,bm->qnb", kernel.a, pert.phi_derivs[0])
     g_res = k_x0 @ p.left.A.T + dk_y0 @ p.left.B.T
 
-    f00 = p.left.B.T @ (kernel.thetas * kernel.coeffs[None, :]) @ kernel.thetas.T @ p.left.B
-    dq = 2.0 * kernel.diagonal_derivative()
-    half_int = 0.5 * running_integral(dq, grid.h)
-    t_res = kernel.diagonal() - half_int + f00
+    f00 = p.left.B.T @ (pert.thetas * pert.coeffs[None, :]) @ pert.thetas.T @ p.left.B
+    dq = q.evaluate_many(grid.nodes) - p.potential.evaluate_many(grid.nodes)
+    k_xx = np.einsum("qam,qbm->qab", kernel.a, pert.phis)
+    t_res = k_xx - 0.5 * running_integral(dq, grid.h) + f00
     return [_peak_report("goursat", g_res, grid.nodes, tolerance),
             _peak_report("trace", t_res, grid.nodes, tolerance)]
 
@@ -206,37 +210,60 @@ def residual_transformed_eigen(p_new: Problem, lam: float, psi: np.ndarray,
     eigen-bc:  the boundary residuals B psi'(0) + Atilde psi(0) and
                cB psi'(pi) + cAtilde psi(pi), from the analytic derivative
                samples, against boundary_tolerance.
-    Raises GridTooSmall below 7 nodes, as residual_wave_equation does.
+    Raises GridTooSmall below 7 nodes, as residual_wave_equation does, and
+    ConditionViolated for an identically zero psi, which has no scale.
     """
     if psi.shape[0] < 7:
         raise GridTooSmall("eigen-ode residual needs at least 7 nodes")
+    scale = np.abs(psi).max()
+    if scale == 0.0:
+        raise ConditionViolated("psi is identically zero; the selection certifies nothing")
     grid = Grid.uniform(psi.shape[0])
     qs = p_new.potential.evaluate_many(grid.nodes[2:-2])
     res = (-_second_difference4(psi, grid.h) + np.einsum("qab,qb->qa", qs, psi[2:-2])
            - lam * psi[2:-2])
     ends = np.stack([p_new.left.B @ dpsi[0] + p_new.left.A @ psi[0],
                      p_new.right.B @ dpsi[-1] + p_new.right.A @ psi[-1]])
-    scale = np.abs(psi).max()
     return [_peak_report("eigen-ode", res / scale, grid.nodes[2:-2], tolerance),
             _peak_report("eigen-bc", ends / scale, grid.nodes[[0, -1]], boundary_tolerance)]
 
 
-def residual_endpoint(kernel: KernelField, pert: Perturbation, psi: np.ndarray,
+def residual_endpoint(kernel: KernelField, psi: np.ndarray,
                       tolerance: float = 1e-8) -> ResidualReport:
     """Endpoint identity psi_l(pi) (1 + c_l ||phi_l||^2) = phi_l(pi), relative
     to max |phi_l|, for the (n, N, M) stack psi of transformed selections."""
+    pert = kernel.pert
     lhs = psi[-1] * (1.0 + pert.coeffs * pert.norms_sq)
-    scale = np.abs(kernel.phi).max(axis=(0, 1))
-    worst = np.max(np.abs(lhs - kernel.phi[-1]), axis=0) / scale
+    scale = np.abs(pert.phis).max(axis=(0, 1))
+    worst = np.max(np.abs(lhs - pert.phis[-1]), axis=0) / scale
     return ResidualReport("endpoint", float(worst.max(initial=0.0)), float(np.pi), tolerance)
 
 
 def residual_representation(kernel: KernelField, psi: np.ndarray,
                             tolerance: float = 1e-9) -> ResidualReport:
     """Representation identity a_j(x) = -c_j psi_j(x), entrywise, for the
-    (n, N, M) stack psi of transformed selections."""
-    diff = kernel.a + kernel.coeffs * psi
+    (n, N, M) stack psi of transformed selections, each column relative to
+    max |a_j| and so free of the selection's scale; a selection with c_j = 0
+    has a_j = 0 and reads 0."""
+    scale = np.abs(kernel.a).max(axis=(0, 1))
+    diff = (kernel.a + kernel.pert.coeffs * psi) / np.where(scale > 0.0, scale, 1.0)
     return _peak_report("representation", diff, kernel.grid.nodes, tolerance)
+
+
+def pipeline_residuals(p: Problem, new_problem: Problem,
+                       kernel: KernelField) -> list[ResidualReport]:
+    """The residual suite of the transform of p into new_problem by kernel,
+    at default tolerances: wave-eq, goursat, trace, eigen-ode and eigen-bc
+    for each selection, endpoint and representation, in that order."""
+    pert = kernel.pert
+    psi, dpsi = transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+    reports = [residual_wave_equation(kernel, p.potential, new_problem.potential)]
+    reports += residual_goursat(kernel, p, new_problem.potential)
+    for j, lam in enumerate(pert.lambdas):
+        reports += residual_transformed_eigen(new_problem, lam, psi[:, :, j], dpsi[:, :, j])
+    reports.append(residual_endpoint(kernel, psi))
+    reports.append(residual_representation(kernel, psi))
+    return reports
 
 
 def commutator_diagnostic(q: MatrixPotential, grid: Grid) -> tuple[float, float]:

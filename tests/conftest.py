@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec.transform import solve_kernel
 
 import oracles
+
+
+def transformed(problem, pert, **extra):
+    """transform_problem's problem and kernel, with the transformed
+    selections psi, dpsi, in one dict."""
+    new_problem, kernel = iso.transform_problem(problem, pert)
+    psi, dpsi = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+    return dict(extra, pert=pert, kernel=kernel, problem=new_problem, psi=psi, dpsi=dpsi)
 
 
 @pytest.fixture(scope="session")
@@ -30,28 +37,18 @@ def scalar_report(scalar):
 @pytest.fixture(scope="session")
 def mixed_rank_one(paper, paper_report):
     """Full rank-one pipeline for phi0 = (sin 2x, sin x), c = 1 at n = 401."""
-    pert = oracles.mixed_perturbation(paper_report)
-    kernel = solve_kernel(pert)
-    new_problem, result = iso.transform_problem(paper, pert)
-    return {"pert": pert, "kernel": kernel, "problem": new_problem, "result": result}
+    return transformed(paper, oracles.mixed_perturbation(paper_report))
 
 
 @pytest.fixture(scope="session")
 def mixed_rank_one_801(paper):
     report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(801))
-    pert = oracles.mixed_perturbation(report)
-    kernel = solve_kernel(pert)
-    new_problem, result = iso.transform_problem(paper, pert)
-    return {"report": report, "pert": pert, "kernel": kernel,
-            "problem": new_problem, "result": result}
+    return transformed(paper, oracles.mixed_perturbation(report), report=report)
 
 
 @pytest.fixture(scope="session")
 def scalar_transform(scalar, scalar_report):
-    pert = iso.build_perturbation(scalar_report, [(0, 1, 1.0)])
-    kernel = solve_kernel(pert)
-    new_problem, result = iso.transform_problem(scalar, pert)
-    return {"pert": pert, "kernel": kernel, "problem": new_problem, "result": result}
+    return transformed(scalar, iso.build_perturbation(scalar_report, [(0, 1, 1.0)]))
 
 
 @pytest.fixture(scope="session")
@@ -65,8 +62,4 @@ def neumann_left():
 @pytest.fixture(scope="session")
 def neumann_transform(neumann_left):
     report = iso.scan_spectrum(neumann_left, 0.0, 8.0)
-    pert = iso.build_perturbation(report, [(0, 1, 1.0)])
-    kernel = solve_kernel(pert)
-    new_problem, result = iso.transform_problem(neumann_left, pert)
-    return {"report": report, "pert": pert, "kernel": kernel,
-            "problem": new_problem, "result": result}
+    return transformed(neumann_left, iso.build_perturbation(report, [(0, 1, 1.0)]), report=report)

@@ -93,7 +93,7 @@ def diagonal_perturbation(report, c=1.0):
 
 def dense_kernel(kernel, dtype=float):
     """K(x_i, y_j) = A(x_i) Phi^T(y_j) at every node pair, shape (n, n, N, N), zero for y > x."""
-    k = np.einsum("iam,jbm->ijab", kernel.a.astype(dtype), kernel.phi.astype(dtype))
+    k = np.einsum("iam,jbm->ijab", kernel.a.astype(dtype), kernel.pert.phis.astype(dtype))
     iy, ix = np.meshgrid(np.arange(kernel.grid.n), np.arange(kernel.grid.n), indexing="ij")
     k[iy < ix] = 0.0
     return k
@@ -147,11 +147,11 @@ def loop_wave_residual(kernel, base, q):
     """
     grid = kernel.grid
     n = grid.n
-    a, phi = kernel.a[2:-2], kernel.phi[2:-2]
+    a, phi = kernel.a[2:-2], kernel.pert.phis[2:-2]
     qs = q.evaluate_many(grid.nodes[2:-2])
     ps = base.evaluate_many(grid.nodes[2:-2])
     x_fac = np.concatenate([verify._second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
-    z_fac = np.concatenate([phi, verify._second_difference4(kernel.phi, grid.h) - ps @ phi],
+    z_fac = np.concatenate([phi, verify._second_difference4(kernel.pert.phis, grid.h) - ps @ phi],
                            axis=2)
     n_dim = phi.shape[1]
     z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)

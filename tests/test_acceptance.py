@@ -11,7 +11,7 @@ import pytest
 
 import isospec as iso
 from isospec.quadrature import integral, running_integral
-from isospec.transform import solve_kernel
+from isospec.transform import kernel_diagnostics, solve_kernel
 
 import oracles
 
@@ -28,10 +28,10 @@ def _pipeline(paper, n):
     grid = iso.Grid.uniform(n)
     report = iso.scan_spectrum(paper, *WINDOW, grid)
     pert = oracles.mixed_perturbation(report)
-    kernel = solve_kernel(pert)
-    problem, result = iso.transform_problem(paper, pert)
+    problem, kernel = iso.transform_problem(paper, pert)
+    psi, _ = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
     return {"report": report, "pert": pert, "kernel": kernel,
-            "problem": problem, "result": result, "grid": grid}
+            "problem": problem, "psi": psi, "grid": grid}
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +111,8 @@ def test_criterion_4_rank_one_oracle_equivalence(paper, mixed401):
     ]
     for kernel in cases:
         g = kernel.grid
-        phi = kernel.phi[:, :, 0]
-        c = kernel.coeffs[0]
+        phi = kernel.pert.phis[:, :, 0]
+        c = kernel.pert.coeffs[0]
         denom = 1.0 + c * running_integral(np.einsum("qn,qn->q", phi, phi), g.h)
         expected = np.einsum("i,in,jm->ijnm", -c / denom, phi, phi)
         tri = np.tril_indices(g.n)
@@ -123,7 +123,7 @@ def test_criterion_4_rank_one_oracle_equivalence(paper, mixed401):
 
 
 def test_criterion_5_identity_residual_suite(paper, mixed401, mixed801):
-    gs = iso.residual_goursat(mixed401["kernel"], paper)
+    gs = iso.residual_goursat(mixed401["kernel"], paper, mixed401["problem"].potential)
     by_name = {r.name: r for r in gs}
     trace = by_name["trace"].max_residual
     goursat = by_name["goursat"].max_residual
@@ -132,8 +132,8 @@ def test_criterion_5_identity_residual_suite(paper, mixed401, mixed801):
     wave_fine = iso.residual_wave_equation(mixed801["kernel"], paper.potential,
                                            mixed801["problem"].potential).max_residual
     decay = wave / wave_fine if wave_fine > 0 else np.inf
-    endpoint = iso.residual_endpoint(mixed401["kernel"], mixed401["pert"], mixed401["result"].psi).max_residual
-    representation = iso.residual_representation(mixed401["kernel"], mixed401["result"].psi).max_residual
+    endpoint = iso.residual_endpoint(mixed401["kernel"], mixed401["psi"]).max_residual
+    representation = iso.residual_representation(mixed401["kernel"], mixed401["psi"]).max_residual
 
     ok = (trace <= 1e-6 and goursat <= 1e-6 and wave <= 5e-4 and decay >= 3.5
           and endpoint <= 1e-8 and representation <= 1e-9)
@@ -173,9 +173,9 @@ def test_criterion_7_property_suite(paper, mixed401):
                           iso.BoundaryPair(np.eye(1), np.zeros((1, 1))))
     nrep = iso.scan_spectrum(neumann, 0.0, 8.0)
     npert = iso.build_perturbation(nrep, [(0, 1, 1.0)])
-    _, nres = iso.transform_problem(neumann, npert)
-    sa_defect = max(nres.diagnostics["selfadjoint_defect_left"],
-                    nres.diagnostics["selfadjoint_defect_right"])
+    nprob, nkernel = iso.transform_problem(neumann, npert)
+    ndiag = kernel_diagnostics(neumann, nprob, nkernel)
+    sa_defect = max(ndiag["selfadjoint_defect_left"], ndiag["selfadjoint_defect_right"])
 
     # orthogonal eigenspace basis at the double eigenvalue
     pair = mixed401["report"].pairs[oracles.pair_index(mixed401["report"], 1.0)]

@@ -483,15 +483,15 @@ class TestVerify:
     def test_non_finite_residual_exits_1(self, paper_files, tmp_path, monkeypatch, capsys):
         # a NaN in the kernel factor A makes the wave residual NaN, which no
         # tolerance may pass: exit 1, naming the identity, with no verify.json
-        from isospec import cli
-        wave = cli.residual_wave_equation
+        from isospec import verify
+        wave = verify.residual_wave_equation
 
         def corrupted(kernel, base, q):
             a = kernel.a.copy()
             a[100] = np.nan
             return wave(dataclasses.replace(kernel, a=a), base, q)
 
-        monkeypatch.setattr(cli, "residual_wave_equation", corrupted)
+        monkeypatch.setattr(verify, "residual_wave_equation", corrupted)
         prob, pert = paper_files
         rc = main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5", "--max", "20",
                    "--out", str(tmp_path / "v")])

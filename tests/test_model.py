@@ -205,12 +205,11 @@ class TestPublicApi:
             "BoundaryPair", "ConstantDiagonalPotential", "Eigenpair", "Grid",
             "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
             "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
-            "SpectrumReport", "TransformResult",
-            "ValidationReport", "boundary_matrices", "build_perturbation",
+            "SpectrumReport", "ValidationReport", "boundary_matrices", "build_perturbation",
             "builtin_problem", "characteristic_matrix", "check_isospectral",
             "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",
             "fd_oracle_eigenvalues", "integral", "integrate_ivp", "load_potential_csv",
-            "load_problem", "potential_q", "problem_from_json_obj",
+            "load_problem", "pipeline_residuals", "potential_q", "problem_from_json_obj",
             "problem_to_json_obj", "residual_endpoint", "residual_goursat",
             "residual_representation", "residual_transformed_eigen",
             "residual_wave_equation", "running_integral", "scan_spectrum",

@@ -39,7 +39,7 @@ def test_rank_le_2_transform_is_isospectral(base_reports, name, entries):
     problem = iso.builtin_problem(name)
     report = base_reports[name]
     pert = iso.build_perturbation(report, entries)
-    new_problem, result = iso.transform_problem(problem, pert)
+    new_problem, _ = iso.transform_problem(problem, pert)
     assert iso.validate_problem(new_problem).all_passed
     rescan = iso.scan_spectrum(new_problem, *WINDOWS[name])
     comparison = iso.compare_spectra(report, rescan, 1e-3)

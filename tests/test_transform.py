@@ -7,7 +7,7 @@ import isospec as iso
 from isospec.errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
                             SingularResolvent)
 from isospec.quadrature import running_integral
-from isospec.transform import solve_kernel
+from isospec.transform import kernel_diagnostics, solve_kernel
 
 import oracles
 
@@ -115,7 +115,7 @@ class TestSolveKernel:
         # oracle: k_ij(x,y) = -c phi_i(x) phi_j(y) / (1 + c int_0^x |phi|^2),
         # with the same running quadrature in the denominator
         g = kernel.grid
-        phi = kernel.phi[:, :, 0]
+        phi = kernel.pert.phis[:, :, 0]
         denom = 1.0 + c * running_integral(np.einsum("qn,qn->q", phi, phi), g.h)
         expected = np.einsum("i,in,jm->ijnm", -c / denom, phi, phi)
         actual = oracles.dense_kernel(kernel)
@@ -132,8 +132,8 @@ class TestSolveKernel:
         # with the same running quadrature: residual is round-off only
         kernel = mixed_rank_one["kernel"]
         g = kernel.grid
-        phi = kernel.phi[:, :, 0]
-        c = kernel.coeffs[0]
+        phi = kernel.pert.phis[:, :, 0]
+        c = kernel.pert.coeffs[0]
         kmat = oracles.dense_kernel(kernel)
         fmat = c * np.einsum("in,jm->ijnm", phi, phi)
         integrand = np.einsum("tnm,tjmk->tjnk", kmat[-1], fmat)
@@ -143,7 +143,7 @@ class TestSolveKernel:
 
     def test_coefficients_at_origin(self, mixed_rank_one):
         kernel = mixed_rank_one["kernel"]
-        expected = -kernel.coeffs[0] * kernel.phi[0, :, 0]
+        expected = -kernel.pert.coeffs[0] * kernel.pert.phis[0, :, 0]
         assert np.max(np.abs(kernel.a[0, :, 0] - expected)) < 1e-14
 
     def test_kpipi_vanishes_for_dirichlet_eigenfunction(self, mixed_rank_one):
@@ -211,13 +211,14 @@ class TestBoundaryMatrices:
         # K(0,0) = a_1(0) phi_1(0)^T = -c phi(0) phi(0)^T with phi(0) = B^T theta
         kernel = neumann_transform["kernel"]
         pert = neumann_transform["pert"]
-        expected = -pert.coeffs[0] * np.outer(kernel.phi[0, :, 0], kernel.phi[0, :, 0])
+        expected = -pert.coeffs[0] * np.outer(kernel.pert.phis[0, :, 0], kernel.pert.phis[0, :, 0])
         assert np.max(np.abs(kernel.k00 - expected)) < 1e-14
         atilde = neumann_transform["problem"].left.A
         assert np.max(np.abs(atilde - (neumann_left.left.A - neumann_left.left.B @ kernel.k00))) == 0.0
 
-    def test_selfadjointness_preserved(self, neumann_transform):
-        d = neumann_transform["result"].diagnostics
+    def test_selfadjointness_preserved(self, neumann_left, neumann_transform):
+        d = kernel_diagnostics(neumann_left, neumann_transform["problem"],
+                               neumann_transform["kernel"])
         assert d["selfadjoint_defect_left"] <= 1e-10
         assert d["selfadjoint_defect_right"] <= 1e-10
 
@@ -225,21 +226,21 @@ class TestBoundaryMatrices:
 class TestTransformEigenfunction:
     def test_endpoint_value_vanishes(self, mixed_rank_one):
         # psi(pi) = phi(pi) / (1 + c ||phi||^2) and phi(pi) = 0 here
-        psi = mixed_rank_one["result"].psi[:, :, 0]
+        psi = mixed_rank_one["psi"][:, :, 0]
         assert np.max(np.abs(psi[-1])) < 1e-8
 
     def test_rank_one_closed_form(self, mixed_rank_one):
         # psi = phi / (1 + c g(x)) with the same running g
         kernel = mixed_rank_one["kernel"]
-        psi = mixed_rank_one["result"].psi[:, :, 0]
-        phi = kernel.phi[:, :, 0]
+        psi = mixed_rank_one["psi"][:, :, 0]
+        phi = kernel.pert.phis[:, :, 0]
         g = running_integral(np.einsum("qn,qn->q", phi, phi), kernel.grid.h)
         assert np.max(np.abs(psi - phi / (1 + g)[:, None])) < 1e-13
 
     def test_initial_value_preserved(self, scalar_transform):
         kernel = scalar_transform["kernel"]
-        psi = scalar_transform["result"].psi[:, :, 0]
-        assert np.array_equal(psi[0], kernel.phi[0, :, 0])
+        psi = scalar_transform["psi"][:, :, 0]
+        assert np.array_equal(psi[0], kernel.pert.phis[0, :, 0])
 
     def test_empty_kernel_is_identity(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
@@ -259,8 +260,9 @@ class TestTransformEigenfunction:
             k0 = oracles.pair_index(paper_report, -2.0)
             kernel = solve_kernel(iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)]))
         # the selections themselves, then eigenfunctions of the scan
-        phi = np.concatenate([kernel.phi] + [p.phis for p in paper_report.pairs], axis=2)[:, :, :3]
-        dphi = np.concatenate([kernel.dphi] + [p.phi_derivs for p in paper_report.pairs],
+        pert = kernel.pert
+        phi = np.concatenate([pert.phis] + [p.phis for p in paper_report.pairs], axis=2)[:, :, :3]
+        dphi = np.concatenate([pert.phi_derivs] + [p.phi_derivs for p in paper_report.pairs],
                               axis=2)[:, :, :3]
         psi, dpsi = iso.transform_eigenfunction(kernel, phi, dphi)
         assert psi.shape == dpsi.shape == phi.shape
@@ -269,7 +271,7 @@ class TestTransformEigenfunction:
             assert np.array_equal(psi[:, :, j:j + 1], one)
             assert np.array_equal(dpsi[:, :, j:j + 1], done)
             # and the same bits as the one-vector contraction psi = phi + A w
-            w = running_integral(np.einsum("qnm,qn->qm", kernel.phi, phi[:, :, j]), kernel.grid.h)
+            w = running_integral(np.einsum("qnm,qn->qm", pert.phis, phi[:, :, j]), kernel.grid.h)
             assert np.array_equal(psi[:, :, j], phi[:, :, j] + np.einsum("qnm,qm->qn", kernel.a, w))
 
     def test_grid_mismatch(self, mixed_rank_one):
@@ -285,20 +287,20 @@ class TestTransformEigenfunction:
         report = iso.SpectrumReport(paper, grid, (0.5, 1.5), (pair,))
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0,
                                                 "theta": [-2.0, -1.0]}])
-        new_problem, result = iso.transform_problem(paper, pert)
-        res = iso.residual_transformed_eigen(new_problem, lam, result.psi[:, :, 0],
-                                             result.dpsi[:, :, 0], tolerance=1e-6)[0]
+        new_problem, kernel = iso.transform_problem(paper, pert)
+        psi, dpsi = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+        res = iso.residual_transformed_eigen(new_problem, lam, psi[:, :, 0], dpsi[:, :, 0],
+                                             tolerance=1e-6)[0]
         assert res.max_residual <= 1e-6
 
 
 class TestIdentities:
     def test_representation_a_equals_minus_c_psi(self, mixed_rank_one):
-        rep = iso.residual_representation(mixed_rank_one["kernel"], mixed_rank_one["result"].psi)
+        rep = iso.residual_representation(mixed_rank_one["kernel"], mixed_rank_one["psi"])
         assert rep.max_residual <= 1e-9
 
     def test_endpoint_formula_relative(self, mixed_rank_one):
-        rep = iso.residual_endpoint(mixed_rank_one["kernel"], mixed_rank_one["pert"],
-                                    mixed_rank_one["result"].psi)
+        rep = iso.residual_endpoint(mixed_rank_one["kernel"], mixed_rank_one["psi"])
         assert rep.max_residual <= 1e-8
 
     def test_endpoint_is_relative_to_max_phi(self, paper, paper_report):
@@ -307,22 +309,22 @@ class TestIdentities:
         k1 = oracles.pair_index(paper_report, 1.0)
         pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": 1e8,
                                                       "theta": [-2e-4, -1e-4]}])
-        _, result = iso.transform_problem(paper, pert)
-        assert iso.residual_endpoint(result.kernel, pert, result.psi).passed
-        psi = result.psi.copy()
-        psi[-1] += 1e-6 * np.max(np.abs(result.kernel.phi))
-        rep = iso.residual_endpoint(result.kernel, pert, psi)
+        _, kernel = iso.transform_problem(paper, pert)
+        psi, _ = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+        assert iso.residual_endpoint(kernel, psi).passed
+        psi[-1] += 1e-6 * np.max(np.abs(pert.phis))
+        rep = iso.residual_endpoint(kernel, psi)
         assert not rep.passed and rep.max_residual >= 1e-6
 
     def test_rank_two_transform_still_isospectral_identities(self, paper, paper_report):
         k1 = oracles.pair_index(paper_report, 1.0)
         k0 = oracles.pair_index(paper_report, -2.0)
         pert = iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)])
-        kernel = solve_kernel(pert)
-        new_problem, result = iso.transform_problem(paper, pert)
-        rep = iso.residual_representation(kernel, result.psi)
+        new_problem, kernel = iso.transform_problem(paper, pert)
+        psi, _ = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+        rep = iso.residual_representation(kernel, psi)
         assert rep.max_residual <= 1e-9
-        gs = iso.residual_goursat(kernel, paper)
+        gs = iso.residual_goursat(kernel, paper, new_problem.potential)
         assert gs[1].max_residual <= 1e-6
 
 
@@ -332,16 +334,17 @@ class TestTransformProblem:
         # Atilde = A, and identities that hold exactly
         report = iso.scan_spectrum(neumann_left, 0.0, 8.0)
         pert = iso.build_perturbation(report, [])
-        new_problem, result = iso.transform_problem(neumann_left, pert)
+        new_problem, kernel = iso.transform_problem(neumann_left, pert)
+        psi, dpsi = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
         n = report.grid.n
-        assert result.kernel.a.shape == result.psi.shape == result.dpsi.shape == (n, 1, 0)
+        assert kernel.a.shape == psi.shape == dpsi.shape == (n, 1, 0)
         nodes = report.grid.nodes
         assert np.array_equal(new_problem.potential.evaluate_many(nodes),
                               neumann_left.potential.evaluate_many(nodes))
         assert np.array_equal(new_problem.left.A, neumann_left.left.A)
         assert np.array_equal(new_problem.right.A, neumann_left.right.A)
-        reps = iso.residual_goursat(result.kernel, neumann_left)
-        reps.append(iso.residual_representation(result.kernel, result.psi))
+        reps = iso.residual_goursat(kernel, neumann_left, new_problem.potential)
+        reps.append(iso.residual_representation(kernel, psi))
         assert [(r.name, r.max_residual, r.location) for r in reps] == [
             ("goursat", 0.0, 0.0), ("trace", 0.0, 0.0), ("representation", 0.0, 0.0)]
 
@@ -354,8 +357,8 @@ class TestTransformProblem:
         expected = np.array([oracles.scalar_q(x) for x in q.grid.nodes])
         assert np.max(np.abs(q.samples[:, 0, 0] - expected)) < 1e-8
 
-    def test_result_diagnostics(self, mixed_rank_one):
-        d = mixed_rank_one["result"].diagnostics
+    def test_result_diagnostics(self, paper, mixed_rank_one):
+        d = kernel_diagnostics(paper, mixed_rank_one["problem"], mixed_rank_one["kernel"])
         assert d["rank"] == 1
         assert d["q_presymmetrization_defect"] <= 1e-9
         assert d["resolvent_min_sigma"] > 0.2

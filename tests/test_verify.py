@@ -1,12 +1,13 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import isospec as iso
 from isospec import verify
-from isospec.errors import GridTooSmall, NonFiniteState
+from isospec.errors import ConditionViolated, GridTooSmall, NonFiniteState
 from isospec.transform import KernelField, solve_kernel
 
 import oracles
@@ -69,8 +70,8 @@ def coupled3_rank_two(n=101):
     problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
     report = iso.scan_spectrum(problem, -5.0, 8.0, grid)
     pert = iso.build_perturbation(report, [(0, 1, 0.7), (2, 1, 0.3)])
-    new_problem, result = iso.transform_problem(problem, pert)
-    return problem, new_problem, result
+    new_problem, kernel = iso.transform_problem(problem, pert)
+    return problem, new_problem, kernel
 
 
 #: the rank-two perturbation of the paper's double eigenvalue run in CI
@@ -91,9 +92,9 @@ def wave_cases(paper, n):
             ("rank2", paper, paper_report, PERT2),
             ("rank0", paper, paper_report, []),
             ("coupled4", coupled, coupled_report, [(0, 1, 1.0), (2, 1, 0.5)])):
-        new_problem, result = iso.transform_problem(problem, iso.build_perturbation(report, entries))
-        assert result.kernel.rank == len(entries)
-        cases.append((name, result.kernel, problem.potential, new_problem.potential))
+        new_problem, kernel = iso.transform_problem(problem, iso.build_perturbation(report, entries))
+        assert kernel.rank == len(entries)
+        cases.append((name, kernel, problem.potential, new_problem.potential))
     kernel, q = cases[0][1], cases[0][3]
     corrupted = iso.GridPotential(kernel.grid, q.evaluate_many(kernel.grid.nodes) + 0.1 * np.eye(2))
     return cases + [("corrupted", kernel, paper.potential, corrupted)]
@@ -102,11 +103,22 @@ def wave_cases(paper, n):
 def synthetic_kernel(n, rank, seed=1):
     """A KernelField on n nodes with random factors A and Phi, N = 2."""
     rng = np.random.default_rng(seed)
-    grid = iso.Grid.uniform(n)
     a, phi = rng.standard_normal((2, n, 2, rank))
     zeros = np.zeros((n, 2, rank))
-    return KernelField(grid, np.zeros(rank), np.zeros((2, rank)), np.ones(rank), phi, zeros,
-                       a, zeros, np.zeros((n, rank, rank)), np.ones((n, rank)))
+    pert = iso.Perturbation((), iso.Grid.uniform(n), np.zeros(rank), np.zeros((2, rank)),
+                            np.ones(rank), np.ones(rank), phi, zeros)
+    return KernelField(pert, a, zeros, np.zeros((n, rank, rank)), np.ones((n, rank)))
+
+
+def corrupt(kernel, field, index, value):
+    """kernel with one entry of a or da, or of its perturbation's phi (phis)
+    or dphi (phi_derivs), set to value."""
+    owner, name = ((kernel, field) if field in ("a", "da")
+                   else (kernel.pert, {"phi": "phis", "dphi": "phi_derivs"}[field]))
+    bad = getattr(owner, name).copy()
+    bad[index] = value
+    bad_owner = dataclasses.replace(owner, **{name: bad})
+    return bad_owner if owner is kernel else dataclasses.replace(kernel, pert=bad_owner)
 
 
 class TestWaveEquation:
@@ -136,19 +148,17 @@ class TestWaveEquation:
     @pytest.mark.parametrize("field,node", [("a", 200), ("phi", 100), ("a", 396)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_residual_raises(self, paper, mixed_rank_one, field, node, value):
-        kernel = mixed_rank_one["kernel"]
-        bad = getattr(kernel, field).copy()
-        bad[node, 1, 0] = value
+        kernel = corrupt(mixed_rank_one["kernel"], field, (node, 1, 0), value)
         with pytest.raises(NonFiniteState, match="wave-eq"):
-            iso.residual_wave_equation(dataclasses.replace(kernel, **{field: bad}),
-                                       paper.potential, mixed_rank_one["problem"].potential)
+            iso.residual_wave_equation(kernel, paper.potential,
+                                       mixed_rank_one["problem"].potential)
 
     def test_factored_matches_dense_reference(self, paper, mixed_rank_one):
-        coupled, coupled_new, coupled_result = coupled3_rank_two()
-        assert coupled_result.kernel.a.shape[1:] == (3, 2)
+        coupled, coupled_new, coupled_kernel = coupled3_rank_two()
+        assert coupled_kernel.a.shape[1:] == (3, 2)
         for kernel, base, q in ((mixed_rank_one["kernel"], paper.potential,
                                  mixed_rank_one["problem"].potential),
-                                (coupled_result.kernel, coupled.potential, coupled_new.potential)):
+                                (coupled_kernel, coupled.potential, coupled_new.potential)):
             rep = iso.residual_wave_equation(kernel, base, q)
             ref_max, ref_loc = oracles.dense_wave_residual(kernel, base, q)
             assert ref_max > 0
@@ -166,15 +176,16 @@ class TestWaveEquation:
         pair = iso.eigenbasis(paper, lam, grid)
         report = iso.SpectrumReport(paper, grid, (0.5, 1.5), (pair,))
         pert = iso.build_perturbation(report, [{"k": 0, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]}])
-        new_problem, result = iso.transform_problem(paper, pert)
+        new_problem, kernel = iso.transform_problem(paper, pert)
         tracemalloc.start()
         try:
-            rep = iso.residual_wave_equation(result.kernel, paper.potential, new_problem.potential)
+            rep = iso.residual_wave_equation(kernel, paper.potential, new_problem.potential)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.max_residual <= 5e-4
         assert peak < 2 * 2**20
+
     def test_mixed_transform_residual(self, paper, mixed_rank_one):
         rep = iso.residual_wave_equation(mixed_rank_one["kernel"], paper.potential,
                                          mixed_rank_one["problem"].potential)
@@ -202,7 +213,8 @@ class TestWaveEquation:
 
     def test_grid_too_small(self, scalar_report):
         pert = iso.build_perturbation(scalar_report, [(0, 1, 0.5)])
-        kernel = dataclasses.replace(solve_kernel(pert), grid=iso.Grid.uniform(3))
+        small = dataclasses.replace(pert, grid=iso.Grid.uniform(3))
+        kernel = dataclasses.replace(solve_kernel(pert), pert=small)
         with pytest.raises(GridTooSmall):
             iso.residual_wave_equation(kernel, iso.builtin_problem("scalar-zero").potential,
                                        iso.builtin_problem("scalar-zero").potential)
@@ -216,25 +228,25 @@ class TestNonFiniteResidual:
                 verify._peak_report("t", res, x, 1e-3)
 
     @pytest.mark.parametrize("field,name", [("phi", "goursat"), ("dphi", "goursat"),
-                                            ("da", "trace")])
+                                            ("phi", "trace")])
     def test_goursat_and_trace(self, paper, mixed_rank_one, field, name):
-        kernel = mixed_rank_one["kernel"]
-        bad = getattr(kernel, field).copy()
-        bad[0 if field != "da" else 7, 0, 0] = np.nan
+        # goursat reads phi and dphi at node 0 only; K(x, x) reads phi at every node
+        kernel = corrupt(mixed_rank_one["kernel"], field, (0 if name == "goursat" else 7, 0, 0),
+                         np.nan)
         with pytest.raises(NonFiniteState, match=name):
-            iso.residual_goursat(dataclasses.replace(kernel, **{field: bad}), paper)
+            iso.residual_goursat(kernel, paper, mixed_rank_one["problem"].potential)
 
     @pytest.mark.parametrize("which,name", [("psi", "eigen-ode"), ("dpsi", "eigen-bc")])
     def test_transformed_eigen(self, mixed_rank_one, which, name):
-        result = mixed_rank_one["result"]
-        args = {"psi": result.psi[:, :, 0].copy(), "dpsi": result.dpsi[:, :, 0].copy()}
+        args = {k: mixed_rank_one[k][:, :, 0].copy() for k in ("psi", "dpsi")}
         args[which][0 if which == "dpsi" else 50, 1] = np.nan
         with pytest.raises(NonFiniteState, match=name):
-            iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
+            iso.residual_transformed_eigen(mixed_rank_one["problem"],
+                                           mixed_rank_one["pert"].lambdas[0],
                                            args["psi"], args["dpsi"])
 
     def test_representation(self, mixed_rank_one):
-        psi = mixed_rank_one["result"].psi.copy()
+        psi = mixed_rank_one["psi"].copy()
         psi[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteState, match="representation"):
             iso.residual_representation(mixed_rank_one["kernel"], psi)
@@ -242,19 +254,22 @@ class TestNonFiniteResidual:
 
 class TestGoursat:
     def test_dirichlet_trace(self, paper, mixed_rank_one):
-        gs = iso.residual_goursat(mixed_rank_one["kernel"], paper)
+        gs = iso.residual_goursat(mixed_rank_one["kernel"], paper,
+                                  mixed_rank_one["problem"].potential)
         by_name = {r.name: r for r in gs}
         assert by_name["goursat"].max_residual <= 1e-6
         assert by_name["trace"].max_residual <= 1e-6
 
     def test_empty_perturbation_exact_zero(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
-        gs = iso.residual_goursat(solve_kernel(pert), scalar)
+        new_problem, kernel = iso.transform_problem(scalar, pert)
+        gs = iso.residual_goursat(kernel, scalar, new_problem.potential)
         assert gs[0].max_residual == 0.0
         assert gs[1].max_residual == 0.0
 
     def test_neumann_left_case(self, neumann_left, neumann_transform):
-        gs = iso.residual_goursat(neumann_transform["kernel"], neumann_left)
+        gs = iso.residual_goursat(neumann_transform["kernel"], neumann_left,
+                                  neumann_transform["problem"].potential)
         assert gs[0].max_residual <= 1e-6
         assert gs[1].max_residual <= 1e-6
 
@@ -267,17 +282,82 @@ class TestGoursat:
         assert abs(kernel.k00[0, 0] + f00) < 1e-14
 
     def test_trace_decay(self, paper, mixed_rank_one, mixed_rank_one_801):
-        t1 = iso.residual_goursat(mixed_rank_one["kernel"], paper)[1]
-        t2 = iso.residual_goursat(mixed_rank_one_801["kernel"], paper)[1]
+        t1, t2 = (iso.residual_goursat(b["kernel"], paper, b["problem"].potential)[1]
+                  for b in (mixed_rank_one, mixed_rank_one_801))
         assert t1.max_residual / t2.max_residual >= 3.5
+
+    def test_trace_reads_q(self, paper, mixed_rank_one):
+        # Q built as P + d/dx K(x, x), half the correct term, and Q + 0.1 I both
+        # fail trace; goursat does not read Q
+        g = mixed_rank_one["kernel"].grid
+        base = paper.potential.evaluate_many(g.nodes)
+        q = mixed_rank_one["problem"].potential.evaluate_many(g.nodes)
+        for wrong in (base + 0.5 * (q - base), q + 0.1 * np.eye(2)):
+            goursat, trace = iso.residual_goursat(mixed_rank_one["kernel"], paper,
+                                                  iso.GridPotential(g, wrong))
+            assert goursat.passed
+            assert not trace.passed and trace.max_residual >= 0.1
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1.0, 1e4])
+    def test_every_line_is_free_of_the_scale_of_theta(self, paper, paper_report, s):
+        # theta = s (-2, -1) with c = 1/s^2 is one transform at every s; an
+        # absolute representation residual read 2.2e-8 at s = 1e-8 and failed
+        k1 = oracles.pair_index(paper_report, 1.0)
+        pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": s**-2,
+                                                      "theta": [-2.0 * s, -s]}])
+        new_problem, kernel = iso.transform_problem(paper, pert)
+        reps = iso.pipeline_residuals(paper, new_problem, kernel)
+        assert all(rep.passed for rep in reps), [(r.name, r.max_residual) for r in reps]
+        assert reps[-1].name == "representation" and reps[-1].max_residual <= 1e-14
+
+    def test_zero_weight_reads_zero(self, paper, paper_report):
+        # c = 0 gives a_j = 0: the column has no scale and reads 0, not NaN
+        k1 = oracles.pair_index(paper_report, 1.0)
+        pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": 0.0,
+                                                      "theta": [-2.0, -1.0]}])
+        _, kernel = iso.transform_problem(paper, pert)
+        psi, _ = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = iso.residual_representation(kernel, psi)
+        assert rep.max_residual == 0.0 and rep.passed
+
+
+class TestPipelineResiduals:
+    def test_suite_order_and_values(self, paper, paper_report):
+        # rank 2: one eigen-ode and eigen-bc pair per selection, each report
+        # the one its residual function gives on its own
+        k0, k1 = oracles.pair_index(paper_report, -2.0), oracles.pair_index(paper_report, 1.0)
+        pert = iso.build_perturbation(paper_report, [(k0, 1, 0.8), (k1, 2, -0.1)])
+        new_problem, kernel = iso.transform_problem(paper, pert)
+        reps = iso.pipeline_residuals(paper, new_problem, kernel)
+        assert [r.name for r in reps] == ["wave-eq", "goursat", "trace", "eigen-ode", "eigen-bc",
+                                          "eigen-ode", "eigen-bc", "endpoint", "representation"]
+        psi, dpsi = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
+        direct = [iso.residual_wave_equation(kernel, paper.potential, new_problem.potential)]
+        direct += iso.residual_goursat(kernel, paper, new_problem.potential)
+        for j in range(2):
+            direct += iso.residual_transformed_eigen(new_problem, pert.lambdas[j],
+                                                     psi[:, :, j], dpsi[:, :, j])
+        direct += [iso.residual_endpoint(kernel, psi), iso.residual_representation(kernel, psi)]
+        assert reps == direct
+
+    def test_empty_perturbation_has_no_eigen_lines(self, paper, paper_report):
+        pert = iso.build_perturbation(paper_report, [])
+        new_problem, kernel = iso.transform_problem(paper, pert)
+        reps = iso.pipeline_residuals(paper, new_problem, kernel)
+        assert [(r.name, r.max_residual) for r in reps] == [
+            (name, 0.0) for name in ("wave-eq", "goursat", "trace", "endpoint", "representation")]
 
 
 class TestTransformedEigen:
     def test_mixed_transform_eigen_residuals(self, mixed_rank_one):
-        result = mixed_rank_one["result"]
         ode, bc = iso.residual_transformed_eigen(mixed_rank_one["problem"],
-                                                 result.kernel.lambdas[0],
-                                                 result.psi[:, :, 0], result.dpsi[:, :, 0])
+                                                 mixed_rank_one["pert"].lambdas[0],
+                                                 mixed_rank_one["psi"][:, :, 0],
+                                                 mixed_rank_one["dpsi"][:, :, 0])
         # measured 2.29e-6 relative to max |psi| at n=401; frozen with headroom
         assert (ode.name, bc.name) == ("eigen-ode", "eigen-bc")
         assert ode.max_residual <= 8e-4
@@ -286,9 +366,9 @@ class TestTransformedEigen:
 
     def test_empty_perturbation_matches_original(self, scalar, scalar_report):
         pert = iso.build_perturbation(scalar_report, [])
-        new_problem, _ = iso.transform_problem(scalar, pert)
+        new_problem, kernel = iso.transform_problem(scalar, pert)
         pair = scalar_report.pairs[0]
-        psi, dpsi = iso.transform_eigenfunction(solve_kernel(pert), pair.phis, pair.phi_derivs)
+        psi, dpsi = iso.transform_eigenfunction(kernel, pair.phis, pair.phi_derivs)
         ode, bc = iso.residual_transformed_eigen(new_problem, pair.lam, psi[:, :, 0],
                                                  dpsi[:, :, 0])
         # psi == phi, so the residual is the original eigenfunction's (near 0)
@@ -299,21 +379,21 @@ class TestTransformedEigen:
         # a psi(0) off by 1e-7 fails the boundary condition on its own line,
         # while the ODE residual it moves by about 1e-7 / (12 h^2) still passes;
         # both are relative to max |psi|
-        result = mixed_rank_one["result"]
-        psi = result.psi[:, :, 0].copy()
+        psi = mixed_rank_one["psi"][:, :, 0].copy()
         psi[0] += 1e-7
         ode, bc = iso.residual_transformed_eigen(mixed_rank_one["problem"],
-                                                 result.kernel.lambdas[0], psi,
-                                                 result.dpsi[:, :, 0])
+                                                 mixed_rank_one["pert"].lambdas[0], psi,
+                                                 mixed_rank_one["dpsi"][:, :, 0])
         assert ode.passed
         assert not bc.passed and bc.to_json_obj()["passed"] is False
         assert bc.location == 0.0
         assert bc.max_residual >= (1e-7 - 1e-9) / np.max(np.abs(psi))
 
     def test_wrong_lambda_detected(self, mixed_rank_one):
-        result = mixed_rank_one["result"]
-        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0] + 1.0,
-                                             result.psi[:, :, 0], result.dpsi[:, :, 0])[0]
+        rep = iso.residual_transformed_eigen(mixed_rank_one["problem"],
+                                             mixed_rank_one["pert"].lambdas[0] + 1.0,
+                                             mixed_rank_one["psi"][:, :, 0],
+                                             mixed_rank_one["dpsi"][:, :, 0])[0]
         # the residual is relative to max |psi|, and lambda is off by 1
         assert rep.max_residual >= 0.9
 
@@ -325,30 +405,37 @@ class TestTransformedEigen:
         for s in (1e-4, 1.0, 1e2, 1e4):
             pert = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": s**-2,
                                                           "theta": [-2.0 * s, -s]}])
-            new_problem, result = iso.transform_problem(paper, pert)
+            new_problem, kernel = iso.transform_problem(paper, pert)
+            psi, dpsi = iso.transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
             reps = iso.residual_transformed_eigen(new_problem, pert.lambdas[0],
-                                                  result.psi[:, :, 0], result.dpsi[:, :, 0])
-            reps.append(iso.residual_endpoint(result.kernel, pert, result.psi))
+                                                  psi[:, :, 0], dpsi[:, :, 0])
+            reps.append(iso.residual_endpoint(kernel, psi))
             assert all(rep.passed for rep in reps), s
             values.append([rep.max_residual for rep in reps[:2]])
         np.testing.assert_allclose(values, [values[1]] * 4, rtol=1e-3)
 
     def test_order_decay(self, mixed_rank_one, mixed_rank_one_801):
         def resid(bundle):
-            result = bundle["result"]
-            return iso.residual_transformed_eigen(bundle["problem"], result.kernel.lambdas[0],
-                                                  result.psi[:, :, 0],
-                                                  result.dpsi[:, :, 0])[0].max_residual
+            return iso.residual_transformed_eigen(bundle["problem"], bundle["pert"].lambdas[0],
+                                                  bundle["psi"][:, :, 0],
+                                                  bundle["dpsi"][:, :, 0])[0].max_residual
 
         assert resid(mixed_rank_one) / resid(mixed_rank_one_801) >= 3.5
 
+    def test_identically_zero_psi_is_named(self, paper):
+        # an all-zero psi has no scale: refused by name, before any 0 / 0
+        zeros = np.zeros((401, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditionViolated, match="psi is identically zero"):
+                iso.residual_transformed_eigen(paper, 1.0, zeros, zeros)
+
     def test_grid_too_small(self, mixed_rank_one):
         # the five-point stencil leaves no node below 7 nodes
-        result = mixed_rank_one["result"]
-        psi, dpsi = result.psi[::80, :, 0], result.dpsi[::80, :, 0]     # 6 nodes
+        psi, dpsi = (mixed_rank_one[k][::80, :, 0] for k in ("psi", "dpsi"))    # 6 nodes
         with pytest.raises(GridTooSmall, match="at least 7 nodes"):
-            iso.residual_transformed_eigen(mixed_rank_one["problem"], result.kernel.lambdas[0],
-                                           psi, dpsi)
+            iso.residual_transformed_eigen(mixed_rank_one["problem"],
+                                           mixed_rank_one["pert"].lambdas[0], psi, dpsi)
 
 
 class TestCommutator:
