@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy.linalg
 
 from .errors import DimensionMismatch, OutOfDomain, UnknownName
 
@@ -110,11 +110,36 @@ class ConstantDiagonalPotential(MatrixPotential):
         return {"kind": "constant-diagonal", "values": self.values.tolist()}
 
 
+def _not_a_knot_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c (4, n-1, N, N) of the not-a-knot cubic spline through (x, y),
+    piece i being sum_k c[3-k, i] (t - x_i)^k: scipy's CubicSpline system,
+    whose end rows at n = 3 give the parabola through the three points. y is
+    finite (_readonly checked it), so the banded solve skips that check."""
+    n, dx = x.size, np.diff(x)
+    dxr = dx[:, None, None]
+    slope = np.diff(y, axis=0) / dxr
+    ab, b = np.zeros((3, n)), np.empty_like(y)
+    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if n == 3:
+        ab[1, 0] = ab[0, 1] = ab[2, 1] = ab[1, 2] = 1.0
+        b[0], b[2] = 2 * slope[0], 2 * slope[1]
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
+        b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    s = scipy.linalg.solve_banded((1, 1), ab, b.reshape(n, -1), check_finite=False).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 class GridPotential(MatrixPotential):
     """Symmetric samples on a uniform grid with C^2 piecewise-cubic interpolation.
 
     Node evaluation returns the stored (symmetrized) sample exactly; between
-    nodes a cubic spline per entry is used and the result symmetrized.
+    nodes the not-a-knot cubic spline of each entry is summed in increasing
+    powers (scipy PPoly's order, not Horner's) and the result symmetrized.
     """
 
     def __init__(self, grid: Grid, samples: np.ndarray):
@@ -129,7 +154,7 @@ class GridPotential(MatrixPotential):
         self.grid = grid
         self.samples = _readonly(0.5 * (samples + samples.transpose(0, 2, 1)), "grid potential samples")
         self.dimension = samples.shape[1]
-        self._spline = CubicSpline(grid.nodes, self.samples, axis=0)
+        self._coeffs = _not_a_knot_coeffs(grid.nodes, self.samples)
 
     def evaluate_many(self, xs) -> np.ndarray:
         xs = self._check_domain(xs)
@@ -138,7 +163,12 @@ class GridPotential(MatrixPotential):
         on_node = (np.abs(idx * self.grid.h - xs) <= 32 * np.spacing(np.pi)) & (idx >= 0) & (idx < self.grid.n)
         if np.all(on_node):
             return self.samples[idx]
-        out = self._spline(np.clip(xs, 0.0, np.pi))
+        xs = np.clip(xs, 0.0, np.pi)
+        piece = np.clip(np.searchsorted(self.grid.nodes, xs, side="right") - 1, 0, self.grid.n - 2)
+        ds = (xs - self.grid.nodes[piece])[:, None, None]
+        out, power = 0.0, 1.0
+        for c in self._coeffs[::-1, piece]:
+            out, power = out + c * power, power * ds
         out = 0.5 * (out + out.transpose(0, 2, 1))
         out[on_node] = self.samples[idx[on_node]]
         return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
@@ -314,9 +313,10 @@ def _envelope_pieces(pmin: float, lambda_min: float, lambda_max: float) -> np.nd
 
 def _chebyshev_coeffs(values: np.ndarray) -> np.ndarray:
     """Coefficients C_k of sum_k C_k T_k(x) interpolating values (d+1, N, N)
-    taken at the Chebyshev points of the second kind x_j = cos(j pi / d)."""
+    taken at the Chebyshev points of the second kind x_j = cos(j pi / d): their
+    DCT-I, the real FFT of the even extension [v_0 .. v_d, v_{d-1} .. v_1]."""
     d = values.shape[0] - 1
-    c = scipy.fft.dct(values, type=1, axis=0) / d
+    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / d
     c[[0, -1]] *= 0.5
     return c
 

@@ -131,6 +131,7 @@ def _second_difference4(v: np.ndarray, h: float) -> np.ndarray:
     return (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h**2)
 
 
+@np.errstate(invalid="ignore")   # inf * 0 makes a NaN that _peak_report raises on
 def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
                            q: MatrixPotential, tolerance: float = 5e-4) -> ResidualReport:
     """Residual of K_xx - Q(x) K = K_yy - K P(y) below the diagonal.

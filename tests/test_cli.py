@@ -1,6 +1,9 @@
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,17 @@ def scalar_files(tmp_path, capsys):
     assert main(["example", "scalar-zero", "--perturbation"]) == 0
     pert.write_text(capsys.readouterr().out)
     return prob, pert
+
+
+def test_cli_import_loads_no_interpolate_or_fft():
+    # a fresh interpreter, so no earlier test has loaded either subpackage
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iso.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import isospec.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.interpolate', 'scipy.fft'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestRunConfig:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import isospec as iso
 from isospec.errors import DimensionMismatch, OutOfDomain, UnknownName
@@ -47,6 +48,24 @@ class TestPotentials:
         m = pot.evaluate_many([x])[0]
         assert np.array_equal(m, m.T)
         assert abs(m[0, 0] - np.cos(x)) < 1e-8
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5, 401, 1601])
+    def test_grid_potential_matches_scipy_cubic_spline(self, n, n_dim):
+        # the in-house not-a-knot spline reproduces scipy's CubicSpline, the
+        # parabola through three points included, to a few ulp of the samples
+        g = iso.Grid.uniform(n)
+        rng = np.random.default_rng(10 * n + n_dim)
+        noise = rng.standard_normal((n, n_dim, n_dim))
+        samples = (np.einsum("q,ab->qab", np.cos(3 * g.nodes), np.diag(np.arange(1.0, n_dim + 1)))
+                   + 0.1 * (noise + noise.transpose(0, 2, 1)))
+        pot = iso.GridPotential(g, samples)
+        half = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+        xs = np.concatenate([g.nodes, half, [0.0, np.pi], rng.uniform(0.0, np.pi, 200)])
+        expect = CubicSpline(g.nodes, pot.samples, axis=0)(xs)
+        expect = 0.5 * (expect + expect.transpose(0, 2, 1))
+        np.testing.assert_allclose(pot.evaluate_many(xs), expect,
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
 
     def test_asymmetric_samples_recorded_and_symmetrized(self):
         g = iso.Grid.uniform(11)

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 import isospec as iso
@@ -555,6 +556,15 @@ class TestChebyshevRoots:
         expect[0, 1, 1], expect[2, 1, 1] = 2.0, 1.0
         assert np.max(np.abs(c - expect)) <= 1e-15
         assert spectrum._chopped_degree(c) == 3
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32, 48, 64, 96])
+    def test_coefficients_match_scipy_dct(self, d):
+        # the real FFT of the even extension is the DCT-I that scipy.fft computes
+        values = np.random.default_rng(d).standard_normal((d + 1, 3, 3))
+        expect = scipy.fft.dct(values, type=1, axis=0) / d
+        expect[[0, -1]] *= 0.5
+        np.testing.assert_allclose(spectrum._chebyshev_coeffs(values), expect,
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
 
     def test_unresolved_series_is_not_chopped(self):
         x = np.cos(np.pi * np.arange(9) / 8)

@@ -145,6 +145,7 @@ class TestWaveEquation:
             assert (rep.max_residual, rep.location) == oracles.loop_wave_residual(kernel, base, q)
             assert (rep.max_residual > 0) == (rank > 0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field,node", [("a", 200), ("phi", 100), ("a", 396)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_residual_raises(self, paper, mixed_rank_one, field, node, value):
