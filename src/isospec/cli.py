@@ -38,10 +38,10 @@ def _load_perturbation_file(path: str) -> list[dict]:
     return entries
 
 
-def _write_stack_csv(path: str, nodes: np.ndarray, values: np.ndarray) -> None:
-    """One (n, N) vector function sampled at nodes as columns x, c1..cN."""
+def _stack_table(path: str, nodes: np.ndarray, values: np.ndarray) -> tuple:
+    """One (n, N) vector function sampled at nodes as a CSV table x, c1..cN."""
     header = ["x"] + [f"c{i + 1}" for i in range(values.shape[1])]
-    serialize.write_csv(path, header, np.column_stack([nodes, values]))
+    return path, header, np.column_stack([nodes, values])
 
 
 def cmd_validate(args) -> int:
@@ -67,17 +67,17 @@ def cmd_spectrum(args) -> int:
         out = args.out
         os.makedirs(out, exist_ok=True)
         serialize.write_json(os.path.join(out, "spectrum.json"), obj)
-        for k, pair in enumerate(report.pairs):
-            for l in range(pair.multiplicity):
-                _write_stack_csv(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
-                                 grid.nodes, pair.phis[:, :, l])
+        tables = [_stack_table(os.path.join(out, f"eigenfunction_k{k}_l{l + 1}.csv"),
+                               grid.nodes, pair.phis[:, :, l])
+                  for k, pair in enumerate(report.pairs) for l in range(pair.multiplicity)]
         if args.dump_path is not None:
             n = problem.n
             rows = np.column_stack([grid.nodes, y.reshape(grid.n, n * n),
                                     yp.reshape(grid.n, n * n)])
             header = (["x"] + [f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                       + [f"yp{i + 1}{j + 1}" for i in range(n) for j in range(n)])
-            serialize.write_csv(os.path.join(out, "path.csv"), header, rows)
+            tables.append((os.path.join(out, "path.csv"), header, rows))
+        serialize.write_csvs(tables)
     if args.format == "csv":
         print("lambda,multiplicity,residual")
         for row in obj:
@@ -100,11 +100,10 @@ def cmd_transform(args) -> int:
     entries = _load_perturbation_file(args.perturbation)
     _, new_problem, kernel = _run_transform(problem, entries, grid, (args.lam_min, args.lam_max))
     pert = kernel.pert
+    psi, _ = transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
-    header, rows = potential_to_csv_rows(new_problem.potential)
-    serialize.write_csv(os.path.join(out, "q_potential.csv"), header, rows)
     serialize.write_json(os.path.join(out, "boundary.json"), {
         "Atilde": new_problem.left.A.tolist(),
         "AtildeRight": new_problem.right.A.tolist(),
@@ -113,10 +112,10 @@ def cmd_transform(args) -> int:
     })
     serialize.write_json(os.path.join(out, "kernel_diagnostics.json"),
                          kernel_diagnostics(problem, new_problem, kernel))
-    psi, _ = transform_eigenfunction(kernel, pert.phis, pert.phi_derivs)
-    for j, entry in enumerate(pert.entries):
-        _write_stack_csv(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"),
-                         grid.nodes, psi[:, :, j])
+    header, rows = potential_to_csv_rows(new_problem.potential)
+    serialize.write_csvs([(os.path.join(out, "q_potential.csv"), header, rows)] + [
+        _stack_table(os.path.join(out, f"psi_k{entry.k}_i{entry.i}.csv"), grid.nodes, psi[:, :, j])
+        for j, entry in enumerate(pert.entries)])
     print(f"wrote transform artifacts to {out} (kernel rank {pert.rank})")
     return EXIT_OK
 

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isospec as iso
-from isospec import cli
+from isospec import cli, serialize
 from isospec.cli import main
 from isospec.model import load_potential_csv
 from isospec.serialize import dumps_json
@@ -35,6 +36,20 @@ def scalar_files(tmp_path, capsys):
     assert main(["example", "scalar-zero", "--perturbation"]) == 0
     pert.write_text(capsys.readouterr().out)
     return prob, pert
+
+
+@pytest.fixture()
+def coupled4_file(tmp_path):
+    """A fully coupled N = 4 grid potential R diag(-3, 0, 1.5, -0.5) R^T, Dirichlet ends."""
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    grid = iso.Grid.uniform(401)
+    samples = np.broadcast_to(q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T, (grid.n, 4, 4))
+    dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
+    problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
+    prob = tmp_path / "c4.json"
+    prob.write_text(dumps_json(iso.problem_to_json_obj(problem)))
+    return prob
 
 
 def test_cli_import_loads_no_interpolate_or_fft():
@@ -257,20 +272,12 @@ class TestSpectrum:
         assert outs[0] == outs[1]
         capsys.readouterr()
 
-    def test_byte_identical_reruns_coupled_4x4(self, tmp_path, capsys):
+    def test_byte_identical_reruns_coupled_4x4(self, coupled4_file, tmp_path, capsys):
         # an N = 4 coupled grid potential: lambda batches span several tree chunks
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        grid = iso.Grid.uniform(401)
-        samples = np.broadcast_to(q @ np.diag([-3.0, 0.0, 1.5, -0.5]) @ q.T, (grid.n, 4, 4))
-        dirichlet = iso.BoundaryPair(np.eye(4), np.zeros((4, 4)))
-        problem = iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
-        prob = tmp_path / "c4.json"
-        prob.write_text(dumps_json(iso.problem_to_json_obj(problem)))
         trees = []
         for d in ("d1", "d2"):
             out = tmp_path / d
-            assert main(["spectrum", str(prob), "--min", "-2.5", "--max", "5",
+            assert main(["spectrum", str(coupled4_file), "--min", "-2.5", "--max", "5",
                          "--out", str(out)]) == 0
             trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert trees[0] == trees[1]
@@ -325,6 +332,37 @@ class TestSpectrum:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "lambda,multiplicity,residual"
         assert len(out) == 4
+
+
+class TestCsvArtifacts:
+    @pytest.mark.parametrize("coupled", [False, True], ids=["paper", "coupled4"])
+    def test_files_equal_the_row_rendering_of_their_tables(self, paper_files, coupled4_file,
+                                                           tmp_path, monkeypatch, capsys,
+                                                           coupled):
+        # every CSV equals the per-row '%' rendering of the table the command wrote
+        prob, pert = paper_files
+        if coupled:
+            prob, pert = coupled4_file, tmp_path / "c4-pert.json"
+            pert.write_text('[{"k": 0, "i": 1, "c": 1.0}]')
+        tables = []
+        write_csvs = serialize.write_csvs
+
+        def spy(batch):
+            tables.extend(batch)
+            write_csvs(batch)
+
+        monkeypatch.setattr(serialize, "write_csvs", spy)
+        window = ["--min", "-5", "--max", "20"]
+        assert main(["spectrum", str(prob), *window, "--dump-path", "2",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["transform", str(prob), str(pert), *window, "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "s/path.csv").exists() and (tmp_path / "t/q_potential.csv").exists()
+        assert sorted(tmp_path.glob("[st]/*.csv")) == sorted(Path(p) for p, _, _ in tables)
+        for path, header, rows in tables:
+            fmt = ",".join(["%.17g"] * rows.shape[1])
+            lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]
+            assert Path(path).read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
 class TestTransform:
