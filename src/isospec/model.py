@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, OutOfDomain, UnknownName
 
@@ -110,26 +109,58 @@ class ConstantDiagonalPotential(MatrixPotential):
         return {"kind": "constant-diagonal", "values": self.values.tolist()}
 
 
+def _cyclic_reduction(lo, mid, up, r: np.ndarray) -> np.ndarray:
+    """s (m, k) solving lo_i s_{i-1} + mid_i s_i + up_i s_{i+1} = r_i (lo_0 = up_{m-1} = 0)
+    by odd-even reduction, stable without pivoting on diagonally dominant rows: each
+    level eliminates the odd unknowns from the even rows, and one LU solves the last
+    32 rows or fewer, where it costs less than further levels."""
+    m = mid.size
+    if m <= 32:
+        return np.linalg.solve(np.diag(mid) + np.diag(up[:-1], 1) + np.diag(lo[1:], -1), r)
+    if m % 2 == 0:      # a last row s = 0 gives every odd row two even neighbours
+        lo, mid, up = np.append(lo, 0.0), np.append(mid, 1.0), np.append(up, 0.0)
+        r = np.concatenate([r, np.zeros_like(r[:1])])
+    o = slice(1, None, 2)
+    left, right = -lo[2::2] / mid[o], -up[:-1:2] / mid[o]
+    mid2, r2 = mid[::2].copy(), r[::2].copy()
+    mid2[1:] += left * up[o]
+    mid2[:-1] += right * lo[o]
+    r2[1:] += left[:, None] * r[o]
+    r2[:-1] += right[:, None] * r[o]
+    even = _cyclic_reduction(np.append(0.0, left * lo[o]), mid2, np.append(right * up[o], 0.0), r2)
+    s = np.empty_like(r)
+    s[::2] = even
+    s[o] = (r[o] - lo[o, None] * even[:-1] - up[o, None] * even[1:]) / mid[o, None]
+    return s[:m]
+
+
 def _not_a_knot_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients c (4, n-1, N, N) of the not-a-knot cubic spline through (x, y),
     piece i being sum_k c[3-k, i] (t - x_i)^k: scipy's CubicSpline system,
-    whose end rows at n = 3 give the parabola through the three points. y is
-    finite (_readonly checked it), so the banded solve skips that check."""
+    whose end rows at n = 3 give the parabola through the three points (a
+    3 x 3 solve). For n > 3 each end row, subtracted from its neighbour,
+    leaves for s_1 .. s_{n-2} a diagonally dominant tridiagonal system, on
+    uniform x about h times (2, 1) / (1, 4, 1) / (1, 2)."""
     n, dx = x.size, np.diff(x)
     dxr = dx[:, None, None]
     slope = np.diff(y, axis=0) / dxr
-    ab, b = np.zeros((3, n)), np.empty_like(y)
-    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    m = slope.reshape(n - 1, -1)
+    # row i: lo_i s_{i-1} + mid_i s_i + up_i s_{i+1} = r_i, with the parabola's end rows
+    lo, up = np.concatenate(([0.0], dx[1:], [1.0])), np.concatenate(([1.0], dx[:-1], [0.0]))
+    mid = np.concatenate(([1.0], 2 * (dx[:-1] + dx[1:]), [1.0]))
+    r = np.concatenate([2 * m[:1], 3 * (dx[1:, None] * m[:-1] + dx[:-1, None] * m[1:]), 2 * m[-1:]])
     if n == 3:
-        ab[1, 0] = ab[0, 1] = ab[2, 1] = ab[1, 2] = 1.0
-        b[0], b[2] = 2 * slope[0], 2 * slope[1]
+        s = _cyclic_reduction(lo, mid, up, r)
     else:
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
-        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
-        b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    s = scipy.linalg.solve_banded((1, 1), ab, b.reshape(n, -1), check_finite=False).reshape(y.shape)
+        r0 = ((dx[0] + 2 * d0) * dx[1] * m[0] + dx[0]**2 * m[1]) / d0
+        r1 = (dx[-1]**2 * m[-2] + (2 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1
+        # rows 1 and n-2 minus the end rows (dx_1, d0) and (d1, dx_{n-2}): s_0, s_{n-1} drop out
+        mid[1], mid[-2], r[1], r[-2] = mid[1] - d0, mid[-2] - d1, r[1] - r0, r[-2] - r1
+        lo[1] = up[-2] = 0.0
+        inner = _cyclic_reduction(lo[1:-1], mid[1:-1], up[1:-1], r[1:-1])
+        s = np.concatenate([(r0 - d0 * inner[:1]) / dx[1], inner, (r1 - d1 * inner[-1:]) / dx[-2]])
+    s = s.reshape(y.shape)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 

@@ -5,9 +5,9 @@ is singular, where Y solves the matrix IVP with Y(0) = B^T, Y'(0) = -A^T.
 Multiplicity equals the nullity of W. Under RK4, W is a polynomial in lambda
 (of degree 2(n-1)), so on a window it is resolved to rounding by a Chebyshev
 interpolant of low degree, and the real roots of that matrix polynomial come
-from one block colleague pencil (Effenberger & Kressner, BIT 52, 2012): a
-root of any multiplicity is found, where determinant sign changes miss the
-even-multiplicity ones. Each pencil root starts Newton's method on W itself
+from one block colleague pencil (Effenberger & Kressner, BIT 52, 2012),
+solved by shift and invert: a root of any multiplicity is found, where
+determinant sign changes miss the even-multiplicity ones. Each pencil root starts Newton's method on W itself
 (successive linear problems, Ruhe 1973), which converges quadratically at
 simple and at semi-simple multiple eigenvalues alike. A start where Newton
 fails is dropped. Which roots are eigenvalues, and with what multiplicity,
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .model import RANK_RTOL, BoundaryPair, Grid, Problem
@@ -149,6 +148,7 @@ def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray
 
     Returns every eigenvalue of the discrete problem, ascending.
     """
+    import scipy.linalg     # the oracle is a cross-check: no command loads scipy
     n_dim = p.n
     grid = Grid.uniform(n_nodes)
     h = grid.h
@@ -338,16 +338,13 @@ def _chopped_degree(c: np.ndarray) -> int | None:
     return max(top, 2) if top <= d - max(2, d // 8) else None
 
 
-def _colleague_roots(c: np.ndarray) -> np.ndarray:
-    """Real roots of the matrix polynomial sum_k C_k T_k(x), d >= 2, ascending.
+def _colleague_pencil(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block colleague pencil (A, B), each (dN, dN), of sum_k C_k T_k(x), d >= 2.
 
-    With u_k = T_k(x) v, the block colleague pencil A - x B encodes
-    x u_0 = u_1, x u_k = (u_{k+1} + u_{k-1}) / 2 for 0 < k < d-1, and, with
-    C_d u_d eliminated by P(x) v = 0, 2 C_d x u_{d-1} = C_d u_{d-2} -
-    sum_{k<d} C_k u_k. Finite roots within _ROOT_SLACK of the real axis count.
-    """
+    With u_k = T_k(x) v, A - x B encodes x u_0 = u_1,
+    x u_k = (u_{k+1} + u_{k-1}) / 2 for 0 < k < d-1, and, with C_d u_d
+    eliminated by P(x) v = 0, 2 C_d x u_{d-1} = C_d u_{d-2} - sum_{k<d} C_k u_k."""
     d, n = c.shape[0] - 1, c.shape[1]
-    c = c / np.max(np.abs(c))
     a = np.zeros((d, n, d, n))
     b = np.zeros((d, n, d, n))
     k = np.arange(d)
@@ -358,7 +355,27 @@ def _colleague_roots(c: np.ndarray) -> np.ndarray:
     a[-1] = -c[:-1].transpose(1, 0, 2)
     a[-1, :, -2, :] += c[-1]
     b[-1, :, -1, :] = 2.0 * c[-1]
-    x = scipy.linalg.eigvals(a.reshape(d * n, d * n), b.reshape(d * n, d * n))
+    return a.reshape(d * n, d * n), b.reshape(d * n, d * n)
+
+
+def _colleague_roots(c: np.ndarray) -> np.ndarray:
+    """Real roots of the matrix polynomial sum_k C_k T_k(x), d >= 2, ascending.
+
+    The eigenvalues x of the colleague pencil (:func:`_colleague_pencil`) come
+    by shift and invert: x = sigma + 1/mu for the eigenvalues mu of
+    (A - sigma B)^{-1} B, mu = 0 standing for an infinite x. The shift sigma
+    is the Chebyshev point x_j = cos(j pi / d) where P(x_j) has the largest
+    smallest singular value, so A - sigma B is as well conditioned as the
+    best sample of P. Finite roots within _ROOT_SLACK of the real axis count.
+    """
+    d = c.shape[0] - 1
+    c = c / np.max(np.abs(c))
+    k = np.arange(d + 1)
+    values = np.tensordot(np.cos(np.pi / d * np.outer(k, k)), c, 1)     # P(x_j), (d+1, N, N)
+    sigma = np.cos(np.pi / d * np.argmax(np.linalg.svd(values, compute_uv=False)[:, -1]))
+    a, b = _colleague_pencil(c)
+    mu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
+    x = sigma + 1.0 / mu[mu != 0]
     x = x[np.isfinite(x)]
     return np.sort(x[np.abs(x.imag) <= _ROOT_SLACK].real)
 
@@ -421,7 +438,8 @@ def _piece_roots(p: Problem, lo: float, hi: float, pmin: float, grid: Grid,
 
 #: Newton passes a start gets before it is dropped
 _NEWTON_PASSES = 8
-#: a start converges once its Newton step is at most this
+#: a start converges once its Newton step is at most this, or at most
+#: 64 eps |lambda| where rounding keeps W from a smaller one (|lambda| > 7.0e3)
 _NEWTON_TOL = 1e-10
 #: roots closer than this times (1 + |lambda|) are one root, which stands for
 #: every eigenvalue that close to it
@@ -445,7 +463,8 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
     the eigenvalue of smallest modulus. Near an eigenvalue lam_k of
     multiplicity m, W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null
     space, so mu ~ lam - lam_k and convergence is quadratic even at
-    semi-simple multiple eigenvalues. A start converges when |mu| <= _NEWTON_TOL; it
+    semi-simple multiple eigenvalues. A start converges when |mu| is at most
+    max(_NEWTON_TOL, 64 eps |lam|), a floor set by the rounding of W; it
     fails when its iterate moves farther than its radius from the start, W'
     is singular there, or it has not converged within _NEWTON_PASSES passes.
 
@@ -471,7 +490,7 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
         active[idx[~inside]] = False
         idx, step, mu = idx[inside], step[inside], mu[inside]
         lam[idx] = step
-        done = np.abs(mu) <= _NEWTON_TOL
+        done = np.abs(mu) <= np.maximum(_NEWTON_TOL, 64 * np.spacing(1.0) * np.abs(step))
         converged[idx[done]] = True
         active[idx[done]] = False
     return lam, converged
@@ -566,10 +585,10 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     colleague pencil of a chopped Chebyshev interpolant of W on each such
     piece gives root estimates (:func:`_piece_roots`). Estimates closer than
     the merge tolerance delta = 1e-8 (1 + |lambda|) are one start; Newton's
-    method on W refines each start until its step is at most 1e-10, within
-    half the gap to the nearest other start plus delta, and a start where it
-    does not converge is dropped. Converged roots in the window are merged
-    within delta. One count of N at the window edges and at both ends of
+    method on W refines each start until its step is at most
+    max(1e-10, 64 eps |lambda|), within half the gap to the nearest other
+    start plus delta, and a start where it does not converge is dropped.
+    Converged roots in the window are merged within delta. One count of N at the window edges and at both ends of
     each root's window, root +/- delta cut at the midpoints to its
     neighbours, decides them all: a root's multiplicity is the rise of N
     across its window (0 rejects it), and N must not rise between windows.

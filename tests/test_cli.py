@@ -63,6 +63,17 @@ def test_cli_import_loads_no_interpolate_or_fft():
     assert out.strip() == "[]"
 
 
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # a fresh interpreter where importing scipy fails: no command may need it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iso.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = Path(__file__).with_name("cli_without_scipy.py")
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "s" / "path.csv").stat().st_size and (tmp_path / "v" / "verify.json").exists()
+
+
 class TestRunConfig:
     """The run settings: the default grid declared once in spectrum, the grid
     rule checked where the scan reads it."""

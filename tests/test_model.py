@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 
 import isospec as iso
 from isospec.errors import DimensionMismatch, OutOfDomain, UnknownName
-from isospec.model import (load_potential_csv, potential_to_csv_rows,
+from isospec.model import (_cyclic_reduction, load_potential_csv, potential_to_csv_rows,
                            problem_from_json_obj, problem_to_json_obj)
 
 
@@ -49,23 +49,46 @@ class TestPotentials:
         assert np.array_equal(m, m.T)
         assert abs(m[0, 0] - np.cos(x)) < 1e-8
 
-    @pytest.mark.parametrize("n_dim", [1, 2, 4])
-    @pytest.mark.parametrize("n", [3, 4, 5, 401, 1601])
-    def test_grid_potential_matches_scipy_cubic_spline(self, n, n_dim):
-        # the in-house not-a-knot spline reproduces scipy's CubicSpline, the
-        # parabola through three points included, to a few ulp of the samples
+    @staticmethod
+    def assert_matches_cubic_spline(n, n_dim, scale=1.0):
         g = iso.Grid.uniform(n)
         rng = np.random.default_rng(10 * n + n_dim)
         noise = rng.standard_normal((n, n_dim, n_dim))
         samples = (np.einsum("q,ab->qab", np.cos(3 * g.nodes), np.diag(np.arange(1.0, n_dim + 1)))
                    + 0.1 * (noise + noise.transpose(0, 2, 1)))
-        pot = iso.GridPotential(g, samples)
         half = 0.5 * (g.nodes[:-1] + g.nodes[1:])
         xs = np.concatenate([g.nodes, half, [0.0, np.pi], rng.uniform(0.0, np.pi, 200)])
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            pot = iso.GridPotential(g, scale * samples)
+            got = pot.evaluate_many(xs)
         expect = CubicSpline(g.nodes, pot.samples, axis=0)(xs)
         expect = 0.5 * (expect + expect.transpose(0, 2, 1))
-        np.testing.assert_allclose(pot.evaluate_many(xs), expect,
-                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 400, 401, 1601])
+    def test_grid_potential_matches_scipy_cubic_spline(self, n, n_dim):
+        # the in-house not-a-knot spline agrees with scipy's CubicSpline, the
+        # parabola through three points included, to a few ulp of the samples
+        self.assert_matches_cubic_spline(n, n_dim)
+
+    @pytest.mark.parametrize("m", [1, 2, 32, 33, 34, 65, 66, 127, 400, 1599])
+    def test_cyclic_reduction_solves_dominant_tridiagonal_systems(self, m):
+        # every parity of every level: the odd-even reduction against a dense LU
+        rng = np.random.default_rng(m)
+        lo, up = rng.uniform(-1.0, 1.0, (2, m))
+        lo[0] = up[-1] = 0.0
+        mid = 2.0 + rng.uniform(0.0, 1.0, m)
+        r = rng.standard_normal((m, 3))
+        dense = np.diag(mid) + np.diag(up[:-1], 1) + np.diag(lo[1:], -1)
+        np.testing.assert_allclose(_cyclic_reduction(lo, mid, up, r), np.linalg.solve(dense, r),
+                                   rtol=0, atol=1e-14 * np.max(np.abs(r)))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("n", [3, 6, 401])
+    def test_spline_of_extreme_samples(self, n, scale):
+        # the slope solve neither overflows nor underflows at either scale
+        self.assert_matches_cubic_spline(n, 2, scale)
 
     def test_asymmetric_samples_recorded_and_symmetrized(self):
         g = iso.Grid.uniform(11)

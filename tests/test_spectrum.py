@@ -345,6 +345,17 @@ class TestScan:
         assert len(whole) == len(halves) == 27
         assert np.max(np.abs(np.subtract(whole, halves))) <= 1e-8
 
+    def test_newton_converges_at_the_rounding_floor(self, scalar):
+        # near lambda = 7e4 the rounding of W keeps the Newton step above
+        # 1e-10: from the first start it alternates between two neighbours
+        # with |mu| ~ 1.3e-10, and must still converge
+        grid = iso.Grid.uniform(401)
+        starts = np.array([69697.9348730483, 69697.9348728527])
+        lams, converged = spectrum._newton_refine(scalar, starts, np.ones(2), grid,
+                                                  potential_tables(scalar.potential, grid))
+        assert converged.all()
+        assert np.all(np.abs(lams - 69697.934873394) <= 1e-9)
+
     @pytest.mark.parametrize("width", [1.0, 1e-4, 1e-7])
     def test_narrow_window_at_high_root(self, scalar, width):
         # W is interpolated on at least a fixed fraction of its oscillation,
@@ -582,6 +593,62 @@ class TestChebyshevRoots:
         c = spectrum._chebyshev_coeffs(rot @ diag @ rot.T)
         roots = spectrum._colleague_roots(c[:spectrum._chopped_degree(c) + 1])
         assert np.max(np.abs(roots - [-0.5, 0.3, 0.3, 2.0])) <= 1e-12
+
+    @staticmethod
+    def assert_roots_match_qz(c):
+        # the real roots in the piece [-1, 1], by shift and invert and by the
+        # QZ algorithm on the same pencil, agree within the root slack
+        slack = spectrum._ROOT_SLACK
+        x = scipy.linalg.eigvals(*spectrum._colleague_pencil(c / np.max(np.abs(c))))
+        x = x[np.isfinite(x)]
+        qz = np.sort(x[np.abs(x.imag) <= slack].real)
+        ours = spectrum._colleague_roots(c)
+        qz, ours = (r[np.abs(r) <= 1.0 + slack] for r in (qz, ours))
+        assert ours.size == qz.size
+        assert np.all(np.abs(ours - qz) <= slack)
+        return ours
+
+    @pytest.mark.parametrize("problem, window", [
+        (lambda: iso.builtin_problem("paper-example-2x2"), (-5.0, 20.0)),
+        (oracles.coupled4, (-5.0, 20.0)),
+        (lambda: cos3_diagonal(8), (-5.0, 60.0)),
+        (lambda: iso.builtin_problem("scalar-zero"), (6e4, 7e4)),     # damped pieces
+    ], ids=["paper", "coupled4", "cos3-8", "scalar-damped"])
+    def test_scan_pencils_match_qz(self, monkeypatch, problem, window):
+        series = []
+        roots = spectrum._colleague_roots
+        monkeypatch.setattr(spectrum, "_colleague_roots", lambda c: series.append(c) or roots(c))
+        iso.scan_spectrum(problem(), *window)
+        monkeypatch.undo()
+        assert series
+        for c in series:
+            self.assert_roots_match_qz(c)
+
+    def test_singular_leading_coefficient(self):
+        # diag(T_3 - 0.2 T_1, T_1 + 0.1): C_3 = diag(1, 0), so the pencil has
+        # two infinite eigenvalues besides the four finite roots
+        x = np.cos(np.pi * np.arange(9) / 8)
+        rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+        diag = np.zeros((9, 2, 2))
+        diag[:, 0, 0] = 4 * x**3 - 3 * x - 0.2 * x
+        diag[:, 1, 1] = x + 0.1
+        c = spectrum._chebyshev_coeffs(rot @ diag @ rot.T)
+        c = c[:spectrum._chopped_degree(c) + 1]
+        assert c.shape[0] == 4 and np.linalg.matrix_rank(c[-1]) == 1
+        expect = np.sort(np.concatenate([[-0.1, 0.0], np.array([-1, 1]) * np.sqrt(3.2 / 4)]))
+        assert np.max(np.abs(self.assert_roots_match_qz(c) - expect)) <= 1e-12
+
+    def test_double_real_root(self):
+        # diag((x - 0.3)^2 (x + 0.6), (x - 0.1)(x + 0.8)): a double root at 0.3
+        # that is not semi-simple, found to about the square root of rounding
+        x = np.cos(np.pi * np.arange(9) / 8)
+        rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+        diag = np.zeros((9, 2, 2))
+        diag[:, 0, 0] = (x - 0.3) ** 2 * (x + 0.6)
+        diag[:, 1, 1] = (x - 0.1) * (x + 0.8)
+        c = spectrum._chebyshev_coeffs(rot @ diag @ rot.T)
+        roots = self.assert_roots_match_qz(c[:spectrum._chopped_degree(c) + 1])
+        assert np.max(np.abs(roots - [-0.8, -0.6, 0.1, 0.3, 0.3])) <= 1e-7
 
     def test_envelope_pieces_bound_the_growth_exponent(self):
         edges = spectrum._envelope_pieces(-3.0, -1000.0, 20.0)
