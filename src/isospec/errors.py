@@ -30,7 +30,7 @@ class NotAnEigenvalue(IsospecError):
 
 
 class ConditionViolated(IsospecError):
-    """A perturbation entry violates the positivity condition 1 + c*||phi||^2 > 0."""
+    """A hypothesis fails: a boundary pair's, or the positivity 1 + c*||phi||^2 > 0 of an entry."""
 
 
 class IndexOutOfRange(IsospecError):

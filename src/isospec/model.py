@@ -290,26 +290,28 @@ class ValidationReport:
 def validate_problem(p: Problem) -> ValidationReport:
     """Check the structural hypotheses of a problem.
 
-    Reports symmetry of the potential samples, B A^T = A B^T for both
-    boundary pairs, and the two rank conditions. Violations are reported,
-    not raised; only inconsistent dimensions raise ``DimensionMismatch``
-    (at Problem construction).
+    Reports symmetry of the potential samples, then :func:`boundary_checks`.
+    Violations are reported, not raised; only inconsistent dimensions raise
+    ``DimensionMismatch`` (at Problem construction).
     """
+    defect = p.potential.symmetry_defect
+    return ValidationReport((Check("potential symmetry", defect <= SYMMETRY_RTOL, defect,
+                                   SYMMETRY_RTOL),) + boundary_checks(p))
+
+
+def boundary_checks(p: Problem) -> tuple[Check, ...]:
+    """B A^T = A B^T for both boundary pairs, then rank [A, B] = N for both."""
     checks = []
-    checks.append(
-        Check("potential symmetry", p.potential.symmetry_defect <= SYMMETRY_RTOL,
-              p.potential.symmetry_defect, SYMMETRY_RTOL)
-    )
-    for label, pair in (("left", p.left), ("right", p.right)):
-        scale = 1.0 + np.linalg.norm(pair.A, 2) * np.linalg.norm(pair.B, 2)
+    # the spectral norms ||A||_2, ||B||_2 of both ends from one batched SVD
+    norms = np.linalg.svd([[p.left.A, p.left.B], [p.right.A, p.right.B]], compute_uv=False)[..., 0]
+    for label, pair, (a, b) in (("left", p.left, norms[0]), ("right", p.right, norms[1])):
+        tol = SYMMETRY_RTOL * (1.0 + a * b)
         defect = pair.symmetry_defect()
-        checks.append(
-            Check(f"{label} pair B*A^T = A*B^T", defect <= SYMMETRY_RTOL * scale, defect, SYMMETRY_RTOL * scale)
-        )
+        checks.append(Check(f"{label} pair B*A^T = A*B^T", defect <= tol, defect, tol))
     for label, pair in (("left", p.left), ("right", p.right)):
         ratio = pair.rank_ratio()
         checks.append(Check(f"{label} pair rank [A, B] = N", ratio > RANK_RTOL, ratio, RANK_RTOL))
-    return ValidationReport(tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

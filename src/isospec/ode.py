@@ -16,11 +16,13 @@ step pairs; every propagation evaluates them:
   ... (T_3 T_2)(T_1 T_0) in a pairwise tree, ceil(log2(ceil((n-1)/2)))
   batched matrix products per chunk of lambdas; with an odd step count the
   last step is a leaf of its own;
-* paths (:func:`_fold`) fold z_{i+1} = T_i z_i node by node, one batched
-  product per step for all lambdas of a call; each lambda keeps every k-th
-  node or every node. A scan of :mod:`isospec.spectrum` folds once: the
-  eigenvalue count's lambdas keep every k-th node, the roots every node for
-  their eigenpairs; :func:`integrate_ivp` keeps every node.
+* paths (:func:`_fold`) fold the same leaves, z_{2j+2} = (T_{2j+1} T_{2j}) z_{2j},
+  one batched product per two steps for all lambdas of a call; each lambda
+  keeps every k-th node or every node, and a kept odd node comes from its
+  even neighbour by one single step, batched per block. A scan of
+  :mod:`isospec.spectrum` folds once: the eigenvalue count's lambdas keep
+  every k-th node, the roots every node for their eigenpairs;
+  :func:`integrate_ivp` keeps every node.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -142,35 +144,48 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def _fold(c: np.ndarray, lams: np.ndarray, z0: np.ndarray, stride: int,
+def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray, stride: int,
           paths: int) -> tuple[np.ndarray, np.ndarray]:
     """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the first L - paths lambdas
     at the nodes i = 0, stride, 2 stride, ... and the last, (K, L - paths, 2N, N),
-    and of the last paths lambdas at every node, (n, paths, 2N, N).
+    and of the last paths lambdas at every node, (paths, n, 2N, N).
 
-    c holds the step tables of :func:`potential_tables`. All lambdas are
-    folded together, one batched matrix product per step, in blocks of steps
-    whose step matrices and states fit _TREE_BYTES; the states of a block
-    are copied out to the nodes each lambda keeps once it is done.
+    tables is the output of :func:`potential_tables`. All lambdas are folded
+    together through the even nodes (and the last), one batched product per
+    pair leaf, in blocks of leaves whose leaves and states fit _TREE_BYTES.
+    Once a block is done, its states are copied out to the nodes each lambda
+    keeps, and a kept odd node 2j + 1 is T_{2j} times node 2j: one batched
+    product for the path lambdas at every odd node of the block, one for
+    the others at the odd nodes they keep.
     """
-    s, _, n2, _ = c.shape
+    c, pairs = tables
+    s, n2 = c.shape[0], c.shape[2]
     m = lams.size - paths
-    block = min(s, max(1, _TREE_BYTES // (lams.size * (n2 * n2 + z0.size) * 8)))
+    block = min(pairs.shape[0], max(1, _TREE_BYTES // (lams.size * (n2 * n2 + z0.size) * 8)))
     kept = np.union1d(np.arange(0, s + 1, stride), [s])
     strided = np.empty((kept.size, m) + z0.shape)
-    path = np.empty((s + 1, paths) + z0.shape)
-    states = np.empty((block + 1, lams.size) + z0.shape)     # nodes lo..lo+block
+    path = np.empty((paths, s + 1) + z0.shape)
+    states = np.empty((block + 1, lams.size) + z0.shape)    # nodes 2 lo .. 2 hi
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, s, block):
-            steps, _ = _step_matrices(c[lo:lo + block], lams, derivative=False)
-            hi = lo + len(steps)
+        for lo in range(0, pairs.shape[0], block):
+            leaves, _ = _step_matrices(pairs[lo:lo + block], lams, derivative=False)
+            hi = lo + len(leaves)
             for j in range(hi - lo):
-                np.matmul(steps[j], states[j], out=states[j + 1])
-            del steps                   # before the next block's steps are evaluated
-            done = (kept >= lo) & (kept <= hi)
-            strided[done] = states[kept[done] - lo, :m]
-            path[lo:hi + 1] = states[:hi - lo + 1, m:]
+                np.matmul(leaves[j], states[j], out=states[j + 1])
+            del leaves                  # before the single steps are evaluated
+            nodes = np.minimum(2 * np.arange(lo, hi + 1), s)
+            path[:, nodes] = states[:hi - lo + 1, m:].swapaxes(0, 1)
+            done = np.isin(kept, nodes)
+            strided[done] = states[np.searchsorted(nodes, kept[done]), :m]
+            odd = np.arange(lo, min(hi, s // 2))            # j of the odd nodes 2j + 1 < s
+            if paths:
+                steps, _ = _step_matrices(c[2 * odd], lams[m:], derivative=False)
+                path[:, 2 * odd + 1] = (steps @ states[:odd.size, m:]).swapaxes(0, 1)
+            odd = odd[(2 * odd + 1) % stride == 0]
+            if m and odd.size:
+                steps, _ = _step_matrices(c[2 * odd], lams[:m], derivative=False)
+                strided[(2 * odd + 1) // stride] = steps @ states[odd - lo, :m]
             states[0] = states[hi - lo]
     _check_finite(states[0])
     return strided, path
@@ -189,8 +204,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     y0, yp0 : (N, N) arrays
         Initial Y(0) and Y'(0).
     grid : Grid
-    tables : optional precomputed output of :func:`potential_tables`; the
-        path reads its single steps.
+    tables : optional precomputed output of :func:`potential_tables`.
 
     Returns
     -------
@@ -204,13 +218,12 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     yp0 = np.asarray(yp0, dtype=float)
     if y0.shape != (pot.dimension, pot.dimension) or yp0.shape != y0.shape:
         raise ValueError("initial data must be N x N matching the potential")
-    c = (potential_tables(pot, grid) if tables is None else tables)[0]
+    tables = potential_tables(pot, grid) if tables is None else tables
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
     scalar = lams.ndim == 0
-    z = _fold(c, np.atleast_1d(lams), _initial_state(y0, yp0), c.shape[0], lams.size)[1]
-    z = np.moveaxis(z, 1, 0)                        # (L, n, 2N, N)
+    z = _fold(tables, np.atleast_1d(lams), _initial_state(y0, yp0), grid.n - 1, lams.size)[1]
     if scalar:
         z = z[0]
     n = pot.dimension

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, WindowTooCoarse
-from .model import RANK_RTOL, BoundaryPair, Grid, Problem
+from .errors import ConditionViolated, NotAnEigenvalue, WindowTooCoarse
+from .model import RANK_RTOL, BoundaryPair, Grid, Problem, boundary_checks
 from .ode import _fold, _initial_state, integrate_final_batch, potential_tables
 from .quadrature import integral
 
@@ -52,7 +52,7 @@ class Eigenpair:
     phis: np.ndarray         # (n, N, m)
     phi_derivs: np.ndarray   # (n, N, m)
     norms_sq: np.ndarray     # (m,)
-    residual: float          # |mu| of one Newton step on W at lam
+    residual: float          # |mu| of the Newton step on W at lam: about its error
     grid: Grid
 
 
@@ -221,7 +221,7 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
-    z, paths = _fold(tables[0], np.concatenate([lams, roots]),
+    z, paths = _fold(tables, np.concatenate([lams, roots]),
                      _initial_state(p.left.B.T, -p.left.A.T), max(1, int(1.0 / step.max())),
                      len(roots))
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
@@ -240,7 +240,7 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
             roots=()) -> tuple[np.ndarray, np.ndarray]:
     """N(lambda), the number of eigenvalues below each of lams, with
     multiplicity, of the discrete problem whose W the scan evaluates, and
-    the paths (Y, Y') at roots, (n, R, 2N, N), of the same fold.
+    the paths (Y, Y') at roots, (R, n, 2N, N), of the same fold.
 
     Along the RK4 path of the frame (Y, Y') from (B^T, -A^T), the map
     Theta(x) = G conj(G)^{-1}, G = Y' + i s Y, is unitary up to the
@@ -456,23 +456,26 @@ def _newton_steps(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 
 def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid,
-                   tables) -> tuple[np.ndarray, np.ndarray]:
+                   tables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched Newton iteration on W(lambda) from starts, each within its radius.
 
-    Each pass solves W(lam) v = mu W'(lam) v and steps lam <- lam - mu with mu
-    the eigenvalue of smallest modulus. Near an eigenvalue lam_k of
-    multiplicity m, W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null
-    space, so mu ~ lam - lam_k and convergence is quadratic even at
-    semi-simple multiple eigenvalues. A start converges when |mu| is at most
-    max(_NEWTON_TOL, 64 eps |lam|), a floor set by the rounding of W; it
-    fails when its iterate moves farther than its radius from the start, W'
-    is singular there, or it has not converged within _NEWTON_PASSES passes.
+    Each pass solves W(lam) v = mu W'(lam) v for mu the eigenvalue of
+    smallest modulus. Near an eigenvalue lam_k of multiplicity m,
+    W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null space, so
+    mu ~ lam - lam_k and convergence is quadratic even at semi-simple
+    multiple eigenvalues. A start converges at the first iterate whose own
+    step |mu| is at most max(_NEWTON_TOL, 64 eps |lam|), a floor set by the
+    rounding of W, and is not stepped further; the others step
+    lam <- lam - Re mu. A start fails when its iterate moves farther than its
+    radius from the start, W' is singular there, or it has not converged
+    within _NEWTON_PASSES evaluations.
 
-    Returns the iterates and a mask of the starts that converged.
+    Returns the iterates, W and |mu| at each, and a mask of the starts that
+    converged.
     """
     lam = np.array(starts, dtype=float)
+    w_at, residual = np.zeros((lam.size, p.n, p.n)), np.full(lam.size, np.inf)
     active = np.ones(lam.size, dtype=bool)
-    converged = np.zeros(lam.size, dtype=bool)
     for _ in range(_NEWTON_PASSES):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -484,16 +487,15 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
         idx, w, dw = idx[regular], w[regular], dw[regular]
         if idx.size == 0:
             break
-        mu = _newton_steps(w, dw).real
-        step = lam[idx] - mu
+        mu = _newton_steps(w, dw)
+        done = np.abs(mu) <= np.maximum(_NEWTON_TOL, 64 * np.spacing(1.0) * np.abs(lam[idx]))
+        active[idx[done]] = False
+        w_at[idx[done]], residual[idx[done]] = w[done], np.abs(mu[done])
+        idx, step = idx[~done], lam[idx[~done]] - mu[~done].real
         inside = np.abs(step - starts[idx]) <= radius[idx]
         active[idx[~inside]] = False
-        idx, step, mu = idx[inside], step[inside], mu[inside]
-        lam[idx] = step
-        done = np.abs(mu) <= np.maximum(_NEWTON_TOL, 64 * np.spacing(1.0) * np.abs(step))
-        converged[idx[done]] = True
-        active[idx[done]] = False
-    return lam, converged
+        lam[idx[inside]] = step[inside]
+    return lam, w_at, residual, np.isfinite(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -506,37 +508,34 @@ def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -thetas, thetas)
 
 
-def _eigenpairs(p: Problem, lams, mult, grid: Grid, tables, paths) -> list[Eigenpair]:
+def _eigenpairs(p: Problem, lams, mult, w: np.ndarray, residuals: np.ndarray, grid: Grid,
+                paths: np.ndarray) -> list[Eigenpair]:
     """Eigenpairs at refined eigenvalues lams of multiplicities mult, from
-    the paths (Y, Y') at lams, (n, L, 2N, N), of :func:`_counts`.
+    W(lams), (L, N, N), the residuals |mu| of a Newton step at lams, and the
+    paths (Y, Y') at lams, (L, n, 2N, N), of :func:`_counts`.
 
     A null-space basis V_k is the mult[k] right singular vectors of
     W(lams[k]) with the smallest singular values; the matrix
     int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal U, and
     theta_l are the columns of V_k U, which makes the eigenfunctions
     Y theta_l mutually L2-orthogonal. Each theta_l is signed by
-    :func:`_canonical_signs`. The residual is |mu| of one Newton step at
-    lams[k] (:func:`_newton_steps`), about the distance to the nearest
-    eigenvalue of the discrete problem. Each multiplicity's roots go in one
-    batch.
+    :func:`_canonical_signs`. Each multiplicity's roots go in one batch.
     """
     lams = np.asarray(lams, dtype=float)
     mult = np.asarray(mult)
-    w, dw = _char_batch(p, lams, grid, tables, derivative=True)
     vt = np.linalg.svd(w)[2]
-    residuals = np.abs(_newton_steps(w, dw))
-    z = np.moveaxis(paths, 1, 0)                 # (L, n, 2N, N)
     pairs = [None] * lams.size
     for m in np.unique(mult):
         k = np.flatnonzero(mult == m)
         v = vt[k, -m:][:, ::-1].swapaxes(1, 2)   # (K, N, m), most-null direction first
-        y, yp = z[k, :, :p.n], z[k, :, p.n:]     # (K, n, N, N)
-        # products keep the per-root (N, N) @ (N, m) shape: bits as root by root
-        yv = y @ v[:, None]
+        z = paths[k]                             # (K, n, 2N, N)
+        flat = z.reshape(k.size, -1, p.n)        # each root's path as one (2 n N, N) matrix
+        yv = (flat @ v).reshape(z.shape[:3] + (m,))[:, :, :p.n]
         gram = integral(np.einsum("kqni,kqnj->qkij", yv, yv), grid.h)
         d, u = np.linalg.eigh(gram)
         thetas = _canonical_signs(v @ u)
-        phis, dphis = y @ thetas[:, None], yp @ thetas[:, None]
+        zt = (flat @ thetas).reshape(z.shape[:3] + (m,))
+        phis, dphis = zt[:, :, :p.n].copy(), zt[:, :, p.n:].copy()
         for r, j in enumerate(k):
             pairs[j] = Eigenpair(float(lams[j]), int(m), thetas[r], phis[r], dphis[r],
                                  np.maximum(d[r], 0.0), float(residuals[j]), grid)
@@ -558,7 +557,9 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
     if above <= below:
         raise NotAnEigenvalue(f"the eigenvalue count does not rise within {delta:.3g} "
                               f"of {lam_k}; not an eigenvalue")
-    return _eigenpairs(p, [lam_k], [above - below], grid, tables, paths)[0]
+    w, dw = _char_batch(p, [lam_k], grid, tables, derivative=True)
+    return _eigenpairs(p, [lam_k], [above - below], w, np.abs(_newton_steps(w, dw)), grid,
+                       paths)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +586,27 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     colleague pencil of a chopped Chebyshev interpolant of W on each such
     piece gives root estimates (:func:`_piece_roots`). Estimates closer than
     the merge tolerance delta = 1e-8 (1 + |lambda|) are one start; Newton's
-    method on W refines each start until its step is at most
-    max(1e-10, 64 eps |lambda|), within half the gap to the nearest other
-    start plus delta, and a start where it does not converge is dropped.
-    Converged roots in the window are merged within delta. One count of N at the window edges and at both ends of
-    each root's window, root +/- delta cut at the midpoints to its
-    neighbours, decides them all: a root's multiplicity is the rise of N
-    across its window (0 rejects it), and N must not rise between windows.
-    The eigenspace bases of the accepted roots come from one SVD of W per
-    root (:func:`_eigenpairs`).
+    method on W refines each start, within half the gap to the nearest other
+    start plus delta, until its next step mu is at most
+    max(1e-10, 64 eps |lambda|). That iterate is the root, and |mu|, about
+    its distance to the eigenvalue of the discrete problem, its residual; a
+    start where Newton does not converge is dropped. Converged roots in the
+    window are merged within delta. One count of N at the window edges and
+    at both ends of each root's window, root +/- delta cut at the midpoints
+    to its neighbours, decides them all: a root's multiplicity is the rise
+    of N across its window (0 rejects it), and N must not rise between
+    windows. The eigenspace bases of the accepted roots come from one SVD of
+    Newton's last W per root (:func:`_eigenpairs`); no W is evaluated after
+    Newton.
 
     Raises
     ------
     ValueError
         If the grid's node count is not odd and >= 5 (Simpson alignment),
         or the window is not finite with lambda_min < lambda_max.
+    ConditionViolated
+        If a boundary pair fails B A^T = A B^T or rank [A, B] = N
+        (:func:`isospec.model.boundary_checks`), before anything is scanned.
     WindowTooCoarse
         If N rises between root windows (an eigenvalue that no root lies
         within delta of; the message names the gap), N s h exceeds the
@@ -612,6 +619,10 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
         raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
+    for c in boundary_checks(p):
+        if not c.passed:
+            raise ConditionViolated(f"{c.name} fails: defect={c.defect:.3e} (threshold "
+                                    f"{c.threshold:.3e}); the scan needs it, see isospec validate")
     tables = potential_tables(p.potential, grid)
     prange = _potential_range(p, grid)
     edges = _envelope_pieces(prange[0], lambda_min, lambda_max)
@@ -627,9 +638,11 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     far = 2.0 * (lambda_max - lambda_min)
     gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
     radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
-    roots, converged = _newton_refine(p, starts, radius, grid, tables)
-    roots = np.sort(roots[converged & (roots >= lambda_min) & (roots <= lambda_max)])
-    roots = roots[_first_of_runs(roots)]
+    roots, w, residuals, converged = _newton_refine(p, starts, radius, grid, tables)
+    keep = np.flatnonzero(converged & (roots >= lambda_min) & (roots <= lambda_max))
+    keep = keep[np.argsort(roots[keep], kind="stable")]
+    keep = keep[_first_of_runs(roots[keep])]
+    roots, w, residuals = roots[keep], w[keep], residuals[keep]
 
     # probes: lambda_min, then each root's window ends, then lambda_max; the
     # rises alternate between gaps (even) and root windows (odd)
@@ -646,6 +659,7 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
     mult = rise[1::2]
     ok = mult > 0
-    paths = paths[:, ok]            # frees the paths of rejected roots before the eigenpairs
-    pairs = _eigenpairs(p, roots[ok], mult[ok], grid, tables, paths) if ok.any() else []
+    paths = paths[ok]               # frees the paths of rejected roots before the eigenpairs
+    pairs = (_eigenpairs(p, roots[ok], mult[ok], w[ok], residuals[ok], grid, paths)
+             if ok.any() else [])
     return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), tuple(pairs))

@@ -267,6 +267,28 @@ class TestSpectrum:
         assert header == "x,c1,c2"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("left,right,check", [
+        ((np.eye(2), np.zeros((2, 2))), (np.diag([1.0, 0.0]), np.zeros((2, 2))),
+         "right pair rank [A, B] = N"),
+        ((np.zeros((2, 2)), np.zeros((2, 2))), (np.eye(2), np.zeros((2, 2))),
+         "left pair rank [A, B] = N"),
+        ((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])), (np.eye(2), np.zeros((2, 2))),
+         "left pair B*A^T = A*B^T"),
+    ])
+    def test_broken_boundary_hypothesis_exits_1_naming_it(self, tmp_path, capsys, left, right,
+                                                          check):
+        # before the check, these exited 2 with "Singular matrix" (rank 1 right
+        # end) or 1 with a misleading WindowTooCoarse (the two left ends)
+        problem = iso.Problem(iso.ConstantDiagonalPotential([-3.0, 0.0]), iso.BoundaryPair(*left),
+                              iso.BoundaryPair(*right))
+        f = tmp_path / "broken.json"
+        f.write_text(dumps_json(iso.problem_to_json_obj(problem)))
+        assert main(["validate", str(f)]) == 1
+        assert f"[FAIL] {check}" in capsys.readouterr().out
+        assert main(["spectrum", str(f), "--min", "-5", "--max", "20"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConditionViolated: {check} fails") and "isospec validate" in err
+
     def test_empty_window_ok(self, scalar_files, capsys):
         prob, _ = scalar_files
         assert main(["spectrum", str(prob), "--min", "1.5", "--max", "3.5"]) == 0

@@ -170,6 +170,14 @@ def single_step_fold(tables, lams, y0, yp0):
     return z, dz
 
 
+def pair_fold(tables, lams, y0, yp0):
+    """Endpoint z = (Y, Y') folded one pair leaf at a time."""
+    z = np.tile(np.concatenate((y0, yp0)), (lams.size, 1, 1))
+    for leaf in ode._step_matrices(tables[1], lams, derivative=False)[0]:
+        z = leaf @ z
+    return z
+
+
 class TestPairLeaves:
     """The endpoint tree multiplies precomputed products of step pairs."""
 
@@ -183,11 +191,28 @@ class TestPairLeaves:
         y, yp, dy, dyp = integrate_final_batch(pot, lams, y0, yp0, grid, tables, derivative=True)
         y_path, yp_path = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
         z_ref, dz_ref = single_step_fold(tables, lams, y0, yp0)
+        z_pairs = pair_fold(tables, lams, y0, yp0)
         for k in range(lams.size):
-            assert np.array_equal(z_ref[k], np.concatenate((y_path[k, -1], yp_path[k, -1])))
+            z_path = np.concatenate((y_path[k, -1], yp_path[k, -1]))
+            assert np.array_equal(z_pairs[k], z_path)
             scale, dscale = np.max(np.abs(z_ref[k])), np.max(np.abs(dz_ref[k]))
+            assert np.max(np.abs(z_path - z_ref[k])) <= 1e-12 * scale
             assert np.max(np.abs(np.concatenate((y[k], yp[k])) - z_ref[k])) <= 1e-12 * scale
             assert np.max(np.abs(np.concatenate((dy[k], dyp[k])) - dz_ref[k])) <= 1e-12 * dscale
+
+    def test_path_nodes_match_single_step_fold(self):
+        # even nodes come from the pair leaves and odd ones by one step from
+        # their even neighbour; every node agrees with the step-by-step fold
+        pot, grid = random_grid_potential(2, 201, seed=8)
+        tables = potential_tables(pot, grid)
+        y0, yp0 = np.eye(2), np.zeros((2, 2))
+        lams = np.array([-30.0, 2.0, 150.0])
+        y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        z = np.tile(np.concatenate((y0, yp0)), (lams.size, 1, 1))
+        for i, t in enumerate(ode._step_matrices(tables[0], lams, derivative=False)[0], 1):
+            z = t @ z
+            err = np.abs(np.concatenate((y[:, i], yp[:, i]), axis=1) - z)
+            assert np.all(err <= 1e-12 * np.max(np.abs(z), axis=(1, 2), keepdims=True)), i
 
     def test_odd_step_count_matches_reference(self):
         # an even node count leaves the last step as a leaf of its own
@@ -261,16 +286,16 @@ class TestBatchedPath:
         y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         monkeypatch.setattr(ode, "_TREE_BYTES", 5 * lams.size * 16 * 8)
         nodes = np.union1d(np.arange(0, grid.n, stride), [grid.n - 1])
-        c = potential_tables(pot, grid)[0]
+        tables = potential_tables(pot, grid)
         # the last `paths` lambdas keep every node instead, in the same fold
         for paths in range(lams.size + 1):
             m = lams.size - paths
-            z, path = ode._fold(c, lams, np.vstack([y0, yp0]), stride, paths)
-            assert z.shape == (nodes.size, m, 4, 2) and path.shape == (grid.n, paths, 4, 2)
+            z, path = ode._fold(tables, lams, np.vstack([y0, yp0]), stride, paths)
+            assert z.shape == (nodes.size, m, 4, 2) and path.shape == (paths, grid.n, 4, 2)
             assert np.array_equal(z[:, :, :2], y[:m, nodes].swapaxes(0, 1))
             assert np.array_equal(z[:, :, 2:], yp[:m, nodes].swapaxes(0, 1))
-            assert np.array_equal(path[:, :, :2], y[m:].swapaxes(0, 1))
-            assert np.array_equal(path[:, :, 2:], yp[m:].swapaxes(0, 1))
+            assert np.array_equal(path[:, :, :2], y[m:])
+            assert np.array_equal(path[:, :, 2:], yp[m:])
 
     def test_overflowing_lambda_in_batch_raises(self, scalar):
         grid = iso.Grid.uniform(101)

@@ -218,9 +218,9 @@ class TestScan:
         newton = spectrum._newton_refine
 
         def recording(p, starts, radius, *args):
-            lam, converged = newton(p, starts, radius, *args)
+            lam, w, steps, converged = newton(p, starts, radius, *args)
             calls.append((starts.copy(), radius.copy(), converged.copy()))
-            return lam, converged
+            return lam, w, steps, converged
 
         monkeypatch.setattr(spectrum, "_newton_refine", recording)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
@@ -244,8 +244,9 @@ class TestScan:
         newton = spectrum._newton_refine
 
         def with_extra_roots(*args):
-            lam, converged = newton(*args)
-            return np.append(lam, [2.5, 7.5]), np.append(converged, [True, True])
+            lam, w, steps, converged = newton(*args)
+            return (np.append(lam, [2.5, 7.5]), np.concatenate([w, w[:2]]),
+                    np.append(steps, [0.0, 0.0]), np.append(converged, [True, True]))
 
         monkeypatch.setattr(spectrum, "_newton_refine", with_extra_roots)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
@@ -259,8 +260,8 @@ class TestScan:
         newton = spectrum._newton_refine
 
         def without_six(*args):
-            lam, converged = newton(*args)
-            return lam, converged & (np.abs(lam - 6.0) > 0.5)
+            lam, w, steps, converged = newton(*args)
+            return lam, w, steps, converged & (np.abs(lam - 6.0) > 0.5)
 
         monkeypatch.setattr(spectrum, "_newton_refine", without_six)
         with pytest.raises(WindowTooCoarse,
@@ -275,8 +276,8 @@ class TestScan:
         newton = spectrum._newton_refine
 
         def moved(*args):
-            lam, converged = newton(*args)
-            return np.where(np.abs(lam - 4.0) < 0.5, lam + 1e-6, lam), converged
+            lam, w, steps, converged = newton(*args)
+            return np.where(np.abs(lam - 4.0) < 0.5, lam + 1e-6, lam), w, steps, converged
 
         monkeypatch.setattr(spectrum, "_newton_refine", moved)
         with pytest.raises(WindowTooCoarse, match="predicts 1 eigenvalues") as err:
@@ -308,9 +309,9 @@ class TestScan:
         lanes = []
         fold = spectrum._fold
 
-        def recording(c, lams, z0, stride, paths):
+        def recording(tables, lams, z0, stride, paths):
             lanes.append((lams.size, paths))
-            return fold(c, lams, z0, stride, paths)
+            return fold(tables, lams, z0, stride, paths)
 
         monkeypatch.setattr(spectrum, "_fold", recording)
         monkeypatch.setattr(ode, "_fold", recording)
@@ -319,6 +320,57 @@ class TestScan:
         assert (len(edges) > 2) == bool(cuts)
         roots = len(report.pairs)
         assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)]
+
+    def test_scan_work_counts(self, paper, monkeypatch):
+        # Newton's last W serves the eigenpairs: 33 pencil samples, then one
+        # Newton evaluation with W' at each of the 7 roots and none after;
+        # one fold of the 16 count probes and the 7 roots, whose 400 steps
+        # take 200 sequential pair-leaf products
+        evaluated, folds, products = [], [], []
+        char_batch, fold, matmul = spectrum._char_batch, spectrum._fold, np.matmul
+
+        def counting(p, lams, *args, derivative=False):
+            evaluated.append((np.size(lams), derivative))
+            return char_batch(p, lams, *args, derivative=derivative)
+
+        def recording(tables, lams, *args):
+            folds.append(lams.size)
+            return fold(tables, lams, *args)
+
+        def product(*args, **kwargs):
+            products.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_char_batch", counting)
+        monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(np, "matmul", product)
+        report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(401))
+        assert len(report.pairs) == 7
+        assert sum(n for n, _ in evaluated) == 40
+        assert sum(n for n, derivative in evaluated if derivative) == 7
+        assert folds == [23]
+        assert products == [(23, 4, 4)] * 200
+
+    @pytest.mark.parametrize("which,window", [("paper", (-5.0, 20.0)), ("coupled4", (-5.0, 20.0)),
+                                              ("scalar", (0.5, 2600.0))])
+    def test_residual_bounds_the_distance_to_the_discrete_eigenvalue(self, which, window):
+        # the discrete eigenvalue is where Newton, iterated from the reported
+        # one, stops shrinking its step
+        p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
+             "scalar": iso.builtin_problem("scalar-zero")}[which]
+        report = iso.scan_spectrum(p, *window)
+        assert len(report.pairs) >= 7
+        tables = potential_tables(p.potential, report.grid)
+        for pair in report.pairs:
+            assert pair.residual <= max(1e-10, 64 * np.spacing(1.0) * abs(pair.lam))
+            lam, last = pair.lam, np.inf
+            for _ in range(20):
+                w, dw = spectrum._char_batch(p, [lam], report.grid, tables, derivative=True)
+                mu = spectrum._newton_steps(w, dw)[0]
+                if abs(mu) >= last:
+                    break
+                lam, last = lam - mu.real, abs(mu)
+            assert abs(pair.lam - lam) <= 2 * pair.residual + 4 * np.spacing(abs(pair.lam))
 
     def test_unresolvable_piece_raises(self, scalar):
         # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at
@@ -351,8 +403,8 @@ class TestScan:
         # with |mu| ~ 1.3e-10, and must still converge
         grid = iso.Grid.uniform(401)
         starts = np.array([69697.9348730483, 69697.9348728527])
-        lams, converged = spectrum._newton_refine(scalar, starts, np.ones(2), grid,
-                                                  potential_tables(scalar.potential, grid))
+        lams, _, _, converged = spectrum._newton_refine(scalar, starts, np.ones(2), grid,
+                                                        potential_tables(scalar.potential, grid))
         assert converged.all()
         assert np.all(np.abs(lams - 69697.934873394) <= 1e-9)
 
