@@ -375,6 +375,8 @@ def load_potential_csv(path: str) -> GridPotential:
     if data.size == 0:
         raise ValueError(f"potential CSV {path!r} has no data rows")
     k = len(header) - 1
+    if k < 1:
+        raise ValueError(f"potential CSV {path!r} has no potential columns after x")
     n_dim = int(round((np.sqrt(8 * k + 1) - 1) / 2))
     if n_dim * (n_dim + 1) // 2 != k:
         raise DimensionMismatch(f"{k} potential columns do not form an upper triangle")
@@ -412,6 +414,9 @@ def problem_to_json_obj(p: Problem) -> dict:
 
 
 def problem_from_json_obj(obj: dict, base_dir: str = ".") -> Problem:
+    for name in ("problem", "potential", "left", "right"):
+        if not isinstance(obj if name == "problem" else obj[name], dict):
+            raise ValueError(f"{name} must be a JSON object")
     pot = potential_from_json_obj(obj["potential"], base_dir)
     n = int(obj["n"])
     if pot.dimension != n:

@@ -3,12 +3,15 @@
     -Y'' + P(x) Y = lambda Y,   Y(0), Y'(0) prescribed N x N matrices.
 
 A classical 4th-order Runge-Kutta step on z = (Y, Y') with step h taken from
-the grid. For z' = M z with M = [[0, I], [P - lambda, 0]] sampled at the
-nodes and the half-step, one step is z_{i+1} = T_i(lambda) z_i. Every stage
-matrix is M0 - lambda E with E = [[0, 0], [I, 0]] and E^2 = 0, so a product
-of the four stages holds at most two (non-adjacent) E factors: T_i is a
-polynomial of degree 2 in lambda whose 2N x 2N coefficients depend only on P
-and the grid. :func:`potential_tables` builds them once per (potential,
+the grid. With Q = P - lambda at node i (Q0), at the half-step (Qh) and at
+node i+1 (Q1), one step is z_{i+1} = T_i(lambda) z_i with
+
+    T_i = [[I + h^2/6 (Q0 + 2 Qh) + h^4/24 Qh Q0,   h I + h^3/6 Qh],
+           [h/6 (Q0 + 4 Qh + Q1) + h^3/12 (Qh Q0 + Q1 Qh),
+            I + h^2/6 (2 Qh + Q1) + h^4/24 Q1 Qh]],
+
+a polynomial of degree 2 in lambda whose 2N x 2N coefficients depend only on
+P and the grid. :func:`potential_tables` builds them once per (potential,
 grid), together with the degree-4 products T_{2j+1} T_{2j} of consecutive
 step pairs; every propagation evaluates them:
 
@@ -39,63 +42,52 @@ import numpy as np
 from .errors import NonFiniteState
 from .model import Grid, MatrixPotential
 
-#: degree of the RK4 step matrix T_i(lambda) in lambda (E^2 = 0 caps it at 2)
-STEP_DEGREE = 2
 #: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
 #: 2N, 2N) pair leaves of a lambda chunk in the endpoint tree and the (block, L,
 #: 2N, 2N) steps with their (block, L, 2N, N) states of a step block in the fold
 _TREE_BYTES = 1 << 20
 
 
-def _apply_m(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Coefficients of M(lambda) U(lambda) for M = [[0, I], [P - lambda, 0]].
-
-    p is (s, N, N); u is (s, d+1, 2N, 2N), coefficient k of a degree-d
-    polynomial. Returns (s, min(d+2, STEP_DEGREE+1), 2N, 2N): within an RK4
-    stage expansion the coefficients above STEP_DEGREE are exact zeros
-    (E^2 = 0), so they are not formed.
-    """
-    s, d1, n2, _ = u.shape
-    n = n2 // 2
-    k = np.zeros((s, min(d1 + 1, STEP_DEGREE + 1), n2, n2))
-    k[:, :d1, :n] = u[:, :, n:]
-    k[:, :d1, n:] = p[:, None] @ u[:, :, :n]
-    k[:, 1:, n:] -= u[:, :k.shape[1] - 1, :n]
-    return k
-
-
 def potential_tables(pot: MatrixPotential, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """RK4 step and pair-leaf polynomials (C, Pi) of a potential on a grid.
 
     C, shape (n-1, 3, 2N, 2N), gives T_i(lam) = sum_k lam^k C[i, k]: the
-    classical RK4 step on z = (Y, Y') with P taken at node i, at the half-step
-    and at node i+1, expanded stage by stage in lambda. Pi, shape
-    (ceil((n-1)/2), 5, 2N, 2N), gives T_{2j+1}(lam) T_{2j}(lam) =
-    sum_k lam^k Pi[j, k]; with an odd step count the last leaf is the last
-    step alone, zero-padded to degree 4.
+    closed block form of the module docstring with P taken at node i, at the
+    half-step and at node i+1. Pi, shape (ceil((n-1)/2), 5, 2N, 2N), gives
+    T_{2j+1}(lam) T_{2j}(lam) = sum_k lam^k Pi[j, k]; with an odd step count
+    the last leaf is the last step alone, zero-padded to degree 4.
     """
     p_nodes = pot.evaluate_many(grid.nodes)
-    p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    p0, p1 = p_nodes[:-1], p_nodes[1:]
+    ph = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
     h = grid.h
-    s, n = p_half.shape[0], pot.dimension
-    c = np.zeros((s, STEP_DEGREE + 1, 2 * n, 2 * n))
-    c[:, 0] = np.eye(2 * n)
-    u = c[:, :1].copy()                                  # stage input, degree 0
-    for p, frac, weight in ((p_nodes[:-1], 0.5, 1.0), (p_half, 0.5, 2.0),
-                            (p_half, 1.0, 2.0), (p_nodes[1:], None, 1.0)):
-        k = _apply_m(p, u)
-        c[:, :k.shape[1]] += (weight * h / 6) * k
-        if frac is not None:
-            u = k * (frac * h)
-            u[:, 0] += np.eye(2 * n)
+    s, n = ph.shape[0], pot.dimension
+    eye = np.eye(n)
+    # scans near RK4's stability limit depend on these last bits: with correctly rounded
+    # h^3/6 and h^4/24, the 401-node scan of scalar-zero on [6.4e4, 7e4] raises WindowTooCoarse
+    h6 = h / 6
+    h2_6, h3_6 = h6 * h, h6 * (h * h)
+    h4_24 = h3_6 * h / 4
+    ph_p0, p1_ph = ph @ p0, p1 @ ph
+    c = np.zeros((s, 3, 2 * n, 2 * n))
+    c[:, 0, :n, :n] = eye + h2_6 * (p0 + 2 * ph) + h4_24 * ph_p0
+    c[:, 0, :n, n:] = h * eye + h3_6 * ph
+    c[:, 0, n:, :n] = h6 * (p0 + 4 * ph + p1) + (h3_6 / 2) * (ph_p0 + p1_ph)
+    c[:, 0, n:, n:] = eye + h2_6 * (2 * ph + p1) + h4_24 * p1_ph
+    c[:, 1, :n, :n] = -(h * h / 2) * eye - h4_24 * (p0 + ph)
+    c[:, 1, :n, n:] = -h3_6 * eye
+    c[:, 1, n:, :n] = -h * eye - (h3_6 / 2) * (p0 + 2 * ph + p1)
+    c[:, 1, n:, n:] = -(h * h / 2) * eye - h4_24 * (ph + p1)
+    c[:, 2, :n, :n] = c[:, 2, n:, n:] = h4_24 * eye
+    c[:, 2, n:, :n] = h3_6 * eye
     full = s // 2
-    pairs = np.zeros((full + s % 2, 2 * STEP_DEGREE + 1, 2 * n, 2 * n))
+    pairs = np.zeros((full + s % 2, 5, 2 * n, 2 * n))
     lo, hi = c[0:2 * full:2], c[1::2]
-    for a in range(STEP_DEGREE + 1):
-        for b in range(STEP_DEGREE + 1):
+    for a in range(3):
+        for b in range(3):
             pairs[:full, a + b] += hi[:, a] @ lo[:, b]
     if s % 2:
-        pairs[-1, :STEP_DEGREE + 1] = c[-1]
+        pairs[-1, :3] = c[-1]
     return c, pairs
 
 

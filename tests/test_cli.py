@@ -191,6 +191,20 @@ class TestValidate:
         f.write_text("{not json")
         assert main(["validate", str(f)]) == 2
 
+    @pytest.mark.parametrize("doc, field", [
+        ([1, 2], "problem"),
+        ({"n": 1, "potential": 5, "left": {"A": [[1]], "B": [[0]]},
+          "right": {"A": [[1]], "B": [[0]]}}, "potential"),
+        ({"n": 1, "potential": {"kind": "constant-diagonal", "values": [0]}, "left": [1],
+          "right": {"A": [[1]], "B": [[0]]}}, "left"),
+    ])
+    def test_json_of_the_wrong_shape_exits_2(self, tmp_path, capsys, doc, field):
+        f = tmp_path / "shape.json"
+        f.write_text(json.dumps(doc))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be a JSON object")
+
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/problem.json"]) == 2
 
@@ -214,6 +228,17 @@ class TestValidate:
         assert main(["validate", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empty-q.csv" in err and "no data rows" in err
+
+    def test_x_only_potential_csv_exits_2(self, tmp_path, capsys):
+        (tmp_path / "x-only.csv").write_text(f"x\n0\n{np.pi / 2!r}\n{np.pi!r}\n")
+        obj = {"n": 1, "potential": {"kind": "grid", "path": "x-only.csv"},
+               "left": {"A": [[1.0]], "B": [[0.0]]},
+               "right": {"A": [[1.0]], "B": [[0.0]]}}
+        f = tmp_path / "x-only.json"
+        f.write_text(json.dumps(obj))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x-only.csv" in err and "no potential columns" in err
 
     def test_short_potential_csv_row_exits_2(self, tmp_path, capsys):
         (tmp_path / "short-q.csv").write_text("x,p11,p12,p22\n0,1\n")

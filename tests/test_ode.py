@@ -105,28 +105,51 @@ def random_grid_potential(n_dim, n_nodes, seed):
     return iso.GridPotential(grid, a + a.transpose(0, 2, 1)), grid
 
 
-def rk4_reference(pot, lam, y0, yp0, grid):
-    """Plain per-step classical RK4 on (Y, Y'); the kernel's reference."""
-    h = grid.h
-    p_nodes = pot.evaluate_many(grid.nodes)
-    p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
-    y, v = np.array(y0, dtype=float), np.array(yp0, dtype=float)
+def rk4_step(p0, pm, p1, lam, h, y, v):
+    """One classical RK4 step of (Y, Y')' = (Y', (P - lam) Y), P at x, x + h/2 and x + h.
 
+    Broadcasts over leading axes, so it takes a batch of steps at once.
+    """
     def f(p, y):
         return p @ y - lam * y
 
+    k1y, k1v = v, f(p0, y)
+    k2y, k2v = v + h / 2 * k1v, f(pm, y + h / 2 * k1y)
+    k3y, k3v = v + h / 2 * k2v, f(pm, y + h / 2 * k2y)
+    k4y, k4v = v + h * k3v, f(p1, y + h * k3y)
+    return (y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
+            v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def rk4_reference(pot, lam, y0, yp0, grid):
+    """Plain per-step classical RK4 on (Y, Y'); the kernel's reference."""
+    p_nodes = pot.evaluate_many(grid.nodes)
+    p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    y, v = np.array(y0, dtype=float), np.array(yp0, dtype=float)
     for i in range(grid.n - 1):
-        p0, pm, p1 = p_nodes[i], p_half[i], p_nodes[i + 1]
-        k1y, k1v = v, f(p0, y)
-        k2y, k2v = v + h / 2 * k1v, f(pm, y + h / 2 * k1y)
-        k3y, k3v = v + h / 2 * k2v, f(pm, y + h / 2 * k2y)
-        k4y, k4v = v + h * k3v, f(p1, y + h * k3y)
-        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y, v = rk4_step(p_nodes[i], p_half[i], p_nodes[i + 1], lam, grid.h, y, v)
     return y, v
 
 
 class TestStepKernel:
+    @pytest.mark.parametrize("n_dim", [1, 2, 4])
+    def test_step_table_is_one_classical_rk4_step(self, n_dim):
+        # every step polynomial of the table, evaluated at lambda and applied
+        # to a random state, is one reference RK4 step of that state
+        pot, grid = random_grid_potential(n_dim, 401, seed=40 + n_dim)
+        p_nodes = pot.evaluate_many(grid.nodes)
+        p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+        z = np.random.default_rng(n_dim).normal(size=(grid.n - 1, 2 * n_dim, n_dim))
+        lams = np.array([-1e4, -5.0, 20.0, 2600.0, 4e4])
+        steps, _ = ode._step_matrices(potential_tables(pot, grid)[0], lams, derivative=False)
+        for k, lam in enumerate(lams):
+            y, v = rk4_step(p_nodes[:-1], p_half, p_nodes[1:], lam, grid.h,
+                            z[:, :n_dim], z[:, n_dim:])
+            ref = np.concatenate((y, v), axis=1)
+            scale = np.max(np.abs(ref), axis=(1, 2))
+            err = np.max(np.abs(steps[:, k] @ z - ref), axis=(1, 2))
+            assert np.all(err <= 1e-14 * scale), (lam, np.max(err / scale))
+
     @pytest.mark.parametrize("n_dim", [1, 2, 4])
     def test_tree_fold_and_reference_agree(self, n_dim):
         pot, grid = random_grid_potential(n_dim, 201, seed=n_dim)
