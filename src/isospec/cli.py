@@ -55,6 +55,8 @@ def cmd_spectrum(args) -> int:
     grid = Grid.uniform(args.grid)
     if args.dump_path is not None and not args.out:
         raise ValueError("--dump-path writes path.csv and needs --out")
+    if args.dump_path is not None and not np.isfinite(args.dump_path):
+        raise ValueError("--dump-path must be finite")
     problem = load_problem(args.problem)
     report = scan_spectrum(problem, args.lam_min, args.lam_max, grid)
     if args.dump_path is not None:

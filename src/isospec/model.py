@@ -391,16 +391,30 @@ def load_potential_csv(path: str) -> GridPotential:
     return GridPotential(grid, samples)
 
 
+def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
+    """A problem-file field as a float array, refused when it holds no numbers."""
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except TypeError:
+        raise ValueError(f"{where} {key} must be an array of numbers") from None
+
+
+def _string(obj: dict, key: str, where: str) -> str:
+    if not isinstance(obj[key], str):
+        raise ValueError(f"{where} {key} must be a string")
+    return obj[key]
+
+
 def potential_from_json_obj(obj: dict, base_dir: str = ".") -> MatrixPotential:
     kind = obj.get("kind")
     if kind == "constant-diagonal":
-        return ConstantDiagonalPotential(obj["values"])
+        return ConstantDiagonalPotential(_numbers(obj, "values", "potential"))
     if kind == "builtin":
-        return builtin_problem(obj["name"]).potential
+        return builtin_problem(_string(obj, "name", "potential")).potential
     if kind == "grid":
         if "path" in obj:
-            return load_potential_csv(os.path.join(base_dir, obj["path"]))
-        return GridPotential(Grid(np.asarray(obj["x"], dtype=float)), np.asarray(obj["samples"], dtype=float))
+            return load_potential_csv(os.path.join(base_dir, _string(obj, "path", "potential")))
+        return GridPotential(Grid(_numbers(obj, "x", "potential")), _numbers(obj, "samples", "potential"))
     raise DimensionMismatch(f"unknown potential kind {kind!r}")
 
 
@@ -418,14 +432,16 @@ def problem_from_json_obj(obj: dict, base_dir: str = ".") -> Problem:
         if not isinstance(obj if name == "problem" else obj[name], dict):
             raise ValueError(f"{name} must be a JSON object")
     pot = potential_from_json_obj(obj["potential"], base_dir)
-    n = int(obj["n"])
+    n = obj["n"]
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if pot.dimension != n:
         raise DimensionMismatch(f"declared n={n} but potential is {pot.dimension}x{pot.dimension}")
 
-    def pair(d):
-        return BoundaryPair(np.asarray(d["A"], dtype=float), np.asarray(d["B"], dtype=float))
+    def pair(end):
+        return BoundaryPair(_numbers(obj[end], "A", end), _numbers(obj[end], "B", end))
 
-    return Problem(pot, pair(obj["left"]), pair(obj["right"]))
+    return Problem(pot, pair("left"), pair("right"))
 
 
 def load_problem(path: str) -> Problem:

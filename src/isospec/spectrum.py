@@ -16,7 +16,8 @@ number of eigenvalues below lambda of the discrete problem the scan solves,
 from the winding of a unitary map of the solution frame along x (Atkinson
 1964, *Discrete and Continuous Boundary Problems*; Greenberg & Marletta,
 SLEUTH, ACM TOMS 1997). The finite-difference oracle discretises the problem
-independently; it is a cross-check that the scan does not call.
+independently and solves it densely with numpy; it is a cross-check that the
+scan does not call.
 """
 
 from __future__ import annotations
@@ -104,51 +105,31 @@ def _end_frame(pair: BoundaryPair, sign: float) -> tuple[np.ndarray, np.ndarray]
     B = U S V^T, the weak form's boundary terms psi(0)^T phi'(0) and
     -psi(pi)^T phi'(pi) become sign * b_psi^T G b_phi, sign -1 at 0 and +1 at
     pi, with G = S_r^{-1} U_r^T (B A^T) U_r S_r^{-1}, symmetric because
-    B A^T = A B^T. An invertible B keeps the identity frame, where
-    G = B^{-1} A.
+    B A^T = A B^T. For an invertible B this is V^T B^{-1} A V.
 
     Returns (V, sign * G), V of shape (N, r) with r = rank B.
     """
     a, b = pair.A, pair.B
-    n = pair.n
     u, s, vt = np.linalg.svd(b)
     r = int(np.sum(s > RANK_RTOL * np.linalg.norm(np.hstack([a, b]), 2)))
-    if r == n:
-        v, g = np.eye(n), np.linalg.solve(b, a)
-    else:
-        us = u[:, :r] / s[:r]
-        v, g = vt[:r].T, us.T @ (b @ a.T) @ us
-    return v, sign * 0.5 * (g + g.T)
-
-
-def _set_band(band: np.ndarray, blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Write the lower-triangle entries of blocks (k, p, q), placed with their
-    top-left corners at (rows[k], cols[k]), into lower band storage."""
-    p, q = blocks.shape[1:]
-    i, j = np.divmod(np.arange(p * q), q)
-    i = rows[:, None] + i
-    j = cols[:, None] + j
-    # zeros are skipped: a coupling block's zeros may fall outside the band
-    keep = (i >= j) & (blocks.reshape(-1, p * q) != 0.0)
-    band[(i - j)[keep], j[keep]] = blocks.reshape(-1, p * q)[keep]
+    us = u[:, :r] / s[:r]
+    g = us.T @ (b @ a.T) @ us
+    return vt[:r].T, sign * 0.5 * (g + g.T)
 
 
 def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray:
-    """Independent O(h^2) eigenvalue estimates from a symmetric banded matrix.
+    """Independent O(h^2) eigenvalue estimates from a dense symmetric matrix.
 
     Linear finite elements with lumped mass (at interior nodes, the
     second-order central-difference scheme) on a uniform grid. The ker B
     components of each endpoint value are eliminated as Dirichlet unknowns,
     and the remaining ones carry the symmetric boundary form of
     :func:`_end_frame`. Scaling by the diagonal mass gives a standard
-    symmetric matrix, stored node-major in lower band form with bandwidth N
-    (up to 2N - 2 when an end has a B of intermediate rank). Its band
-    eigensolve takes O((nN)^2 N) operations and O(nN^2) memory, against
-    O((nN)^3) and O((nN)^2) for a dense solve.
+    symmetric matrix, ordered node by node and solved densely by
+    ``numpy.linalg.eigvalsh``: O((nN)^3) operations and O((nN)^2) memory.
 
     Returns every eigenvalue of the discrete problem, ascending.
     """
-    import scipy.linalg     # the oracle is a cross-check: no command loads scipy
     n_dim = p.n
     grid = Grid.uniform(n_nodes)
     h = grid.h
@@ -156,30 +137,18 @@ def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray
     diag = p.potential.evaluate_many(grid.nodes) + (2.0 / h**2) * np.eye(n_dim)
     v_l, g_l = _end_frame(p.left, -1.0)
     v_r, g_r = _end_frame(p.right, 1.0)
-    r_l, r_r = v_l.shape[1], v_r.shape[1]
-    first, last = r_l, r_l + (m - 1) * n_dim        # offsets of nodes 1 and m
+    first, last = v_l.shape[1], v_l.shape[1] + (m - 1) * n_dim   # offsets of nodes 1 and m
+    a = np.zeros((last + v_r.shape[1],) * 2)
+    idx = first + n_dim * np.arange(m - 1)[:, None] + np.arange(n_dim)
+    a[idx[:, :, None], idx[:, None, :]] = diag[1:m]
+    i = np.arange(first, last - n_dim)
+    a[i + n_dim, i] = -1.0 / h**2      # eigvalsh reads the lower triangle only
+    a[:first, :first] = v_l.T @ diag[0] @ v_l + (2.0 / h) * g_l
+    a[last:, last:] = v_r.T @ diag[m] @ v_r + (2.0 / h) * g_r
     # the half-cell mass h/2 at the ends scales their couplings by sqrt(2)
-    c_l = -np.sqrt(2.0) / h**2 * v_l                 # node 1 rows, node 0 columns
-    c_r = -np.sqrt(2.0) / h**2 * v_r.T               # node m rows, node m-1 columns
-    width = n_dim
-    for c, offset in ((c_l, r_l), (c_r, n_dim)):
-        rows, cols = np.nonzero(c)
-        if rows.size:
-            width = max(width, offset + int(np.max(rows - cols)))
-
-    band = np.zeros((width + 1, last + r_r))
-    interior = first + n_dim * np.arange(m - 1)
-    _set_band(band, diag[1:m], interior, interior)
-    band[n_dim, first:last - n_dim] = -1.0 / h**2
-    if r_l:
-        end = v_l.T @ diag[0] @ v_l + (2.0 / h) * g_l
-        _set_band(band, end[None], np.array([0]), np.array([0]))
-        _set_band(band, c_l[None], np.array([first]), np.array([0]))
-    if r_r:
-        end = v_r.T @ diag[m] @ v_r + (2.0 / h) * g_r
-        _set_band(band, end[None], np.array([last]), np.array([last]))
-        _set_band(band, c_r[None], np.array([last]), np.array([last - n_dim]))
-    return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+    a[first:first + n_dim, :first] = -np.sqrt(2.0) / h**2 * v_l
+    a[last:, last - n_dim:last] = -np.sqrt(2.0) / h**2 * v_r.T
+    return np.linalg.eigvalsh(a)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def test_cli_import_loads_no_interpolate_or_fft():
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
-    # a fresh interpreter where importing scipy fails: no command may need it
+    """The library and every CLI command run in a fresh interpreter where
+    importing scipy fails, and load no scipy module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(iso.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = Path(__file__).with_name("cli_without_scipy.py")
@@ -204,6 +205,24 @@ class TestValidate:
         assert main(["validate", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be a JSON object")
+
+    @pytest.mark.parametrize("field, message", [
+        ({"n": [1]}, "n must be an integer, not [1]"),
+        ({"n": 1.5}, "n must be an integer, not 1.5"),
+        ({"potential": {"kind": "builtin", "name": [1]}}, "potential name must be a string"),
+        ({"potential": {"kind": "constant-diagonal", "values": {"v": 0}}},
+         "potential values must be an array of numbers"),
+        ({"potential": {"kind": "grid", "path": 5}}, "potential path must be a string"),
+        ({"left": {"A": {"a": 1}, "B": [[0]]}}, "left A must be an array of numbers"),
+    ], ids=["n-list", "n-fraction", "builtin-name-list", "values-object", "grid-path-number",
+            "boundary-A-object"])
+    def test_field_of_the_wrong_type_exits_2(self, tmp_path, capsys, field, message):
+        doc = {"n": 1, "potential": {"kind": "constant-diagonal", "values": [0]},
+               "left": {"A": [[1]], "B": [[0]]}, "right": {"A": [[1]], "B": [[0]]}}
+        f = tmp_path / "type.json"
+        f.write_text(json.dumps({**doc, **field}))
+        assert main(["validate", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/problem.json"]) == 2
@@ -382,6 +401,17 @@ class TestSpectrum:
         assert main(["spectrum", str(prob), "--dump-path", "2.0"]) == 2
         assert "--out" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_dump_path_is_a_usage_error(self, scalar_files, tmp_path, capsys,
+                                                   monkeypatch, lam):
+        # refused before the scan, as --min nan is, not left to overflow the integration
+        prob, _ = scalar_files
+        monkeypatch.setattr("isospec.cli.scan_spectrum", lambda *a, **k: pytest.fail("scanned"))
+        out = tmp_path / "art"
+        assert main(["spectrum", str(prob), f"--dump-path={lam}", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --dump-path must be finite\n")
+        assert not out.exists()
 
     def test_csv_summary_format(self, scalar_files, capsys):
         prob, _ = scalar_files

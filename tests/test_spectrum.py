@@ -750,7 +750,7 @@ class TestOracle:
         assert err(101) / err(201) >= 3.5
 
     def test_matches_dense_assembly(self):
-        # the rank-two B gives a bandwidth of 2 + 4 - 1
+        # the rank-two B keeps two of four components at its end
         for problem in coupled4_robin_problems() + (mixed_end_problem(),):
             fd = iso.fd_oracle_eigenvalues(problem, 101)
             dense = dense_lumped_fem_eigenvalues(problem, 101)
