@@ -14,8 +14,8 @@ from .model import (BoundaryPair, ConstantDiagonalPotential, Grid,
                     validate_problem)
 from .ode import integrate_ivp
 from .quadrature import integral, running_integral
-from .spectrum import (Eigenpair, SpectrumReport, characteristic_matrix,
-                       eigenbasis, fd_oracle_eigenvalues, scan_spectrum)
+from .spectrum import (Eigenpair, SpectrumReport, eigenbasis, fd_oracle_eigenvalues,
+                       scan_spectrum)
 from .transform import (KernelField, Perturbation, PerturbationEntry,
                         boundary_matrices, build_perturbation, potential_q,
                         solve_kernel, transform_eigenfunction,
@@ -33,7 +33,7 @@ __all__ = [
     "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
     "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
     "SpectrumReport", "ValidationReport", "boundary_matrices", "build_perturbation",
-    "builtin_problem", "characteristic_matrix", "check_isospectral",
+    "builtin_problem", "check_isospectral",
     "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",
     "fd_oracle_eigenvalues", "integral", "integrate_ivp", "load_potential_csv",
     "load_problem", "pipeline_residuals", "potential_q", "problem_from_json_obj",

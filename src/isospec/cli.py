@@ -73,18 +73,15 @@ def cmd_spectrum(args) -> int:
                                grid.nodes, pair.phis[:, :, l])
                   for k, pair in enumerate(report.pairs) for l in range(pair.multiplicity)]
         if args.dump_path is not None:
-            n = problem.n
-            rows = np.column_stack([grid.nodes, y.reshape(grid.n, n * n),
-                                    yp.reshape(grid.n, n * n)])
-            header = (["x"] + [f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-                      + [f"yp{i + 1}{j + 1}" for i in range(n) for j in range(n)])
-            tables.append((os.path.join(out, "path.csv"), header, rows))
+            cells = [f"{i + 1}{j + 1}" for i in range(problem.n) for j in range(problem.n)]
+            rows = np.column_stack([grid.nodes, y.reshape(grid.n, -1), yp.reshape(grid.n, -1)])
+            tables.append((os.path.join(out, "path.csv"),
+                           ["x"] + [f"y{c}" for c in cells] + [f"yp{c}" for c in cells], rows))
         serialize.write_csvs(tables)
     if args.format == "csv":
         print("lambda,multiplicity,residual")
-        for row in obj:
-            print(",".join(serialize.format_float(row[k]) if k != "multiplicity" else str(row[k])
-                           for k in ("lambda", "multiplicity", "residual")))
+        rows = np.array([(p.lam, p.multiplicity, p.residual) for p in report.pairs]).reshape(-1, 3)
+        sys.stdout.write(serialize.format_tables([rows])[0].decode())
     else:
         sys.stdout.write(serialize.dumps_json(obj))
     return EXIT_OK

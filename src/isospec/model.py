@@ -392,11 +392,17 @@ def load_potential_csv(path: str) -> GridPotential:
 
 
 def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
-    """A problem-file field as a float array, refused when it holds no numbers."""
+    """A float array from a JSON number or nested lists of them. numpy's inferred
+    type flags a string, null or object; booleans read as 0 or 1, so 0s and 1s are typed."""
     try:
-        return np.asarray(obj[key], dtype=float)
-    except TypeError:
-        raise ValueError(f"{where} {key} must be an array of numbers") from None
+        a = np.array(obj[key])
+        suspect = (a == 0) | (a == 1) if a.dtype.kind in "iuf" else np.ones(a.shape, bool)
+        typed = np.array(obj[key], dtype=object)[suspect] if suspect.any() else ()
+        if all(type(v) in (int, float) for v in typed):
+            return a.astype(float)
+    except (ValueError, OverflowError):     # ragged, or an integer beyond float range
+        pass
+    raise ValueError(f"{where} {key} must be an array of numbers")
 
 
 def _string(obj: dict, key: str, where: str) -> str:
@@ -415,7 +421,7 @@ def potential_from_json_obj(obj: dict, base_dir: str = ".") -> MatrixPotential:
         if "path" in obj:
             return load_potential_csv(os.path.join(base_dir, _string(obj, "path", "potential")))
         return GridPotential(Grid(_numbers(obj, "x", "potential")), _numbers(obj, "samples", "potential"))
-    raise DimensionMismatch(f"unknown potential kind {kind!r}")
+    raise ValueError(f"potential kind must be builtin, constant-diagonal or grid, not {kind!r}")
 
 
 def problem_to_json_obj(p: Problem) -> dict:

@@ -24,8 +24,10 @@ step pairs; every propagation evaluates them:
   keeps every k-th node or every node, and a kept odd node comes from its
   even neighbour by one single step, batched per block. A scan of
   :mod:`isospec.spectrum` folds once: the eigenvalue count's lambdas keep
-  every k-th node, the roots every node for their eigenpairs;
-  :func:`integrate_ivp` keeps every node.
+  every k-th node, k the largest with N s k h <= 2.5: each channel's phase
+  moves at most s h per node, so arg det(Y' + i s Y) moves less than pi
+  between kept nodes and unwraps. The roots keep every node for their
+  eigenpairs; :func:`integrate_ivp` keeps every node.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -183,9 +185,8 @@ def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarra
     return strided, path
 
 
-def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, grid: Grid,
-                  tables: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
+                  grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Integrate -Y'' + P Y = lam Y from x=0 to pi on the grid.
 
     Parameters
@@ -196,29 +197,22 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray, gr
     y0, yp0 : (N, N) arrays
         Initial Y(0) and Y'(0).
     grid : Grid
-    tables : optional precomputed output of :func:`potential_tables`.
 
     Returns
     -------
     (Y, Y'): the solution at every node, each (n, N, N) for a scalar lam and
-    (L, n, N, N) for an array, lambda axis first. Global error O(h^4) for C^2
-    potentials. Deterministic for fixed inputs.
-
-    All lambdas are folded together by :func:`_fold`, keeping every node.
+    (L, n, N, N) for an array, lambda axis first, from one :func:`_fold` of all
+    lambdas. Global error O(h^4) for C^2 potentials. Deterministic for fixed inputs.
     """
-    y0 = np.asarray(y0, dtype=float)
-    yp0 = np.asarray(yp0, dtype=float)
-    if y0.shape != (pot.dimension, pot.dimension) or yp0.shape != y0.shape:
+    n = pot.dimension
+    if np.shape(y0) != (n, n) or np.shape(yp0) != (n, n):
         raise ValueError("initial data must be N x N matching the potential")
-    tables = potential_tables(pot, grid) if tables is None else tables
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
-    scalar = lams.ndim == 0
-    z = _fold(tables, np.atleast_1d(lams), _initial_state(y0, yp0), grid.n - 1, lams.size)[1]
-    if scalar:
-        z = z[0]
-    n = pot.dimension
+    z = _fold(potential_tables(pot, grid), np.atleast_1d(lams), _initial_state(y0, yp0),
+              grid.n - 1, lams.size)[1]
+    z = z[0] if lams.ndim == 0 else z
     return z[..., :n, :].copy(), z[..., n:, :].copy()
 
 

@@ -79,7 +79,7 @@ class SpectrumReport:
 
 
 def characteristic_matrix(p: Problem, lam: float, grid: Grid) -> np.ndarray:
-    """W(lambda) = cB Y'(pi) + cA Y(pi) with Y(0) = B^T, Y'(0) = -A^T."""
+    """W(lambda) = cB Y'(pi) + cA Y(pi); not exported, only perfbench's tests call it."""
     return _char_batch(p, [lam], grid, None)[0]
 
 
@@ -154,8 +154,9 @@ def fd_oracle_eigenvalues(p: Problem, n_nodes: int = ORACLE_NODES) -> np.ndarray
 # ---------------------------------------------------------------------------
 # eigenvalue count
 
-#: largest N s h the count unwraps: a bound on the step of arg det(Y' + i s Y)
-#: between nodes, kept below pi with room for the phase error of RK4
+#: the count's one bound: det(Y' + i s Y), whose N phases move at most s h per node
+#: each, is sampled every k nodes, k the largest with N s k h <= 2.5 < pi, so it
+#: unwraps; N s h above it raises, and at k > 1 RK4 steps at a smaller s h
 _MAX_PHASE_STEP = 2.5
 #: a boundary eigenphase within this of 0 mod 2 pi is the exact 0 of a ker B
 #: direction, which rounding may move to either side of 0
@@ -191,7 +192,7 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
     z, paths = _fold(tables, np.concatenate([lams, roots]),
-                     _initial_state(p.left.B.T, -p.left.A.T), max(1, int(1.0 / step.max())),
+                     _initial_state(p.left.B.T, -p.left.A.T), int(_MAX_PHASE_STEP / step.max()),
                      len(roots))
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
     sign, _ = np.linalg.slogdet(g)
@@ -227,12 +228,13 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
     With s^2 = max(|lambda - pmin|, |lambda - pmax|, 1), pmin and pmax of
     prange the extreme eigenvalues of P over the nodes, each channel's phase
     moves by at most s h per node, so det G is sampled every k nodes of one
-    :func:`isospec.ode._fold` of all lams, k the largest with N s k h <= 1.
-    The count is independent of s; lams must not be eigenvalues. The roots
-    ride along in that fold and keep every node.
+    :func:`isospec.ode._fold` of all lams, k the largest with N s k h <= 2.5
+    (_MAX_PHASE_STEP): arg det G then moves less than pi between samples and
+    unwraps, and at k > 1 RK4 steps at a smaller s h than at k = 1 on the
+    bound. The count is independent of s; lams must not be eigenvalues. The
+    roots ride along in that fold and keep every node.
 
-    Raises WindowTooCoarse if N s h exceeds _MAX_PHASE_STEP at one of lams:
-    det G then turns too far between nodes to unwrap.
+    Raises WindowTooCoarse if N s h exceeds 2.5 at one of lams.
     """
     raw, paths = _raw_counts(p, lams, grid, tables, prange, roots)
     return np.rint(raw).astype(int), paths

@@ -169,7 +169,7 @@ def loop_eigenpairs(p, lams, mult, grid):
     w, dw = spectrum._char_batch(p, lams, grid, tables, derivative=True)
     vt = np.linalg.svd(w)[2]
     residuals = np.abs(spectrum._newton_steps(w, dw))
-    y, yp = iso.integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
+    y, yp = iso.integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid)
     pairs = []
     for k, m in enumerate(mult):
         v_k = vt[k, -m:][::-1].T

@@ -214,8 +214,19 @@ class TestValidate:
          "potential values must be an array of numbers"),
         ({"potential": {"kind": "grid", "path": 5}}, "potential path must be a string"),
         ({"left": {"A": {"a": 1}, "B": [[0]]}}, "left A must be an array of numbers"),
+        ({"potential": {"kind": "constant-diagonal", "values": "0"}},
+         "potential values must be an array of numbers"),
+        ({"left": {"A": "1", "B": [[0]]}}, "left A must be an array of numbers"),
+        ({"potential": {"kind": [1], "values": [0]}},
+         "potential kind must be builtin, constant-diagonal or grid, not [1]"),
+        ({"left": {"A": None, "B": [[0]]}}, "left A must be an array of numbers"),
+        ({"n": 2, "potential": {"kind": "constant-diagonal", "values": [True, 0]},
+          "left": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]},
+          "right": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]]}},
+         "potential values must be an array of numbers"),
     ], ids=["n-list", "n-fraction", "builtin-name-list", "values-object", "grid-path-number",
-            "boundary-A-object"])
+            "boundary-A-object", "values-string", "boundary-A-string", "kind-list",
+            "boundary-A-null", "values-boolean"])
     def test_field_of_the_wrong_type_exits_2(self, tmp_path, capsys, field, message):
         doc = {"n": 1, "potential": {"kind": "constant-diagonal", "values": [0]},
                "left": {"A": [[1]], "B": [[0]]}, "right": {"A": [[1]], "B": [[0]]}}
@@ -420,6 +431,14 @@ class TestSpectrum:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "lambda,multiplicity,residual"
         assert len(out) == 4
+        for line in out[1:]:
+            lam, mult, res = line.split(",")
+            assert lam == "%.17g" % float(lam) and res == "%.17g" % float(res)
+            assert mult == "%.17g" % int(mult) == "1"
+        # an empty window prints the header alone
+        assert main(["spectrum", str(prob), "--min", "0.5", "--max", "0.9",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "lambda,multiplicity,residual\n"
 
 
 class TestCsvArtifacts:

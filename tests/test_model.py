@@ -248,7 +248,7 @@ class TestPublicApi:
             "GridPotential", "IsospectralReport", "KernelField", "MatrixPotential",
             "Perturbation", "PerturbationEntry", "Problem", "ResidualReport",
             "SpectrumReport", "ValidationReport", "boundary_matrices", "build_perturbation",
-            "builtin_problem", "characteristic_matrix", "check_isospectral",
+            "builtin_problem", "check_isospectral",
             "commutator_diagnostic", "compare_spectra", "eigenbasis", "errors",
             "fd_oracle_eigenvalues", "integral", "integrate_ivp", "load_potential_csv",
             "load_problem", "pipeline_residuals", "potential_q", "problem_from_json_obj",

@@ -163,7 +163,7 @@ class TestStepKernel:
         y_tree, yp_tree = integrate_final_batch(pot, lams, y0, yp0, grid, tables)
         for k, lam in enumerate(lams):
             y_ref, yp_ref = rk4_reference(pot, lam, y0, yp0, grid)
-            y_path, yp_path = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
+            y_path, yp_path = iso.integrate_ivp(pot, lam, y0, yp0, grid)
             scale = max(np.max(np.abs(y_ref)), np.max(np.abs(yp_ref)))
             for y, yp in ((y_tree[k], yp_tree[k]), (y_path[-1], yp_path[-1])):
                 assert np.max(np.abs(y - y_ref)) <= 1e-12 * scale
@@ -212,7 +212,7 @@ class TestPairLeaves:
         tables = potential_tables(pot, grid)
         lams = np.array([-1e4, -5.0, 20.0, 2600.0, 4e4])
         y, yp, dy, dyp = integrate_final_batch(pot, lams, y0, yp0, grid, tables, derivative=True)
-        y_path, yp_path = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        y_path, yp_path = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         z_ref, dz_ref = single_step_fold(tables, lams, y0, yp0)
         z_pairs = pair_fold(tables, lams, y0, yp0)
         for k in range(lams.size):
@@ -230,7 +230,7 @@ class TestPairLeaves:
         tables = potential_tables(pot, grid)
         y0, yp0 = np.eye(2), np.zeros((2, 2))
         lams = np.array([-30.0, 2.0, 150.0])
-        y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         z = np.tile(np.concatenate((y0, yp0)), (lams.size, 1, 1))
         for i, t in enumerate(ode._step_matrices(tables[0], lams, derivative=False)[0], 1):
             z = t @ z
@@ -279,12 +279,11 @@ class TestBatchedPath:
             # Robin left end B = I: Y(0) = B^T, Y'(0) = -A^T with A symmetric
             a = np.random.default_rng(n_dim).normal(size=(n_dim, n_dim))
             y0, yp0 = np.eye(n_dim), -(a + a.T)
-        tables = potential_tables(pot, grid)
         lams = np.array([-6.0, -0.5, 0.3, 17.0, 40.0])
-        y_all, yp_all = iso.integrate_ivp(pot, lams, y0, yp0, grid, tables)
+        y_all, yp_all = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         assert y_all.shape == yp_all.shape == (lams.size, grid.n, n_dim, n_dim)
         for k, lam in enumerate(lams):
-            y, yp = iso.integrate_ivp(pot, lam, y0, yp0, grid, tables)
+            y, yp = iso.integrate_ivp(pot, lam, y0, yp0, grid)
             assert y.shape == (grid.n, n_dim, n_dim)
             scale = max(np.max(np.abs(y)), np.max(np.abs(yp)))
             assert np.max(np.abs(y_all[k] - y)) <= 1e-13 * scale

@@ -93,6 +93,11 @@ def counts(p, lams, raw=False):
                  spectrum._potential_range(p, grid))[0]
 
 
+def char_matrix(p, lam, grid):
+    """W(lam) of p on grid."""
+    return spectrum._char_batch(p, [lam], grid, None)[0]
+
+
 def dirichlet_2x2(p11, p22):
     return iso.Problem(iso.ConstantDiagonalPotential([p11, p22]),
                        iso.BoundaryPair(np.eye(2), np.zeros((2, 2))),
@@ -101,21 +106,21 @@ def dirichlet_2x2(p11, p22):
 
 class TestCharacteristicMatrix:
     def test_scalar_zero_at_eigenvalue(self, scalar):
-        w = iso.characteristic_matrix(scalar, 4.0, iso.Grid.uniform(401))
+        w = char_matrix(scalar, 4.0, iso.Grid.uniform(401))
         assert abs(w[0, 0]) < 1e-8
 
     def test_scalar_zero_off_eigenvalue(self, scalar):
-        w = iso.characteristic_matrix(scalar, 2.0, iso.Grid.uniform(401))
+        w = char_matrix(scalar, 2.0, iso.Grid.uniform(401))
         exact = -np.sin(np.sqrt(2) * np.pi) / np.sqrt(2)   # = 0.68158201738...
         assert abs(w[0, 0] - exact) < 1e-6
 
     def test_paper_double_zero(self, paper):
-        w = iso.characteristic_matrix(paper, 1.0, iso.Grid.uniform(401))
+        w = char_matrix(paper, 1.0, iso.Grid.uniform(401))
         assert np.max(np.abs(w)) < 1e-7
 
     def test_overflow_raises(self, scalar):
         with pytest.raises(NonFiniteState):
-            iso.characteristic_matrix(scalar, -1e8, iso.Grid.uniform(101))
+            char_matrix(scalar, -1e8, iso.Grid.uniform(101))
 
     def test_derivative_matches_central_difference(self):
         rng = np.random.default_rng(3)
@@ -198,7 +203,7 @@ class TestScan:
         assert n[-1] - n[0] == rises.sum() == 8
         # and the null basis spans that many directions of small singular values
         for pair in paper_report.pairs:
-            svals = np.linalg.svd(iso.characteristic_matrix(paper, pair.lam, pair.grid),
+            svals = np.linalg.svd(char_matrix(paper, pair.lam, pair.grid),
                                   compute_uv=False)
             assert np.all(svals[-pair.multiplicity:] <= 1e-6 * max(svals[0], 1.0))
 
@@ -305,13 +310,17 @@ class TestScan:
                                              ((-1000.0, 20.0), 1)])
     def test_scan_folds_its_path_once(self, paper, monkeypatch, window, cuts):
         # the count and the eigenpairs share one fold; a cut window folds once
-        # more for the count at its cuts, and nothing else integrates a path
-        lanes = []
+        # more for the count at its cuts, and nothing else integrates a path.
+        # A count lane keeps every k-th node and the last, k the largest with
+        # N s k h <= 2.5: k = 33 on [-5, 20], 14 of the 401 nodes
+        lanes, kept = [], []
         fold = spectrum._fold
 
         def recording(tables, lams, z0, stride, paths):
             lanes.append((lams.size, paths))
-            return fold(tables, lams, z0, stride, paths)
+            z, path = fold(tables, lams, z0, stride, paths)
+            kept.append(z.shape[0])
+            return z, path
 
         monkeypatch.setattr(spectrum, "_fold", recording)
         monkeypatch.setattr(ode, "_fold", recording)
@@ -320,6 +329,21 @@ class TestScan:
         assert (len(edges) > 2) == bool(cuts)
         roots = len(report.pairs)
         assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)]
+        assert kept == {(-5.0, 20.0): [14], (1.5, 3.5): [8], (-1000.0, 20.0): [81, 81]}[window]
+
+    def test_coupled4_count_lane_keeps_26_nodes(self, monkeypatch):
+        # N = 4 and s^2 = 20 - (-3) at the top of [-5, 20]: k = 16, 26 of the 401 nodes
+        strides = []
+        fold = spectrum._fold
+
+        def recording(tables, lams, z0, stride, paths):
+            z, path = fold(tables, lams, z0, stride, paths)
+            strides.append((stride, z.shape[0]))
+            return z, path
+
+        monkeypatch.setattr(spectrum, "_fold", recording)
+        iso.scan_spectrum(oracles.coupled4(), -5.0, 20.0)
+        assert strides == [(16, 26)]
 
     def test_scan_work_counts(self, paper, monkeypatch):
         # Newton's last W serves the eigenpairs: 33 pencil samples, then one
@@ -383,7 +407,7 @@ class TestScan:
         # at lambda h^2 ~ 3.9 RK4 damps W to 0.0 at every sample; an all-zero
         # series resolves nothing, so the piece bisects to the least width
         grid = iso.Grid.uniform(3201)
-        assert not np.any(iso.characteristic_matrix(scalar, 4.0008e6, grid))
+        assert not np.any(char_matrix(scalar, 4.0008e6, grid))
         assert spectrum._chopped_degree(np.zeros((9, 1, 1))) is None
         with pytest.raises(WindowTooCoarse, match="W is not resolved"):
             iso.scan_spectrum(scalar, 4e6, 4.0016e6, grid)
@@ -528,6 +552,34 @@ class TestCount:
         # the FD oracle's margin did not flag the missed pair: 3 of 5 returned
         with pytest.raises(WindowTooCoarse):
             iso.scan_spectrum(robin_pair(), -2000.0, 10.0)
+
+    @pytest.mark.parametrize("which, k", [("scalar", 2), ("paper", 33), ("coupled4-robin", 3)])
+    def test_stride_at_the_phase_bound_counts_as_every_node(self, monkeypatch, which, k):
+        # det(Y' + i s Y) sampled every k nodes, with N s k h just under 2.5 at
+        # the top lambda, counts as it does sampled at every node
+        grid = iso.Grid.uniform(401)
+        p = {"scalar": iso.builtin_problem("scalar-zero"),
+             "paper": iso.builtin_problem("paper-example-2x2"),
+             "coupled4-robin": coupled4_robin_problems()[1]}[which]
+        pmin, pmax = spectrum._potential_range(p, grid)
+        if which == "paper":
+            lams = np.linspace(-5.0, 20.0, 40)         # the scan window, >= 0.02 from each eigenvalue
+        else:
+            top = pmin + (2.5 * (1 - 1e-6) / (p.n * k * grid.h)) ** 2
+            lams = np.linspace(0.99 * top, top, 12)
+        s = np.sqrt(np.maximum(lams[-1] - pmin, pmax - lams[-1]))
+        assert 2.48 < p.n * s * k * grid.h <= 2.5
+        strides = []
+        fold = spectrum._fold
+
+        def every_node(tables, lams, z0, stride, paths):
+            strides.append(stride)
+            return fold(tables, lams, z0, 1, paths)
+
+        strided = counts(p, lams)
+        monkeypatch.setattr(spectrum, "_fold", every_node)
+        assert list(counts(p, lams)) == list(strided)
+        assert strides == [k]
 
     def test_phase_step_beyond_the_limit_raises(self):
         # N s h = 8 sqrt(2006.5) pi / 400 = 2.8 at lambda = 2000
