@@ -130,22 +130,18 @@ def _fields(v: np.ndarray, seps: np.ndarray):
 
 def format_tables(tables: list[np.ndarray]) -> list[bytes]:
     """The CSV lines of each 2-D table, every value as '%.17g' % v, byte for byte.
-    All tables are rendered together, so many small ones cost one vectorised pass."""
-    values = np.concatenate([np.ravel(t) for t in tables] + [np.empty(0)], dtype=float)
-    ends = np.cumsum([t.size for t in tables], dtype=np.intp)
-    seps = np.full(values.size, ord(","), np.uint8)
-    for t, end in zip(tables, ends):
-        seps[end - t.size:end].reshape(t.shape)[:, -1:] = ord("\n")
-    chunk = _CHUNK_BYTES // _VALUE_BYTES
-    pieces = [[] for _ in tables]
-    for lo in range(0, values.size, chunk):
-        buf, keep = _fields(values[lo:lo + chunk], seps[lo:lo + chunk])
-        text = buf[keep]
-        cuts = np.clip(np.r_[0, ends], lo, lo + chunk) - lo
-        at = np.cumsum([0] + [np.count_nonzero(keep[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
-        for piece, i, j in zip(pieces, at[:-1], at[1:]):
-            piece.append(text[i:j])
-    return [b"".join(piece) for piece in pieces]
+    Each table is rendered alone, in blocks of whole rows (one at least) of at
+    most _CHUNK_BYTES // _VALUE_BYTES values."""
+    bodies = []
+    for t in tables:
+        t = np.asarray(t, dtype=float)
+        seps = np.full(t.shape, ord(","), np.uint8)
+        seps[:, -1:] = ord("\n")
+        rows = max(1, _CHUNK_BYTES // _VALUE_BYTES // max(t.shape[1], 1))
+        blocks = (_fields(t[lo:lo + rows].ravel(), seps[lo:lo + rows].ravel())
+                  for lo in range(0, t.shape[0], rows))
+        bodies.append(b"".join(buf[keep] for buf, keep in blocks))
+    return bodies
 
 
 def write_csvs(tables: list[tuple]) -> None:

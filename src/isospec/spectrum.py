@@ -514,23 +514,14 @@ def _eigenpairs(p: Problem, lams, mult, w: np.ndarray, residuals: np.ndarray, gr
 
 
 def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
-    """Eigenpair at a refined eigenvalue lam_k; see :func:`_eigenpairs`.
-
-    Its multiplicity is the rise of the eigenvalue count (:func:`_counts`)
-    from lam_k - delta to lam_k + delta, delta = _MERGE_RTOL (1 + |lam_k|)
-    the scan's merge tolerance: the rule the scan applies to every root.
-    Raises NotAnEigenvalue if the count does not rise there.
-    """
-    tables = potential_tables(p.potential, grid)
+    """:func:`_certify` of the one start lam_k on [lam_k - delta, lam_k + delta],
+    delta = _MERGE_RTOL (1 + |lam_k|): its one eigenpair, or NotAnEigenvalue."""
     delta = _MERGE_RTOL * (1.0 + abs(lam_k))
-    (below, above), paths = _counts(p, [lam_k - delta, lam_k + delta], grid, tables,
-                                    _potential_range(p, grid), [lam_k])
-    if above <= below:
-        raise NotAnEigenvalue(f"the eigenvalue count does not rise within {delta:.3g} "
-                              f"of {lam_k}; not an eigenvalue")
-    w, dw = _char_batch(p, [lam_k], grid, tables, derivative=True)
-    return _eigenpairs(p, [lam_k], [above - below], w, np.abs(_newton_steps(w, dw)), grid,
-                       paths)[0]
+    pairs = _certify(p, np.array([lam_k], dtype=float), lam_k - delta, lam_k + delta, grid,
+                     potential_tables(p.potential, grid), _potential_range(p, grid))
+    if not pairs:
+        raise NotAnEigenvalue(f"no eigenvalue is certified within {delta:.3g} of {lam_k}")
+    return pairs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +538,13 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     return keep
 
 
-def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
-                  grid: Grid = DEFAULT_GRID) -> SpectrumReport:
-    """All eigenvalues in [lambda_min, lambda_max], with multiplicities, on grid.
+def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: float, grid: Grid,
+             tables, prange: tuple[float, float]) -> list[Eigenpair]:
+    """The eigenpairs in [lambda_min, lambda_max] from ascending root estimates.
 
-    One path. The window is cut into pieces of bounded dynamic range of W
-    (:func:`_envelope_pieces`); when it is cut, the eigenvalue count N of
-    :func:`_counts` at the cuts picks the pieces that hold eigenvalues. The
-    colleague pencil of a chopped Chebyshev interpolant of W on each such
-    piece gives root estimates (:func:`_piece_roots`). Estimates closer than
-    the merge tolerance delta = 1e-8 (1 + |lambda|) are one start; Newton's
-    method on W refines each start, within half the gap to the nearest other
-    start plus delta, until its next step mu is at most
+    Estimates closer than the merge tolerance delta = 1e-8 (1 + |lambda|) are
+    one start; Newton's method on W refines each start, within half the gap
+    to the nearest other start plus delta, until its next step mu is at most
     max(1e-10, 64 eps |lambda|). That iterate is the root, and |mu|, about
     its distance to the eigenvalue of the discrete problem, its residual; a
     start where Newton does not converge is dropped. Converged roots in the
@@ -566,9 +552,51 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     at both ends of each root's window, root +/- delta cut at the midpoints
     to its neighbours, decides them all: a root's multiplicity is the rise
     of N across its window (0 rejects it), and N must not rise between
-    windows. The eigenspace bases of the accepted roots come from one SVD of
-    Newton's last W per root (:func:`_eigenpairs`); no W is evaluated after
-    Newton.
+    windows (WindowTooCoarse). The eigenspace bases of the accepted roots
+    come from one SVD of Newton's last W per root (:func:`_eigenpairs`); no
+    W is evaluated after Newton.
+    """
+    starts = starts[_first_of_runs(starts)]
+    # a lone start may move across the whole window
+    far = 2.0 * (lambda_max - lambda_min)
+    gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
+    radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
+    roots, w, residuals, converged = _newton_refine(p, starts, radius, grid, tables)
+    keep = np.flatnonzero(converged & (roots >= lambda_min) & (roots <= lambda_max))
+    keep = keep[np.argsort(roots[keep], kind="stable")]
+    keep = keep[_first_of_runs(roots[keep])]
+    roots, w, residuals = roots[keep], w[keep], residuals[keep]
+
+    # probes: lambda_min, then each root's window ends, then lambda_max; the
+    # rises alternate between gaps (even) and root windows (odd)
+    mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
+    delta = _MERGE_RTOL * (1.0 + np.abs(roots))
+    ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
+    probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
+    counts, paths = _counts(p, probes, grid, tables, prange, roots)
+    rise = np.diff(counts)
+    missed = 2 * np.flatnonzero(rise[0::2])
+    if missed.size:
+        k = missed[0]
+        raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
+                              f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
+    mult = rise[1::2]
+    ok = mult > 0
+    paths = paths[ok]               # frees the paths of rejected roots before the eigenpairs
+    return (_eigenpairs(p, roots[ok], mult[ok], w[ok], residuals[ok], grid, paths)
+            if ok.any() else [])
+
+
+def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
+                  grid: Grid = DEFAULT_GRID) -> SpectrumReport:
+    """All eigenvalues in [lambda_min, lambda_max], with multiplicities, on grid.
+
+    One path: starts, then one refine-and-certify step. The window is cut
+    into pieces of bounded dynamic range of W (:func:`_envelope_pieces`);
+    when it is cut, the eigenvalue count N of :func:`_counts` at the cuts
+    picks the pieces that hold eigenvalues. The colleague pencil of a chopped
+    Chebyshev interpolant of W on each such piece gives root estimates
+    (:func:`_piece_roots`), the starts of :func:`_certify`.
 
     Raises
     ------
@@ -604,33 +632,5 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         pieces = [piece for piece, r in zip(pieces, rise) if r > 0]
     starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
                                                      for lo, hi in pieces]))
-    starts = starts[_first_of_runs(starts)]
-    # a lone start may move across the whole window
-    far = 2.0 * (lambda_max - lambda_min)
-    gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
-    radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
-    roots, w, residuals, converged = _newton_refine(p, starts, radius, grid, tables)
-    keep = np.flatnonzero(converged & (roots >= lambda_min) & (roots <= lambda_max))
-    keep = keep[np.argsort(roots[keep], kind="stable")]
-    keep = keep[_first_of_runs(roots[keep])]
-    roots, w, residuals = roots[keep], w[keep], residuals[keep]
-
-    # probes: lambda_min, then each root's window ends, then lambda_max; the
-    # rises alternate between gaps (even) and root windows (odd)
-    mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
-    delta = _MERGE_RTOL * (1.0 + np.abs(roots))
-    ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
-    probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
-    counts, paths = _counts(p, probes, grid, tables, prange, roots)
-    rise = np.diff(counts)
-    missed = 2 * np.flatnonzero(rise[0::2])
-    if missed.size:
-        k = missed[0]
-        raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
-                              f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
-    mult = rise[1::2]
-    ok = mult > 0
-    paths = paths[ok]               # frees the paths of rejected roots before the eigenpairs
-    pairs = (_eigenpairs(p, roots[ok], mult[ok], w[ok], residuals[ok], grid, paths)
-             if ok.any() else [])
-    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)), tuple(pairs))
+    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)),
+                          tuple(_certify(p, starts, lambda_min, lambda_max, grid, tables, prange)))

@@ -74,6 +74,13 @@ class Perturbation:
         return self.coeffs.size
 
 
+def _number(x) -> float:
+    """float(x) of a number; a string or a boolean, which float() reads too, is a TypeError."""
+    if isinstance(x, (str, bool, np.bool_)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _normalize_entries(entries) -> list[PerturbationEntry]:
     """Entries as PerturbationEntry, refusing non-integral k, i (rather than
     truncating them) and non-finite c, theta; an entry that is not k, i, c[,
@@ -85,8 +92,8 @@ def _normalize_entries(entries) -> list[PerturbationEntry]:
                 e = PerturbationEntry(e["k"], e["i"], e["c"], e.get("theta"))
             elif not isinstance(e, PerturbationEntry):
                 e = PerturbationEntry(*e)
-            k, i, c = float(e.k), float(e.i), float(e.c)
-            theta = None if e.theta is None else tuple(float(t) for t in e.theta)
+            k, i, c = _number(e.k), _number(e.i), _number(e.c)
+            theta = None if e.theta is None else tuple(_number(t) for t in e.theta)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"perturbation entry {n} is not a {{k, i, c[, theta]}} "
                              f"entry of numbers ({type(exc).__name__}: {exc})") from None

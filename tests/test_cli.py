@@ -639,6 +639,24 @@ class TestVerify:
         assert rc == 0
         assert out.count("[pass]") == 8 and "[FAIL]" not in out
 
+    @pytest.mark.parametrize("field", [
+        '"k": 1, "i": 1, "c": 1, "theta": "21"', '"k": 1, "i": 1, "c": true, "theta": [-2, -1]',
+        '"k": "1", "i": 1, "c": 1, "theta": [-2, -1]', '"k": 1, "i": true, "c": 1, "theta": [-2, -1]',
+        '"k": 1, "i": 1, "c": "1", "theta": [-2, -1]', '"k": 1, "i": 1, "c": 1, "theta": [-2, false]',
+    ], ids=["theta-string", "c-true", "k-string", "i-true", "c-string", "theta-false"])
+    def test_string_or_boolean_field_exits_2_before_writing(self, paper_files, tmp_path, capsys,
+                                                            field):
+        # float() reads each of these as a number: "21" as theta (2, 1), true as 1
+        prob, _ = paper_files
+        pert = tmp_path / "typed.json"
+        pert.write_text(f"[{{{field}}}]")
+        out = tmp_path / "never"
+        assert main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5", "--max", "20",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: perturbation entry 0 is not a {k, i, c[, theta]} entry of numbers (")
+        assert not out.exists()
+
     def test_non_finite_residual_exits_1(self, paper_files, tmp_path, monkeypatch, capsys):
         # a NaN in the kernel factor A makes the wave residual NaN, which no
         # tolerance may pass: exit 1, naming the identity, with no verify.json

@@ -95,13 +95,18 @@ class TestFormatTables:
         assert format_tables([rows])[0].decode() == lines
 
     def test_tables_split_across_batches(self, monkeypatch):
-        # batches of 7 values cut rows and tables in the middle
+        # blocks of at most 7 values and whole rows: 3 rows of the (10, 2)
+        # table, then one row at a time, a row of 9 values over the budget too
         monkeypatch.setattr(serialize, "_CHUNK_BYTES", 7 * serialize._VALUE_BYTES)
+        fields, sizes = serialize._fields, []
+        monkeypatch.setattr(serialize, "_fields",
+                            lambda v, seps: sizes.append(v.size) or fields(v, seps))
         rng = np.random.default_rng(5)
-        tables = [rng.normal(size=shape) for shape in [(3, 5), (0, 2), (1, 1), (6, 4), (2, 3)]]
+        tables = [rng.normal(size=shape) for shape in [(10, 2), (0, 2), (1, 1), (6, 4), (2, 9)]]
         expected = ["".join(",".join(["%.17g"] * t.shape[1]) % tuple(row) + "\n"
                             for row in t.tolist()).encode() for t in tables]
         assert format_tables(tables) == expected
+        assert sizes == [6, 6, 6, 2, 1] + [4] * 6 + [9, 9]
 
 
 class TestWriteCsvs:

@@ -654,6 +654,31 @@ class TestEigenbasis:
         # two simple roots 1e-6 apart lie farther apart than the merge tolerance
         assert iso.eigenbasis(dirichlet_2x2(-1e-6, 0.0), 1.0, grid).multiplicity == 1
 
+    @pytest.mark.parametrize("start, exact, mult", [(-2 + 1e-8, -2.0, 1), (1 + 5e-9, 1.0, 2),
+                                                    (4 + 1e-8, 4.0, 1)])
+    def test_refines_a_start_within_delta(self, paper, paper_report, start, exact, mult):
+        # Newton refines the start as the scan refines its roots
+        scan = paper_report.pairs[oracles.pair_index(paper_report, exact)]
+        pair = iso.eigenbasis(paper, start, paper_report.grid)
+        assert pair.multiplicity == scan.multiplicity == mult
+        assert pair.residual <= 1e-10
+        # the two discrete eigenvalues near 1 lie 4e-9 apart: only delta bounds that root
+        bound = 2 * scan.residual if mult == 1 else spectrum._MERGE_RTOL * (1 + abs(scan.lam))
+        assert abs(pair.lam - scan.lam) <= bound
+
+    def test_scan_and_eigenbasis_certify_on_one_path(self, paper, monkeypatch):
+        calls = []
+        for name in ("_certify", "_newton_refine", "_eigenpairs"):
+            def record(*args, _f=getattr(spectrum, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(spectrum, name, record)
+        report = iso.scan_spectrum(paper, -5.0, 20.0)
+        assert calls == ["_certify", "_newton_refine", "_eigenpairs"]
+        calls.clear()
+        iso.eigenbasis(paper, report.pairs[0].lam, report.grid)
+        assert calls == ["_certify", "_newton_refine", "_eigenpairs"]
+
     def test_residual_small_at_eigenvalue(self, paper_report):
         assert all(p.residual < 1e-7 for p in paper_report.pairs)
 

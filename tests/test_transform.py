@@ -38,6 +38,16 @@ class TestBuildPerturbation:
         pert = iso.build_perturbation(scalar_report, [])
         assert pert.rank == 0
 
+    def test_numpy_numbers_accepted(self, paper_report):
+        k1 = oracles.pair_index(paper_report, 1.0)
+        plain = iso.build_perturbation(paper_report, [{"k": k1, "i": 1, "c": 1.0,
+                                                       "theta": [-2.0, -1.0]}])
+        typed = iso.build_perturbation(paper_report, [{"k": np.int64(k1), "i": np.int32(1),
+                                                       "c": np.float64(1.0),
+                                                       "theta": np.array([-2, -1])}])
+        assert typed.entries == plain.entries
+        assert np.array_equal(typed.phis, plain.phis)
+
     def test_index_errors(self, scalar_report):
         with pytest.raises(IndexOutOfRange):
             iso.build_perturbation(scalar_report, [(99, 1, 1.0)])
