@@ -20,10 +20,10 @@ from .errors import IsospecError
 from .model import (Grid, Problem, builtin_problem, load_problem, potential_to_csv_rows,
                     problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
-from .spectrum import DEFAULT_GRID, scan_spectrum
+from .spectrum import DEFAULT_GRID, rescan_spectrum, scan_spectrum
 from .transform import (build_perturbation, kernel_diagnostics, transform_eigenfunction,
                         transform_problem)
-from .verify import check_isospectral, compare_spectra, pipeline_residuals
+from .verify import check_isospectral, check_shift_tol, compare_spectra, pipeline_residuals
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -120,16 +120,17 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    shift_tol = args.shift_tol
+    check_shift_tol(shift_tol)
     grid = Grid.uniform(args.grid)
     window = (args.lam_min, args.lam_max)
-    shift_tol = args.shift_tol
     reports = []
 
     if args.pipeline:
         problem = load_problem(args.problem_a)
         entries = _load_perturbation_file(args.problem_b)
         report, new_problem, kernel = _run_transform(problem, entries, grid, window)
-        new_report = scan_spectrum(new_problem, *window, grid)
+        new_report = rescan_spectrum(new_problem, report)
         iso = compare_spectra(report, new_report, shift_tol)
         reports = pipeline_residuals(problem, new_problem, kernel)
         lines = [f"[{'pass' if iso.passed else 'FAIL'}] isospectral: "
@@ -212,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", action="store_true",
                    help="treat arguments as (problem, perturbation) and verify the whole transform")
     p.add_argument("--shift-tol", dest="shift_tol", type=float, default=1e-4,
-                   help="maximum allowed eigenvalue shift")
+                   help="maximum allowed eigenvalue shift; a shift counts as at least the sum "
+                        "of the two Newton residuals, each up to max(1e-10, 64 eps |lambda|)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -15,9 +15,10 @@ is decided by counting: the matrix oscillation theorem gives N(lambda), the
 number of eigenvalues below lambda of the discrete problem the scan solves,
 from the winding of a unitary map of the solution frame along x (Atkinson
 1964, *Discrete and Continuous Boundary Problems*; Greenberg & Marletta,
-SLEUTH, ACM TOMS 1997). The finite-difference oracle discretises the problem
-independently and solves it densely with numpy; it is a cross-check that the
-scan does not call.
+SLEUTH, ACM TOMS 1997). A rescan of a second problem starts Newton from a first
+report's eigenvalues and keeps that count as its certificate, with no pencil.
+The finite-difference oracle discretises the problem independently and solves
+it densely with numpy; it is a cross-check that the scan does not call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionViolated, NotAnEigenvalue, WindowTooCoarse
+from .errors import ConditionViolated, NonFiniteState, NotAnEigenvalue, WindowTooCoarse
 from .model import RANK_RTOL, BoundaryPair, Grid, Problem, boundary_checks
 from .ode import _fold, _initial_state, integrate_final_batch, potential_tables
 from .quadrature import integral
@@ -58,13 +59,22 @@ class Eigenpair:
 
 
 @dataclass(frozen=True)
+class Eigenvalue:
+    """One certified eigenvalue without its eigenspace, as the rescan gives it."""
+
+    lam: float
+    multiplicity: int
+    residual: float          # |mu| of the Newton step on W at lam: about its error
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues found in a window, ascending, with multiplicities."""
 
     problem: Problem
     grid: Grid
     window: tuple[float, float]
-    pairs: tuple[Eigenpair, ...] = field(default_factory=tuple)
+    pairs: tuple[Eigenpair | Eigenvalue, ...] = field(default_factory=tuple)
 
     @property
     def sigma_sequence(self) -> np.ndarray:
@@ -539,7 +549,8 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
 
 
 def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: float, grid: Grid,
-             tables, prange: tuple[float, float]) -> list[Eigenpair]:
+             tables, prange: tuple[float, float],
+             bases: bool = True) -> list[Eigenpair | Eigenvalue]:
     """The eigenpairs in [lambda_min, lambda_max] from ascending root estimates.
 
     Estimates closer than the merge tolerance delta = 1e-8 (1 + |lambda|) are
@@ -554,7 +565,8 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     of N across its window (0 rejects it), and N must not rise between
     windows (WindowTooCoarse). The eigenspace bases of the accepted roots
     come from one SVD of Newton's last W per root (:func:`_eigenpairs`); no
-    W is evaluated after Newton.
+    W is evaluated after Newton. Without bases, the roots do not ride in the
+    count's fold and the result is Eigenvalues.
     """
     starts = starts[_first_of_runs(starts)]
     # a lone start may move across the whole window
@@ -573,7 +585,7 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     delta = _MERGE_RTOL * (1.0 + np.abs(roots))
     ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
     probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
-    counts, paths = _counts(p, probes, grid, tables, prange, roots)
+    counts, paths = _counts(p, probes, grid, tables, prange, roots if bases else ())
     rise = np.diff(counts)
     missed = 2 * np.flatnonzero(rise[0::2])
     if missed.size:
@@ -582,6 +594,8 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
     mult = rise[1::2]
     ok = mult > 0
+    if not bases:
+        return list(map(Eigenvalue, roots[ok].tolist(), mult[ok].tolist(), residuals[ok].tolist()))
     paths = paths[ok]               # frees the paths of rejected roots before the eigenpairs
     return (_eigenpairs(p, roots[ok], mult[ok], w[ok], residuals[ok], grid, paths)
             if ok.any() else [])
@@ -614,6 +628,19 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     NonFiniteState
         If W or the path of the count overflows at some lambda.
     """
+    return _scan(p, lambda_min, lambda_max, grid, None)
+
+
+def rescan_spectrum(q: Problem, first: SpectrumReport) -> SpectrumReport:
+    """q's eigenvalues in first.window on first.grid, by Newton from first's and
+    certified by :func:`_certify`'s count, with no pencil or eigenspaces; unless
+    that certifies first's multiplicities, ``scan_spectrum(q, *first.window, first.grid)``."""
+    return _scan(q, *first.window, first.grid, first)
+
+
+def _scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid,
+          first: SpectrumReport | None) -> SpectrumReport:
+    """:func:`scan_spectrum` of p, or with a first report :func:`rescan_spectrum`."""
     if grid.n < 5 or grid.n % 2 == 0:
         raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
@@ -624,6 +651,15 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
                                     f"{c.threshold:.3e}); the scan needs it, see isospec validate")
     tables = potential_tables(p.potential, grid)
     prange = _potential_range(p, grid)
+    window = (float(lambda_min), float(lambda_max))
+    if first is not None:
+        starts = np.array([e.lam for e in first.pairs], dtype=float)
+        try:                    # else the cold scan below gives p's report or error
+            found = _certify(p, starts, *window, grid, tables, prange, bases=False)
+            if [e.multiplicity for e in found] == [e.multiplicity for e in first.pairs]:
+                return SpectrumReport(p, grid, window, tuple(found))
+        except (WindowTooCoarse, NonFiniteState):
+            pass
     edges = _envelope_pieces(prange[0], lambda_min, lambda_max)
     pieces = list(zip(edges[:-1], edges[1:]))
     if len(pieces) > 1:
@@ -632,5 +668,5 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         pieces = [piece for piece, r in zip(pieces, rise) if r > 0]
     starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
                                                      for lo, hi in pieces]))
-    return SpectrumReport(p, grid, (float(lambda_min), float(lambda_max)),
+    return SpectrumReport(p, grid, window,
                           tuple(_certify(p, starts, lambda_min, lambda_max, grid, tables, prange)))

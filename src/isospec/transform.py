@@ -135,7 +135,9 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     seen = set()
     for e in entries:
         if not 0 <= e.k < len(report.pairs):
-            raise IndexOutOfRange(f"eigenvalue index k={e.k} outside 0..{len(report.pairs) - 1}")
+            raise IndexOutOfRange(f"eigenvalue index k={e.k} outside 0..{len(report.pairs) - 1}: "
+                                  f"the window [{report.window[0]:.9g}, {report.window[1]:.9g}] "
+                                  f"holds {len(report.pairs)} distinct eigenvalues")
         if not 1 <= e.i <= report.pairs[e.k].multiplicity:
             raise IndexOutOfRange(
                 f"branch i={e.i} outside 1..{report.pairs[e.k].multiplicity} for k={e.k}"

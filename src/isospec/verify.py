@@ -36,6 +36,7 @@ class IsospectralReport:
     max_shift: float
     multiplicity_match: bool
     tolerance: float
+    resolution: float = 0.0   # largest sum of the two Newton residuals of a pair
 
     @property
     def verdict(self) -> str:
@@ -43,7 +44,7 @@ class IsospectralReport:
 
     @property
     def passed(self) -> bool:
-        return self.multiplicity_match and self.max_shift <= self.tolerance
+        return self.multiplicity_match and max(self.max_shift, self.resolution) <= self.tolerance
 
     def to_json_obj(self):
         return {
@@ -83,6 +84,12 @@ class ResidualReport:
         }
 
 
+def check_shift_tol(tol: float) -> None:
+    """Raise ValueError unless the shift tolerance tol is positive and finite."""
+    if not 0 < tol < np.inf:
+        raise ValueError("shift tolerance must be positive and finite (--shift-tol)")
+
+
 def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
                       tol: float, grid: Grid = DEFAULT_GRID) -> IsospectralReport:
     """Scan both problems over the window on grid and compare their eigenvalue sequences.
@@ -92,6 +99,7 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
     closeness). The verdict passes iff the (lambda, multiplicity) structure
     agrees pairwise and the largest positional shift is within tol.
     """
+    check_shift_tol(tol)
     if p_a.n != p_b.n:
         raise ValueError("problems have different dimensions")
     ra = scan_spectrum(p_a, *window, grid)
@@ -100,17 +108,22 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
 
 
 def compare_spectra(ra: SpectrumReport, rb: SpectrumReport, tol: float) -> IsospectralReport:
-    """Positional comparison of two already-computed reports; tol must be positive and finite."""
-    if not 0 < tol < np.inf:
-        raise ValueError("shift tolerance must be positive and finite (--shift-tol)")
+    """Positional comparison of two already-computed reports; tol must be positive and finite.
+
+    A shift below Newton's stopping step max(1e-10, 64 eps |lambda|) is not
+    resolved: a rescan from ra returns ra's value for an eigenvalue that close.
+    So the verdict counts each shift as at least the sum of the two residuals.
+    """
+    check_shift_tol(tol)
     pa = tuple((p.lam, p.multiplicity) for p in ra.pairs)
     pb = tuple((p.lam, p.multiplicity) for p in rb.pairs)
     sa, sb = ra.sigma_sequence, rb.sigma_sequence
     if sa.size != sb.size:
         return IsospectralReport(ra.window, pa, pb, float("inf"), False, tol)
     shift = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
+    resolution = max((a.residual + b.residual for a, b in zip(ra.pairs, rb.pairs)), default=0.0)
     mult_match = len(pa) == len(pb) and all(ma == mb for (_, ma), (_, mb) in zip(pa, pb))
-    return IsospectralReport(ra.window, pa, pb, shift, mult_match, tol)
+    return IsospectralReport(ra.window, pa, pb, shift, mult_match, tol, resolution)
 
 
 def _peak_report(name: str, res: np.ndarray, x: np.ndarray, tolerance: float) -> ResidualReport:

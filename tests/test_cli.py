@@ -806,6 +806,21 @@ class TestVerify:
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: shift tolerance must be positive and finite (--shift-tol)\n"
 
+    @pytest.mark.parametrize("pipeline", [[], ["--pipeline"]], ids=["two-problem", "pipeline"])
+    def test_bad_shift_tol_exits_2_before_any_work(self, scalar_files, tmp_path, capsys,
+                                                   monkeypatch, pipeline):
+        def load(path):
+            raise AssertionError("loaded a problem before the shift tolerance was checked")
+
+        monkeypatch.setattr(cli, "load_problem", load)
+        prob, pert = scalar_files
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(pert if pipeline else prob), *pipeline,
+                     "--min", "0.5", "--max", "10", "--shift-tol", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (out / "verify.json").exists()
+        assert captured.err == "error: shift tolerance must be positive and finite (--shift-tol)\n"
+
     @pytest.mark.parametrize("command", ["verify", "transform"])
     def test_format_flag_rejected(self, scalar_files, tmp_path, command, capsys):
         prob, pert = scalar_files

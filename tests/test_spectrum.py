@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -907,3 +908,108 @@ class TestBatchedEigenpairs:
         thetas = np.array([[-0.5, 0.5, 0.2], [0.5, -0.5, -0.9]])
         assert np.array_equal(spectrum._canonical_signs(thetas),
                               np.array([[0.5, 0.5, -0.2], [-0.5, -0.5, 0.9]]))
+
+
+def assert_same_report(a, b):
+    """a and b hold the same eigenvalues, bit for bit, and the same record types."""
+    assert (a.problem, a.grid, a.window) == (b.problem, b.grid, b.window)
+    assert len(a.pairs) == len(b.pairs)
+    for x, y in zip(a.pairs, b.pairs):
+        assert type(x) is type(y)
+        for f in dataclasses.fields(x):
+            assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), (x.lam, f.name)
+
+
+def recorded(monkeypatch, name):
+    """Record the calls of spectrum.<name> in the returned list."""
+    calls, f = [], getattr(spectrum, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, name, record)
+    return calls
+
+
+def rank_two(report):
+    k = oracles.pair_index(report, 1.0)
+    return iso.build_perturbation(report, [{"k": k, "i": 1, "c": 1.0, "theta": [-2.0, -1.0]},
+                                           {"k": k, "i": 2, "c": 0.5, "theta": [-2.0, 1.0]}])
+
+
+class TestRescan:
+    @pytest.mark.parametrize("which,n", [("paper", 401), ("paper", 1601), ("rank-two", 401),
+                                         ("scalar", 401), ("coupled4-robin", 401)])
+    def test_warm_rescan_matches_the_cold_scan(self, monkeypatch, which, n):
+        # Newton from P's eigenvalues finds Q's, with the multiplicities of the
+        # count; each residual bounds the distance to the discrete eigenvalue
+        # within a factor of 2, as in the scan's own residual test
+        p, window, pert = {
+            "paper": (iso.builtin_problem("paper-example-2x2"), (-5.0, 20.0),
+                      oracles.mixed_perturbation),
+            "rank-two": (iso.builtin_problem("paper-example-2x2"), (-5.0, 20.0), rank_two),
+            "scalar": (iso.builtin_problem("scalar-zero"), (0.5, 2600.0),
+                       lambda r: iso.build_perturbation(r, [(0, 1, 1.0)])),
+            "coupled4-robin": (coupled4_robin_problems()[1], (-5.0, 20.0),
+                               lambda r: iso.build_perturbation(r, [(0, 1, 1.0)])),
+        }[which]
+        first = iso.scan_spectrum(p, *window, iso.Grid.uniform(n))
+        q, _ = iso.transform_problem(p, pert(first))
+        cold = iso.scan_spectrum(q, *window, first.grid)
+        pieces = recorded(monkeypatch, "_piece_roots")
+        folds = recorded(monkeypatch, "_fold")
+        warm = spectrum.rescan_spectrum(q, first)
+        assert pieces == [] and [args[4] for args in folds] == [0]
+        assert (warm.problem, warm.grid, warm.window) == (q, first.grid, first.window)
+        assert all(type(e) is spectrum.Eigenvalue for e in warm.pairs)
+        assert [e.multiplicity for e in warm.pairs] == [e.multiplicity for e in cold.pairs]
+        assert len(warm.pairs) >= 7
+        for a, b in zip(warm.pairs, cold.pairs):
+            bound = 2 * (a.residual + b.residual) + 4 * np.spacing(abs(b.lam))
+            assert abs(a.lam - b.lam) <= bound
+        assert warm.to_json_obj()[0].keys() == cold.to_json_obj()[0].keys()
+        assert warm.sigma_sequence.shape == cold.sigma_sequence.shape
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["paper-to-free", "free-to-paper"])
+    def test_fallback_is_the_cold_scan(self, paper_report, reverse):
+        # free-2x2 holds other multiplicities than the paper example on [-5, 20]
+        p, q = paper_report.problem, iso.builtin_problem("free-2x2")
+        first = iso.scan_spectrum(q, -5.0, 20.0) if reverse else paper_report
+        other = p if reverse else q
+        assert_same_report(spectrum.rescan_spectrum(other, first),
+                           iso.scan_spectrum(other, -5.0, 20.0))
+
+    def test_empty_first_report(self, paper, monkeypatch):
+        # [1.5, 3.5] holds no eigenvalue of the paper example or its transform,
+        # and the eigenvalue 3 of diag(-1, 0)
+        first = iso.scan_spectrum(paper, 1.5, 3.5)
+        q, _ = iso.transform_problem(paper, oracles.mixed_perturbation(
+            iso.scan_spectrum(paper, -5.0, 20.0)))
+        pieces = recorded(monkeypatch, "_piece_roots")
+        warm = spectrum.rescan_spectrum(q, first)
+        assert first.pairs == warm.pairs == () and pieces == []
+        other = dirichlet_2x2(-1.0, 0.0)
+        cold = iso.scan_spectrum(other, 1.5, 3.5)
+        assert [e.lam for e in cold.pairs] == pytest.approx([3.0], abs=1e-6)
+        assert_same_report(spectrum.rescan_spectrum(other, first), cold)
+        assert len(pieces) == 2        # the cold scan above and the fallback's
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["p-to-q", "q-to-p"])
+    def test_window_edge_between_the_two_spectra(self, paper, paper_report, reverse):
+        # P's eigenvalue near 4 lies at 4.0000000041 and Q's at 4.0000000054:
+        # the edge leaves one inside and the other outside
+        q, _ = iso.transform_problem(paper, oracles.mixed_perturbation(paper_report))
+        window = (-5.0, 4.0000000047)
+        lams = [r.pairs[oracles.pair_index(r, 4.0)].lam
+                for r in (paper_report, iso.scan_spectrum(q, -5.0, 20.0))]
+        assert lams[0] < window[1] < lams[1]
+        a, b = (q, paper) if reverse else (paper, q)
+        first = iso.scan_spectrum(a, *window)
+        assert_same_report(spectrum.rescan_spectrum(b, first), iso.scan_spectrum(b, *window))
+
+    def test_rescan_runs_the_scan_checks(self, paper, paper_report):
+        bad = iso.Problem(paper.potential, iso.BoundaryPair(np.eye(2), np.zeros((2, 2))),
+                          iso.BoundaryPair(np.diag([1.0, 0.0]), np.zeros((2, 2))))
+        with pytest.raises(iso.errors.ConditionViolated):
+            spectrum.rescan_spectrum(bad, paper_report)

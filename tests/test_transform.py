@@ -56,6 +56,13 @@ class TestBuildPerturbation:
         with pytest.raises(IndexOutOfRange):
             iso.build_perturbation(scalar_report, [(0, 1, 0.5), (0, 1, 0.2)])
 
+    def test_index_into_an_empty_window_names_the_window(self, paper):
+        # [1.5, 3] holds no eigenvalue of the paper example
+        report = iso.scan_spectrum(paper, 1.5, 3.0)
+        with pytest.raises(IndexOutOfRange, match=r"the window \[1\.5, 3\] holds 0 distinct "
+                                                  r"eigenvalues"):
+            iso.build_perturbation(report, [(1, 1, 1.0)])
+
     def test_theta_must_be_null_vector(self, paper_report):
         k4 = oracles.pair_index(paper_report, 4.0)     # simple eigenvalue of the second channel
         with pytest.raises(iso.errors.NotAnEigenvalue):

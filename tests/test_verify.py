@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import isospec as iso
-from isospec import verify
+from isospec import spectrum, verify
+from isospec.cli import main
 from isospec.errors import ConditionViolated, GridTooSmall, NonFiniteState
 from isospec.transform import KernelField, solve_kernel
 
@@ -49,6 +51,97 @@ class TestIsospectral:
     def test_shift_tolerance_must_be_positive_and_finite(self, scalar_report, tol):
         with pytest.raises(ValueError, match="shift tolerance"):
             iso.compare_spectra(scalar_report, scalar_report, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_shift_tolerance_is_checked_before_any_scan(self, scalar, monkeypatch, tol):
+        def scan(*args):
+            raise AssertionError("scanned before the shift tolerance was checked")
+
+        monkeypatch.setattr(verify, "scan_spectrum", scan)
+        with pytest.raises(ValueError, match="shift tolerance"):
+            iso.check_isospectral(scalar, scalar, (0.5, 10.0), tol)
+
+    def test_both_problems_are_scanned_cold(self, paper, mixed_rank_one, monkeypatch):
+        # a pair of problems that differ is the common case of a plain verify,
+        # so it pays for no warm attempt: one pencil per problem
+        pieces = []
+        piece_roots = spectrum._piece_roots
+
+        def recording(*args):
+            pieces.append(args[1:3])
+            return piece_roots(*args)
+
+        monkeypatch.setattr(spectrum, "_piece_roots", recording)
+        q = mixed_rank_one["problem"]
+        report = iso.check_isospectral(paper, q, (-5.0, 20.0), 1e-4)
+        assert report.passed and len(pieces) == 2
+        assert report == iso.compare_spectra(iso.scan_spectrum(paper, -5.0, 20.0),
+                                             iso.scan_spectrum(q, -5.0, 20.0), 1e-4)
+
+    def test_a_shift_below_the_residuals_is_not_resolved(self, paper_report):
+        # a self-comparison reads a shift of 0, but each eigenvalue is known
+        # only to about its residual: a tolerance below the sum of two fails
+        worst = 2 * max(p.residual for p in paper_report.pairs)
+        assert worst > 0
+        assert iso.compare_spectra(paper_report, paper_report, worst).passed
+        report = iso.compare_spectra(paper_report, paper_report, worst / 2)
+        assert report.max_shift == 0 and not report.passed
+        assert report.to_json_obj()["verdict"] == "fail"
+
+    def test_pipeline_shift_below_the_stopping_step_fails_a_smaller_tolerance(
+            self, tmp_path, capsys):
+        # at 1601 nodes Q's eigenvalues lie within Newton's stopping step of
+        # P's, so the rescan returns P's values and maxShift reads 0; a cold
+        # rescan read 3.93e-11, and 1e-11 must fail as it did there
+        prob, pert = tmp_path / "problem.json", tmp_path / "pert.json"
+        assert main(["example", "paper-example-2x2"]) == 0
+        prob.write_text(capsys.readouterr().out)
+        assert main(["example", "paper-example-2x2", "--perturbation"]) == 0
+        pert.write_text(capsys.readouterr().out)
+        out = tmp_path / "v"
+        assert main(["verify", str(prob), str(pert), "--pipeline", "--grid", "1601", "--min",
+                     "-5", "--max", "20", "--shift-tol", "1e-11", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] isospectral: max shift 0.000e+00 (tolerance 1e-11)")
+        obj = json.loads((out / "verify.json").read_text())
+        assert obj["isospectral"]["maxShift"] == 0
+        assert all(r["passed"] for r in obj["residuals"])
+
+    def test_one_pipeline_op_scans_once_and_rescans_warm(self, tmp_path, monkeypatch, capsys):
+        # verify --pipeline on the paper example: the first scan takes 33
+        # pencil samples and 7 Newton evaluations, and folds its 16 count
+        # probes with the paths of its 7 roots; the rescan takes two Newton
+        # evaluations at each of P's 7 eigenvalues and folds its 16 probes alone
+        calls = {"_piece_roots": 0, "_eigenpairs": 0}
+        for name in calls:
+            def count(*args, _f=getattr(spectrum, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(spectrum, name, count)
+        lambdas, folds = [], []
+        char_batch, fold = spectrum._char_batch, spectrum._fold
+
+        def counting(p, lams, *args, **kwargs):
+            lambdas.append(np.size(lams))
+            return char_batch(p, lams, *args, **kwargs)
+
+        def recording(tables, lams, z0, stride, paths):
+            folds.append((lams.size, paths))
+            return fold(tables, lams, z0, stride, paths)
+
+        monkeypatch.setattr(spectrum, "_char_batch", counting)
+        monkeypatch.setattr(spectrum, "_fold", recording)
+        prob, pert = tmp_path / "problem.json", tmp_path / "pert.json"
+        assert main(["example", "paper-example-2x2"]) == 0
+        prob.write_text(capsys.readouterr().out)
+        assert main(["example", "paper-example-2x2", "--perturbation"]) == 0
+        pert.write_text(capsys.readouterr().out)
+        assert main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5",
+                     "--max", "20"]) == 0
+        assert capsys.readouterr().out.count("[pass]") == 8
+        assert calls == {"_piece_roots": 1, "_eigenpairs": 1}
+        assert folds == [(23, 7), (16, 0)]
+        assert sum(lambdas) == 54
 
     def test_json_shape(self, scalar_report):
         report = iso.compare_spectra(scalar_report, scalar_report, 1e-6)
