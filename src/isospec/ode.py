@@ -20,14 +20,18 @@ step pairs; every propagation evaluates them:
   batched matrix products per chunk of lambdas; with an odd step count the
   last step is a leaf of its own;
 * paths (:func:`_fold`) fold the same leaves, z_{2j+2} = (T_{2j+1} T_{2j}) z_{2j},
-  one batched product per two steps for all lambdas of a call; each lambda
-  keeps every k-th node or every node, and a kept odd node comes from its
-  even neighbour by one single step, batched per block. A scan of
-  :mod:`isospec.spectrum` folds once: the eigenvalue count's lambdas keep
-  every k-th node, k the largest with N s k h <= 2.5: each channel's phase
-  moves at most s h per node, so arg det(Y' + i s Y) moves less than pi
-  between kept nodes and unwraps. The roots keep every node for their
-  eigenpairs; :func:`integrate_ivp` keeps every node.
+  one batched product per two steps for all path lambdas of a call, and a
+  kept odd node comes from its even neighbour by one single step, batched
+  per block; :func:`integrate_ivp` keeps every node;
+* count lanes, the lambdas of the eigenvalue count of :mod:`isospec.spectrum`,
+  ride in the same fold. The count samples arg det(Y' + i s Y) every k
+  nodes at most, k the largest with N s k h <= 2.5: each channel's phase
+  moves at most s h per node, so the sampled phase moves less than pi
+  between samples and unwraps. A count lane therefore multiplies the leaves
+  of each segment of r = 2^l of them in a pairwise tree, l = min(3,
+  floor(log2(k/2))), and folds the segment products, keeping every 2r-th
+  node (2r <= k) and the last: 25 sequential products instead of 200 on 401
+  nodes. At k = 1 it keeps every node, as a path does.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -46,7 +50,7 @@ from .model import Grid, MatrixPotential
 
 #: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
 #: 2N, 2N) pair leaves of a lambda chunk in the endpoint tree and the (block, L,
-#: 2N, 2N) steps with their (block, L, 2N, N) states of a step block in the fold
+#: 2N, 2N) leaves of a block of the fold with its segment products and path states
 _TREE_BYTES = 1 << 20
 
 
@@ -93,10 +97,13 @@ def potential_tables(pot: MatrixPotential, grid: Grid) -> tuple[np.ndarray, np.n
     return c, pairs
 
 
-def _step_matrices(coeffs: np.ndarray, lams: np.ndarray, derivative: bool):
-    """Polynomials sum_k lam^k coeffs[:, k] at every lambda, (s, L, 2N, 2N), and d/dlam if asked.
+def _step_matrices(coeffs: np.ndarray, lams: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Polynomials sum_k lam^k coeffs[:, k] at every lambda, (s, L, 2N, 2N).
 
     coeffs is (s, d+1, 2N, 2N): the step or pair-leaf tables of :func:`potential_tables`.
+    out, if given, is a flat array with room for s max(2, L) (2N)^2 values
+    that the result is written into.
     """
     s, d1, n2, _ = coeffs.shape
     flat = coeffs.reshape(s, d1, n2 * n2)
@@ -105,28 +112,38 @@ def _step_matrices(coeffs: np.ndarray, lams: np.ndarray, derivative: bool):
     # of how many lambdas are evaluated with it
     rows = max(2, lams.size)
     powers = np.resize(lams, rows)[:, None] ** np.arange(d1)
-    t = (powers @ flat)[:, :lams.size].reshape(s, lams.size, n2, n2)
-    if not derivative:
-        return t, None
-    dpowers = np.zeros_like(powers)
-    dpowers[:, 1:] = np.arange(1, d1) * powers[:, :-1]
-    return t, (dpowers @ flat)[:, :lams.size].reshape(s, lams.size, n2, n2)
+    if out is not None:
+        out = out[:s * rows * n2 * n2].reshape(s, rows, n2 * n2)
+    return np.matmul(powers, flat, out=out)[:, :lams.size].reshape(s, lams.size, n2, n2)
 
 
-def _tree_product(t: np.ndarray, dt: np.ndarray | None):
-    """Ordered product t[-1] @ ... @ t[0] over axis 0 by pairwise reduction.
+def _tree_product(t: np.ndarray, levels: int, half: np.ndarray | None = None) -> np.ndarray:
+    """Ordered products t[(j+1) r - 1] @ ... @ t[j r] of the runs of r = 2^levels
+    consecutive matrices along axis 0 (the last run may be shorter), by levels
+    rounds of pairwise products t[2i+1] @ t[2i]; an odd one out passes on as it is.
 
-    With dt, also d/dlam of the product by the product rule on (T, dT) pairs.
+    The rounds write alternately into half, with room for ceil(len(t) / 2)
+    matrices (allocated when None), and into t itself, which the first round
+    has consumed: t is overwritten.
     """
-    while t.shape[0] > 1:
-        odd = t.shape[0] % 2
-        lo, hi = t[0:-1:2], t[1::2]
-        if dt is not None:
-            dprod = dt[1::2] @ lo + hi @ dt[0:-1:2]
-            dt = np.concatenate((dprod, dt[-1:])) if odd else dprod
-        prod = hi @ lo
-        t = np.concatenate((prod, t[-1:])) if odd else prod
-    return t[0], None if dt is None else dt[0]
+    buffers = (np.empty(((t.shape[0] + 1) // 2,) + t.shape[1:]) if half is None else half, t)
+    for k in range(levels):
+        size = t.shape[0]
+        out = buffers[k % 2][:(size + 1) // 2]
+        np.matmul(t[1:size:2], t[0:size - 1:2], out=out[:size // 2])
+        if size % 2:
+            out[-1] = t[-1]
+        t = out
+    return t
+
+
+def _work(leaves: int, rows: int, lanes: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """One flat work array for the leaves of :func:`_step_matrices` (leaves
+    pair leaves at rows lambdas) and, behind them, the (ceil(leaves / 2),
+    lanes, 2N, 2N) half buffer of :func:`_tree_product`; returns both."""
+    room = leaves * rows * n2 * n2
+    work = np.empty(room + (leaves + 1) // 2 * lanes * n2 * n2)
+    return work, work[room:].reshape((leaves + 1) // 2, lanes, n2, n2)
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -140,48 +157,60 @@ def _initial_state(y0, yp0) -> np.ndarray:
 
 def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray, stride: int,
           paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the first L - paths lambdas
-    at the nodes i = 0, stride, 2 stride, ... and the last, (K, L - paths, 2N, N),
-    and of the last paths lambdas at every node, (paths, n, 2N, N).
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the first m = L - paths
+    lambdas, the count lanes, at the nodes they keep, (K, m, 2N, N), and of the
+    last paths lambdas at every node, (paths, n, 2N, N).
 
-    tables is the output of :func:`potential_tables`. All lambdas are folded
-    together through the even nodes (and the last), one batched product per
-    pair leaf, in blocks of leaves whose leaves and states fit _TREE_BYTES.
-    Once a block is done, its states are copied out to the nodes each lambda
-    keeps, and a kept odd node 2j + 1 is T_{2j} times node 2j: one batched
-    product for the path lambdas at every odd node of the block, one for
-    the others at the odd nodes they keep.
+    tables is the output of :func:`potential_tables`. At stride 1 the count
+    lanes keep every node and fold as the paths do. Above it they keep the
+    nodes 0, 2r, 4r, ... and the last, with r = 2^l pair leaves and
+    l = min(3, floor(log2(stride / 2))), so that 2r <= stride: the leaves of
+    each segment of r are multiplied in a pairwise tree
+    (:func:`_tree_product`), and the states fold one segment product at a
+    time. The paths fold through the even nodes (and the last), one batched
+    product per pair leaf, and a kept odd node 2j + 1 is T_{2j} times node
+    2j, one batched product per block. The leaves of all lambdas are
+    evaluated together, in blocks of leaves (a multiple of r) whose leaves,
+    segment products and path states fit _TREE_BYTES.
     """
     c, pairs = tables
     s, n2 = c.shape[0], c.shape[2]
     m = lams.size - paths
-    block = min(pairs.shape[0], max(1, _TREE_BYTES // (lams.size * (n2 * n2 + z0.size) * 8)))
-    kept = np.union1d(np.arange(0, s + 1, stride), [s])
-    strided = np.empty((kept.size, m) + z0.shape)
-    path = np.empty((paths, s + 1) + z0.shape)
-    states = np.empty((block + 1, lams.size) + z0.shape)    # nodes 2 lo .. 2 hi
+    first = 0 if stride == 1 else m             # lanes [:first] fold by segments
+    walk = lams.size - first                    # lanes [first:] fold by pairs
+    span = 1 << min(3, (stride // 2).bit_length() - 1) if stride > 1 else 1
+    levels = span.bit_length() - 1
+    # per leaf: the leaves of every lane, half a segment product and a path state
+    fit = _TREE_BYTES // (8 * (lams.size * n2 * n2 + first * n2 * n2 // 2 + walk * z0.size))
+    block = max(span, fit // span * span)
+    work, half = _work(min(block, pairs.shape[0]), max(2, lams.size), first, n2)
+    strided = np.empty((len(range(0, s, 2 * span)) + 1, first) + z0.shape)
+    strided[0] = z0
+    path = np.empty((walk, s + 1) + z0.shape)
+    states = np.empty((min(block, pairs.shape[0]) + 1, walk) + z0.shape)  # nodes 2 lo .. 2 hi
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, pairs.shape[0], block):
-            leaves, _ = _step_matrices(pairs[lo:lo + block], lams, derivative=False)
+            leaves = _step_matrices(pairs[lo:lo + block], lams, work)
             hi = lo + len(leaves)
-            for j in range(hi - lo):
-                np.matmul(leaves[j], states[j], out=states[j + 1])
-            del leaves                  # before the single steps are evaluated
-            nodes = np.minimum(2 * np.arange(lo, hi + 1), s)
-            path[:, nodes] = states[:hi - lo + 1, m:].swapaxes(0, 1)
-            done = np.isin(kept, nodes)
-            strided[done] = states[np.searchsorted(nodes, kept[done]), :m]
-            odd = np.arange(lo, min(hi, s // 2))            # j of the odd nodes 2j + 1 < s
-            if paths:
-                steps, _ = _step_matrices(c[2 * odd], lams[m:], derivative=False)
-                path[:, 2 * odd + 1] = (steps @ states[:odd.size, m:]).swapaxes(0, 1)
-            odd = odd[(2 * odd + 1) % stride == 0]
-            if m and odd.size:
-                steps, _ = _step_matrices(c[2 * odd], lams[:m], derivative=False)
-                strided[(2 * odd + 1) // stride] = steps @ states[odd - lo, :m]
-            states[0] = states[hi - lo]
+            if first:
+                for k, product in enumerate(_tree_product(leaves[:, :first], levels, half),
+                                            lo // span):
+                    np.matmul(product, strided[k], out=strided[k + 1])
+            if walk:
+                kept = list(states[:hi - lo + 1])
+                for leaf, z, out in zip(leaves[:, first:], kept, kept[1:]):
+                    np.matmul(leaf, z, out=out)
+                nodes = np.minimum(2 * np.arange(lo, hi + 1), s)
+                path[:, nodes] = states[:hi - lo + 1].swapaxes(0, 1)
+                odd = np.arange(lo, min(hi, s // 2))        # j of the odd nodes 2j + 1 < s
+                steps = _step_matrices(c[2 * odd], lams[first:])
+                path[:, 2 * odd + 1] = (steps @ states[:odd.size]).swapaxes(0, 1)
+                states[0] = states[hi - lo]
+    _check_finite(strided[-1])
     _check_finite(states[0])
+    if stride == 1:
+        return path[:m].swapaxes(0, 1), path[m:]
     return strided, path
 
 
@@ -217,32 +246,24 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
 
 
 def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray, yp0: np.ndarray,
-                          grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None,
-                          derivative: bool = False):
+                          grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None):
     """Endpoint (Y(pi), Y'(pi)) for a batch of lambda values, shape (L, N, N) each.
 
     The pair leaves of :func:`potential_tables` are evaluated for a chunk of
-    lambdas and multiplied in a pairwise tree. With ``derivative=True`` also
-    returns (dY(pi)/dlam, dY'(pi)/dlam), the exact lambda-derivatives of the
-    discrete endpoint map.
+    lambdas and multiplied in one pairwise tree (:func:`_tree_product`).
     """
     pairs = (potential_tables(pot, grid) if tables is None else tables)[1]
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     z0 = _initial_state(y0, yp0)
     m, _, n2, _ = pairs.shape
     n = n2 // 2
-    chunk = max(1, _TREE_BYTES // ((1 + derivative) * m * n2 * n2 * 8))
+    chunk = max(1, _TREE_BYTES // (m * n2 * n2 * 8))
+    work, half = _work(m, max(2, min(chunk, lams.size)), min(chunk, lams.size), n2)
     z = np.empty((lams.size, n2, n))
-    dz = np.empty_like(z) if derivative else None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, lams.size, chunk):
-            sl = slice(lo, lo + chunk)
-            prod, dprod = _tree_product(*_step_matrices(pairs, lams[sl], derivative))
-            z[sl] = prod @ z0
-            if derivative:
-                dz[sl] = dprod @ z0
+            leaves = _step_matrices(pairs, lams[lo:lo + chunk], work)
+            prod = _tree_product(leaves, (m - 1).bit_length(), half[:, :leaves.shape[1]])
+            z[lo:lo + chunk] = prod[0] @ z0
     _check_finite(z)
-    if not derivative:
-        return z[:, :n], z[:, n:]
-    _check_finite(dz)
-    return z[:, :n], z[:, n:], dz[:, :n], dz[:, n:]
+    return z[:, :n], z[:, n:]

@@ -7,16 +7,19 @@ Multiplicity equals the nullity of W. Under RK4, W is a polynomial in lambda
 interpolant of low degree, and the real roots of that matrix polynomial come
 from one block colleague pencil (Effenberger & Kressner, BIT 52, 2012),
 solved by shift and invert: a root of any multiplicity is found, where
-determinant sign changes miss the even-multiplicity ones. Each pencil root starts Newton's method on W itself
-(successive linear problems, Ruhe 1973), which converges quadratically at
-simple and at semi-simple multiple eigenvalues alike. A start where Newton
-fails is dropped. Which roots are eigenvalues, and with what multiplicity,
-is decided by counting: the matrix oscillation theorem gives N(lambda), the
-number of eigenvalues below lambda of the discrete problem the scan solves,
-from the winding of a unitary map of the solution frame along x (Atkinson
-1964, *Discrete and Continuous Boundary Problems*; Greenberg & Marletta,
-SLEUTH, ACM TOMS 1997). A rescan of a second problem starts Newton from a first
-report's eigenvalues and keeps that count as its certificate, with no pencil.
+determinant sign changes miss the even-multiplicity ones. Which roots are
+eigenvalues, and with what multiplicity, is decided by counting: the matrix
+oscillation theorem gives N(lambda), the number of eigenvalues below lambda
+of the discrete problem the scan solves, from the winding of a unitary map of
+the solution frame along x (Atkinson 1964, *Discrete and Continuous Boundary
+Problems*; Greenberg & Marletta, SLEUTH, ACM TOMS 1997). The count is taken
+at root -/+ delta, and its fold also gives W at each root: with the central
+difference of W across that window it is the Newton step on W (successive
+linear problems, Ruhe 1973), which confirms the roots that are converged.
+Newton's method, quadratic at simple and at semi-simple multiple eigenvalues
+alike, runs only on the others; a start where it fails is dropped. A rescan of
+a second problem takes one Newton step from a first report's eigenvalues and
+keeps the count as its certificate, with no pencil.
 The finite-difference oracle discretises the problem independently and solves
 it densely with numpy; it is a cross-check that the scan does not call.
 """
@@ -93,14 +96,10 @@ def characteristic_matrix(p: Problem, lam: float, grid: Grid) -> np.ndarray:
     return _char_batch(p, [lam], grid, None)[0]
 
 
-def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables, derivative: bool = False):
-    """W(lambda) for a batch, (L, N, N); with derivative, also dW/dlambda."""
-    ends = integrate_final_batch(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables,
-                                 derivative=derivative)
-    w = p.right.B @ ends[1] + p.right.A @ ends[0]
-    if not derivative:
-        return w
-    return w, p.right.B @ ends[3] + p.right.A @ ends[2]
+def _char_batch(p: Problem, lams: np.ndarray, grid: Grid, tables) -> np.ndarray:
+    """W(lambda) for a batch, (L, N, N)."""
+    y, yp = integrate_final_batch(p.potential, lams, p.left.B.T, -p.left.A.T, grid, tables)
+    return p.right.B @ yp + p.right.A @ y
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +189,9 @@ def _boundary_phases(pair: BoundaryPair, s: np.ndarray, upper: bool) -> np.ndarr
 
 
 def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
-                roots=()) -> tuple[np.ndarray, np.ndarray]:
+                roots=(), paths: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_counts` before rounding the counts to integers."""
-    lams = np.asarray(lams, dtype=float)
+    lams, roots = np.asarray(lams, dtype=float), np.asarray(roots, dtype=float)
     n = p.n
     s = np.sqrt(np.maximum(np.maximum(np.abs(lams - prange[0]), np.abs(lams - prange[1])), 1.0))
     step = n * s * grid.h
@@ -201,9 +200,12 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
-    z, paths = _fold(tables, np.concatenate([lams, roots]),
-                     _initial_state(p.left.B.T, -p.left.A.T), int(_MAX_PHASE_STEP / step.max()),
-                     len(roots))
+    z, path = _fold(tables, np.concatenate([lams, roots]),
+                    _initial_state(p.left.B.T, -p.left.A.T), int(_MAX_PHASE_STEP / step.max()),
+                    roots.size if paths else 0)
+    ends = np.concatenate([z[-1], path[:, -1]])
+    w = p.right.B @ ends[:, n:] + p.right.A @ ends[:, :n]
+    z = z[:, :lams.size]
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
     sign, _ = np.linalg.slogdet(g)
     delta = 2.0 * np.angle(sign[1:] * sign[:-1].conj()).sum(axis=0)
@@ -213,14 +215,16 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
     end = (np.angle(np.linalg.eigvals(meet)) % (2 * np.pi)).sum(axis=1)
     total = (_boundary_phases(p.left, s, False) + delta
              - _boundary_phases(p.right, s, True) + end)
-    return total / (2 * np.pi), paths
+    return total / (2 * np.pi), w, path
 
 
 def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
-            roots=()) -> tuple[np.ndarray, np.ndarray]:
+            roots=(), paths: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N(lambda), the number of eigenvalues below each of lams, with
-    multiplicity, of the discrete problem whose W the scan evaluates, and
-    the paths (Y, Y') at roots, (R, n, 2N, N), of the same fold.
+    multiplicity, of the discrete problem whose W the scan evaluates; W at
+    lams and then at roots, (L + R, N, N), from the endpoints of the same
+    fold; and with paths the paths (Y, Y') at roots, (R, n, 2N, N), else an
+    empty (0, n, 2N, N).
 
     Along the RK4 path of the frame (Y, Y') from (B^T, -A^T), the map
     Theta(x) = G conj(G)^{-1}, G = Y' + i s Y, is unitary up to the
@@ -237,17 +241,20 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
     (:func:`_boundary_phases` fixes the side of exact boundary phases 0).
     With s^2 = max(|lambda - pmin|, |lambda - pmax|, 1), pmin and pmax of
     prange the extreme eigenvalues of P over the nodes, each channel's phase
-    moves by at most s h per node, so det G is sampled every k nodes of one
-    :func:`isospec.ode._fold` of all lams, k the largest with N s k h <= 2.5
-    (_MAX_PHASE_STEP): arg det G then moves less than pi between samples and
-    unwraps, and at k > 1 RK4 steps at a smaller s h than at k = 1 on the
-    bound. The count is independent of s; lams must not be eigenvalues. The
-    roots ride along in that fold and keep every node.
+    moves by at most s h per node, so det G may be sampled every k nodes,
+    k the largest with N s k h <= 2.5 (_MAX_PHASE_STEP): arg det G then
+    moves less than pi between samples and unwraps, and at k > 1 RK4 steps
+    at a smaller s h than at k = 1 on the bound. One
+    :func:`isospec.ode._fold` of all lams samples it every 2^(l+1) <= k
+    nodes, l = min(3, floor(log2(k/2))), and at k = 1 every node. The count
+    is independent of s; lams must not be eigenvalues. The roots ride along
+    in that fold, as paths that keep every node or, without paths, as
+    lanes whose endpoints alone are used.
 
     Raises WindowTooCoarse if N s h exceeds 2.5 at one of lams.
     """
-    raw, paths = _raw_counts(p, lams, grid, tables, prange, roots)
-    return np.rint(raw).astype(int), paths
+    raw, w, path = _raw_counts(p, lams, grid, tables, prange, roots, paths)
+    return np.rint(raw).astype(int), w, path
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +432,7 @@ _NEWTON_TOL = 1e-10
 #: roots closer than this times (1 + |lambda|) are one root, which stands for
 #: every eigenvalue that close to it
 _MERGE_RTOL = 1e-8
-#: dW/dlambda counts as singular below this relative smallest singular value
+#: the difference quotient of W counts as singular below this relative smallest singular value
 _SINGULAR_RTOL = 1e-13
 
 
@@ -436,47 +443,73 @@ def _newton_steps(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return mus[np.arange(mus.shape[0]), np.argmin(np.abs(mus), axis=1)]
 
 
-def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid,
-                   tables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _central_steps(w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """:func:`_newton_steps` at W = w with W' taken as the difference quotient
+    D = (W(hi) - W(lo)) / (hi - lo), lo < lambda < hi; NaN where D is
+    singular (relative smallest singular value below _SINGULAR_RTOL).
+
+    With hi - lambda = lambda - lo = delta = 1e-8 (1 + |lambda|), D is the
+    central difference, within delta^2 / 6 times the third derivative of W of W'.
+    """
+    mu = np.full(w.shape[0], np.nan, dtype=complex)
+    if w.shape[0]:
+        d = (w_hi - w_lo) / (hi - lo)[:, None, None]
+        s = np.linalg.svd(d, compute_uv=False)
+        regular = s[:, -1] > _SINGULAR_RTOL * s[:, 0]
+        if regular.any():
+            mu[regular] = _newton_steps(w[regular], d[regular])
+    return mu
+
+
+def _newton_tol(lams: np.ndarray) -> np.ndarray:
+    """max(_NEWTON_TOL, 64 eps |lambda|): a Newton step at most this is converged."""
+    return np.maximum(_NEWTON_TOL, 64 * np.spacing(1.0) * np.abs(lams))
+
+
+def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Grid, tables,
+                   passes: int | None = None):
     """Batched Newton iteration on W(lambda) from starts, each within its radius.
 
-    Each pass solves W(lam) v = mu W'(lam) v for mu the eigenvalue of
-    smallest modulus. Near an eigenvalue lam_k of multiplicity m,
-    W(lam) ~ (lam - lam_k) W'(lam) on the m-dimensional null space, so
-    mu ~ lam - lam_k and convergence is quadratic even at semi-simple
-    multiple eigenvalues. A start converges at the first iterate whose own
-    step |mu| is at most max(_NEWTON_TOL, 64 eps |lam|), a floor set by the
-    rounding of W, and is not stepped further; the others step
-    lam <- lam - Re mu. A start fails when its iterate moves farther than its
-    radius from the start, W' is singular there, or it has not converged
-    within _NEWTON_PASSES evaluations.
+    Each pass evaluates W at lam - delta, lam and lam + delta,
+    delta = _MERGE_RTOL (1 + |lam|), in one :func:`_char_batch` and solves
+    W(lam) v = mu D v for mu the eigenvalue of smallest modulus, D the
+    central difference of W (:func:`_central_steps`). Near an eigenvalue
+    lam_k of multiplicity m, W(lam) ~ (lam - lam_k) W'(lam) on the
+    m-dimensional null space, so mu ~ lam - lam_k and convergence is
+    quadratic even at semi-simple multiple eigenvalues. A start converges at
+    the first iterate whose own step |mu| is at most max(_NEWTON_TOL,
+    64 eps |lam|), a floor set by the rounding of W, and is not stepped
+    further; the others step lam <- lam - Re mu. A start fails when its
+    iterate moves farther than its radius from the start, D is singular
+    there, or it has not converged within the passes, _NEWTON_PASSES unless given.
 
-    Returns the iterates, W and |mu| at each, and a mask of the starts that
+    Returns the iterates, |mu| at each converged one (inf elsewhere), a mask
+    of the starts still stepping after the passes and one of those that
     converged.
     """
     lam = np.array(starts, dtype=float)
-    w_at, residual = np.zeros((lam.size, p.n, p.n)), np.full(lam.size, np.inf)
+    residual = np.full(lam.size, np.inf)
     active = np.ones(lam.size, dtype=bool)
-    for _ in range(_NEWTON_PASSES):
+    for _ in range(_NEWTON_PASSES if passes is None else passes):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        w, dw = _char_batch(p, lam[idx], grid, tables, derivative=True)
-        s = np.linalg.svd(dw, compute_uv=False)
-        regular = s[:, -1] > _SINGULAR_RTOL * s[:, 0]
-        active[idx[~regular]] = False
-        idx, w, dw = idx[regular], w[regular], dw[regular]
-        if idx.size == 0:
-            break
-        mu = _newton_steps(w, dw)
-        done = np.abs(mu) <= np.maximum(_NEWTON_TOL, 64 * np.spacing(1.0) * np.abs(lam[idx]))
-        active[idx[done]] = False
-        w_at[idx[done]], residual[idx[done]] = w[done], np.abs(mu[done])
-        idx, step = idx[~done], lam[idx[~done]] - mu[~done].real
+        at = lam[idx]
+        delta = _MERGE_RTOL * (1.0 + np.abs(at))
+        lo, hi = at - delta, at + delta
+        w = _char_batch(p, np.concatenate([lo, at, hi]), grid, tables)
+        w = w.reshape(3, idx.size, p.n, p.n)
+        mu = _central_steps(w[1], w[0], w[2], lo, hi)
+        done = np.abs(mu) <= _newton_tol(at)
+        residual[idx[done]] = np.abs(mu[done])
+        go = np.isfinite(mu) & ~done
+        active[idx[~go]] = False
+        idx, step = idx[go], at[go] - mu[go].real
         inside = np.abs(step - starts[idx]) <= radius[idx]
         active[idx[~inside]] = False
         lam[idx[inside]] = step[inside]
-    return lam, w_at, residual, np.isfinite(residual)
+    return lam, residual, active, np.isfinite(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -548,44 +581,98 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _ascending_runs(idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """idx sorted by lam[idx], keeping the first of each run (:func:`_first_of_runs`)."""
+    idx = idx[np.argsort(lam[idx], kind="stable")]
+    return idx[_first_of_runs(lam[idx])]
+
+
+def _probes(roots: np.ndarray, lambda_min: float, lambda_max: float) -> np.ndarray:
+    """The count's probes for ascending roots: lambda_min, then the ends of
+    each root's window, root -/+ delta cut at the midpoints to its
+    neighbours, then lambda_max. The rises of N between them alternate
+    between gaps (even) and root windows (odd)."""
+    mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
+    delta = _MERGE_RTOL * (1.0 + np.abs(roots))
+    ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
+    return np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
+
+
 def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: float, grid: Grid,
              tables, prange: tuple[float, float],
              bases: bool = True) -> list[Eigenpair | Eigenvalue]:
     """The eigenpairs in [lambda_min, lambda_max] from ascending root estimates.
 
-    Estimates closer than the merge tolerance delta = 1e-8 (1 + |lambda|) are
-    one start; Newton's method on W refines each start, within half the gap
-    to the nearest other start plus delta, until its next step mu is at most
-    max(1e-10, 64 eps |lambda|). That iterate is the root, and |mu|, about
-    its distance to the eigenvalue of the discrete problem, its residual; a
-    start where Newton does not converge is dropped. Converged roots in the
-    window are merged within delta. One count of N at the window edges and
-    at both ends of each root's window, root +/- delta cut at the midpoints
-    to its neighbours, decides them all: a root's multiplicity is the rise
-    of N across its window (0 rejects it), and N must not rise between
-    windows (WindowTooCoarse). The eigenspace bases of the accepted roots
-    come from one SVD of Newton's last W per root (:func:`_eigenpairs`); no
-    W is evaluated after Newton. Without bases, the roots do not ride in the
-    count's fold and the result is Eigenvalues.
+    Estimates closer than the merge tolerance delta = 1e-8 (1 + |lambda|)
+    are one start. The starts in the window are the roots, and one count of
+    N decides them (:func:`_counts`): at the window edges and at both ends
+    of each root's window, root +/- delta cut at the midpoints to its
+    neighbours (:func:`_probes`). The roots ride in the count's fold, so the
+    fold also gives W at each root and at its window ends: the Newton step
+    mu of :func:`_central_steps`. A root is converged when
+    |mu| <= max(1e-10, 64 eps |lambda|), and |mu|, about its distance to the
+    eigenvalue of the discrete problem, is its residual.
+
+    Newton's method (:func:`_newton_refine`) runs only on the starts that
+    the count did not confirm and on those outside the window, each within
+    half the gap to the nearest other start plus delta. A start where it
+    does not converge is dropped, and its window falls to the check of the
+    surrounding gap. A count depends on lambda alone, so a second fold
+    counts only the probes that changed and the windows of the roots that
+    moved, with those roots riding in it; converged roots in the window are
+    merged within delta. A root's multiplicity is the rise of N across its
+    window (0 rejects it, above N raises WindowTooCoarse), and N must not
+    rise between windows (WindowTooCoarse). The eigenspace bases of the
+    accepted roots come from one SVD of W per root (:func:`_eigenpairs`), at
+    the end of the root's path in the fold.
+
+    Without bases (the rescan: starts from another problem's eigenvalues),
+    the starts take one Newton step before the count, the roots ride in its
+    fold by their endpoints alone, and the result is Eigenvalues.
     """
     starts = starts[_first_of_runs(starts)]
     # a lone start may move across the whole window
     far = 2.0 * (lambda_max - lambda_min)
     gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
     radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
-    roots, w, residuals, converged = _newton_refine(p, starts, radius, grid, tables)
-    keep = np.flatnonzero(converged & (roots >= lambda_min) & (roots <= lambda_max))
-    keep = keep[np.argsort(roots[keep], kind="stable")]
-    keep = keep[_first_of_runs(roots[keep])]
-    roots, w, residuals = roots[keep], w[keep], residuals[keep]
-
-    # probes: lambda_min, then each root's window ends, then lambda_max; the
-    # rises alternate between gaps (even) and root windows (odd)
-    mids = np.concatenate([[lambda_min], 0.5 * (roots[:-1] + roots[1:]), [lambda_max]])
-    delta = _MERGE_RTOL * (1.0 + np.abs(roots))
-    ends = np.stack([np.maximum(roots - delta, mids[:-1]), np.minimum(roots + delta, mids[1:])])
-    probes = np.concatenate([[lambda_min], ends.T.ravel(), [lambda_max]])
-    counts, paths = _counts(p, probes, grid, tables, prange, roots if bases else ())
+    lam, alive = starts, np.ones(starts.size, dtype=bool)
+    if not bases:
+        lam, _, stepping, converged = _newton_refine(p, starts, radius, grid, tables, passes=1)
+        alive = stepping | converged
+    inside = alive & (lam >= lambda_min) & (lam <= lambda_max)
+    roots = _ascending_runs(np.flatnonzero(inside), lam)      # indices of starts, ascending
+    probes = _probes(lam[roots], lambda_min, lambda_max)
+    counts, w, paths = _counts(p, probes, grid, tables, prange, lam[roots], bases)
+    w, w_roots = w[:probes.size], w[probes.size:]
+    mu = _central_steps(w_roots, w[1:-1:2], w[2:-1:2], probes[1:-1:2], probes[2:-1:2])
+    confirmed = np.abs(mu) <= _newton_tol(lam[roots])
+    residual = np.full(starts.size, np.inf)
+    residual[roots[confirmed]] = np.abs(mu[confirmed])
+    rows = np.arange(roots.size)        # each root's lane among the folds' root lanes
+    retry = np.concatenate([roots[~confirmed], np.flatnonzero(alive & ~inside)])
+    if retry.size:
+        refined, steps, _, converged = _newton_refine(p, starts[retry], radius[retry], grid, tables)
+        ok = converged & (refined >= lambda_min) & (refined <= lambda_max)
+        lam = lam.copy()
+        lam[retry[ok]], residual[retry[ok]] = refined[ok], steps[ok]
+        folded, roots = roots, _ascending_runs(np.concatenate([roots[confirmed], retry[ok]]), lam)
+        moved = np.isin(roots, retry)
+        # a count depends on lambda alone: recount the new probes and the moved roots' windows
+        changed = _probes(lam[roots], lambda_min, lambda_max)
+        fresh = ~np.isin(changed, probes)
+        fresh[1 + 2 * np.flatnonzero(moved)] = fresh[2 + 2 * np.flatnonzero(moved)] = True
+        recount = np.empty(changed.size, dtype=int)
+        recount[~fresh] = counts[np.searchsorted(probes, changed[~fresh])]
+        if fresh.any():
+            lanes = lam[roots[moved]] if bases else ()
+            recount[fresh], w, more = _counts(p, changed[fresh], grid, tables, prange, lanes, bases)
+            w_roots = np.concatenate([w_roots, w[fresh.sum():]])
+            paths = np.concatenate([paths, more])
+        counts, probes = recount, changed
+        rows = np.empty(starts.size, dtype=int)
+        rows[folded] = np.arange(folded.size)
+        rows = rows[roots]
+        rows[moved] = folded.size + np.arange(moved.sum())
     rise = np.diff(counts)
     missed = 2 * np.flatnonzero(rise[0::2])
     if missed.size:
@@ -593,11 +680,18 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
         raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}] but the scan found 0 there")
     mult = rise[1::2]
+    crowded = np.flatnonzero(mult > p.n)
+    if crowded.size:
+        k = 2 * crowded[0] + 1
+        raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
+                              f"[{probes[k]:.9g}, {probes[k + 1]:.9g}], more than the N = {p.n} "
+                              f"one root can stand for")
     ok = mult > 0
+    keep, rows = roots[ok], rows[ok]
     if not bases:
-        return list(map(Eigenvalue, roots[ok].tolist(), mult[ok].tolist(), residuals[ok].tolist()))
-    paths = paths[ok]               # frees the paths of rejected roots before the eigenpairs
-    return (_eigenpairs(p, roots[ok], mult[ok], w[ok], residuals[ok], grid, paths)
+        return list(map(Eigenvalue, lam[keep].tolist(), mult[ok].tolist(), residual[keep].tolist()))
+    paths = paths[rows]             # frees the paths of rejected roots before the eigenpairs
+    return (_eigenpairs(p, lam[keep], mult[ok], w_roots[rows], residual[keep], grid, paths)
             if ok.any() else [])
 
 
@@ -622,7 +716,8 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
         (:func:`isospec.model.boundary_checks`), before anything is scanned.
     WindowTooCoarse
         If N rises between root windows (an eigenvalue that no root lies
-        within delta of; the message names the gap), N s h exceeds the
+        within delta of; the message names the gap) or by more than N across
+        one root's window (eigenvalues closer than delta), N s h exceeds the
         limit of the count at a counted lambda (:func:`_counts`), or W is
         not resolved on a piece of the least width (:func:`_piece_roots`).
     NonFiniteState

@@ -23,6 +23,7 @@ transformed eigenfunction psi = phi + int_0^x K(x,t) phi(t) dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,7 +212,11 @@ class KernelField:
     a: np.ndarray           # (n, N, M) coefficient functions a_j(x)
     da: np.ndarray          # (n, N, M) their derivatives
     gram: np.ndarray        # (n, M, M) running Gram G(x)
-    resolvent_sv: np.ndarray  # (n, M) singular values of I + G(x) C, descending
+
+    @cached_property
+    def resolvent_sv(self) -> np.ndarray:
+        """(n, M) singular values of I + G(x) C at every node, descending."""
+        return np.linalg.svd(_resolvent_matrices(self.gram, self.pert.coeffs), compute_uv=False)
 
     @property
     def rank(self) -> int:
@@ -228,6 +233,45 @@ class KernelField:
     @property
     def kpipi(self) -> np.ndarray:
         return self.a[-1] @ self.pert.phis[-1].T
+
+
+def _resolvent_matrices(gram: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """I + G(x) C at every node, (n, M, M)."""
+    return np.eye(c.size) + gram * c[None, None, :]
+
+
+def _resolvent(res_mat: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(I + G(x) C)^{-1} at every node x of nodes, from res_mat = I + G(x) C.
+
+    Raises SingularResolvent at the first node where det(I + G C) <=
+    RESOLVENT_TOL or sigma_min <= RESOLVENT_TOL max(sigma_max, 1). The
+    inverse is taken once the determinants pass, and only a node whose
+    bound max(|R|_F, 1) |R^-1|_F >= max(sigma_max, 1) / sigma_min comes
+    within a factor 2 of 1 / RESOLVENT_TOL takes its SVD.
+    """
+    # det(I + G(0)C) = 1; in the uniqueness regime the determinant never
+    # reaches zero, so a non-positive value at any node flags a crossing even
+    # when no node lands exactly on the singularity
+    dets = np.linalg.det(res_mat)
+    near = np.arange(nodes.size)
+    if np.all(dets > RESOLVENT_TOL):
+        resolvent = np.linalg.inv(res_mat)
+        bound = (np.maximum(np.linalg.norm(res_mat, axis=(1, 2)), 1.0)
+                 * np.linalg.norm(resolvent, axis=(1, 2)))
+        near = near[bound >= 0.5 / RESOLVENT_TOL]
+    sv = np.linalg.svd(res_mat[near], compute_uv=False)
+    # the initial values keep the test well defined at rank 0
+    sv_min = np.full(nodes.size, np.inf)
+    sv_min[near] = sv.min(axis=1, initial=np.inf)
+    bad = dets <= RESOLVENT_TOL
+    bad[near] |= sv_min[near] <= RESOLVENT_TOL * sv.max(axis=1, initial=1.0)
+    if np.any(bad):
+        q = int(np.argmax(bad))
+        raise SingularResolvent(
+            f"I + G(x)C is singular on [0, x] for x = {nodes[q]:.6g} "
+            f"(det = {dets[q]:.3e}, sigma_min = {sv_min[q]:.3e})"
+        )
+    return resolvent
 
 
 def solve_kernel(pert: Perturbation) -> KernelField:
@@ -251,26 +295,11 @@ def solve_kernel(pert: Perturbation) -> KernelField:
     grid, phi, dphi, c = pert.grid, pert.phis, pert.phi_derivs, pert.coeffs
     gp = np.einsum("qni,qnj->qij", phi, phi)
     gram = running_integral(gp, grid.h)
-    res_mat = np.eye(pert.rank) + gram * c[None, None, :]
-    # det(I + G(0)C) = 1; in the uniqueness regime the determinant never
-    # reaches zero, so a non-positive value at any node flags a crossing even
-    # when no node lands exactly on the singularity
-    dets = np.linalg.det(res_mat)
-    sv = np.linalg.svd(res_mat, compute_uv=False)
-    # the initial values keep the test well defined at rank 0
-    sv_min = sv.min(axis=1, initial=np.inf)
-    bad = (dets <= RESOLVENT_TOL) | (sv_min <= RESOLVENT_TOL * sv.max(axis=1, initial=1.0))
-    if np.any(bad):
-        q = int(np.argmax(bad))
-        raise SingularResolvent(
-            f"I + G(x)C is singular on [0, x] for x = {grid.nodes[q]:.6g} "
-            f"(det = {dets[q]:.3e}, sigma_min = {sv_min[q]:.3e})"
-        )
-    resolvent = np.linalg.inv(res_mat)
+    resolvent = _resolvent(_resolvent_matrices(gram, c), grid.nodes)
     phi_c = phi * c[None, None, :]
     a = -phi_c @ resolvent
     da = -(dphi * c[None, None, :]) @ resolvent - a @ ((gp * c[None, None, :]) @ resolvent)
-    return KernelField(pert, a, da, gram, sv)
+    return KernelField(pert, a, da, gram)
 
 
 def potential_q(kernel: KernelField, base: MatrixPotential) -> GridPotential:

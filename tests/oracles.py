@@ -4,9 +4,10 @@ Everything here is written directly from the analytic solutions of the
 constant-diagonal Dirichlet problems and stays independent of the code paths
 it checks: quadratures appear only where the quantity being tested is itself
 defined through the package's running quadrature. At the end come the
-benchmark's coupled N = 4 problem and the straightforward per-row and
-per-root forms of two batched computations, kept to pin the batched ones to
-the same bits.
+benchmark's coupled N = 4 problem, the straightforward per-row and per-root
+forms of two batched computations, kept to pin the batched ones to the same
+bits, and the exact lambda-derivative of W, the reference for the scan's
+central differences.
 """
 
 import numpy as np
@@ -163,13 +164,21 @@ def loop_wave_residual(kernel, base, q):
 
 def loop_eigenpairs(p, lams, mult, grid):
     """Eigenpairs of spectrum._eigenpairs, one root at a time, with the paths
-    from iso.integrate_ivp."""
+    from iso.integrate_ivp and each residual from the count of the root's
+    window ends lam -/+ 1e-8 (1 + |lam|)."""
     tables = potential_tables(p.potential, grid)
+    prange = spectrum._potential_range(p, grid)
     lams = np.asarray(lams, dtype=float)
-    w, dw = spectrum._char_batch(p, lams, grid, tables, derivative=True)
-    vt = np.linalg.svd(w)[2]
-    residuals = np.abs(spectrum._newton_steps(w, dw))
     y, yp = iso.integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid)
+    w = p.right.B @ yp[:, -1] + p.right.A @ y[:, -1]
+    vt = np.linalg.svd(w)[2]
+    residuals = []
+    for k, lam in enumerate(lams):
+        delta = spectrum._MERGE_RTOL * (1.0 + abs(lam))
+        ends = np.array([lam - delta, lam + delta])
+        w_ends = spectrum._counts(p, ends, grid, tables, prange)[1]
+        residuals.append(abs(spectrum._central_steps(w[k:k + 1], w_ends[:1], w_ends[1:],
+                                                     ends[:1], ends[1:])[0]))
     pairs = []
     for k, m in enumerate(mult):
         v_k = vt[k, -m:][::-1].T
@@ -183,3 +192,22 @@ def loop_eigenpairs(p, lams, mult, grid):
                                         yp[k] @ thetas, np.maximum(d, 0.0),
                                         float(residuals[k]), grid))
     return pairs
+
+
+def exact_derivative(p, lams, grid):
+    """W(lambda) and its exact lambda-derivative dW/dlambda of the discrete
+    problem, (L, N, N) each.
+
+    The endpoint z = (Y, Y') is folded one RK4 step at a time, and its
+    derivative by the product rule: dz <- dT z + T dz with T = C0 + lam C1 +
+    lam^2 C2 the step polynomial of potential_tables and dT = C1 + 2 lam C2.
+    """
+    n = p.n
+    lams = np.asarray(lams, dtype=float)[:, None, None]
+    z = np.tile(np.concatenate((p.left.B.T, -p.left.A.T)), (lams.shape[0], 1, 1))
+    dz = np.zeros_like(z)
+    for c in potential_tables(p.potential, grid)[0]:
+        t, dt = c[0] + lams * c[1] + lams ** 2 * c[2], c[1] + 2 * lams * c[2]
+        z, dz = t @ z, dt @ z + t @ dz
+    w, dw = (p.right.B @ v[:, n:] + p.right.A @ v[:, :n] for v in (z, dz))
+    return w, dw

@@ -141,7 +141,7 @@ class TestStepKernel:
         p_half = pot.evaluate_many(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
         z = np.random.default_rng(n_dim).normal(size=(grid.n - 1, 2 * n_dim, n_dim))
         lams = np.array([-1e4, -5.0, 20.0, 2600.0, 4e4])
-        steps, _ = ode._step_matrices(potential_tables(pot, grid)[0], lams, derivative=False)
+        steps = ode._step_matrices(potential_tables(pot, grid)[0], lams)
         for k, lam in enumerate(lams):
             y, v = rk4_step(p_nodes[:-1], p_half, p_nodes[1:], lam, grid.h,
                             z[:, :n_dim], z[:, n_dim:])
@@ -184,19 +184,17 @@ class TestStepKernel:
 
 
 def single_step_fold(tables, lams, y0, yp0):
-    """Endpoint z = (Y, Y') and dz/dlam folded one RK4 step at a time."""
-    steps, dsteps = ode._step_matrices(tables[0], lams, derivative=True)
+    """Endpoint z = (Y, Y') folded one RK4 step at a time."""
     z = np.broadcast_to(np.concatenate((y0, yp0)), (lams.size, 2 * len(y0), len(y0)))
-    dz = np.zeros_like(z)
-    for t, dt in zip(steps, dsteps):
-        z, dz = t @ z, dt @ z + t @ dz
-    return z, dz
+    for t in ode._step_matrices(tables[0], lams):
+        z = t @ z
+    return z
 
 
 def pair_fold(tables, lams, y0, yp0):
     """Endpoint z = (Y, Y') folded one pair leaf at a time."""
     z = np.tile(np.concatenate((y0, yp0)), (lams.size, 1, 1))
-    for leaf in ode._step_matrices(tables[1], lams, derivative=False)[0]:
+    for leaf in ode._step_matrices(tables[1], lams):
         z = leaf @ z
     return z
 
@@ -211,17 +209,16 @@ class TestPairLeaves:
         y0, yp0 = rng.normal(size=(n_dim, n_dim)), rng.normal(size=(n_dim, n_dim))
         tables = potential_tables(pot, grid)
         lams = np.array([-1e4, -5.0, 20.0, 2600.0, 4e4])
-        y, yp, dy, dyp = integrate_final_batch(pot, lams, y0, yp0, grid, tables, derivative=True)
+        y, yp = integrate_final_batch(pot, lams, y0, yp0, grid, tables)
         y_path, yp_path = iso.integrate_ivp(pot, lams, y0, yp0, grid)
-        z_ref, dz_ref = single_step_fold(tables, lams, y0, yp0)
+        z_ref = single_step_fold(tables, lams, y0, yp0)
         z_pairs = pair_fold(tables, lams, y0, yp0)
         for k in range(lams.size):
             z_path = np.concatenate((y_path[k, -1], yp_path[k, -1]))
             assert np.array_equal(z_pairs[k], z_path)
-            scale, dscale = np.max(np.abs(z_ref[k])), np.max(np.abs(dz_ref[k]))
+            scale = np.max(np.abs(z_ref[k]))
             assert np.max(np.abs(z_path - z_ref[k])) <= 1e-12 * scale
             assert np.max(np.abs(np.concatenate((y[k], yp[k])) - z_ref[k])) <= 1e-12 * scale
-            assert np.max(np.abs(np.concatenate((dy[k], dyp[k])) - dz_ref[k])) <= 1e-12 * dscale
 
     def test_path_nodes_match_single_step_fold(self):
         # even nodes come from the pair leaves and odd ones by one step from
@@ -232,7 +229,7 @@ class TestPairLeaves:
         lams = np.array([-30.0, 2.0, 150.0])
         y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         z = np.tile(np.concatenate((y0, yp0)), (lams.size, 1, 1))
-        for i, t in enumerate(ode._step_matrices(tables[0], lams, derivative=False)[0], 1):
+        for i, t in enumerate(ode._step_matrices(tables[0], lams), 1):
             z = t @ z
             err = np.abs(np.concatenate((y[:, i], yp[:, i]), axis=1) - z)
             assert np.all(err <= 1e-12 * np.max(np.abs(z), axis=(1, 2), keepdims=True)), i
@@ -252,17 +249,16 @@ class TestPairLeaves:
             assert np.max(np.abs(y[k] - y_ref)) <= 1e-12 * scale
             assert np.max(np.abs(yp[k] - yp_ref)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("derivative", [False, True])
-    def test_tree_chunks_do_not_change_endpoints(self, monkeypatch, derivative):
+    def test_tree_chunks_do_not_change_endpoints(self, monkeypatch):
         # a small budget evaluates the leaves a few lambdas at a time, down
         # to one lambda per chunk; every endpoint stays bit-identical
         pot, grid = random_grid_potential(4, 401, seed=12)
         y0, yp0 = np.zeros((4, 4)), -np.eye(4)
         lams = np.linspace(-30.0, 400.0, 37)
-        whole = integrate_final_batch(pot, lams, y0, yp0, grid, derivative=derivative)
+        whole = integrate_final_batch(pot, lams, y0, yp0, grid)
         for budget in (1, 3 * 200 * 64 * 8):
             monkeypatch.setattr(ode, "_TREE_BYTES", budget)
-            chunked = integrate_final_batch(pot, lams, y0, yp0, grid, derivative=derivative)
+            chunked = integrate_final_batch(pot, lams, y0, yp0, grid)
             assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
@@ -299,23 +295,34 @@ class TestBatchedPath:
         blocked = iso.integrate_ivp(pot, lams, y0, yp0, grid)
         assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
 
-    @pytest.mark.parametrize("stride", [3, 7, 200, 400])
+    @pytest.mark.parametrize("stride", [1, 3, 7, 200, 400])
     def test_strided_fold_keeps_the_path_nodes(self, monkeypatch, stride):
-        # 200 steps: every stride-th node and the last, in blocks of steps
+        # 200 steps, in blocks of steps. A count lane keeps every node at
+        # stride 1, else every 2r-th node and the last, r = 2^min(3,
+        # floor(log2(stride / 2))) pair leaves per segment product: r = 1 at
+        # 3, 2 at 7 and 8 at 200 and 400. At r = 1 it folds as a path does,
+        # bit for bit; a segment product rounds differently
         pot, grid = random_grid_potential(2, 201, seed=5)
         y0, yp0 = np.zeros((2, 2)), -np.eye(2)
         lams = np.array([-3.0, 0.5, 11.0])
         y, yp = iso.integrate_ivp(pot, lams, y0, yp0, grid)
+        ref = np.concatenate((y, yp), axis=2)
         monkeypatch.setattr(ode, "_TREE_BYTES", 5 * lams.size * 16 * 8)
-        nodes = np.union1d(np.arange(0, grid.n, stride), [grid.n - 1])
+        span = {1: 1, 3: 1, 7: 2, 200: 8, 400: 8}[stride]
+        nodes = (np.arange(grid.n) if stride == 1
+                 else np.union1d(np.arange(0, grid.n, 2 * span), [grid.n - 1]))
         tables = potential_tables(pot, grid)
         # the last `paths` lambdas keep every node instead, in the same fold
         for paths in range(lams.size + 1):
             m = lams.size - paths
             z, path = ode._fold(tables, lams, np.vstack([y0, yp0]), stride, paths)
             assert z.shape == (nodes.size, m, 4, 2) and path.shape == (paths, grid.n, 4, 2)
-            assert np.array_equal(z[:, :, :2], y[:m, nodes].swapaxes(0, 1))
-            assert np.array_equal(z[:, :, 2:], yp[:m, nodes].swapaxes(0, 1))
+            kept = ref[:m, nodes].swapaxes(0, 1)
+            if span == 1:
+                assert np.array_equal(z, kept)
+            else:
+                scale = np.max(np.abs(kept), axis=(0, 2, 3))
+                assert np.all(np.max(np.abs(z - kept), axis=(0, 2, 3)) <= 1e-13 * scale)
             assert np.array_equal(path[:, :, :2], y[m:])
             assert np.array_equal(path[:, :, 2:], yp[m:])
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import re
 
@@ -86,6 +87,41 @@ def robin_pair():
                        iso.BoundaryPair(np.array([[-40.0]]), np.array([[1.0]])))
 
 
+def assert_residuals_bound(p, report):
+    """Each residual is at most Newton's tolerance, and bounds the distance to
+    the discrete eigenvalue: where Newton with the exact derivative, iterated
+    from the reported one, stops shrinking its step."""
+    for pair in report.pairs:
+        assert pair.residual <= max(1e-10, 64 * np.spacing(1.0) * abs(pair.lam))
+        lam, last = pair.lam, np.inf
+        for _ in range(20):
+            w, dw = oracles.exact_derivative(p, [lam], report.grid)
+            mu = spectrum._newton_steps(w, dw)[0]
+            if abs(mu) >= last:
+                break
+            lam, last = lam - mu.real, abs(mu)
+        assert abs(pair.lam - lam) <= 2 * pair.residual + 4 * np.spacing(abs(pair.lam))
+
+
+def inject_roots(monkeypatch, change, converged):
+    """Scans whose roots entering the count are change(starts), with the
+    Newton step of the count's fold taken as 0 at the roots within 1e-7 of
+    one of converged."""
+    certify, steps = spectrum._certify, spectrum._central_steps
+
+    def changed(p, starts, *args, **kwargs):
+        return certify(p, change(starts), *args, **kwargs)
+
+    def taken(w, w_lo, w_hi, lo, hi):
+        at = 0.5 * (lo + hi)
+        near = np.min(np.abs(at[:, None] - np.asarray(converged, dtype=float)), axis=1,
+                      initial=np.inf) <= 1e-7
+        return np.where(near, 0.0, steps(w, w_lo, w_hi, lo, hi))
+
+    monkeypatch.setattr(spectrum, "_certify", changed)
+    monkeypatch.setattr(spectrum, "_central_steps", taken)
+
+
 def counts(p, lams, raw=False):
     """Eigenvalue counts N(lambda) of p at 401 nodes, rounded unless raw."""
     grid = iso.Grid.uniform(401)
@@ -132,12 +168,32 @@ class TestCharacteristicMatrix:
                               iso.BoundaryPair(np.eye(2), 0.3 * np.eye(2)))
         tables = potential_tables(problem.potential, grid)
         lams = np.array([-4.0, 0.3, 17.0])
-        _, dw = spectrum._char_batch(problem, lams, grid, tables, derivative=True)
+        # the reference's W is the scan's, and its exact derivative a central difference of it
+        w, dw = oracles.exact_derivative(problem, lams, grid)
+        assert np.max(np.abs(w - spectrum._char_batch(problem, lams, grid, tables))) <= \
+            1e-12 * np.max(np.abs(w))
         d = 1e-5
         fd = (spectrum._char_batch(problem, lams + d, grid, tables)
               - spectrum._char_batch(problem, lams - d, grid, tables)) / (2 * d)
         for k in range(lams.size):
             assert np.max(np.abs(dw[k] - fd[k])) <= 1e-6 * np.max(np.abs(dw[k]))
+
+    @pytest.mark.parametrize("which,window", [("paper", (-5.0, 20.0)), ("coupled4", (-5.0, 20.0)),
+                                              ("scalar", (0.5, 2600.0))])
+    def test_central_step_is_the_exact_derivative_step(self, which, window):
+        # 1e-6 above each eigenvalue, Newton's step from the central
+        # difference of W at -/+ 1e-8 (1 + |lambda|) is the step of the exact
+        # lambda-derivative within 1e-6 of its size
+        p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
+             "scalar": iso.builtin_problem("scalar-zero")}[which]
+        report = iso.scan_spectrum(p, *window)
+        lams = np.array([pair.lam for pair in report.pairs]) + 1e-6
+        stepped, _, stepping, _ = spectrum._newton_refine(
+            p, lams, np.ones(lams.size), report.grid, potential_tables(p.potential, report.grid),
+            passes=1)
+        exact = spectrum._newton_steps(*oracles.exact_derivative(p, lams, report.grid))
+        assert stepping.all() and np.all(np.abs(exact) > 5e-7)
+        assert np.all(np.abs(lams - stepped - exact.real) <= 1e-6 * np.abs(exact))
 
 
 class TestScan:
@@ -219,73 +275,71 @@ class TestScan:
         assert double.multiplicity == 2 and abs(double.lam - 1.0) <= 1e-6
 
     def test_every_paper_pencil_start_converges_by_newton(self, paper, paper_report, monkeypatch):
-        # the root at 22 lies past the upper edge 20; no pencil start leads there
-        calls = []
-        newton = spectrum._newton_refine
+        # every pencil start is a converged Newton root already: the count's
+        # fold confirms each as it is, and no Newton pass runs. The root at 22
+        # lies past the upper edge 20; no pencil start leads there
+        starts, newton = [], []
+        certify, refine = spectrum._certify, spectrum._newton_refine
 
-        def recording(p, starts, radius, *args):
-            lam, w, steps, converged = newton(p, starts, radius, *args)
-            calls.append((starts.copy(), radius.copy(), converged.copy()))
-            return lam, w, steps, converged
+        def recording(p, s, *args, **kwargs):
+            starts.append(s.copy())
+            return certify(p, s, *args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "_newton_refine", recording)
+        def no_newton(*args, **kwargs):
+            newton.append(args[1])
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_certify", recording)
+        monkeypatch.setattr(spectrum, "_newton_refine", no_newton)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
-        assert len(calls) == 1
-        starts, radius, converged = calls[0]
-        assert starts.size == len(report.pairs) and converged.all()
-        assert np.all(np.diff(starts) > 0) and np.all(radius > 0)
+        assert newton == [] and len(starts) == 1
+        # the double eigenvalue 1 has two starts within the merge tolerance
+        merged = starts[0][spectrum._first_of_runs(starts[0])]
+        assert starts[0].size == 8 and np.all(np.diff(merged) > 0)
+        assert np.array_equal(merged, [pair.lam for pair in report.pairs])
+        assert all(pair.residual <= 1e-10 for pair in report.pairs)
         assert max(p.lam for p in report.pairs) < 17.0
         assert np.array_equal(report.sigma_sequence, paper_report.sigma_sequence)
 
     def test_dropped_starts_fail_the_count(self, paper, monkeypatch):
-        # with no Newton pass every start is dropped; the scan must refuse
-        # rather than return a short spectrum
+        # every start 1e-3 off its eigenvalue, so the count confirms none of
+        # them; with no Newton pass every start is dropped, and the scan must
+        # refuse rather than return a short spectrum
+        certify = spectrum._certify
+        monkeypatch.setattr(spectrum, "_certify",
+                            lambda p, starts, *args: certify(p, starts + 1e-3, *args))
         monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 0)
         with pytest.raises(WindowTooCoarse, match="count predicts 8 eigenvalues .* found 0"):
             iso.scan_spectrum(paper, -5.0, 20.0)
 
     def test_root_without_a_count_jump_is_rejected(self, paper, paper_report, monkeypatch):
-        # converged roots at 2.5 and 7.5 added to Newton's: the count does not
-        # rise across them, so they are dropped and the spectrum is unchanged
-        newton = spectrum._newton_refine
-
-        def with_extra_roots(*args):
-            lam, w, steps, converged = newton(*args)
-            return (np.append(lam, [2.5, 7.5]), np.concatenate([w, w[:2]]),
-                    np.append(steps, [0.0, 0.0]), np.append(converged, [True, True]))
-
-        monkeypatch.setattr(spectrum, "_newton_refine", with_extra_roots)
+        # roots at 2.5 and 7.5 enter the count with the pencil's, their Newton
+        # steps taken as converged: the count does not rise across them, so
+        # they are dropped and the spectrum is unchanged
+        inject_roots(monkeypatch, lambda starts: np.sort(np.append(starts, [2.5, 7.5])),
+                     [2.5, 7.5])
         report = iso.scan_spectrum(paper, -5.0, 20.0)
         assert [(p.lam, p.multiplicity) for p in report.pairs] == \
             [(p.lam, p.multiplicity) for p in paper_report.pairs]
 
     def test_root_standing_for_a_missed_neighbour_raises(self, paper, monkeypatch):
-        # Newton's root at 6 dropped: the count rises by 1 within the merge
-        # tolerance of the root at 4, and by 1 more in the gap between it and
-        # the root at 9, so 4 is not taken as a double eigenvalue
-        newton = spectrum._newton_refine
-
-        def without_six(*args):
-            lam, w, steps, converged = newton(*args)
-            return lam, w, steps, converged & (np.abs(lam - 6.0) > 0.5)
-
-        monkeypatch.setattr(spectrum, "_newton_refine", without_six)
+        # the root at 6 missing from the count: the count rises by 1 within
+        # the merge tolerance of the root at 4, and by 1 more in the gap
+        # between it and the root at 9, so 4 is not taken as a double eigenvalue
+        inject_roots(monkeypatch, lambda starts: starts[np.abs(starts - 6.0) > 0.5], [])
         with pytest.raises(WindowTooCoarse,
                            match=r"predicts 1 eigenvalues in \[4\.00000005, 8\.99999995\] "
                                  r"but the scan found 0 there"):
             iso.scan_spectrum(paper, -5.0, 20.0)
 
     def test_simple_root_off_by_more_than_delta_raises(self, paper, monkeypatch):
-        # Newton's root at 4 moved by 1e-6, far beyond the merge tolerance
-        # 5e-8 there but still flagged converged: the count does not rise
-        # within delta of it, and the gap below it holds the eigenvalue 4
-        newton = spectrum._newton_refine
-
-        def moved(*args):
-            lam, w, steps, converged = newton(*args)
-            return np.where(np.abs(lam - 4.0) < 0.5, lam + 1e-6, lam), w, steps, converged
-
-        monkeypatch.setattr(spectrum, "_newton_refine", moved)
+        # the root at 4 enters the count moved by 1e-6, far beyond the merge
+        # tolerance 5e-8 there, with its Newton step taken as converged: the
+        # count does not rise within delta of it, and the gap below it holds
+        # the eigenvalue 4
+        inject_roots(monkeypatch,
+                     lambda starts: np.where(np.abs(starts - 4.0) < 0.5, starts + 1e-6, starts),
+                     [4.0 + 1e-6])
         with pytest.raises(WindowTooCoarse, match="predicts 1 eigenvalues") as err:
             iso.scan_spectrum(paper, -5.0, 20.0)
         lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(err.value)).groups())
@@ -312,8 +366,12 @@ class TestScan:
     def test_scan_folds_its_path_once(self, paper, monkeypatch, window, cuts):
         # the count and the eigenpairs share one fold; a cut window folds once
         # more for the count at its cuts, and nothing else integrates a path.
-        # A count lane keeps every k-th node and the last, k the largest with
-        # N s k h <= 2.5: k = 33 on [-5, 20], 14 of the 401 nodes
+        # On [-1000, 20] the count confirms 3 of the 7 pencil starts; Newton
+        # moves the other 4, and a last fold counts only the 8 ends of their
+        # windows, with their paths. A count lane keeps every 2r-th node and
+        # the last, r = 2^min(3, floor(log2(k/2))) and k the largest with
+        # N s k h <= 2.5: k = 33 on [-5, 20] gives r = 8, 26 of the 401
+        # nodes, and k = 5 on [-1000, 20] r = 2
         lanes, kept = [], []
         fold = spectrum._fold
 
@@ -329,8 +387,10 @@ class TestScan:
         edges = spectrum._envelope_pieces(-3.0, *window)
         assert (len(edges) > 2) == bool(cuts)
         roots = len(report.pairs)
-        assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)]
-        assert kept == {(-5.0, 20.0): [14], (1.5, 3.5): [8], (-1000.0, 20.0): [81, 81]}[window]
+        moved = [(12, 4)] if cuts else []
+        assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)] + moved
+        assert kept == {(-5.0, 20.0): [26], (1.5, 3.5): [26],
+                        (-1000.0, 20.0): [101, 101, 26]}[window]
 
     def test_coupled4_count_lane_keeps_26_nodes(self, monkeypatch):
         # N = 4 and s^2 = 20 - (-3) at the top of [-5, 20]: k = 16, 26 of the 401 nodes
@@ -347,16 +407,22 @@ class TestScan:
         assert strides == [(16, 26)]
 
     def test_scan_work_counts(self, paper, monkeypatch):
-        # Newton's last W serves the eigenpairs: 33 pencil samples, then one
-        # Newton evaluation with W' at each of the 7 roots and none after;
-        # one fold of the 16 count probes and the 7 roots, whose 400 steps
-        # take 200 sequential pair-leaf products
-        evaluated, folds, products = [], [], []
+        # the count's fold is the only certifying evaluation of W: 33 pencil
+        # samples, no Newton evaluation, and one fold of the 16 count probes
+        # and the paths of the 7 roots. Over the 400 steps the count lanes
+        # take 25 sequential products of 8-leaf segments, the paths 200 of
+        # pair leaves
+        evaluated, folds, products, newton = [], [], [], []
         char_batch, fold, matmul = spectrum._char_batch, spectrum._fold, np.matmul
+        refine = spectrum._newton_refine
 
-        def counting(p, lams, *args, derivative=False):
-            evaluated.append((np.size(lams), derivative))
-            return char_batch(p, lams, *args, derivative=derivative)
+        def counting(p, lams, *args):
+            evaluated.append(np.size(lams))
+            return char_batch(p, lams, *args)
+
+        def no_newton(*args, **kwargs):
+            newton.append(args[1])
+            return refine(*args, **kwargs)
 
         def recording(tables, lams, *args):
             folds.append(lams.size)
@@ -368,34 +434,72 @@ class TestScan:
 
         monkeypatch.setattr(spectrum, "_char_batch", counting)
         monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(spectrum, "_newton_refine", no_newton)
         monkeypatch.setattr(np, "matmul", product)
         report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(401))
         assert len(report.pairs) == 7
-        assert sum(n for n, _ in evaluated) == 40
-        assert sum(n for n, derivative in evaluated if derivative) == 7
+        assert sum(evaluated) == 33 and newton == []
         assert folds == [23]
-        assert products == [(23, 4, 4)] * 200
+        sequential = [shape for shape in products if len(shape) == 3]
+        assert collections.Counter(sequential) == {(16, 4, 4): 25, (7, 4, 4): 200}
 
     @pytest.mark.parametrize("which,window", [("paper", (-5.0, 20.0)), ("coupled4", (-5.0, 20.0)),
                                               ("scalar", (0.5, 2600.0))])
     def test_residual_bounds_the_distance_to_the_discrete_eigenvalue(self, which, window):
-        # the discrete eigenvalue is where Newton, iterated from the reported
-        # one, stops shrinking its step
         p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
              "scalar": iso.builtin_problem("scalar-zero")}[which]
         report = iso.scan_spectrum(p, *window)
         assert len(report.pairs) >= 7
-        tables = potential_tables(p.potential, report.grid)
-        for pair in report.pairs:
-            assert pair.residual <= max(1e-10, 64 * np.spacing(1.0) * abs(pair.lam))
-            lam, last = pair.lam, np.inf
-            for _ in range(20):
-                w, dw = spectrum._char_batch(p, [lam], report.grid, tables, derivative=True)
-                mu = spectrum._newton_steps(w, dw)[0]
-                if abs(mu) >= last:
-                    break
-                lam, last = lam - mu.real, abs(mu)
-            assert abs(pair.lam - lam) <= 2 * pair.residual + 4 * np.spacing(abs(pair.lam))
+        assert_residuals_bound(p, report)
+
+    @pytest.mark.parametrize("which,window", [("paper", (-5.0, 400.0)), ("paper", (-1000.0, 20.0)),
+                                              ("scalar", (0.5, 2600.0)),
+                                              ("coupled4-robin", (-5.0, 20.0))])
+    def test_hard_windows(self, which, window):
+        # Newton runs after the count on 3 of the 38 pencil starts of paper
+        # [-5, 400] and on 4 of the 7 of [-1000, 20]: every window keeps the
+        # multiplicities of the closed form (of the finite-difference oracle
+        # for the coupled N = 4 Robin problem), within the discretisation
+        # error of RK4, and residuals that bound the distance to the discrete
+        # eigenvalue
+        p = {"paper": iso.builtin_problem("paper-example-2x2"),
+             "scalar": iso.builtin_problem("scalar-zero"),
+             "coupled4-robin": coupled4_robin_problems()[1]}[which]
+        report = iso.scan_spectrum(p, *window)
+        if which == "coupled4-robin":
+            ref, tol = iso.fd_oracle_eigenvalues(p, 201), 0.02
+            ref = ref[(ref >= window[0]) & (ref <= window[1])]
+        else:
+            # RK4 moves the eigenvalue 400 of paper 0.004 above the window
+            ref = oracles.dirichlet_spectrum([-3.0, 0.0] if which == "paper" else [0.0],
+                                             window[0], window[1] - 1e-9)
+            tol = 1e-3 * np.maximum(np.abs(ref), 1.0)
+        assert [pair.multiplicity for pair in report.pairs] == \
+            list(np.unique(ref, return_counts=True)[1])
+        assert np.all(np.abs(report.sigma_sequence - ref) <= tol)
+        assert_residuals_bound(p, report)
+
+    @pytest.mark.parametrize("window,moved", [((-5.0, 400.0), 3), ((-1000.0, 20.0), 4)])
+    def test_only_what_newton_moved_is_counted_again(self, paper, monkeypatch, window, moved):
+        # the count confirms all but `moved` pencil starts; Newton moves
+        # those, and the second count takes only the probes that changed,
+        # with the paths of the moved roots alone
+        calls = []
+        count = spectrum._counts
+
+        def recording(p, lams, grid, tables, prange, roots=(), paths=True):
+            calls.append((np.array(lams), np.array(roots)))
+            return count(p, lams, grid, tables, prange, roots, paths)
+
+        monkeypatch.setattr(spectrum, "_counts", recording)
+        report = iso.scan_spectrum(paper, *window)
+        (probes, roots), (recounted, lanes) = calls[-2:]
+        lams = np.array([pair.lam for pair in report.pairs])
+        final = spectrum._probes(lams, *window)
+        assert roots.size == lams.size and lanes.size == moved
+        assert np.array_equal(lanes, lams[~np.isin(lams, roots)])
+        assert np.array_equal(recounted, final[~np.isin(final, probes)])
+        assert recounted.size == 2 * moved
 
     def test_unresolvable_piece_raises(self, scalar):
         # near the RK4 stability limit (lambda h^2 ~ 8) W is not resolved at
@@ -554,6 +658,18 @@ class TestCount:
         with pytest.raises(WindowTooCoarse):
             iso.scan_spectrum(robin_pair(), -2000.0, 10.0)
 
+    def test_root_window_holding_more_than_n_eigenvalues_raises(self, monkeypatch):
+        # the Robin pair lies within delta of -1600; a root there taken as
+        # converged has both in its window, more than the one an N = 1 root
+        # can be, and is not returned as a double eigenvalue
+        p, grid = robin_pair(), iso.Grid.uniform(401)
+        monkeypatch.setattr(spectrum, "_central_steps", lambda w, *args: np.zeros(w.shape[0]))
+        with pytest.raises(WindowTooCoarse, match=r"predicts 2 eigenvalues in \[-1600\.00002, "
+                                                  r"-1599\.99998\], more than the N = 1"):
+            spectrum._certify(p, np.array([-1600.0]), -1700.0, -1500.0, grid,
+                              potential_tables(p.potential, grid),
+                              spectrum._potential_range(p, grid))
+
     @pytest.mark.parametrize("which, k", [("scalar", 2), ("paper", 33), ("coupled4-robin", 3)])
     def test_stride_at_the_phase_bound_counts_as_every_node(self, monkeypatch, which, k):
         # det(Y' + i s Y) sampled every k nodes, with N s k h just under 2.5 at
@@ -675,9 +791,13 @@ class TestEigenbasis:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(spectrum, name, record)
         report = iso.scan_spectrum(paper, -5.0, 20.0)
-        assert calls == ["_certify", "_newton_refine", "_eigenpairs"]
+        assert calls == ["_certify", "_eigenpairs"]
         calls.clear()
         iso.eigenbasis(paper, report.pairs[0].lam, report.grid)
+        assert calls == ["_certify", "_eigenpairs"]
+        calls.clear()
+        # a start the count does not confirm takes Newton's method on the same path
+        iso.eigenbasis(paper, report.pairs[0].lam + 1e-9, report.grid)
         assert calls == ["_certify", "_newton_refine", "_eigenpairs"]
 
     def test_residual_small_at_eigenvalue(self, paper_report):

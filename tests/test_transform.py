@@ -7,9 +7,23 @@ import isospec as iso
 from isospec.errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
                             SingularResolvent)
 from isospec.quadrature import running_integral
-from isospec.transform import kernel_diagnostics, solve_kernel
+from isospec import transform
+from isospec.transform import RESOLVENT_TOL, kernel_diagnostics, solve_kernel
 
 import oracles
+
+
+def svd_resolvent_test(res_mat, nodes):
+    """The message of the resolvent test taken with the SVD at every node, or None."""
+    dets = np.linalg.det(res_mat)
+    sv = np.linalg.svd(res_mat, compute_uv=False)
+    sv_min = sv.min(axis=1, initial=np.inf)
+    bad = (dets <= RESOLVENT_TOL) | (sv_min <= RESOLVENT_TOL * sv.max(axis=1, initial=1.0))
+    if not bad.any():
+        return None
+    q = int(np.argmax(bad))
+    return (f"I + G(x)C is singular on [0, x] for x = {nodes[q]:.6g} "
+            f"(det = {dets[q]:.3e}, sigma_min = {sv_min[q]:.3e})")
 
 
 class TestBuildPerturbation:
@@ -179,6 +193,53 @@ class TestSolveKernel:
         bad = dataclasses.replace(pert, coeffs=np.array([-0.7]))
         with pytest.raises(SingularResolvent):
             solve_kernel(bad)
+
+    @pytest.mark.parametrize("depth", [1.1, 1.0, 1 - 1e-13])
+    def test_singular_resolvent_message_is_the_svd_tests(self, scalar_transform, depth):
+        # c = -depth / g(pi): 1 + c g(x) crosses zero inside (0, pi), reaches
+        # it at pi, or stays 1e-13 above it there
+        pert = scalar_transform["pert"]
+        gram = running_integral(np.einsum("qni,qnj->qij", pert.phis, pert.phis), pert.grid.h)
+        c = -depth / gram[-1, 0, 0]
+        pert = dataclasses.replace(pert, coeffs=np.array([c]))
+        expected = svd_resolvent_test(np.eye(1) + gram * c, pert.grid.nodes)
+        assert expected is not None
+        with pytest.raises(SingularResolvent) as err:
+            solve_kernel(pert)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_norm_bound_clears_no_node_the_svd_flags(self, rank):
+        # stacks of well-conditioned matrices, of matrices whose condition
+        # number straddles the limit 1e12 at a positive determinant, and of
+        # well-conditioned ones with a negative determinant at one node: the
+        # resolvent test passes and fails where the SVD at every node does,
+        # with the same message, and its inverse is numpy's
+        rng = np.random.default_rng(rank)
+        nodes = np.linspace(0.0, np.pi, 8)
+        outcomes = []
+        for trial in range(60):
+            u = np.linalg.qr(rng.standard_normal((nodes.size, rank, rank)))[0]
+            v = np.linalg.qr(rng.standard_normal((nodes.size, rank, rank)))[0]
+            v[:, :, 0] *= np.sign(np.linalg.det(u) * np.linalg.det(v))[:, None]
+            top = 10.0 ** rng.uniform(4, 8, (nodes.size, 1))
+            sv = top * 10.0 ** -rng.uniform(0, 6, (nodes.size, rank))
+            if trial % 3 == 1:
+                sv[:, -1] = top[:, 0] * 10.0 ** -rng.uniform(11, 13, nodes.size)
+            if trial % 3 == 2:
+                v[rng.integers(nodes.size), :, 0] *= -1.0
+            res_mat = (u * sv[:, None, :]) @ v.transpose(0, 2, 1)
+            expected = svd_resolvent_test(res_mat, nodes)
+            outcomes.append((trial % 3, expected is not None))
+            if expected is None:
+                assert np.array_equal(transform._resolvent(res_mat, nodes), np.linalg.inv(res_mat))
+                continue
+            with pytest.raises(SingularResolvent) as err:
+                transform._resolvent(res_mat, nodes)
+            assert str(err.value) == expected
+        # at rank 1 the condition number is 1; above, the straddling stacks pass and fail
+        assert {(0, False), (2, True)} <= set(outcomes)
+        assert rank == 1 or {(1, False), (1, True)} <= set(outcomes)
 
 
 class TestPotentialQ:

@@ -109,9 +109,10 @@ class TestIsospectral:
 
     def test_one_pipeline_op_scans_once_and_rescans_warm(self, tmp_path, monkeypatch, capsys):
         # verify --pipeline on the paper example: the first scan takes 33
-        # pencil samples and 7 Newton evaluations, and folds its 16 count
-        # probes with the paths of its 7 roots; the rescan takes two Newton
-        # evaluations at each of P's 7 eigenvalues and folds its 16 probes alone
+        # pencil samples and no Newton evaluation, and folds its 16 count
+        # probes with the paths of its 7 roots; the rescan takes one Newton
+        # step from each of P's 7 eigenvalues, W at lambda and lambda -/+ delta
+        # in one batch of 21, and folds its 16 probes with the 7 roots' endpoints
         calls = {"_piece_roots": 0, "_eigenpairs": 0}
         for name in calls:
             def count(*args, _f=getattr(spectrum, name), _name=name):
@@ -140,8 +141,8 @@ class TestIsospectral:
                      "--max", "20"]) == 0
         assert capsys.readouterr().out.count("[pass]") == 8
         assert calls == {"_piece_roots": 1, "_eigenpairs": 1}
-        assert folds == [(23, 7), (16, 0)]
-        assert sum(lambdas) == 54
+        assert folds == [(23, 7), (23, 0)]
+        assert lambdas == [9, 8, 16, 21]
 
     def test_json_shape(self, scalar_report):
         report = iso.compare_spectra(scalar_report, scalar_report, 1e-6)
@@ -200,7 +201,7 @@ def synthetic_kernel(n, rank, seed=1):
     zeros = np.zeros((n, 2, rank))
     pert = iso.Perturbation((), iso.Grid.uniform(n), np.zeros(rank), np.zeros((2, rank)),
                             np.ones(rank), np.ones(rank), phi, zeros)
-    return KernelField(pert, a, zeros, np.zeros((n, rank, rank)), np.ones((n, rank)))
+    return KernelField(pert, a, zeros, np.zeros((n, rank, rank)))
 
 
 def corrupt(kernel, field, index, value):
