@@ -19,12 +19,12 @@ step pairs; every propagation evaluates them:
   ... (T_3 T_2)(T_1 T_0) in a pairwise tree, ceil(log2(ceil((n-1)/2)))
   batched matrix products per chunk of lambdas; with an odd step count the
   last step is a leaf of its own;
-* paths (:func:`_fold`) fold the same leaves, z_{2j+2} = (T_{2j+1} T_{2j}) z_{2j},
-  one batched product per two steps for all path lambdas of a call, and a
-  kept odd node comes from its even neighbour by one single step, batched
-  per block; :func:`integrate_ivp` keeps every node;
-* count lanes, the lambdas of the eigenvalue count of :mod:`isospec.spectrum`,
-  ride in the same fold. The count samples arg det(Y' + i s Y) every k
+* paths (:func:`_paths`, every node, for :func:`integrate_ivp` and the
+  eigenpairs) fold the same leaves, z_{2j+2} = (T_{2j+1} T_{2j}) z_{2j}, one
+  batched product per two steps for all lambdas of a call; an odd node comes
+  from its even neighbour by one single step, batched per block;
+* count lanes (:func:`_fold`: the eigenvalue count's lambdas and the roots
+  it certifies) fold apart. The count samples arg det(Y' + i s Y) every k
   nodes at most, k the largest with N s k h <= 2.5: each channel's phase
   moves at most s h per node, so the sampled phase moves less than pi
   between samples and unwraps. A count lane therefore multiplies the leaves
@@ -50,7 +50,7 @@ from .model import Grid, MatrixPotential
 
 #: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
 #: 2N, 2N) pair leaves of a lambda chunk in the endpoint tree and the (block, L,
-#: 2N, 2N) leaves of a block of the fold with its segment products and path states
+#: 2N, 2N) leaves of a fold's block with its segment products or path states
 _TREE_BYTES = 1 << 20
 
 
@@ -117,16 +117,15 @@ def _step_matrices(coeffs: np.ndarray, lams: np.ndarray,
     return np.matmul(powers, flat, out=out)[:, :lams.size].reshape(s, lams.size, n2, n2)
 
 
-def _tree_product(t: np.ndarray, levels: int, half: np.ndarray | None = None) -> np.ndarray:
+def _tree_product(t: np.ndarray, levels: int, half: np.ndarray) -> np.ndarray:
     """Ordered products t[(j+1) r - 1] @ ... @ t[j r] of the runs of r = 2^levels
     consecutive matrices along axis 0 (the last run may be shorter), by levels
     rounds of pairwise products t[2i+1] @ t[2i]; an odd one out passes on as it is.
 
-    The rounds write alternately into half, with room for ceil(len(t) / 2)
-    matrices (allocated when None), and into t itself, which the first round
-    has consumed: t is overwritten.
+    The rounds write alternately into half (room for ceil(len(t) / 2) matrices)
+    and into t itself, which the first round has consumed: t is overwritten.
     """
-    buffers = (np.empty(((t.shape[0] + 1) // 2,) + t.shape[1:]) if half is None else half, t)
+    buffers = (half, t)
     for k in range(levels):
         size = t.shape[0]
         out = buffers[k % 2][:(size + 1) // 2]
@@ -155,63 +154,67 @@ def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray, stride: int,
-          paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the first m = L - paths
-    lambdas, the count lanes, at the nodes they keep, (K, m, 2N, N), and of the
-    last paths lambdas at every node, (paths, n, 2N, N).
+def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray,
+          stride: int) -> np.ndarray:
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the count lanes lams at
+    the nodes they keep, (K, L, 2N, N), tables those of :func:`potential_tables`.
 
-    tables is the output of :func:`potential_tables`. At stride 1 the count
-    lanes keep every node and fold as the paths do. Above it they keep the
-    nodes 0, 2r, 4r, ... and the last, with r = 2^l pair leaves and
-    l = min(3, floor(log2(stride / 2))), so that 2r <= stride: the leaves of
-    each segment of r are multiplied in a pairwise tree
-    (:func:`_tree_product`), and the states fold one segment product at a
-    time. The paths fold through the even nodes (and the last), one batched
-    product per pair leaf, and a kept odd node 2j + 1 is T_{2j} times node
-    2j, one batched product per block. The leaves of all lambdas are
-    evaluated together, in blocks of leaves (a multiple of r) whose leaves,
-    segment products and path states fit _TREE_BYTES.
+    At stride 1 that is every node (:func:`_paths`). Above it, the nodes 0,
+    2r, 4r, ... and the last, r = 2^l pair leaves, l = min(3, floor(log2(stride / 2))),
+    so 2r <= stride: each segment's r leaves are multiplied in a pairwise tree
+    (:func:`_tree_product`), and the states fold one segment product at a time,
+    in blocks of leaves (a multiple of r) that fit _TREE_BYTES with their products.
+    """
+    if stride == 1:
+        return _paths(tables, lams, z0).swapaxes(0, 1)
+    pairs, n2 = tables[1], z0.shape[0]
+    span = 1 << min(3, (stride // 2).bit_length() - 1)
+    # per leaf: the leaves of every lane and half a segment product, 1.5 matrices of 8 bytes
+    block = min(len(pairs), max(span, _TREE_BYTES // (12 * lams.size * n2 * n2) // span * span))
+    work, half = _work(block, max(2, lams.size), lams.size, n2)
+    strided = np.empty((-(-len(pairs) // span) + 1, lams.size) + z0.shape)
+    strided[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(pairs), block):
+            leaves = _step_matrices(pairs[lo:lo + block], lams, work)
+            for k, product in enumerate(_tree_product(leaves, span.bit_length() - 1, half),
+                                        lo // span):
+                np.matmul(product, strided[k], out=strided[k + 1])
+    _check_finite(strided[-1])
+    return strided
+
+
+def _paths(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray,
+           z0: np.ndarray) -> np.ndarray:
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of lams at every node,
+    (L, n, 2N, N), tables those of :func:`potential_tables`.
+
+    The states fold through the even nodes (and the last), one batched
+    product per pair leaf, and an odd node 2j + 1 is T_{2j} times node 2j,
+    one batched product per block. The leaves are evaluated in blocks whose
+    leaves and states fit _TREE_BYTES.
     """
     c, pairs = tables
-    s, n2 = c.shape[0], c.shape[2]
-    m = lams.size - paths
-    first = 0 if stride == 1 else m             # lanes [:first] fold by segments
-    walk = lams.size - first                    # lanes [first:] fold by pairs
-    span = 1 << min(3, (stride // 2).bit_length() - 1) if stride > 1 else 1
-    levels = span.bit_length() - 1
-    # per leaf: the leaves of every lane, half a segment product and a path state
-    fit = _TREE_BYTES // (8 * (lams.size * n2 * n2 + first * n2 * n2 // 2 + walk * z0.size))
-    block = max(span, fit // span * span)
-    work, half = _work(min(block, pairs.shape[0]), max(2, lams.size), first, n2)
-    strided = np.empty((len(range(0, s, 2 * span)) + 1, first) + z0.shape)
-    strided[0] = z0
-    path = np.empty((walk, s + 1) + z0.shape)
-    states = np.empty((min(block, pairs.shape[0]) + 1, walk) + z0.shape)  # nodes 2 lo .. 2 hi
+    s, n2 = c.shape[0], z0.shape[0]
+    block = min(len(pairs), max(1, _TREE_BYTES // (8 * lams.size * (n2 * n2 + z0.size))))
+    work = np.empty(block * max(2, lams.size) * n2 * n2)
+    path = np.empty((lams.size, s + 1) + z0.shape)
+    states = np.empty((block + 1, lams.size) + z0.shape)   # nodes 2 lo .. 2 hi
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, pairs.shape[0], block):
+        for lo in range(0, len(pairs), block):
             leaves = _step_matrices(pairs[lo:lo + block], lams, work)
             hi = lo + len(leaves)
-            if first:
-                for k, product in enumerate(_tree_product(leaves[:, :first], levels, half),
-                                            lo // span):
-                    np.matmul(product, strided[k], out=strided[k + 1])
-            if walk:
-                kept = list(states[:hi - lo + 1])
-                for leaf, z, out in zip(leaves[:, first:], kept, kept[1:]):
-                    np.matmul(leaf, z, out=out)
-                nodes = np.minimum(2 * np.arange(lo, hi + 1), s)
-                path[:, nodes] = states[:hi - lo + 1].swapaxes(0, 1)
-                odd = np.arange(lo, min(hi, s // 2))        # j of the odd nodes 2j + 1 < s
-                steps = _step_matrices(c[2 * odd], lams[first:])
-                path[:, 2 * odd + 1] = (steps @ states[:odd.size]).swapaxes(0, 1)
-                states[0] = states[hi - lo]
-    _check_finite(strided[-1])
+            kept = list(states[:hi - lo + 1])
+            for leaf, z, out in zip(leaves, kept, kept[1:]):
+                np.matmul(leaf, z, out=out)
+            path[:, np.minimum(2 * np.arange(lo, hi + 1), s)] = states[:hi - lo + 1].swapaxes(0, 1)
+            odd = np.arange(lo, min(hi, s // 2))        # j of the odd nodes 2j + 1 < s
+            steps = _step_matrices(c[2 * odd], lams)
+            path[:, 2 * odd + 1] = (steps @ states[:odd.size]).swapaxes(0, 1)
+            states[0] = states[hi - lo]
     _check_finite(states[0])
-    if stride == 1:
-        return path[:m].swapaxes(0, 1), path[m:]
-    return strided, path
+    return path
 
 
 def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
@@ -230,7 +233,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
     Returns
     -------
     (Y, Y'): the solution at every node, each (n, N, N) for a scalar lam and
-    (L, n, N, N) for an array, lambda axis first, from one :func:`_fold` of all
+    (L, n, N, N) for an array, lambda axis first, from one :func:`_paths` of all
     lambdas. Global error O(h^4) for C^2 potentials. Deterministic for fixed inputs.
     """
     n = pot.dimension
@@ -239,8 +242,7 @@ def integrate_ivp(pot: MatrixPotential, lam, y0: np.ndarray, yp0: np.ndarray,
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise ValueError("lam must be a scalar or a 1-D array")
-    z = _fold(potential_tables(pot, grid), np.atleast_1d(lams), _initial_state(y0, yp0),
-              grid.n - 1, lams.size)[1]
+    z = _paths(potential_tables(pot, grid), np.atleast_1d(lams), _initial_state(y0, yp0))
     z = z[0] if lams.ndim == 0 else z
     return z[..., :n, :].copy(), z[..., n:, :].copy()
 

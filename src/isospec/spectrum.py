@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConditionViolated, NonFiniteState, NotAnEigenvalue, WindowTooCoarse
 from .model import RANK_RTOL, BoundaryPair, Grid, Problem, boundary_checks
-from .ode import _fold, _initial_state, integrate_final_batch, potential_tables
+from .ode import _fold, _initial_state, _paths, integrate_final_batch, potential_tables
 from .quadrature import integral
 
 #: node count of the finite-difference oracle grid
@@ -189,7 +189,7 @@ def _boundary_phases(pair: BoundaryPair, s: np.ndarray, upper: bool) -> np.ndarr
 
 
 def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
-                roots=(), paths: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                roots=()) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_counts` before rounding the counts to integers."""
     lams, roots = np.asarray(lams, dtype=float), np.asarray(roots, dtype=float)
     n = p.n
@@ -200,11 +200,9 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
-    z, path = _fold(tables, np.concatenate([lams, roots]),
-                    _initial_state(p.left.B.T, -p.left.A.T), int(_MAX_PHASE_STEP / step.max()),
-                    roots.size if paths else 0)
-    ends = np.concatenate([z[-1], path[:, -1]])
-    w = p.right.B @ ends[:, n:] + p.right.A @ ends[:, :n]
+    z = _fold(tables, np.concatenate([lams, roots]), _initial_state(p.left.B.T, -p.left.A.T),
+              int(_MAX_PHASE_STEP / step.max()))
+    w = p.right.B @ z[-1, :, n:] + p.right.A @ z[-1, :, :n]
     z = z[:, :lams.size]
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
     sign, _ = np.linalg.slogdet(g)
@@ -215,16 +213,15 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
     end = (np.angle(np.linalg.eigvals(meet)) % (2 * np.pi)).sum(axis=1)
     total = (_boundary_phases(p.left, s, False) + delta
              - _boundary_phases(p.right, s, True) + end)
-    return total / (2 * np.pi), w, path
+    return total / (2 * np.pi), w
 
 
 def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
-            roots=(), paths: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            roots=()) -> tuple[np.ndarray, np.ndarray]:
     """N(lambda), the number of eigenvalues below each of lams, with
-    multiplicity, of the discrete problem whose W the scan evaluates; W at
-    lams and then at roots, (L + R, N, N), from the endpoints of the same
-    fold; and with paths the paths (Y, Y') at roots, (R, n, 2N, N), else an
-    empty (0, n, 2N, N).
+    multiplicity, of the discrete problem whose W the scan evaluates, and W
+    at lams and then at roots, (L + R, N, N), from the endpoints of the same
+    fold.
 
     Along the RK4 path of the frame (Y, Y') from (B^T, -A^T), the map
     Theta(x) = G conj(G)^{-1}, G = Y' + i s Y, is unitary up to the
@@ -248,13 +245,12 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
     :func:`isospec.ode._fold` of all lams samples it every 2^(l+1) <= k
     nodes, l = min(3, floor(log2(k/2))), and at k = 1 every node. The count
     is independent of s; lams must not be eigenvalues. The roots ride along
-    in that fold, as paths that keep every node or, without paths, as
-    lanes whose endpoints alone are used.
+    in that fold as lanes whose endpoints alone are used.
 
     Raises WindowTooCoarse if N s h exceeds 2.5 at one of lams.
     """
-    raw, w, path = _raw_counts(p, lams, grid, tables, prange, roots, paths)
-    return np.rint(raw).astype(int), w, path
+    raw, w = _raw_counts(p, lams, grid, tables, prange, roots)
+    return np.rint(raw).astype(int), w
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +518,20 @@ def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -thetas, thetas)
 
 
-def _eigenpairs(p: Problem, lams, mult, w: np.ndarray, residuals: np.ndarray, grid: Grid,
-                paths: np.ndarray) -> list[Eigenpair]:
-    """Eigenpairs at refined eigenvalues lams of multiplicities mult, from
-    W(lams), (L, N, N), the residuals |mu| of a Newton step at lams, and the
-    paths (Y, Y') at lams, (L, n, 2N, N), of :func:`_counts`.
+def _eigenpairs(p: Problem, lams: np.ndarray, mult: np.ndarray, residuals: np.ndarray,
+                grid: Grid, tables) -> list[Eigenpair]:
+    """Eigenpairs at certified eigenvalues lams of multiplicities mult, with
+    the residuals |mu| of a Newton step at lams, from one fold of their paths.
 
     A null-space basis V_k is the mult[k] right singular vectors of
-    W(lams[k]) with the smallest singular values; the matrix
-    int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal U, and
-    theta_l are the columns of V_k U, which makes the eigenfunctions
+    W(lams[k]), at the end of its path, with the smallest singular values;
+    the matrix int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal
+    U, and theta_l are the columns of V_k U, which makes the eigenfunctions
     Y theta_l mutually L2-orthogonal. Each theta_l is signed by
     :func:`_canonical_signs`. Each multiplicity's roots go in one batch.
     """
-    lams = np.asarray(lams, dtype=float)
-    mult = np.asarray(mult)
+    paths = _paths(tables, lams, _initial_state(p.left.B.T, -p.left.A.T))
+    w = p.right.B @ paths[:, -1, p.n:] + p.right.A @ paths[:, -1, :p.n]
     vt = np.linalg.svd(w)[2]
     pairs = [None] * lams.size
     for m in np.unique(mult):
@@ -557,9 +552,10 @@ def _eigenpairs(p: Problem, lams, mult, w: np.ndarray, residuals: np.ndarray, gr
 
 
 def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
-    """:func:`_certify` of the one start lam_k on [lam_k - delta, lam_k + delta],
-    delta = _MERGE_RTOL (1 + |lam_k|): its one eigenpair, or NotAnEigenvalue."""
+    """:func:`_certify` of the one start lam_k on [lam_k - delta, lam_k + delta], after
+    :func:`_check_scan`; delta = _MERGE_RTOL (1 + |lam_k|): its eigenpair, or NotAnEigenvalue."""
     delta = _MERGE_RTOL * (1.0 + abs(lam_k))
+    _check_scan(p, lam_k - delta, lam_k + delta, grid)
     pairs = _certify(p, np.array([lam_k], dtype=float), lam_k - delta, lam_k + delta, grid,
                      potential_tables(p.potential, grid), _potential_range(p, grid))
     if not pairs:
@@ -569,6 +565,19 @@ def eigenbasis(p: Problem, lam_k: float, grid: Grid) -> Eigenpair:
 
 # ---------------------------------------------------------------------------
 # spectrum scan
+
+def _check_scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid) -> None:
+    """The input checks of every scan and of :func:`eigenbasis`, in the order
+    of :func:`scan_spectrum`'s Raises: grid and window, then boundary pairs."""
+    if grid.n < 5 or grid.n % 2 == 0:
+        raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
+    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
+        raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
+    for c in boundary_checks(p):
+        if not c.passed:
+            raise ConditionViolated(f"{c.name} fails: defect={c.defect:.3e} (threshold "
+                                    f"{c.threshold:.3e}); the scan needs it, see isospec validate")
+
 
 def _first_of_runs(values: np.ndarray) -> np.ndarray:
     """Mask keeping each sorted value that lies more than _MERGE_RTOL (1 + |value|)
@@ -607,28 +616,27 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     are one start. The starts in the window are the roots, and one count of
     N decides them (:func:`_counts`): at the window edges and at both ends
     of each root's window, root +/- delta cut at the midpoints to its
-    neighbours (:func:`_probes`). The roots ride in the count's fold, so the
-    fold also gives W at each root and at its window ends: the Newton step
-    mu of :func:`_central_steps`. A root is converged when
-    |mu| <= max(1e-10, 64 eps |lambda|), and |mu|, about its distance to the
-    eigenvalue of the discrete problem, is its residual.
+    neighbours (:func:`_probes`). The roots ride in the count's fold by
+    their endpoints, so the fold also gives W at each root and at its window
+    ends: the Newton step mu of :func:`_central_steps`. A root is converged
+    when |mu| <= max(1e-10, 64 eps |lambda|), and |mu|, about its distance
+    to the eigenvalue of the discrete problem, is its residual.
 
     Newton's method (:func:`_newton_refine`) runs only on the starts that
     the count did not confirm and on those outside the window, each within
     half the gap to the nearest other start plus delta. A start where it
     does not converge is dropped, and its window falls to the check of the
-    surrounding gap. A count depends on lambda alone, so a second fold
-    counts only the probes that changed and the windows of the roots that
-    moved, with those roots riding in it; converged roots in the window are
+    surrounding gap. A count depends on lambda alone, so a second count
+    takes only the probes that changed; converged roots in the window are
     merged within delta. A root's multiplicity is the rise of N across its
     window (0 rejects it, above N raises WindowTooCoarse), and N must not
-    rise between windows (WindowTooCoarse). The eigenspace bases of the
-    accepted roots come from one SVD of W per root (:func:`_eigenpairs`), at
-    the end of the root's path in the fold.
+    rise between windows (WindowTooCoarse). The accepted roots' paths are
+    then folded once, and their eigenspace bases come from one SVD of W per
+    root at the end of its path (:func:`_eigenpairs`).
 
     Without bases (the rescan: starts from another problem's eigenvalues),
-    the starts take one Newton step before the count, the roots ride in its
-    fold by their endpoints alone, and the result is Eigenvalues.
+    the starts take one Newton step before the count, and the result is
+    Eigenvalues, with no path folded.
     """
     starts = starts[_first_of_runs(starts)]
     # a lone start may move across the whole window
@@ -642,37 +650,27 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     inside = alive & (lam >= lambda_min) & (lam <= lambda_max)
     roots = _ascending_runs(np.flatnonzero(inside), lam)      # indices of starts, ascending
     probes = _probes(lam[roots], lambda_min, lambda_max)
-    counts, w, paths = _counts(p, probes, grid, tables, prange, lam[roots], bases)
+    counts, w = _counts(p, probes, grid, tables, prange, lam[roots])
     w, w_roots = w[:probes.size], w[probes.size:]
     mu = _central_steps(w_roots, w[1:-1:2], w[2:-1:2], probes[1:-1:2], probes[2:-1:2])
     confirmed = np.abs(mu) <= _newton_tol(lam[roots])
     residual = np.full(starts.size, np.inf)
     residual[roots[confirmed]] = np.abs(mu[confirmed])
-    rows = np.arange(roots.size)        # each root's lane among the folds' root lanes
     retry = np.concatenate([roots[~confirmed], np.flatnonzero(alive & ~inside)])
     if retry.size:
         refined, steps, _, converged = _newton_refine(p, starts[retry], radius[retry], grid, tables)
         ok = converged & (refined >= lambda_min) & (refined <= lambda_max)
         lam = lam.copy()
         lam[retry[ok]], residual[retry[ok]] = refined[ok], steps[ok]
-        folded, roots = roots, _ascending_runs(np.concatenate([roots[confirmed], retry[ok]]), lam)
-        moved = np.isin(roots, retry)
-        # a count depends on lambda alone: recount the new probes and the moved roots' windows
+        roots = _ascending_runs(np.concatenate([roots[confirmed], retry[ok]]), lam)
+        # a count depends on lambda alone: count only the probes that changed
         changed = _probes(lam[roots], lambda_min, lambda_max)
         fresh = ~np.isin(changed, probes)
-        fresh[1 + 2 * np.flatnonzero(moved)] = fresh[2 + 2 * np.flatnonzero(moved)] = True
         recount = np.empty(changed.size, dtype=int)
         recount[~fresh] = counts[np.searchsorted(probes, changed[~fresh])]
         if fresh.any():
-            lanes = lam[roots[moved]] if bases else ()
-            recount[fresh], w, more = _counts(p, changed[fresh], grid, tables, prange, lanes, bases)
-            w_roots = np.concatenate([w_roots, w[fresh.sum():]])
-            paths = np.concatenate([paths, more])
+            recount[fresh] = _counts(p, changed[fresh], grid, tables, prange)[0]
         counts, probes = recount, changed
-        rows = np.empty(starts.size, dtype=int)
-        rows[folded] = np.arange(folded.size)
-        rows = rows[roots]
-        rows[moved] = folded.size + np.arange(moved.sum())
     rise = np.diff(counts)
     missed = 2 * np.flatnonzero(rise[0::2])
     if missed.size:
@@ -686,13 +684,10 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
         raise WindowTooCoarse(f"the eigenvalue count predicts {rise[k]} eigenvalues in "
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}], more than the N = {p.n} "
                               f"one root can stand for")
-    ok = mult > 0
-    keep, rows = roots[ok], rows[ok]
+    keep, mult = roots[mult > 0], mult[mult > 0]
     if not bases:
-        return list(map(Eigenvalue, lam[keep].tolist(), mult[ok].tolist(), residual[keep].tolist()))
-    paths = paths[rows]             # frees the paths of rejected roots before the eigenpairs
-    return (_eigenpairs(p, lam[keep], mult[ok], w_roots[rows], residual[keep], grid, paths)
-            if ok.any() else [])
+        return list(map(Eigenvalue, lam[keep].tolist(), mult.tolist(), residual[keep].tolist()))
+    return _eigenpairs(p, lam[keep], mult, residual[keep], grid, tables) if keep.size else []
 
 
 def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
@@ -736,14 +731,7 @@ def rescan_spectrum(q: Problem, first: SpectrumReport) -> SpectrumReport:
 def _scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid,
           first: SpectrumReport | None) -> SpectrumReport:
     """:func:`scan_spectrum` of p, or with a first report :func:`rescan_spectrum`."""
-    if grid.n < 5 or grid.n % 2 == 0:
-        raise ValueError("--grid must be odd and >= 5 (Simpson alignment)")
-    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max) and lambda_min < lambda_max):
-        raise ValueError("lambda window must be finite with lambda_min < lambda_max (--min < --max)")
-    for c in boundary_checks(p):
-        if not c.passed:
-            raise ConditionViolated(f"{c.name} fails: defect={c.defect:.3e} (threshold "
-                                    f"{c.threshold:.3e}); the scan needs it, see isospec validate")
+    _check_scan(p, lambda_min, lambda_max, grid)
     tables = potential_tables(p.potential, grid)
     prange = _potential_range(p, grid)
     window = (float(lambda_min), float(lambda_max))

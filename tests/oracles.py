@@ -165,7 +165,11 @@ def loop_wave_residual(kernel, base, q):
 def loop_eigenpairs(p, lams, mult, grid):
     """Eigenpairs of spectrum._eigenpairs, one root at a time, with the paths
     from iso.integrate_ivp and each residual from the count of the root's
-    window ends lam -/+ 1e-8 (1 + |lam|)."""
+    window ends lam -/+ 1e-8 (1 + |lam|) with the root riding as a lane.
+    That count's W at the root is the scan's bit for bit when both counts
+    multiply the same r pair leaves per segment, as both do (r = 8) on
+    [-5, 20], where the scan's stride is 33 for the paper example and 16
+    for the coupled N = 4 problem."""
     tables = potential_tables(p.potential, grid)
     prange = spectrum._potential_range(p, grid)
     lams = np.asarray(lams, dtype=float)
@@ -173,11 +177,11 @@ def loop_eigenpairs(p, lams, mult, grid):
     w = p.right.B @ yp[:, -1] + p.right.A @ y[:, -1]
     vt = np.linalg.svd(w)[2]
     residuals = []
-    for k, lam in enumerate(lams):
+    for lam in lams:
         delta = spectrum._MERGE_RTOL * (1.0 + abs(lam))
         ends = np.array([lam - delta, lam + delta])
-        w_ends = spectrum._counts(p, ends, grid, tables, prange)[1]
-        residuals.append(abs(spectrum._central_steps(w[k:k + 1], w_ends[:1], w_ends[1:],
+        w_ends = spectrum._counts(p, ends, grid, tables, prange, [lam])[1]
+        residuals.append(abs(spectrum._central_steps(w_ends[2:], w_ends[:1], w_ends[1:2],
                                                      ends[:1], ends[1:])[0]))
     pairs = []
     for k, m in enumerate(mult):

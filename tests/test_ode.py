@@ -312,19 +312,21 @@ class TestBatchedPath:
         nodes = (np.arange(grid.n) if stride == 1
                  else np.union1d(np.arange(0, grid.n, 2 * span), [grid.n - 1]))
         tables = potential_tables(pot, grid)
-        # the last `paths` lambdas keep every node instead, in the same fold
-        for paths in range(lams.size + 1):
-            m = lams.size - paths
-            z, path = ode._fold(tables, lams, np.vstack([y0, yp0]), stride, paths)
-            assert z.shape == (nodes.size, m, 4, 2) and path.shape == (paths, grid.n, 4, 2)
+        # the first m lambdas alone: each lane keeps its bits whatever lanes fold with it
+        for m in range(1, lams.size + 1):
+            z = ode._fold(tables, lams[:m], np.vstack([y0, yp0]), stride)
+            assert z.shape == (nodes.size, m, 4, 2)
             kept = ref[:m, nodes].swapaxes(0, 1)
             if span == 1:
                 assert np.array_equal(z, kept)
             else:
                 scale = np.max(np.abs(kept), axis=(0, 2, 3))
                 assert np.all(np.max(np.abs(z - kept), axis=(0, 2, 3)) <= 1e-13 * scale)
-            assert np.array_equal(path[:, :, :2], y[m:])
-            assert np.array_equal(path[:, :, 2:], yp[m:])
+            # a path keeps every node
+            path = ode._paths(tables, lams[:m], np.vstack([y0, yp0]))
+            assert path.shape == (m, grid.n, 4, 2)
+            assert np.array_equal(path[:, :, :2], y[:m])
+            assert np.array_equal(path[:, :, 2:], yp[:m])
 
     def test_overflowing_lambda_in_batch_raises(self, scalar):
         grid = iso.Grid.uniform(101)

@@ -364,31 +364,37 @@ class TestScan:
     @pytest.mark.parametrize("window,cuts", [((-5.0, 20.0), 0), ((1.5, 3.5), 0),
                                              ((-1000.0, 20.0), 1)])
     def test_scan_folds_its_path_once(self, paper, monkeypatch, window, cuts):
-        # the count and the eigenpairs share one fold; a cut window folds once
+        # the count certifies the roots by their endpoints, and one path fold
+        # of the accepted roots gives the eigenpairs; a cut window folds once
         # more for the count at its cuts, and nothing else integrates a path.
         # On [-1000, 20] the count confirms 3 of the 7 pencil starts; Newton
         # moves the other 4, and a last fold counts only the 8 ends of their
-        # windows, with their paths. A count lane keeps every 2r-th node and
-        # the last, r = 2^min(3, floor(log2(k/2))) and k the largest with
-        # N s k h <= 2.5: k = 33 on [-5, 20] gives r = 8, 26 of the 401
-        # nodes, and k = 5 on [-1000, 20] r = 2
-        lanes, kept = [], []
-        fold = spectrum._fold
+        # windows, and still one path fold takes the 7 roots. A count lane
+        # keeps every 2r-th node and the last, r = 2^min(3, floor(log2(k/2)))
+        # and k the largest with N s k h <= 2.5: k = 33 on [-5, 20] gives
+        # r = 8, 26 of the 401 nodes, and k = 5 on [-1000, 20] r = 2
+        lanes, kept, paths = [], [], []
+        fold, path = spectrum._fold, spectrum._paths
 
-        def recording(tables, lams, z0, stride, paths):
-            lanes.append((lams.size, paths))
-            z, path = fold(tables, lams, z0, stride, paths)
+        def recording(tables, lams, z0, stride):
+            lanes.append(lams.size)
+            z = fold(tables, lams, z0, stride)
             kept.append(z.shape[0])
-            return z, path
+            return z
 
-        monkeypatch.setattr(spectrum, "_fold", recording)
-        monkeypatch.setattr(ode, "_fold", recording)
+        def path_recording(tables, lams, z0):
+            paths.append(lams.size)
+            return path(tables, lams, z0)
+
+        for module in (spectrum, ode):
+            monkeypatch.setattr(module, "_fold", recording)
+            monkeypatch.setattr(module, "_paths", path_recording)
         report = iso.scan_spectrum(paper, *window)
         edges = spectrum._envelope_pieces(-3.0, *window)
         assert (len(edges) > 2) == bool(cuts)
         roots = len(report.pairs)
-        moved = [(12, 4)] if cuts else []
-        assert lanes == [(len(edges), 0)] * cuts + [(2 + 3 * roots, roots)] + moved
+        assert lanes == [len(edges)] * cuts + [2 + 3 * roots] + [8] * cuts
+        assert paths == ([roots] if roots else [])       # [1.5, 3.5] holds none
         assert kept == {(-5.0, 20.0): [26], (1.5, 3.5): [26],
                         (-1000.0, 20.0): [101, 101, 26]}[window]
 
@@ -397,10 +403,10 @@ class TestScan:
         strides = []
         fold = spectrum._fold
 
-        def recording(tables, lams, z0, stride, paths):
-            z, path = fold(tables, lams, z0, stride, paths)
+        def recording(tables, lams, z0, stride):
+            z = fold(tables, lams, z0, stride)
             strides.append((stride, z.shape[0]))
-            return z, path
+            return z
 
         monkeypatch.setattr(spectrum, "_fold", recording)
         iso.scan_spectrum(oracles.coupled4(), -5.0, 20.0)
@@ -408,12 +414,13 @@ class TestScan:
 
     def test_scan_work_counts(self, paper, monkeypatch):
         # the count's fold is the only certifying evaluation of W: 33 pencil
-        # samples, no Newton evaluation, and one fold of the 16 count probes
-        # and the paths of the 7 roots. Over the 400 steps the count lanes
-        # take 25 sequential products of 8-leaf segments, the paths 200 of
-        # pair leaves
-        evaluated, folds, products, newton = [], [], [], []
-        char_batch, fold, matmul = spectrum._char_batch, spectrum._fold, np.matmul
+        # samples, no Newton evaluation, and one fold at stride 33 of the 16
+        # count probes and the 7 roots' endpoints. Over the 400 steps the
+        # count lanes take 25 sequential products of 8-leaf segments, and
+        # the one path fold of the 7 accepted roots 200 of pair leaves
+        evaluated, folds, paths, products, newton = [], [], [], [], []
+        char_batch, fold, path, matmul = (spectrum._char_batch, spectrum._fold, spectrum._paths,
+                                          np.matmul)
         refine = spectrum._newton_refine
 
         def counting(p, lams, *args):
@@ -424,9 +431,13 @@ class TestScan:
             newton.append(args[1])
             return refine(*args, **kwargs)
 
-        def recording(tables, lams, *args):
-            folds.append(lams.size)
-            return fold(tables, lams, *args)
+        def recording(tables, lams, z0, stride):
+            folds.append((lams.size, stride))
+            return fold(tables, lams, z0, stride)
+
+        def path_recording(tables, lams, z0):
+            paths.append(lams.size)
+            return path(tables, lams, z0)
 
         def product(*args, **kwargs):
             products.append(args[0].shape)
@@ -434,14 +445,15 @@ class TestScan:
 
         monkeypatch.setattr(spectrum, "_char_batch", counting)
         monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(spectrum, "_paths", path_recording)
         monkeypatch.setattr(spectrum, "_newton_refine", no_newton)
         monkeypatch.setattr(np, "matmul", product)
         report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(401))
         assert len(report.pairs) == 7
         assert sum(evaluated) == 33 and newton == []
-        assert folds == [23]
+        assert folds == [(23, 33)] and paths == [7]
         sequential = [shape for shape in products if len(shape) == 3]
-        assert collections.Counter(sequential) == {(16, 4, 4): 25, (7, 4, 4): 200}
+        assert collections.Counter(sequential) == {(23, 4, 4): 25, (7, 4, 4): 200}
 
     @pytest.mark.parametrize("which,window", [("paper", (-5.0, 20.0)), ("coupled4", (-5.0, 20.0)),
                                               ("scalar", (0.5, 2600.0))])
@@ -483,21 +495,21 @@ class TestScan:
     def test_only_what_newton_moved_is_counted_again(self, paper, monkeypatch, window, moved):
         # the count confirms all but `moved` pencil starts; Newton moves
         # those, and the second count takes only the probes that changed,
-        # with the paths of the moved roots alone
+        # with no root riding in it
         calls = []
         count = spectrum._counts
 
-        def recording(p, lams, grid, tables, prange, roots=(), paths=True):
+        def recording(p, lams, grid, tables, prange, roots=()):
             calls.append((np.array(lams), np.array(roots)))
-            return count(p, lams, grid, tables, prange, roots, paths)
+            return count(p, lams, grid, tables, prange, roots)
 
         monkeypatch.setattr(spectrum, "_counts", recording)
         report = iso.scan_spectrum(paper, *window)
         (probes, roots), (recounted, lanes) = calls[-2:]
         lams = np.array([pair.lam for pair in report.pairs])
         final = spectrum._probes(lams, *window)
-        assert roots.size == lams.size and lanes.size == moved
-        assert np.array_equal(lanes, lams[~np.isin(lams, roots)])
+        assert roots.size == lams.size and lanes.size == 0
+        assert np.count_nonzero(~np.isin(lams, roots)) == moved
         assert np.array_equal(recounted, final[~np.isin(final, probes)])
         assert recounted.size == 2 * moved
 
@@ -689,9 +701,9 @@ class TestCount:
         strides = []
         fold = spectrum._fold
 
-        def every_node(tables, lams, z0, stride, paths):
+        def every_node(tables, lams, z0, stride):
             strides.append(stride)
-            return fold(tables, lams, z0, 1, paths)
+            return fold(tables, lams, z0, 1)
 
         strided = counts(p, lams)
         monkeypatch.setattr(spectrum, "_fold", every_node)
@@ -802,6 +814,22 @@ class TestEigenbasis:
 
     def test_residual_small_at_eigenvalue(self, paper_report):
         assert all(p.residual < 1e-7 for p in paper_report.pairs)
+
+    def test_non_finite_start_raises_the_window_error(self, paper):
+        with pytest.raises(ValueError, match="lambda window must be finite"):
+            iso.eigenbasis(paper, float("nan"), iso.Grid.uniform(401))
+
+    def test_rank_deficient_boundary_pair_raises_condition_violated(self, paper):
+        # rank [A, B] = 1 < N at the right end: the boundary phases would
+        # solve with a singular X, as the scan's checks refuse it first
+        bad = iso.Problem(paper.potential, paper.left,
+                          iso.BoundaryPair(np.zeros((2, 2)), np.diag([1.0, 0.0])))
+        with pytest.raises(iso.errors.ConditionViolated, match="fails"):
+            iso.eigenbasis(bad, 1.0, iso.Grid.uniform(401))
+
+    def test_even_grid_raises(self, paper):
+        with pytest.raises(ValueError, match="--grid must be odd and >= 5"):
+            iso.eigenbasis(paper, 1.0, iso.Grid.uniform(400))
 
 
 class TestChebyshevRoots:
@@ -964,6 +992,52 @@ class TestOracle:
         assert err(101) / err(201) > 3.5
 
 
+def conjugated(p, rot):
+    """p with P, A and B conjugated by the constant orthogonal rot: the same
+    eigenvalues, with eigenfunctions rot phi."""
+    pot = p.potential
+    samples = rot @ pot.samples @ rot.T
+    pairs = [iso.BoundaryPair(rot @ e.A @ rot.T, rot @ e.B @ rot.T) for e in (p.left, p.right)]
+    return iso.Problem(iso.GridPotential(pot.grid, samples), *pairs)
+
+
+def shifted(p, c):
+    """p with P + c I: every eigenvalue moves up by c."""
+    pot = p.potential
+    return iso.Problem(iso.GridPotential(pot.grid, pot.samples + c * np.eye(p.n)), p.left, p.right)
+
+
+def reflected(p):
+    """p under x -> pi - x: P(pi - x), the ends swapped, and each B negated
+    since phi' changes sign."""
+    pot = p.potential
+    return iso.Problem(iso.GridPotential(pot.grid, pot.samples[::-1]),
+                       iso.BoundaryPair(p.right.A, -p.right.B),
+                       iso.BoundaryPair(p.left.A, -p.left.B))
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("which", [0, 1], ids=["dirichlet-robin", "rank-two-robin"])
+    @pytest.mark.parametrize("change", ["conjugation", "shift", "reflection"])
+    def test_coupled4_robin_spectrum_is_invariant(self, which, change):
+        # the discrete problems differ in their rounding (and, reflected, in
+        # the direction RK4 steps), not in their eigenvalues: the same
+        # multiplicities on [-20, 60] at 401 nodes, within 1e-9 (largest
+        # moves measured: 8.8e-11, 1.24e-10 and 8.8e-11). Both ends' boundary
+        # phases are checked this way without a reference solver
+        p = coupled4_robin_problems()[which]
+        rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+        c = {"conjugation": 0.0, "shift": 7.5, "reflection": 0.0}[change]
+        q = {"conjugation": lambda: conjugated(p, rot), "shift": lambda: shifted(p, c),
+             "reflection": lambda: reflected(p)}[change]()
+        base = iso.scan_spectrum(p, -20.0, 60.0)
+        other = iso.scan_spectrum(q, -20.0 + c, 60.0 + c)
+        assert len(base.pairs) >= 31
+        assert [e.multiplicity for e in other.pairs] == [e.multiplicity for e in base.pairs]
+        moved = np.array([e.lam - c for e in other.pairs]) - [e.lam for e in base.pairs]
+        assert np.max(np.abs(moved)) <= 1e-9
+
+
 def coupled4_x_dependent():
     """N = 4 Dirichlet grid potential with x-dependent eigenvalues and a
     rotating eigenbasis, so every channel couples to every other."""
@@ -1000,6 +1074,22 @@ class TestBatchedEigenpairs:
                 for f in ("thetas", "phis", "phi_derivs", "norms_sq"):
                     assert getattr(a, f).shape == getattr(b, f).shape
                     assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
+
+    def test_newton_moved_roots_match_the_root_loop_bit_for_bit(self, paper):
+        # on [-1000, 20] Newton moves 4 of the 7 pencil starts after the
+        # count; every accepted root's path is still folded once, so all 7
+        # eigenspaces match the loop's bit for bit. The moved roots'
+        # residuals come from Newton, not from the count, and are bounded
+        # as every scan's are
+        report = iso.scan_spectrum(paper, -1000.0, 20.0)
+        assert len(report.pairs) == 7
+        ref = oracles.loop_eigenpairs(paper, [pair.lam for pair in report.pairs],
+                                      [pair.multiplicity for pair in report.pairs], report.grid)
+        for a, b in zip(report.pairs, ref):
+            assert (a.lam, a.multiplicity) == (b.lam, b.multiplicity)
+            for f in ("thetas", "phis", "phi_derivs", "norms_sq"):
+                assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
+        assert_residuals_bound(paper, report)
 
     def test_scan_pairs_match_single_root_eigenbasis(self):
         # no sign alignment: the canonical sign makes both paths agree
@@ -1079,8 +1169,11 @@ class TestRescan:
         cold = iso.scan_spectrum(q, *window, first.grid)
         pieces = recorded(monkeypatch, "_piece_roots")
         folds = recorded(monkeypatch, "_fold")
+        paths = recorded(monkeypatch, "_paths")
         warm = spectrum.rescan_spectrum(q, first)
-        assert pieces == [] and [args[4] for args in folds] == [0]
+        # one count fold of the probes and the roots' endpoints, and no path
+        assert pieces == [] and paths == []
+        assert [args[1].size for args in folds] == [2 + 3 * len(first.pairs)]
         assert (warm.problem, warm.grid, warm.window) == (q, first.grid, first.window)
         assert all(type(e) is spectrum.Eigenvalue for e in warm.pairs)
         assert [e.multiplicity for e in warm.pairs] == [e.multiplicity for e in cold.pairs]

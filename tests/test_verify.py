@@ -109,29 +109,35 @@ class TestIsospectral:
 
     def test_one_pipeline_op_scans_once_and_rescans_warm(self, tmp_path, monkeypatch, capsys):
         # verify --pipeline on the paper example: the first scan takes 33
-        # pencil samples and no Newton evaluation, and folds its 16 count
-        # probes with the paths of its 7 roots; the rescan takes one Newton
-        # step from each of P's 7 eigenvalues, W at lambda and lambda -/+ delta
-        # in one batch of 21, and folds its 16 probes with the 7 roots' endpoints
+        # pencil samples and no Newton evaluation, folds its 16 count probes
+        # with its 7 roots' endpoints, and then the paths of the 7 roots; the
+        # rescan takes one Newton step from each of P's 7 eigenvalues, W at
+        # lambda and lambda -/+ delta in one batch of 21, folds its 16 probes
+        # with the 7 roots' endpoints, and folds no path
         calls = {"_piece_roots": 0, "_eigenpairs": 0}
         for name in calls:
             def count(*args, _f=getattr(spectrum, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(spectrum, name, count)
-        lambdas, folds = [], []
-        char_batch, fold = spectrum._char_batch, spectrum._fold
+        lambdas, folds, paths = [], [], []
+        char_batch, fold, path = spectrum._char_batch, spectrum._fold, spectrum._paths
 
         def counting(p, lams, *args, **kwargs):
             lambdas.append(np.size(lams))
             return char_batch(p, lams, *args, **kwargs)
 
-        def recording(tables, lams, z0, stride, paths):
-            folds.append((lams.size, paths))
-            return fold(tables, lams, z0, stride, paths)
+        def recording(tables, lams, z0, stride):
+            folds.append(lams.size)
+            return fold(tables, lams, z0, stride)
+
+        def path_recording(tables, lams, z0):
+            paths.append(lams.size)
+            return path(tables, lams, z0)
 
         monkeypatch.setattr(spectrum, "_char_batch", counting)
         monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(spectrum, "_paths", path_recording)
         prob, pert = tmp_path / "problem.json", tmp_path / "pert.json"
         assert main(["example", "paper-example-2x2"]) == 0
         prob.write_text(capsys.readouterr().out)
@@ -141,7 +147,7 @@ class TestIsospectral:
                      "--max", "20"]) == 0
         assert capsys.readouterr().out.count("[pass]") == 8
         assert calls == {"_piece_roots": 1, "_eigenpairs": 1}
-        assert folds == [(23, 7), (23, 0)]
+        assert folds == [23, 23] and paths == [7]
         assert lambdas == [9, 8, 16, 21]
 
     def test_json_shape(self, scalar_report):
