@@ -57,6 +57,8 @@ class Grid:
 
     @classmethod
     def uniform(cls, n: int) -> "Grid":
+        if n < 3:
+            raise ValueError("grid needs at least 3 nodes")
         return cls(np.linspace(0.0, np.pi, n))
 
     @property

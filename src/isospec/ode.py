@@ -13,25 +13,25 @@ node i+1 (Q1), one step is z_{i+1} = T_i(lambda) z_i with
 a polynomial of degree 2 in lambda whose 2N x 2N coefficients depend only on
 P and the grid. :func:`potential_tables` builds them once per (potential,
 grid), together with the degree-4 products T_{2j+1} T_{2j} of consecutive
-step pairs; every propagation evaluates them:
+step pairs. One kernel, :func:`_fold`, multiplies those pair leaves: it
+evaluates them for a chunk of lambdas, a block at a time, multiplies the
+span leaves of each segment in a pairwise tree and folds the segment
+products, keeping the states at the nodes 0, 2 span, 4 span, ... and the
+last (with an odd step count the last leaf is a step of its own). It has
+three uses:
 
-* endpoints (:func:`integrate_final_batch`) multiply the pair leaves
-  ... (T_3 T_2)(T_1 T_0) in a pairwise tree, ceil(log2(ceil((n-1)/2)))
-  batched matrix products per chunk of lambdas; with an odd step count the
-  last step is a leaf of its own;
-* paths (:func:`_paths`, every node, for :func:`integrate_ivp` and the
-  eigenpairs) fold the same leaves, z_{2j+2} = (T_{2j+1} T_{2j}) z_{2j}, one
-  batched product per two steps for all lambdas of a call; an odd node comes
-  from its even neighbour by one single step, batched per block;
-* count lanes (:func:`_fold`: the eigenvalue count's lambdas and the roots
-  it certifies) fold apart. The count samples arg det(Y' + i s Y) every k
-  nodes at most, k the largest with N s k h <= 2.5: each channel's phase
-  moves at most s h per node, so the sampled phase moves less than pi
-  between samples and unwraps. A count lane therefore multiplies the leaves
-  of each segment of r = 2^l of them in a pairwise tree, l = min(3,
-  floor(log2(k/2))), and folds the segment products, keeping every 2r-th
-  node (2r <= k) and the last: 25 sequential products instead of 200 on 401
-  nodes. At k = 1 it keeps every node, as a path does.
+* endpoints (:func:`integrate_final_batch`): one segment of every leaf,
+  ceil(log2(ceil((n-1)/2))) batched matrix products per chunk of lambdas;
+* count lanes (the eigenvalue count's lambdas and the roots it certifies).
+  The count samples arg det(Y' + i s Y) every k nodes at most, k the
+  largest with N s k h <= 2.5: each channel's phase moves at most s h per
+  node, so the sampled phase moves less than pi between samples and
+  unwraps. Span 2^min(3, floor(log2(k/2))) keeps every (2 span)-th node,
+  2 span <= k: 25 sequential products instead of 200 on 401 nodes;
+* paths (:func:`_paths`, every node, for :func:`integrate_ivp`, the
+  eigenpairs and a count at k = 1): span 1 folds z_{2j+2} =
+  (T_{2j+1} T_{2j}) z_{2j}, one batched product per two steps, and an odd
+  node comes from its even neighbour by one single step, batched per block.
 
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
@@ -48,9 +48,8 @@ import numpy as np
 from .errors import NonFiniteState
 from .model import Grid, MatrixPotential
 
-#: bytes of step matrices evaluated at once; bounds the (ceil((n-1)/2), chunk,
-#: 2N, 2N) pair leaves of a lambda chunk in the endpoint tree and the (block, L,
-#: 2N, 2N) leaves of a fold's block with its segment products or path states
+#: bytes of step matrices evaluated at once: the (block, chunk, 2N, 2N) pair
+#: leaves of :func:`_fold`, or a block of the single steps to a path's odd nodes
 _TREE_BYTES = 1 << 20
 
 
@@ -136,52 +135,45 @@ def _tree_product(t: np.ndarray, levels: int, half: np.ndarray) -> np.ndarray:
     return t
 
 
-def _work(leaves: int, rows: int, lanes: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """One flat work array for the leaves of :func:`_step_matrices` (leaves
-    pair leaves at rows lambdas) and, behind them, the (ceil(leaves / 2),
-    lanes, 2N, 2N) half buffer of :func:`_tree_product`; returns both."""
-    room = leaves * rows * n2 * n2
-    work = np.empty(room + (leaves + 1) // 2 * lanes * n2 * n2)
-    return work, work[room:].reshape((leaves + 1) // 2, lanes, n2, n2)
-
-
-def _check_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteState("integration overflowed; check lambda window and grid scaling")
-
-
 def _initial_state(y0, yp0) -> np.ndarray:
     return np.concatenate((np.asarray(y0, dtype=float), np.asarray(yp0, dtype=float)))
 
 
-def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray,
-          stride: int) -> np.ndarray:
-    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of the count lanes lams at
-    the nodes they keep, (K, L, 2N, N), tables those of :func:`potential_tables`.
+def _leaf_room(n2: int) -> int:
+    """How many 2N x 2N matrices fit _TREE_BYTES, at least one."""
+    return max(1, _TREE_BYTES // (8 * n2 * n2))
 
-    At stride 1 that is every node (:func:`_paths`). Above it, the nodes 0,
-    2r, 4r, ... and the last, r = 2^l pair leaves, l = min(3, floor(log2(stride / 2))),
-    so 2r <= stride: each segment's r leaves are multiplied in a pairwise tree
-    (:func:`_tree_product`), and the states fold one segment product at a time,
-    in blocks of leaves (a multiple of r) that fit _TREE_BYTES with their products.
+
+def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray,
+          span: int, out: np.ndarray | None = None) -> np.ndarray:
+    """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of lams at the nodes 0,
+    2 span, 4 span, ... and the last, (K, L, 2N, N), written into out if
+    given; tables those of :func:`potential_tables`, span a power of 2.
+
+    Each segment's span pair leaves are multiplied in a pairwise tree
+    (:func:`_tree_product`) and the states fold one segment product at a
+    time. The lanes go in chunks and the leaves in blocks of whole segments
+    whose leaves fit _TREE_BYTES; a lane's states do not depend on either.
     """
-    if stride == 1:
-        return _paths(tables, lams, z0).swapaxes(0, 1)
     pairs, n2 = tables[1], z0.shape[0]
-    span = 1 << min(3, (stride // 2).bit_length() - 1)
-    # per leaf: the leaves of every lane and half a segment product, 1.5 matrices of 8 bytes
-    block = min(len(pairs), max(span, _TREE_BYTES // (12 * lams.size * n2 * n2) // span * span))
-    work, half = _work(block, max(2, lams.size), lams.size, n2)
-    strided = np.empty((-(-len(pairs) // span) + 1, lams.size) + z0.shape)
-    strided[0] = z0
+    m, room = len(pairs), _leaf_room(n2)
+    chunk = max(1, min(lams.size, room // min(span, m)))
+    block = min(m, max(span, room // chunk // span * span))
+    work = np.empty(block * max(2, chunk) * n2 * n2)
+    half = np.empty(((block + 1) // 2, chunk, n2, n2))
+    states = np.empty((-(-m // span) + 1, lams.size) + z0.shape) if out is None else out
+    states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(pairs), block):
-            leaves = _step_matrices(pairs[lo:lo + block], lams, work)
-            for k, product in enumerate(_tree_product(leaves, span.bit_length() - 1, half),
-                                        lo // span):
-                np.matmul(product, strided[k], out=strided[k + 1])
-    _check_finite(strided[-1])
-    return strided
+        for a in range(0, lams.size, chunk):
+            kept = list(states[:, a:a + chunk])
+            for lo in range(0, m, block):
+                leaves = _step_matrices(pairs[lo:lo + block], lams[a:a + chunk], work)
+                products = _tree_product(leaves, span.bit_length() - 1, half[:, :leaves.shape[1]])
+                for k, product in enumerate(products, lo // span):
+                    np.matmul(product, kept[k], out=kept[k + 1])
+    if not np.all(np.isfinite(states[-1])):
+        raise NonFiniteState("integration overflowed; check lambda window and grid scaling")
+    return states
 
 
 def _paths(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray,
@@ -189,31 +181,22 @@ def _paths(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray,
     """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of lams at every node,
     (L, n, 2N, N), tables those of :func:`potential_tables`.
 
-    The states fold through the even nodes (and the last), one batched
-    product per pair leaf, and an odd node 2j + 1 is T_{2j} times node 2j,
-    one batched product per block. The leaves are evaluated in blocks whose
-    leaves and states fit _TREE_BYTES.
+    The even nodes and the last are :func:`_fold` at span 1, written in
+    place; an odd node 2j + 1 is T_{2j} times node 2j, one batched product
+    per block of steps that fits _TREE_BYTES.
     """
-    c, pairs = tables
-    s, n2 = c.shape[0], z0.shape[0]
-    block = min(len(pairs), max(1, _TREE_BYTES // (8 * lams.size * (n2 * n2 + z0.size))))
-    work = np.empty(block * max(2, lams.size) * n2 * n2)
-    path = np.empty((lams.size, s + 1) + z0.shape)
-    states = np.empty((block + 1, lams.size) + z0.shape)   # nodes 2 lo .. 2 hi
-    states[0] = z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(pairs), block):
-            leaves = _step_matrices(pairs[lo:lo + block], lams, work)
-            hi = lo + len(leaves)
-            kept = list(states[:hi - lo + 1])
-            for leaf, z, out in zip(leaves, kept, kept[1:]):
-                np.matmul(leaf, z, out=out)
-            path[:, np.minimum(2 * np.arange(lo, hi + 1), s)] = states[:hi - lo + 1].swapaxes(0, 1)
-            odd = np.arange(lo, min(hi, s // 2))        # j of the odd nodes 2j + 1 < s
-            steps = _step_matrices(c[2 * odd], lams)
-            path[:, 2 * odd + 1] = (steps @ states[:odd.size]).swapaxes(0, 1)
-            states[0] = states[hi - lo]
-    _check_finite(states[0])
+    c = tables[0]
+    s = c.shape[0]
+    # with an odd step count the last node is odd: the fold leaves it in a spare node
+    path = np.empty((lams.size, s + 1 + s % 2) + z0.shape)
+    _fold(tables, lams, z0, 1, path[:, ::2].swapaxes(0, 1))
+    path[:, s] = path[:, -1]
+    path = path[:, :s + 1]
+    block = max(1, _leaf_room(z0.shape[0]) // max(1, lams.size))
+    for lo in range(0, s // 2, block):
+        hi = min(lo + block, s // 2)                  # odd nodes 2j + 1 < s, lo <= j < hi
+        np.matmul(_step_matrices(c[2 * lo:2 * hi:2], lams), path[:, 2 * lo:2 * hi:2].swapaxes(0, 1),
+                  out=path[:, 2 * lo + 1:2 * hi:2].swapaxes(0, 1))
     return path
 
 
@@ -251,21 +234,9 @@ def integrate_final_batch(pot: MatrixPotential, lams: np.ndarray, y0: np.ndarray
                           grid: Grid, tables: tuple[np.ndarray, np.ndarray] | None = None):
     """Endpoint (Y(pi), Y'(pi)) for a batch of lambda values, shape (L, N, N) each.
 
-    The pair leaves of :func:`potential_tables` are evaluated for a chunk of
-    lambdas and multiplied in one pairwise tree (:func:`_tree_product`).
+    :func:`_fold` of the pair leaves of :func:`potential_tables` in one segment.
     """
-    pairs = (potential_tables(pot, grid) if tables is None else tables)[1]
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    z0 = _initial_state(y0, yp0)
-    m, _, n2, _ = pairs.shape
-    n = n2 // 2
-    chunk = max(1, _TREE_BYTES // (m * n2 * n2 * 8))
-    work, half = _work(m, max(2, min(chunk, lams.size)), min(chunk, lams.size), n2)
-    z = np.empty((lams.size, n2, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, lams.size, chunk):
-            leaves = _step_matrices(pairs, lams[lo:lo + chunk], work)
-            prod = _tree_product(leaves, (m - 1).bit_length(), half[:, :leaves.shape[1]])
-            z[lo:lo + chunk] = prod[0] @ z0
-    _check_finite(z)
-    return z[:, :n], z[:, n:]
+    tables = potential_tables(pot, grid) if tables is None else tables
+    z = _fold(tables, np.atleast_1d(np.asarray(lams, dtype=float)), _initial_state(y0, yp0),
+              1 << (len(tables[1]) - 1).bit_length())[-1]
+    return z[:, :pot.dimension], z[:, pot.dimension:]

@@ -200,8 +200,10 @@ def _raw_counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float
             f"the eigenvalue count unwraps its phase only for N s h <= {_MAX_PHASE_STEP}, "
             f"s^2 = max(|lambda - P|, 1), but N s h = {step.max():.3g} at lambda = "
             f"{lams[np.argmax(step)]:.9g}; refine the grid (--grid)")
-    z = _fold(tables, np.concatenate([lams, roots]), _initial_state(p.left.B.T, -p.left.A.T),
-              int(_MAX_PHASE_STEP / step.max()))
+    k, lanes = int(_MAX_PHASE_STEP / step.max()), np.concatenate([lams, roots])
+    z0 = _initial_state(p.left.B.T, -p.left.A.T)
+    z = (_fold(tables, lanes, z0, 1 << min(3, (k // 2).bit_length() - 1)) if k > 1
+         else _paths(tables, lanes, z0).swapaxes(0, 1))
     w = p.right.B @ z[-1, :, n:] + p.right.A @ z[-1, :, :n]
     z = z[:, :lams.size]
     g = z[..., n:, :] + 1j * s[:, None, None] * z[..., :n, :]      # Y' + i s Y, (K, L, N, N)
@@ -242,8 +244,9 @@ def _counts(p: Problem, lams, grid: Grid, tables, prange: tuple[float, float],
     k the largest with N s k h <= 2.5 (_MAX_PHASE_STEP): arg det G then
     moves less than pi between samples and unwraps, and at k > 1 RK4 steps
     at a smaller s h than at k = 1 on the bound. One
-    :func:`isospec.ode._fold` of all lams samples it every 2^(l+1) <= k
-    nodes, l = min(3, floor(log2(k/2))), and at k = 1 every node. The count
+    :func:`isospec.ode._fold` of all lams at span 2^min(3, floor(log2(k/2)))
+    samples it every 2 span <= k nodes, and at k = 1 one
+    :func:`isospec.ode._paths` at every node. The count
     is independent of s; lams must not be eigenvalues. The roots ride along
     in that fold as lanes whose endpoints alone are used.
 

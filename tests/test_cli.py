@@ -151,6 +151,12 @@ class TestRunConfig:
             assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_negative_grid_exits_2_with_the_grid_message(self, paper_files, capsys):
+        prob, _ = paper_files
+        assert main(["spectrum", str(prob), "--grid", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: grid needs at least 3 nodes\n"
+
     @staticmethod
     def _assert_removed_flag(paper_files, tmp_path, capsys, command, flag):
         prob, pert = paper_files

@@ -26,6 +26,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             iso.Grid(np.linspace(0, 3.0, 11))
 
+    @pytest.mark.parametrize("n", [-3, 0, 2])
+    def test_uniform_rejects_fewer_than_3_nodes(self, n):
+        with pytest.raises(ValueError, match="^grid needs at least 3 nodes$"):
+            iso.Grid.uniform(n)
+
 
 class TestPotentials:
     def test_constant_diagonal(self):

@@ -249,17 +249,41 @@ class TestPairLeaves:
             assert np.max(np.abs(y[k] - y_ref)) <= 1e-12 * scale
             assert np.max(np.abs(yp[k] - yp_ref)) <= 1e-12 * scale
 
+    def test_empty_lambda_batch_has_empty_endpoints(self, paper):
+        y, yp = integrate_final_batch(paper.potential, np.array([]), np.eye(2), np.zeros((2, 2)),
+                                      iso.Grid.uniform(401))
+        assert y.shape == yp.shape == (0, 2, 2)
+
     def test_tree_chunks_do_not_change_endpoints(self, monkeypatch):
         # a small budget evaluates the leaves a few lambdas at a time, down
-        # to one lambda per chunk; every endpoint stays bit-identical
+        # to one lambda per chunk; every endpoint, count lane state at span 8
+        # and path node stays bit-identical
         pot, grid = random_grid_potential(4, 401, seed=12)
         y0, yp0 = np.zeros((4, 4)), -np.eye(4)
         lams = np.linspace(-30.0, 400.0, 37)
-        whole = integrate_final_batch(pot, lams, y0, yp0, grid)
+        tables, z0 = potential_tables(pot, grid), np.vstack([y0, yp0])
+
+        evaluated, step_matrices = [], ode._step_matrices
+
+        def states():
+            return (integrate_final_batch(pot, lams, y0, yp0, grid, tables),
+                    ode._fold(tables, lams, z0, 8), ode._paths(tables, lams, z0))
+
+        def recording(coeffs, lams, *args):
+            if coeffs.shape[1] == 5:          # pair leaves, not single steps
+                evaluated.append(lams.size)
+            return step_matrices(coeffs, lams, *args)
+
+        whole = states()
+        monkeypatch.setattr(ode, "_step_matrices", recording)
         for budget in (1, 3 * 200 * 64 * 8):
             monkeypatch.setattr(ode, "_TREE_BYTES", budget)
-            chunked = integrate_final_batch(pot, lams, y0, yp0, grid)
-            assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+            evaluated.clear()
+            chunked = states()
+            # at budget 1 the pair leaves go one lane per chunk
+            assert (set(evaluated) == {1}) == (budget == 1)
+            assert all(np.array_equal(a, b) for a, b in zip(whole[0], chunked[0]))
+            assert np.array_equal(whole[1], chunked[1]) and np.array_equal(whole[2], chunked[2])
 
 
 class TestBatchedPath:
@@ -297,11 +321,13 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("stride", [1, 3, 7, 200, 400])
     def test_strided_fold_keeps_the_path_nodes(self, monkeypatch, stride):
-        # 200 steps, in blocks of steps. A count lane keeps every node at
-        # stride 1, else every 2r-th node and the last, r = 2^min(3,
-        # floor(log2(stride / 2))) pair leaves per segment product: r = 1 at
-        # 3, 2 at 7 and 8 at 200 and 400. At r = 1 it folds as a path does,
-        # bit for bit; a segment product rounds differently
+        # 200 steps, in blocks of steps. A count lane at stride k > 1 folds at
+        # span r = 2^min(3, floor(log2(k / 2))) pair leaves per segment and
+        # keeps every 2r-th node and the last: r = 1 at 3, 2 at 7 and 8 at 200
+        # and 400; at k = 1 it is a path, every node. At r = 1 the fold keeps
+        # a path's even nodes bit for bit; a segment product rounds
+        # differently. One segment of all 100 leaves (r = 128) is the
+        # endpoint map of integrate_final_batch, bit for bit
         pot, grid = random_grid_potential(2, 201, seed=5)
         y0, yp0 = np.zeros((2, 2)), -np.eye(2)
         lams = np.array([-3.0, 0.5, 11.0])
@@ -309,12 +335,11 @@ class TestBatchedPath:
         ref = np.concatenate((y, yp), axis=2)
         monkeypatch.setattr(ode, "_TREE_BYTES", 5 * lams.size * 16 * 8)
         span = {1: 1, 3: 1, 7: 2, 200: 8, 400: 8}[stride]
-        nodes = (np.arange(grid.n) if stride == 1
-                 else np.union1d(np.arange(0, grid.n, 2 * span), [grid.n - 1]))
+        nodes = np.union1d(np.arange(0, grid.n, 2 * span), [grid.n - 1])
         tables = potential_tables(pot, grid)
         # the first m lambdas alone: each lane keeps its bits whatever lanes fold with it
         for m in range(1, lams.size + 1):
-            z = ode._fold(tables, lams[:m], np.vstack([y0, yp0]), stride)
+            z = ode._fold(tables, lams[:m], np.vstack([y0, yp0]), span)
             assert z.shape == (nodes.size, m, 4, 2)
             kept = ref[:m, nodes].swapaxes(0, 1)
             if span == 1:
@@ -322,11 +347,20 @@ class TestBatchedPath:
             else:
                 scale = np.max(np.abs(kept), axis=(0, 2, 3))
                 assert np.all(np.max(np.abs(z - kept), axis=(0, 2, 3)) <= 1e-13 * scale)
+            end = ode._fold(tables, lams[:m], np.vstack([y0, yp0]), 128)
+            assert end.shape == (2, m, 4, 2)
+            assert np.array_equal(end[-1], np.concatenate(
+                integrate_final_batch(pot, lams[:m], y0, yp0, grid, tables), axis=1))
             # a path keeps every node
             path = ode._paths(tables, lams[:m], np.vstack([y0, yp0]))
             assert path.shape == (m, grid.n, 4, 2)
             assert np.array_equal(path[:, :, :2], y[:m])
             assert np.array_equal(path[:, :, 2:], yp[:m])
+
+    def test_empty_lambda_batch_has_empty_paths(self, paper):
+        y, yp = iso.integrate_ivp(paper.potential, np.array([]), np.eye(2), np.zeros((2, 2)),
+                                  iso.Grid.uniform(401))
+        assert y.shape == yp.shape == (0, 401, 2, 2)
 
     def test_overflowing_lambda_in_batch_raises(self, scalar):
         grid = iso.Grid.uniform(101)

@@ -8,7 +8,7 @@ import scipy.fft
 import scipy.linalg
 
 import isospec as iso
-from isospec import ode, spectrum
+from isospec import spectrum
 from isospec.errors import NonFiniteState, NotAnEigenvalue, WindowTooCoarse
 from isospec.ode import potential_tables
 from isospec.quadrature import integral
@@ -370,15 +370,18 @@ class TestScan:
         # On [-1000, 20] the count confirms 3 of the 7 pencil starts; Newton
         # moves the other 4, and a last fold counts only the 8 ends of their
         # windows, and still one path fold takes the 7 roots. A count lane
-        # keeps every 2r-th node and the last, r = 2^min(3, floor(log2(k/2)))
-        # and k the largest with N s k h <= 2.5: k = 33 on [-5, 20] gives
-        # r = 8, 26 of the 401 nodes, and k = 5 on [-1000, 20] r = 2
-        lanes, kept, paths = [], [], []
+        # folds at span r = 2^min(3, floor(log2(k/2))), k the largest with
+        # N s k h <= 2.5, and keeps every 2r-th node and the last: k = 33 on
+        # [-5, 20] gives r = 8, 26 of the 401 nodes, and k = 5 on [-1000, 20]
+        # r = 2. The scan's own _fold and _paths are recorded: the endpoints
+        # and paths fold through ode._fold too
+        lanes, kept, spans, paths = [], [], [], []
         fold, path = spectrum._fold, spectrum._paths
 
-        def recording(tables, lams, z0, stride):
+        def recording(tables, lams, z0, span):
             lanes.append(lams.size)
-            z = fold(tables, lams, z0, stride)
+            spans.append(span)
+            z = fold(tables, lams, z0, span)
             kept.append(z.shape[0])
             return z
 
@@ -386,9 +389,8 @@ class TestScan:
             paths.append(lams.size)
             return path(tables, lams, z0)
 
-        for module in (spectrum, ode):
-            monkeypatch.setattr(module, "_fold", recording)
-            monkeypatch.setattr(module, "_paths", path_recording)
+        monkeypatch.setattr(spectrum, "_fold", recording)
+        monkeypatch.setattr(spectrum, "_paths", path_recording)
         report = iso.scan_spectrum(paper, *window)
         edges = spectrum._envelope_pieces(-3.0, *window)
         assert (len(edges) > 2) == bool(cuts)
@@ -397,27 +399,30 @@ class TestScan:
         assert paths == ([roots] if roots else [])       # [1.5, 3.5] holds none
         assert kept == {(-5.0, 20.0): [26], (1.5, 3.5): [26],
                         (-1000.0, 20.0): [101, 101, 26]}[window]
+        assert spans == {(-5.0, 20.0): [8], (1.5, 3.5): [8], (-1000.0, 20.0): [2, 2, 8]}[window]
 
     def test_coupled4_count_lane_keeps_26_nodes(self, monkeypatch):
-        # N = 4 and s^2 = 20 - (-3) at the top of [-5, 20]: k = 16, 26 of the 401 nodes
-        strides = []
+        # N = 4 and s^2 = 20 - (-3) at the top of [-5, 20]: k = 16, span 8,
+        # 26 of the 401 nodes
+        spans = []
         fold = spectrum._fold
 
-        def recording(tables, lams, z0, stride):
-            z = fold(tables, lams, z0, stride)
-            strides.append((stride, z.shape[0]))
+        def recording(tables, lams, z0, span):
+            z = fold(tables, lams, z0, span)
+            spans.append((span, z.shape[0]))
             return z
 
         monkeypatch.setattr(spectrum, "_fold", recording)
         iso.scan_spectrum(oracles.coupled4(), -5.0, 20.0)
-        assert strides == [(16, 26)]
+        assert spans == [(8, 26)]
 
     def test_scan_work_counts(self, paper, monkeypatch):
         # the count's fold is the only certifying evaluation of W: 33 pencil
-        # samples, no Newton evaluation, and one fold at stride 33 of the 16
-        # count probes and the 7 roots' endpoints. Over the 400 steps the
-        # count lanes take 25 sequential products of 8-leaf segments, and
-        # the one path fold of the 7 accepted roots 200 of pair leaves
+        # samples, no Newton evaluation, and one fold at stride 33 (span 8)
+        # of the 16 count probes and the 7 roots' endpoints. Over the 400
+        # steps the count lanes take 25 sequential products of 8-leaf
+        # segments, the one path fold of the 7 accepted roots 200 of pair
+        # leaves, and each batch of pencil samples one, of its one segment
         evaluated, folds, paths, products, newton = [], [], [], [], []
         char_batch, fold, path, matmul = (spectrum._char_batch, spectrum._fold, spectrum._paths,
                                           np.matmul)
@@ -431,9 +436,9 @@ class TestScan:
             newton.append(args[1])
             return refine(*args, **kwargs)
 
-        def recording(tables, lams, z0, stride):
-            folds.append((lams.size, stride))
-            return fold(tables, lams, z0, stride)
+        def recording(tables, lams, z0, span):
+            folds.append((lams.size, span))
+            return fold(tables, lams, z0, span)
 
         def path_recording(tables, lams, z0):
             paths.append(lams.size)
@@ -451,9 +456,11 @@ class TestScan:
         report = iso.scan_spectrum(paper, -5.0, 20.0, iso.Grid.uniform(401))
         assert len(report.pairs) == 7
         assert sum(evaluated) == 33 and newton == []
-        assert folds == [(23, 33)] and paths == [7]
+        assert folds == [(23, 8)] and paths == [7]
         sequential = [shape for shape in products if len(shape) == 3]
-        assert collections.Counter(sequential) == {(23, 4, 4): 25, (7, 4, 4): 200}
+        endpoints = collections.Counter((size, 4, 4) for size in evaluated)
+        assert collections.Counter(sequential) == collections.Counter(
+            {(23, 4, 4): 25, (7, 4, 4): 200}) + endpoints
 
     @pytest.mark.parametrize("which,window", [("paper", (-5.0, 20.0)), ("coupled4", (-5.0, 20.0)),
                                               ("scalar", (0.5, 2600.0))])
@@ -698,17 +705,17 @@ class TestCount:
             lams = np.linspace(0.99 * top, top, 12)
         s = np.sqrt(np.maximum(lams[-1] - pmin, pmax - lams[-1]))
         assert 2.48 < p.n * s * k * grid.h <= 2.5
-        strides = []
-        fold = spectrum._fold
+        spans = []
+        path = spectrum._paths
 
-        def every_node(tables, lams, z0, stride):
-            strides.append(stride)
-            return fold(tables, lams, z0, 1)
+        def every_node(tables, lams, z0, span):
+            spans.append(span)
+            return path(tables, lams, z0).swapaxes(0, 1)
 
         strided = counts(p, lams)
         monkeypatch.setattr(spectrum, "_fold", every_node)
         assert list(counts(p, lams)) == list(strided)
-        assert strides == [k]
+        assert spans == [{2: 1, 33: 8, 3: 1}[k]]          # span 2^min(3, floor(log2(k/2)))
 
     def test_phase_step_beyond_the_limit_raises(self):
         # N s h = 8 sqrt(2006.5) pi / 400 = 2.8 at lambda = 2000

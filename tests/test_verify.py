@@ -127,9 +127,9 @@ class TestIsospectral:
             lambdas.append(np.size(lams))
             return char_batch(p, lams, *args, **kwargs)
 
-        def recording(tables, lams, z0, stride):
+        def recording(tables, lams, z0, span):
             folds.append(lams.size)
-            return fold(tables, lams, z0, stride)
+            return fold(tables, lams, z0, span)
 
         def path_recording(tables, lams, z0):
             paths.append(lams.size)
