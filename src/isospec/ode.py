@@ -33,6 +33,12 @@ three uses:
   (T_{2j+1} T_{2j}) z_{2j}, one batched product per two steps, and an odd
   node comes from its even neighbour by one single step, batched per block.
 
+A lane's initial state z0 is any 2N x w matrix, shared by all lanes or one
+per lane: the frame (B^T, -A^T) of the left boundary plane for the endpoints
+and the count, and for an eigenpair only that frame times the null
+directions of W at its eigenvalue. Each lane's states depend on its lambda
+and z0 alone, not on the other lanes, the chunks or the blocks.
+
 Leaves stay at two steps: the monomial sum of a longer product cancels at
 large sqrt(lambda) times its length (octets lose about 2e-10 relative at
 lambda = 4e4 on 401 nodes, pairs stay within a few 1e-13).
@@ -147,21 +153,23 @@ def _leaf_room(n2: int) -> int:
 def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarray,
           span: int, out: np.ndarray | None = None) -> np.ndarray:
     """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of lams at the nodes 0,
-    2 span, 4 span, ... and the last, (K, L, 2N, N), written into out if
-    given; tables those of :func:`potential_tables`, span a power of 2.
+    2 span, 4 span, ... and the last, (K, L, 2N, w), written into out if
+    given; tables those of :func:`potential_tables`, span a power of 2, and
+    z0 one (2N, w) initial state for every lane or (L, 2N, w), one per lane.
 
     Each segment's span pair leaves are multiplied in a pairwise tree
     (:func:`_tree_product`) and the states fold one segment product at a
     time. The lanes go in chunks and the leaves in blocks of whole segments
     whose leaves fit _TREE_BYTES; a lane's states do not depend on either.
     """
-    pairs, n2 = tables[1], z0.shape[0]
+    pairs, n2 = tables[1], z0.shape[-2]
     m, room = len(pairs), _leaf_room(n2)
     chunk = max(1, min(lams.size, room // min(span, m)))
     block = min(m, max(span, room // chunk // span * span))
     work = np.empty(block * max(2, chunk) * n2 * n2)
-    half = np.empty(((block + 1) // 2, chunk, n2, n2))
-    states = np.empty((-(-m // span) + 1, lams.size) + z0.shape) if out is None else out
+    # the tree's rounds write into half; span 1 has none
+    half = np.empty(((block + 1) // 2 if span > 1 else 0, chunk, n2, n2))
+    states = np.empty((-(-m // span) + 1, lams.size) + z0.shape[-2:]) if out is None else out
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, lams.size, chunk):
@@ -179,24 +187,30 @@ def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarra
 def _paths(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray,
            z0: np.ndarray) -> np.ndarray:
     """States z_i = T_{i-1}(lam) ... T_0(lam) z0 of lams at every node,
-    (L, n, 2N, N), tables those of :func:`potential_tables`.
+    (L, n, 2N, w), tables those of :func:`potential_tables` and z0 as in
+    :func:`_fold`: one (2N, w) state for every lane or one per lane.
 
     The even nodes and the last are :func:`_fold` at span 1, written in
     place; an odd node 2j + 1 is T_{2j} times node 2j, one batched product
-    per block of steps that fits _TREE_BYTES.
+    per chunk of lanes and block of steps whose single steps fit _TREE_BYTES.
     """
     c = tables[0]
     s = c.shape[0]
     # with an odd step count the last node is odd: the fold leaves it in a spare node
-    path = np.empty((lams.size, s + 1 + s % 2) + z0.shape)
+    path = np.empty((lams.size, s + 1 + s % 2) + z0.shape[-2:])
     _fold(tables, lams, z0, 1, path[:, ::2].swapaxes(0, 1))
     path[:, s] = path[:, -1]
     path = path[:, :s + 1]
-    block = max(1, _leaf_room(z0.shape[0]) // max(1, lams.size))
-    for lo in range(0, s // 2, block):
-        hi = min(lo + block, s // 2)                  # odd nodes 2j + 1 < s, lo <= j < hi
-        np.matmul(_step_matrices(c[2 * lo:2 * hi:2], lams), path[:, 2 * lo:2 * hi:2].swapaxes(0, 1),
-                  out=path[:, 2 * lo + 1:2 * hi:2].swapaxes(0, 1))
+    room = _leaf_room(z0.shape[-2])
+    chunk = max(1, min(lams.size, room))
+    block = max(1, room // chunk)
+    for a in range(0, lams.size, chunk):
+        lanes = path[a:a + chunk]
+        for lo in range(0, s // 2, block):
+            hi = min(lo + block, s // 2)              # odd nodes 2j + 1 < s, lo <= j < hi
+            np.matmul(_step_matrices(c[2 * lo:2 * hi:2], lams[a:a + chunk]),
+                      lanes[:, 2 * lo:2 * hi:2].swapaxes(0, 1),
+                      out=lanes[:, 2 * lo + 1:2 * hi:2].swapaxes(0, 1))
     return path
 
 

@@ -484,11 +484,13 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
     there, or it has not converged within the passes, _NEWTON_PASSES unless given.
 
     Returns the iterates, |mu| at each converged one (inf elsewhere), a mask
-    of the starts still stepping after the passes and one of those that
-    converged.
+    of the starts still stepping after the passes, one of those that
+    converged, and W at each converged iterate from the pass in which it
+    converged, (L, N, N), NaN elsewhere.
     """
     lam = np.array(starts, dtype=float)
     residual = np.full(lam.size, np.inf)
+    w_done = np.full((lam.size, p.n, p.n), np.nan)
     active = np.ones(lam.size, dtype=bool)
     for _ in range(_NEWTON_PASSES if passes is None else passes):
         idx = np.flatnonzero(active)
@@ -501,56 +503,71 @@ def _newton_refine(p: Problem, starts: np.ndarray, radius: np.ndarray, grid: Gri
         w = w.reshape(3, idx.size, p.n, p.n)
         mu = _central_steps(w[1], w[0], w[2], lo, hi)
         done = np.abs(mu) <= _newton_tol(at)
-        residual[idx[done]] = np.abs(mu[done])
+        residual[idx[done]], w_done[idx[done]] = np.abs(mu[done]), w[1][done]
         go = np.isfinite(mu) & ~done
         active[idx[~go]] = False
         idx, step = idx[go], at[go] - mu[go].real
         inside = np.abs(step - starts[idx]) <= radius[idx]
         active[idx[~inside]] = False
         lam[idx[inside]] = step[inside]
-    return lam, residual, active, np.isfinite(residual)
+    return lam, residual, active, np.isfinite(residual), w_done
 
 
 # ---------------------------------------------------------------------------
 # eigenspace basis
 
 def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
-    """Flip each column of each (N, m) matrix so that its largest-magnitude
-    entry (the first on ties) is positive; null vectors of W have no sign."""
+    """-1 or +1 for each column of each (N, m) matrix, (..., 1, m): the sign of
+    its largest-magnitude entry (the first on ties), which the column times
+    its sign makes positive; null vectors of W have no sign."""
     lead = np.take_along_axis(thetas, np.argmax(np.abs(thetas), axis=-2)[..., None, :], axis=-2)
-    return np.where(lead < 0, -thetas, thetas)
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def _eigenpairs(p: Problem, lams: np.ndarray, mult: np.ndarray, residuals: np.ndarray,
-                grid: Grid, tables) -> list[Eigenpair]:
+                w: np.ndarray, grid: Grid, tables) -> list[Eigenpair]:
     """Eigenpairs at certified eigenvalues lams of multiplicities mult, with
-    the residuals |mu| of a Newton step at lams, from one fold of their paths.
+    the residuals |mu| of a Newton step at lams and W(lams), (L, N, N), as
+    certification evaluated them.
 
-    A null-space basis V_k is the mult[k] right singular vectors of
-    W(lams[k]), at the end of its path, with the smallest singular values;
-    the matrix int_0^pi (Y V_k)^T (Y V_k) dx is diagonalized by an orthogonal
-    U, and theta_l are the columns of V_k U, which makes the eigenfunctions
-    Y theta_l mutually L2-orthogonal. Each theta_l is signed by
-    :func:`_canonical_signs`. Each multiplicity's roots go in one batch.
+    A root of multiplicity m folds only the path of Y V from z0 V, z0 =
+    (B^T, -A^T) and V the b = min(N, max(m, 2)) right singular vectors of W
+    with the smallest singular values, most-null first: its null directions,
+    and for a simple root one more, since numpy sends a single column
+    through BLAS gemv, which rounds differently from gemm. The roots of each
+    width b go in one :func:`isospec.ode._paths`, so a root's eigenpair
+    depends on its lambda, m and W alone. With V_m the first m columns of V,
+    the matrix int_0^pi (Y V_m)^T (Y V_m) dx is diagonalized by an orthogonal
+    U, and theta_l are the columns of V_m U signed by
+    :func:`_canonical_signs`, S: the eigenfunctions Y theta_l, the columns of
+    (Y V_m) U S, are mutually L2-orthogonal.
     """
-    paths = _paths(tables, lams, _initial_state(p.left.B.T, -p.left.A.T))
-    w = p.right.B @ paths[:, -1, p.n:] + p.right.A @ paths[:, -1, :p.n]
-    vt = np.linalg.svd(w)[2]
+    n = p.n
+    vt = np.linalg.svd(w)[2][:, ::-1]                 # rows most-null first
+    width = np.minimum(n, np.maximum(mult, 2))
+    z0 = _initial_state(p.left.B.T, -p.left.A.T)
     pairs = [None] * lams.size
-    for m in np.unique(mult):
-        k = np.flatnonzero(mult == m)
-        v = vt[k, -m:][:, ::-1].swapaxes(1, 2)   # (K, N, m), most-null direction first
-        z = paths[k]                             # (K, n, 2N, N)
-        flat = z.reshape(k.size, -1, p.n)        # each root's path as one (2 n N, N) matrix
-        yv = (flat @ v).reshape(z.shape[:3] + (m,))[:, :, :p.n]
-        gram = integral(np.einsum("kqni,kqnj->qkij", yv, yv), grid.h)
-        d, u = np.linalg.eigh(gram)
-        thetas = _canonical_signs(v @ u)
-        zt = (flat @ thetas).reshape(z.shape[:3] + (m,))
-        phis, dphis = zt[:, :, :p.n].copy(), zt[:, :, p.n:].copy()
-        for r, j in enumerate(k):
-            pairs[j] = Eigenpair(float(lams[j]), int(m), thetas[r], phis[r], dphis[r],
-                                 np.maximum(d[r], 0.0), float(residuals[j]), grid)
+    for b in np.unique(width):
+        g = np.flatnonzero(width == b)
+        g = g[np.argsort(mult[g], kind="stable")]     # each multiplicity's lanes in one run
+        v = np.ascontiguousarray(vt[g, :b].swapaxes(1, 2))           # (G, N, b)
+        z = _paths(tables, lams[g], z0 @ v)                          # (G, n, 2N, b)
+        for m in np.unique(mult[g]):
+            k = np.flatnonzero(mult[g] == m)
+            run = slice(k[0], k[-1] + 1)
+            y = z[run, :, :n, :m]
+            d, u = np.linalg.eigh(integral(np.einsum("kqni,kqnj->qkij", y, y), grid.h))
+            thetas = v[run, :, :m] @ u
+            sign = _canonical_signs(thetas)
+            thetas *= sign
+            rot = u * sign
+            # each root's eigenfunctions are copied on their own: a block the
+            # size of a batch is mmapped and faults its pages on every scan
+            for r, (j, path) in enumerate(zip(g[run], z[run])):
+                zt = (path.reshape(-1, b)[:, :m] @ rot[r]).reshape(-1, 2 * n, m)
+                pairs[j] = Eigenpair(float(lams[j]), int(m), thetas[r], zt[:, :n].copy(),
+                                     zt[:, n:].copy(), np.maximum(d[r], 0.0),
+                                     float(residuals[j]), grid)
     return pairs
 
 
@@ -633,9 +650,10 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     takes only the probes that changed; converged roots in the window are
     merged within delta. A root's multiplicity is the rise of N across its
     window (0 rejects it, above N raises WindowTooCoarse), and N must not
-    rise between windows (WindowTooCoarse). The accepted roots' paths are
-    then folded once, and their eigenspace bases come from one SVD of W per
-    root at the end of its path (:func:`_eigenpairs`).
+    rise between windows (WindowTooCoarse). Each accepted root keeps the W
+    that certified it, from its count lane or from the Newton pass in which
+    it converged; its null directions, from one SVD of that W, are then
+    folded along x once (:func:`_eigenpairs`).
 
     Without bases (the rescan: starts from another problem's eigenvalues),
     the starts take one Newton step before the count, and the result is
@@ -648,7 +666,7 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
     lam, alive = starts, np.ones(starts.size, dtype=bool)
     if not bases:
-        lam, _, stepping, converged = _newton_refine(p, starts, radius, grid, tables, passes=1)
+        lam, _, stepping, converged, _ = _newton_refine(p, starts, radius, grid, tables, passes=1)
         alive = stepping | converged
     inside = alive & (lam >= lambda_min) & (lam <= lambda_max)
     roots = _ascending_runs(np.flatnonzero(inside), lam)      # indices of starts, ascending
@@ -659,12 +677,15 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     confirmed = np.abs(mu) <= _newton_tol(lam[roots])
     residual = np.full(starts.size, np.inf)
     residual[roots[confirmed]] = np.abs(mu[confirmed])
+    w_at = np.empty((starts.size, p.n, p.n))         # W at each accepted start's lambda
+    w_at[roots] = w_roots
     retry = np.concatenate([roots[~confirmed], np.flatnonzero(alive & ~inside)])
     if retry.size:
-        refined, steps, _, converged = _newton_refine(p, starts[retry], radius[retry], grid, tables)
+        refined, steps, _, converged, w_new = _newton_refine(p, starts[retry], radius[retry],
+                                                             grid, tables)
         ok = converged & (refined >= lambda_min) & (refined <= lambda_max)
         lam = lam.copy()
-        lam[retry[ok]], residual[retry[ok]] = refined[ok], steps[ok]
+        lam[retry[ok]], residual[retry[ok]], w_at[retry[ok]] = refined[ok], steps[ok], w_new[ok]
         roots = _ascending_runs(np.concatenate([roots[confirmed], retry[ok]]), lam)
         # a count depends on lambda alone: count only the probes that changed
         changed = _probes(lam[roots], lambda_min, lambda_max)
@@ -690,7 +711,8 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     keep, mult = roots[mult > 0], mult[mult > 0]
     if not bases:
         return list(map(Eigenvalue, lam[keep].tolist(), mult.tolist(), residual[keep].tolist()))
-    return _eigenpairs(p, lam[keep], mult, residual[keep], grid, tables) if keep.size else []
+    return (_eigenpairs(p, lam[keep], mult, residual[keep], w_at[keep], grid, tables)
+            if keep.size else [])
 
 
 def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,

@@ -6,14 +6,15 @@ it checks: quadratures appear only where the quantity being tested is itself
 defined through the package's running quadrature. At the end come the
 benchmark's coupled N = 4 problem, the straightforward per-row and per-root
 forms of two batched computations, kept to pin the batched ones to the same
-bits, and the exact lambda-derivative of W, the reference for the scan's
-central differences.
+bits, the eigenpairs of whole solution frames, a reference for the
+eigenpairs of null directions, and the exact lambda-derivative of W, the
+reference for the scan's central differences.
 """
 
 import numpy as np
 
 import isospec as iso
-from isospec import spectrum, verify
+from isospec import ode, spectrum, verify
 from isospec.ode import potential_tables
 
 
@@ -163,26 +164,59 @@ def loop_wave_residual(kernel, base, q):
 
 
 def loop_eigenpairs(p, lams, mult, grid):
-    """Eigenpairs of spectrum._eigenpairs, one root at a time, with the paths
-    from iso.integrate_ivp and each residual from the count of the root's
-    window ends lam -/+ 1e-8 (1 + |lam|) with the root riding as a lane.
-    That count's W at the root is the scan's bit for bit when both counts
-    multiply the same r pair leaves per segment, as both do (r = 8) on
-    [-5, 20], where the scan's stride is 33 for the paper example and 16
-    for the coupled N = 4 problem."""
+    """Eigenpairs of spectrum._eigenpairs, one root at a time.
+
+    Each root's W and residual come from the count of its window ends
+    lam -/+ 1e-8 (1 + |lam|) with the root riding as a lane, or, where that
+    count does not confirm the root, from Newton's pass that converges at
+    it. V holds the b = min(N, max(m, 2)) right singular vectors of W with
+    the smallest singular values, most-null first; the path of z0 V is
+    folded by ode._paths alone, and the eigenpair is formed from V's first m
+    columns. The count's W at a root is the scan's bit for bit when both
+    counts multiply the same r pair leaves per segment, as both do (r = 8)
+    on [-5, 20], where the scan's stride is 33 for the paper example and 16
+    for the coupled N = 4 problem. The paper example's W is diagonal, so its
+    V is the same signed permutation from the W of any fold."""
     tables = potential_tables(p.potential, grid)
     prange = spectrum._potential_range(p, grid)
+    z0 = ode._initial_state(p.left.B.T, -p.left.A.T)
+    pairs = []
+    for lam, m in zip(np.asarray(lams, dtype=float), mult):
+        delta = spectrum._MERGE_RTOL * (1.0 + abs(lam))
+        ends = np.array([lam - delta, lam + delta])
+        w_ends = spectrum._counts(p, ends, grid, tables, prange, [lam])[1]
+        w = w_ends[2]
+        residual = abs(spectrum._central_steps(w_ends[2:], w_ends[:1], w_ends[1:2],
+                                               ends[:1], ends[1:])[0])
+        if not residual <= spectrum._newton_tol(np.array([lam]))[0]:
+            _, steps, _, converged, w_newton = spectrum._newton_refine(
+                p, np.array([lam]), np.array([delta]), grid, tables)
+            assert converged[0]
+            residual, w = steps[0], w_newton[0]
+        b = min(p.n, max(m, 2))
+        v = np.ascontiguousarray(np.linalg.svd(w)[2][::-1][:b].T)
+        z = ode._paths(tables, np.array([lam]), z0 @ v)[0]
+        y = z[:, :p.n, :m]
+        d, u = np.linalg.eigh(iso.integral(np.einsum("qni,qnj->qij", y, y), grid.h))
+        thetas = v[:, :m] @ u
+        lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(m)]
+        sign = np.where(lead < 0, -1.0, 1.0)
+        zt = (z.reshape(-1, b)[:, :m] @ (u * sign)).reshape(-1, 2 * p.n, m)
+        pairs.append(spectrum.Eigenpair(float(lam), int(m), thetas * sign, zt[:, :p.n],
+                                        zt[:, p.n:], np.maximum(d, 0.0), float(residual), grid))
+    return pairs
+
+
+def frame_eigenpairs(p, lams, mult, grid):
+    """Eigenpairs from whole solution frames, the reference for the
+    null-direction fold: the N x N frame Y of each root from iso.integrate_ivp,
+    V from the SVD of W at the frame's end, and phi = Y theta with theta the
+    columns of V U, U diagonalizing int_0^pi (Y V)^T (Y V) dx. Residuals are
+    not computed (NaN)."""
     lams = np.asarray(lams, dtype=float)
     y, yp = iso.integrate_ivp(p.potential, lams, p.left.B.T, -p.left.A.T, grid)
     w = p.right.B @ yp[:, -1] + p.right.A @ y[:, -1]
     vt = np.linalg.svd(w)[2]
-    residuals = []
-    for lam in lams:
-        delta = spectrum._MERGE_RTOL * (1.0 + abs(lam))
-        ends = np.array([lam - delta, lam + delta])
-        w_ends = spectrum._counts(p, ends, grid, tables, prange, [lam])[1]
-        residuals.append(abs(spectrum._central_steps(w_ends[2:], w_ends[:1], w_ends[1:2],
-                                                     ends[:1], ends[1:])[0]))
     pairs = []
     for k, m in enumerate(mult):
         v_k = vt[k, -m:][::-1].T
@@ -193,8 +227,7 @@ def loop_eigenpairs(p, lams, mult, grid):
         lead = thetas[np.argmax(np.abs(thetas), axis=0), np.arange(m)]
         thetas = np.where(lead < 0, -thetas, thetas)
         pairs.append(spectrum.Eigenpair(float(lams[k]), int(m), thetas, y[k] @ thetas,
-                                        yp[k] @ thetas, np.maximum(d, 0.0),
-                                        float(residuals[k]), grid))
+                                        yp[k] @ thetas, np.maximum(d, 0.0), np.nan, grid))
     return pairs
 
 

@@ -263,15 +263,17 @@ class TestPairLeaves:
         lams = np.linspace(-30.0, 400.0, 37)
         tables, z0 = potential_tables(pot, grid), np.vstack([y0, yp0])
 
-        evaluated, step_matrices = [], ode._step_matrices
+        evaluated, steps, step_matrices = [], [], ode._step_matrices
 
         def states():
             return (integrate_final_batch(pot, lams, y0, yp0, grid, tables),
                     ode._fold(tables, lams, z0, 8), ode._paths(tables, lams, z0))
 
         def recording(coeffs, lams, *args):
-            if coeffs.shape[1] == 5:          # pair leaves, not single steps
+            if coeffs.shape[1] == 5:          # pair leaves
                 evaluated.append(lams.size)
+            else:                             # single steps to a path's odd nodes
+                steps.append((coeffs.shape[0], lams.size))
             return step_matrices(coeffs, lams, *args)
 
         whole = states()
@@ -279,15 +281,41 @@ class TestPairLeaves:
         for budget in (1, 3 * 200 * 64 * 8):
             monkeypatch.setattr(ode, "_TREE_BYTES", budget)
             evaluated.clear()
+            steps.clear()
             chunked = states()
-            # at budget 1 the pair leaves go one lane per chunk
+            # at budget 1 the pair leaves go one lane per chunk, and the 200
+            # odd steps one step of one lane at a time; the larger budget,
+            # 600 matrices, takes all 37 lanes in blocks of 16 steps
             assert (set(evaluated) == {1}) == (budget == 1)
+            assert steps == ([(1, 1)] * 200 * 37 if budget == 1 else [(16, 37)] * 12 + [(8, 37)])
             assert all(np.array_equal(a, b) for a, b in zip(whole[0], chunked[0]))
             assert np.array_equal(whole[1], chunked[1]) and np.array_equal(whole[2], chunked[2])
 
 
 class TestBatchedPath:
     """integrate_ivp with an array of lambdas folds them all at once."""
+
+    @pytest.mark.parametrize("lanes", [0, 1, 7])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_per_lane_initial_states_match_single_lane_calls(self, monkeypatch, lanes, width):
+        # one (2N, w) initial state per lane, w = 1, 2 and N = 4: each lane's
+        # path is that of its own call bit for bit, also with the lanes and
+        # steps in several chunks and blocks
+        pot, grid = random_grid_potential(4, 201, seed=31)
+        tables = potential_tables(pot, grid)
+        rng = np.random.default_rng(width)
+        lams = np.linspace(-3.0, 25.0, lanes)
+        z0 = rng.standard_normal((lanes, 8, width))
+        monkeypatch.setattr(ode, "_TREE_BYTES", 5 * 3 * 64 * 8)
+        path = ode._paths(tables, lams, z0)
+        assert path.shape == (lanes, grid.n, 8, width)
+        for k in range(lanes):
+            one = ode._paths(tables, lams[k:k + 1], z0[k])
+            assert np.array_equal(path[k], one[0])
+            assert np.array_equal(path[k, 0], z0[k])
+        # integrate_ivp keeps its N x N initial data
+        with pytest.raises(ValueError, match="N x N"):
+            iso.integrate_ivp(pot, 0.5, np.zeros((4, 1)), -np.ones((4, 1)), grid)
 
     @pytest.mark.parametrize("n_dim", [1, 2, 4])
     @pytest.mark.parametrize("end", ["dirichlet", "robin"])

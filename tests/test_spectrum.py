@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ class TestCharacteristicMatrix:
              "scalar": iso.builtin_problem("scalar-zero")}[which]
         report = iso.scan_spectrum(p, *window)
         lams = np.array([pair.lam for pair in report.pairs]) + 1e-6
-        stepped, _, stepping, _ = spectrum._newton_refine(
+        stepped, _, stepping, _, _ = spectrum._newton_refine(
             p, lams, np.ones(lams.size), report.grid, potential_tables(p.potential, report.grid),
             passes=1)
         exact = spectrum._newton_steps(*oracles.exact_derivative(p, lams, report.grid))
@@ -551,8 +552,8 @@ class TestScan:
         # with |mu| ~ 1.3e-10, and must still converge
         grid = iso.Grid.uniform(401)
         starts = np.array([69697.9348730483, 69697.9348728527])
-        lams, _, _, converged = spectrum._newton_refine(scalar, starts, np.ones(2), grid,
-                                                        potential_tables(scalar.potential, grid))
+        lams, _, _, converged, _ = spectrum._newton_refine(scalar, starts, np.ones(2), grid,
+                                                           potential_tables(scalar.potential, grid))
         assert converged.all()
         assert np.all(np.abs(lams - 69697.934873394) <= 1e-9)
 
@@ -1098,6 +1099,49 @@ class TestBatchedEigenpairs:
                 assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
         assert_residuals_bound(paper, report)
 
+    @pytest.mark.parametrize("which,window", [
+        ("paper", (-5.0, 20.0)), ("paper", (-1000.0, 20.0)), ("coupled4", (-5.0, 20.0)),
+        ("dirichlet-robin", (-20.0, 60.0)), ("rank-two-robin", (-20.0, 60.0))])
+    def test_null_direction_paths_match_the_frame_projection(self, which, window):
+        # each root folds only the path of z0 V, V its null directions from
+        # the W that certified it; the reference folds the whole N x N frame
+        # Y and projects it on the null vectors of W at the frame's end. Both
+        # agree within 1e-13 of the frame's size: max |Y| for phis, max |Y'|
+        # for phi_derivs and max |Y|^2 for norms_sq. At negative lambda the
+        # Robin problems' eigenfunctions are up to 970x smaller than their
+        # frames, and there they differ by up to 1.8e-12 of their own size.
+        # On [-1000, 20] Newton moves 4 of the paper example's 7 roots
+        p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
+             "dirichlet-robin": coupled4_robin_problems()[0],
+             "rank-two-robin": coupled4_robin_problems()[1]}[which]
+        report = iso.scan_spectrum(p, *window)
+        lams = [pair.lam for pair in report.pairs]
+        mult = [pair.multiplicity for pair in report.pairs]
+        assert len(lams) >= 7 and (max(mult) == 2) == (which in ("paper", "coupled4"))
+        ref = oracles.frame_eigenpairs(p, lams, mult, report.grid)
+        y, yp = iso.integrate_ivp(p.potential, np.array(lams), p.left.B.T, -p.left.A.T,
+                                  report.grid)
+        for k, (a, b) in enumerate(zip(report.pairs, ref)):
+            size = np.max(np.abs(y[k]))
+            for f, scale in (("thetas", 1.0), ("phis", size), ("phi_derivs", np.max(np.abs(yp[k]))),
+                             ("norms_sq", size ** 2)):
+                assert getattr(a, f).shape == getattr(b, f).shape
+                assert np.max(np.abs(getattr(a, f) - getattr(b, f))) <= 1e-13 * scale, (a.lam, f)
+
+    def test_coupled4_scan_peak_memory(self):
+        # the benchmark's coupled4-spectrum input (seed 7): the eigenpairs
+        # fold the 16 roots' null directions, not their N x N frames, so the
+        # scan's traced peak stays under 4.0 MB (5.35 MB with whole frames)
+        p = oracles.coupled4(seed=7)
+        tracemalloc.start()
+        try:
+            report = iso.scan_spectrum(p, -5.0, 20.0, iso.Grid.uniform(401))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(pair.multiplicity for pair in report.pairs) == 16
+        assert peak <= 4.0e6
+
     def test_scan_pairs_match_single_root_eigenbasis(self):
         # no sign alignment: the canonical sign makes both paths agree
         p = coupled4_x_dependent()
@@ -1123,7 +1167,7 @@ class TestBatchedEigenpairs:
 
     def test_canonical_sign_takes_first_entry_on_ties(self):
         thetas = np.array([[-0.5, 0.5, 0.2], [0.5, -0.5, -0.9]])
-        assert np.array_equal(spectrum._canonical_signs(thetas),
+        assert np.array_equal(thetas * spectrum._canonical_signs(thetas),
                               np.array([[0.5, 0.5, -0.2], [-0.5, -0.5, 0.9]]))
 
 
