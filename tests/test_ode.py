@@ -299,14 +299,14 @@ class TestBatchedPath:
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_per_lane_initial_states_match_single_lane_calls(self, monkeypatch, lanes, width):
         # one (2N, w) initial state per lane, w = 1, 2 and N = 4: each lane's
-        # path is that of its own call bit for bit, also with the lanes and
-        # steps in several chunks and blocks
+        # path is that of its own call bit for bit, with a budget of three
+        # 8 x 8 matrices that folds the 7 lanes in chunks of 3
         pot, grid = random_grid_potential(4, 201, seed=31)
         tables = potential_tables(pot, grid)
         rng = np.random.default_rng(width)
         lams = np.linspace(-3.0, 25.0, lanes)
         z0 = rng.standard_normal((lanes, 8, width))
-        monkeypatch.setattr(ode, "_TREE_BYTES", 5 * 3 * 64 * 8)
+        monkeypatch.setattr(ode, "_TREE_BYTES", 3 * 64 * 8)
         path = ode._paths(tables, lams, z0)
         assert path.shape == (lanes, grid.n, 8, width)
         for k in range(lanes):
