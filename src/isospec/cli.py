@@ -21,8 +21,8 @@ from .model import (Grid, Problem, builtin_problem, load_problem, potential_to_c
                     problem_to_json_obj, validate_problem)
 from .ode import integrate_ivp
 from .spectrum import DEFAULT_GRID, rescan_spectrum, scan_spectrum
-from .transform import (build_perturbation, kernel_diagnostics, transform_eigenfunction,
-                        transform_problem)
+from .transform import (_normalize_entries, build_perturbation, kernel_diagnostics,
+                        transform_eigenfunction, transform_problem)
 from .verify import check_isospectral, check_shift_tol, compare_spectra, pipeline_residuals
 
 EXIT_OK = 0
@@ -88,7 +88,9 @@ def cmd_spectrum(args) -> int:
 
 
 def _run_transform(problem: Problem, entries: list[dict], grid: Grid, window: tuple):
-    report = scan_spectrum(problem, *window, grid)
+    # checked before the scan, which builds the eigenspaces of the entries' k alone
+    entries = _normalize_entries(entries)
+    report = scan_spectrum(problem, *window, grid, {e.k for e in entries})
     new_problem, kernel = transform_problem(problem, build_perturbation(report, entries))
     return report, new_problem, kernel
 

@@ -166,9 +166,11 @@ def _fold(tables: tuple[np.ndarray, np.ndarray], lams: np.ndarray, z0: np.ndarra
     m, room = len(pairs), _leaf_room(n2)
     chunk = max(1, min(lams.size, room // min(span, m)))
     block = min(m, max(span, room // chunk // span * span))
-    work = np.empty(block * max(2, chunk) * n2 * n2)
-    # the tree's rounds write into half; span 1 has none
-    half = np.empty(((block + 1) // 2 if span > 1 else 0, chunk, n2, n2))
+    # work and the half the tree's rounds write into (none at span 1) are one block:
+    # glibc trims its heap only past twice the largest mmapped block freed, so pages stay mapped
+    size = block * max(2, chunk) * n2 * n2
+    buf = np.empty(size + ((block + 1) // 2 if span > 1 else 0) * chunk * n2 * n2)
+    work, half = buf[:size], buf[size:].reshape(-1, chunk, n2, n2)
     states = np.empty((-(-m // span) + 1, lams.size) + z0.shape[-2:]) if out is None else out
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -63,7 +63,7 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class Eigenvalue:
-    """One certified eigenvalue without its eigenspace, as the rescan gives it."""
+    """One certified eigenvalue without its eigenspace: a scan's record where it builds none."""
 
     lam: float
     multiplicity: int
@@ -525,10 +525,10 @@ def _canonical_signs(thetas: np.ndarray) -> np.ndarray:
 
 
 def _eigenpairs(p: Problem, lams: np.ndarray, mult: np.ndarray, residuals: np.ndarray,
-                w: np.ndarray, grid: Grid, tables) -> list[Eigenpair]:
-    """Eigenpairs at certified eigenvalues lams of multiplicities mult, with
-    the residuals |mu| of a Newton step at lams and W(lams), (L, N, N), as
-    certification evaluated them.
+                w: np.ndarray, grid: Grid, tables, bases=None) -> list[Eigenpair | Eigenvalue]:
+    """Eigenpairs at the positions bases (all if None), Eigenvalues elsewhere,
+    of the certified eigenvalues lams of multiplicities mult, with the Newton
+    residuals |mu| and W(lams), (L, N, N), that certified them.
 
     A root of multiplicity m folds only the path of Y V from z0 V, z0 =
     (B^T, -A^T) and V the b = min(N, max(m, 2)) right singular vectors of W
@@ -536,21 +536,23 @@ def _eigenpairs(p: Problem, lams: np.ndarray, mult: np.ndarray, residuals: np.nd
     and for a simple root one more, since numpy sends a single column
     through BLAS gemv, which rounds differently from gemm. The roots of each
     width b go in one :func:`isospec.ode._paths`, so a root's eigenpair
-    depends on its lambda, m and W alone. With V_m the first m columns of V,
-    the matrix int_0^pi (Y V_m)^T (Y V_m) dx is diagonalized by an orthogonal
-    U, and theta_l are the columns of V_m U signed by
-    :func:`_canonical_signs`, S: the eigenfunctions Y theta_l, the columns of
-    (Y V_m) U S, are mutually L2-orthogonal.
+    depends on its lambda, m and W alone, not on the other roots built. With
+    V_m the first m columns of V, the matrix int_0^pi (Y V_m)^T (Y V_m) dx is
+    diagonalized by an orthogonal U, and theta_l are the columns of V_m U
+    signed by :func:`_canonical_signs`, S: the eigenfunctions Y theta_l, the
+    columns of (Y V_m) U S, are mutually L2-orthogonal.
     """
     n = p.n
-    vt = np.linalg.svd(w)[2][:, ::-1]                 # rows most-null first
+    pairs = list(map(Eigenvalue, lams.tolist(), mult.tolist(), residuals.tolist()))
+    built = (np.arange(lams.size) if bases is None
+             else np.array(sorted({k for k in bases if 0 <= k < lams.size}), dtype=int))
     width = np.minimum(n, np.maximum(mult, 2))
     z0 = _initial_state(p.left.B.T, -p.left.A.T)
-    pairs = [None] * lams.size
-    for b in np.unique(width):
-        g = np.flatnonzero(width == b)
+    for b in np.unique(width[built]):
+        g = built[width[built] == b]
         g = g[np.argsort(mult[g], kind="stable")]     # each multiplicity's lanes in one run
-        v = np.ascontiguousarray(vt[g, :b].swapaxes(1, 2))           # (G, N, b)
+        vt = np.linalg.svd(w[g])[2][:, ::-1]         # rows most-null first
+        v = np.ascontiguousarray(vt[:, :b].swapaxes(1, 2))           # (G, N, b)
         z = _paths(tables, lams[g], z0 @ v)                          # (G, n, 2N, b)
         for m in np.unique(mult[g]):
             k = np.flatnonzero(mult[g] == m)
@@ -628,9 +630,9 @@ def _probes(roots: np.ndarray, lambda_min: float, lambda_max: float) -> np.ndarr
 
 
 def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: float, grid: Grid,
-             tables, prange: tuple[float, float],
-             bases: bool = True) -> list[Eigenpair | Eigenvalue]:
-    """The eigenpairs in [lambda_min, lambda_max] from ascending root estimates.
+             tables, prange: tuple[float, float], bases=None,
+             warm: bool = False) -> list[Eigenpair | Eigenvalue]:
+    """The eigenvalues in [lambda_min, lambda_max] from ascending root estimates.
 
     Estimates closer than the merge tolerance delta = 1e-8 (1 + |lambda|)
     are one start. The starts in the window are the roots, and one count of
@@ -652,12 +654,12 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     window (0 rejects it, above N raises WindowTooCoarse), and N must not
     rise between windows (WindowTooCoarse). Each accepted root keeps the W
     that certified it, from its count lane or from the Newton pass in which
-    it converged; its null directions, from one SVD of that W, are then
-    folded along x once (:func:`_eigenpairs`).
+    it converged. The roots at the positions bases (all if None) are
+    Eigenpairs: their null directions, from one SVD of that W, are folded
+    along x once (:func:`_eigenpairs`). The others are Eigenvalues.
 
-    Without bases (the rescan: starts from another problem's eigenvalues),
-    the starts take one Newton step before the count, and the result is
-    Eigenvalues, with no path folded.
+    Warm starts (the rescan: another problem's eigenvalues) take one Newton
+    step before the count.
     """
     starts = starts[_first_of_runs(starts)]
     # a lone start may move across the whole window
@@ -665,7 +667,7 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
     gaps = np.diff(starts, prepend=starts[:1] - far, append=starts[-1:] + far)
     radius = 0.5 * np.minimum(gaps[:-1], gaps[1:]) + _MERGE_RTOL * (1.0 + np.abs(starts))
     lam, alive = starts, np.ones(starts.size, dtype=bool)
-    if not bases:
+    if warm:
         lam, _, stepping, converged, _ = _newton_refine(p, starts, radius, grid, tables, passes=1)
         alive = stepping | converged
     inside = alive & (lam >= lambda_min) & (lam <= lambda_max)
@@ -709,15 +711,13 @@ def _certify(p: Problem, starts: np.ndarray, lambda_min: float, lambda_max: floa
                               f"[{probes[k]:.9g}, {probes[k + 1]:.9g}], more than the N = {p.n} "
                               f"one root can stand for")
     keep, mult = roots[mult > 0], mult[mult > 0]
-    if not bases:
-        return list(map(Eigenvalue, lam[keep].tolist(), mult.tolist(), residual[keep].tolist()))
-    return (_eigenpairs(p, lam[keep], mult, residual[keep], w_at[keep], grid, tables)
-            if keep.size else [])
+    return _eigenpairs(p, lam[keep], mult, residual[keep], w_at[keep], grid, tables, bases)
 
 
 def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
-                  grid: Grid = DEFAULT_GRID) -> SpectrumReport:
-    """All eigenvalues in [lambda_min, lambda_max], with multiplicities, on grid.
+                  grid: Grid = DEFAULT_GRID, bases=None) -> SpectrumReport:
+    """All eigenvalues in [lambda_min, lambda_max], with multiplicities, on grid:
+    Eigenpairs at the positions k in bases (all if None), Eigenvalues elsewhere.
 
     One path: starts, then one refine-and-certify step. The window is cut
     into pieces of bounded dynamic range of W (:func:`_envelope_pieces`);
@@ -743,18 +743,18 @@ def scan_spectrum(p: Problem, lambda_min: float, lambda_max: float,
     NonFiniteState
         If W or the path of the count overflows at some lambda.
     """
-    return _scan(p, lambda_min, lambda_max, grid, None)
+    return _scan(p, lambda_min, lambda_max, grid, None, bases)
 
 
 def rescan_spectrum(q: Problem, first: SpectrumReport) -> SpectrumReport:
     """q's eigenvalues in first.window on first.grid, by Newton from first's and
-    certified by :func:`_certify`'s count, with no pencil or eigenspaces; unless
-    that certifies first's multiplicities, ``scan_spectrum(q, *first.window, first.grid)``."""
-    return _scan(q, *first.window, first.grid, first)
+    certified by :func:`_certify`'s count, with no pencil or eigenspaces; unless that
+    certifies first's multiplicities, ``scan_spectrum(q, *first.window, first.grid, ())``."""
+    return _scan(q, *first.window, first.grid, first, ())
 
 
 def _scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid,
-          first: SpectrumReport | None) -> SpectrumReport:
+          first: SpectrumReport | None, bases) -> SpectrumReport:
     """:func:`scan_spectrum` of p, or with a first report :func:`rescan_spectrum`."""
     _check_scan(p, lambda_min, lambda_max, grid)
     tables = potential_tables(p.potential, grid)
@@ -763,7 +763,7 @@ def _scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid,
     if first is not None:
         starts = np.array([e.lam for e in first.pairs], dtype=float)
         try:                    # else the cold scan below gives p's report or error
-            found = _certify(p, starts, *window, grid, tables, prange, bases=False)
+            found = _certify(p, starts, *window, grid, tables, prange, bases, warm=True)
             if [e.multiplicity for e in found] == [e.multiplicity for e in first.pairs]:
                 return SpectrumReport(p, grid, window, tuple(found))
         except (WindowTooCoarse, NonFiniteState):
@@ -777,4 +777,4 @@ def _scan(p: Problem, lambda_min: float, lambda_max: float, grid: Grid,
     starts = np.sort(np.concatenate([np.empty(0)] + [_piece_roots(p, lo, hi, prange[0], grid, tables)
                                                      for lo, hi in pieces]))
     return SpectrumReport(p, grid, window,
-                          tuple(_certify(p, starts, lambda_min, lambda_max, grid, tables, prange)))
+                          tuple(_certify(p, starts, *window, grid, tables, prange, bases)))

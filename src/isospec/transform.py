@@ -31,7 +31,7 @@ from .errors import (ConditionViolated, GridMismatch, IndexOutOfRange,
                      NotAnEigenvalue, SingularResolvent)
 from .model import BoundaryPair, Grid, GridPotential, MatrixPotential, Problem
 from .quadrature import running_integral
-from .spectrum import SpectrumReport
+from .spectrum import Eigenpair, SpectrumReport
 
 #: relative resolvent singularity threshold for I + G(x) C
 RESOLVENT_TOL = 1e-12
@@ -123,8 +123,8 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
     Raises
     ------
     IndexOutOfRange
-        Bad or non-integral k or i, duplicate (k, i), or a theta of the
-        wrong length.
+        Bad or non-integral k or i, a k whose eigenspace the report lacks,
+        duplicate (k, i), or a theta of the wrong length.
     NotAnEigenvalue
         A theta farther than 1e-5 |theta| from the reported eigenspace.
     ConditionViolated
@@ -145,6 +145,8 @@ def build_perturbation(report: SpectrumReport, entries) -> Perturbation:
             )
         if (e.k, e.i) in seen:
             raise IndexOutOfRange(f"duplicate entry (k={e.k}, i={e.i})")
+        if not isinstance(report.pairs[e.k], Eigenpair):
+            raise IndexOutOfRange(f"the report holds no eigenspace at k={e.k}; scan with k in bases")
         seen.add((e.k, e.i))
 
     grid = report.grid

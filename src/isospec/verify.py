@@ -23,7 +23,7 @@ from .transform import KernelField, transform_eigenfunction
 #: a residual below this is at the rounding level of the O(1) quantities the
 #: identities compare, and where it peaks is noise: verify.json writes no location
 LOCATION_FLOOR = 1e-12
-_WAVE_BYTES = 1 << 18      # bytes of one x-row block's products in the wave residual
+_WAVE_BATCH = 16           # x rows of the wave residual per product, by falling bound
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def check_isospectral(p_a: Problem, p_b: Problem, window: tuple[float, float],
     check_shift_tol(tol)
     if p_a.n != p_b.n:
         raise ValueError("problems have different dimensions")
-    ra = scan_spectrum(p_a, *window, grid)
-    rb = scan_spectrum(p_b, *window, grid)
+    ra = scan_spectrum(p_a, *window, grid, ())
+    rb = scan_spectrum(p_b, *window, grid, ())
     return compare_spectra(ra, rb, tol)
 
 
@@ -154,37 +154,71 @@ def residual_wave_equation(kernel: KernelField, base: MatrixPotential,
     The factors are smooth in one variable each; their second derivatives
     take the five-point fourth-order stencil. The max runs over the node
     pairs j = 2..i-2, whose stencils in x and y stay on y <= x (the kink
-    along y = x enters none), in blocks of x rows: one product of a block's
-    X with the Z of every y node it meets, its own triangle j > i-2 masked,
-    and as many rows as fit _WAVE_BYTES. The rows next to the ends (y node
-    1, x node n-2) have no centered five-point stencil and are not checked.
-    Raises GridTooSmall below 7 nodes, where no node pair is left.
+    along y = x enters none). The rows next to the ends (y node 1, x node
+    n-2) have no centered five-point stencil and are not checked. Raises
+    GridTooSmall below 7 nodes, where no node pair is left.
+
+    Whole rows go _WAVE_BATCH per product with the Z of the y nodes they meet,
+    by falling bound (:func:`_wave_factors`), until one is below the max found,
+    which no row left can reach: the max and its first x are those of all rows.
     """
-    grid = kernel.grid
-    n = grid.n
+    n = kernel.grid.n
     if n < 7:
         raise GridTooSmall("wave-equation residual needs at least 7 nodes")
-    phis = kernel.pert.phis
+    x_fac, z_fac, bound = _wave_factors(kernel, base, q)
+    n_dim, width = z_fac.shape[1:]
+    res, best = np.zeros(n - 6), -np.inf
+    order = np.argsort(-bound, kind="stable")
+    for lo in range(0, n - 6, _WAVE_BATCH):
+        rows = order[lo:lo + _WAVE_BATCH]
+        if bound[rows[0]] < best:
+            break
+        # x row t (node t + 4) meets y nodes 2..t+2, the first t + 1 of z_fac
+        top = rows.max() + 1
+        prod = (x_fac[rows].reshape(rows.size * n_dim, width)
+                @ z_fac[:top].reshape(top * n_dim, width).T)
+        prod = np.abs(prod, out=prod).reshape(rows.size, n_dim, top, n_dim)
+        np.copyto(prod, 0.0, where=(np.arange(top) > rows[:, None])[:, None, :, None])
+        res[rows] = prod.max(axis=(1, 2, 3))
+        best = np.max(res[rows], initial=best)
+    return _peak_report("wave-eq", res, kernel.grid.nodes[4:n - 2], tolerance)
+
+
+def _wave_factors(kernel: KernelField, base: MatrixPotential, q: MatrixPotential):
+    """X of :func:`residual_wave_equation` at x nodes 4..n-3, Z at y nodes
+    2..n-3, and a bound on the residual over each x row, NaN read as infinite.
+
+    With Lambda = diag(lambda_j) of the selections, X Z^T = X' Z'^T for
+    X' = [F, -A] and Z' = [Phi, E]: F = A'' - Q A + A Lambda and
+    E = Phi'' - P Phi + Phi Lambda are the truncation residuals of the
+    transformed (A = -Psi C) and the base eigenfunctions. In exact arithmetic
+    on the computed factors, rows x = X_i[b] and z = Z_j[c] with j <= i - 2
+    then obey |x . z| <= sum_m |F_i[b, m]| phi_m + |A_i[b, m]| e_m, phi_m and
+    e_m the largest |Phi_j[c, m]| and |E_j[c, m]| over y nodes 2..i-2.
+    Rounding (u = eps / 2, M the rank, lambda = max |lambda_j|) adds at most
+    gamma_2M |x|_1 |z|_inf in the computed product, whatever the order of its
+    sum, u (1 + 4 lambda) |x|_1 |z|_inf through F and E as computed, and
+    (2M + 1) u (1 + 2 lambda) |x|_1 |z|_inf in the bound's sum: ((2M + 1) +
+    (2M + 3) lambda) eps |x|_1 |z|_inf to first order. Row i's bound is the
+    max over b of the sum plus 4 (M + 1) (1 + lambda) eps x_i z_i, more than
+    that, x_i the largest |X_i[b]|_1 and z_i the largest |Z_j[c]|_inf there.
+    """
+    grid = kernel.grid
+    phis, lams = kernel.pert.phis, kernel.pert.lambdas
     a, phi = kernel.a[2:-2], phis[2:-2]      # nodes 2..n-3
     qs = q.evaluate_many(grid.nodes[2:-2])
     ps = base.evaluate_many(grid.nodes[2:-2])
-    x_fac = np.concatenate([_second_difference4(kernel.a, grid.h) - qs @ a, -a], axis=2)
-    z_fac = np.concatenate([phi, _second_difference4(phis, grid.h) - ps @ phi], axis=2)
-    n_dim = phi.shape[1]
-    x_rows = x_fac[2:].reshape((n - 6) * n_dim, 2 * kernel.rank)   # x nodes 4..n-3
-    z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)   # row j N + b holds Z_{j+2}[b]
-    res = np.empty(n - 6)
-    block = max(1, _WAVE_BYTES // (8 * n_dim * z_rows.shape[0]))
-    for lo in range(0, n - 6, block):
-        hi = min(lo + block, n - 6)
-        # x node i = lo+4 .. hi+3 meets y nodes 2..i-2: the first (i-3) N rows of z_rows
-        prod = x_rows[lo * n_dim:hi * n_dim] @ z_rows[:hi * n_dim].T
-        prod = np.abs(prod, out=prod).reshape(hi - lo, n_dim, hi, n_dim)
-        above = np.arange(lo + 1, hi) >= np.arange(lo + 1, hi + 1)[:, None]
-        np.copyto(prod[:, :, lo + 1:], 0.0, where=above[:, None, :, None])
-        res[lo:hi] = prod.max(axis=(1, 2, 3))
-        del prod                        # before the next block's product is formed
-    return _peak_report("wave-eq", res, grid.nodes[4:n - 2], tolerance)
+    ax = _second_difference4(kernel.a, grid.h) - qs @ a
+    pz = _second_difference4(phis, grid.h) - ps @ phi
+    x_fac = np.concatenate([ax, -a], axis=2)[2:]
+    z_fac = np.concatenate([phi, pz], axis=2)
+    phi_m, e_m, z_m = (np.maximum.accumulate(np.abs(v).max(axis=1), axis=0)[:-2]  # row i - 4
+                       for v in (phi, pz + phi * lams, z_fac))
+    terms = np.abs(ax + a * lams)[2:] * phi_m[:, None] + np.abs(a[2:]) * e_m[:, None]
+    slack = 4 * (lams.size + 1) * (1 + np.abs(lams).max(initial=0.0)) * np.finfo(float).eps
+    bound = (terms.sum(axis=2).max(axis=1)
+             + slack * np.abs(x_fac).sum(axis=2).max(axis=1) * z_m.max(axis=1, initial=0.0))
+    return x_fac, z_fac, np.where(np.isnan(bound), np.inf, bound)
 
 
 def residual_goursat(kernel: KernelField, p: Problem, q: MatrixPotential,

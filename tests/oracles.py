@@ -140,8 +140,9 @@ def coupled4(n=401, seed=0):
     return iso.Problem(iso.GridPotential(grid, samples), dirichlet, dirichlet)
 
 
-def loop_wave_residual(kernel, base, q):
-    """(max_residual, location) of iso.residual_wave_equation, one x row at a time.
+def loop_wave_rows(kernel, base, q):
+    """The residual's max over each x row of iso.residual_wave_equation, one
+    x row at a time, (n - 6,).
 
     The factors X = [A'' - Q A, -A] and Z = [Phi, Phi'' - P Phi] are formed as
     there; x node i = 4..n-3 meets the y nodes j = 2..i-2 in one
@@ -157,42 +158,53 @@ def loop_wave_residual(kernel, base, q):
                            axis=2)
     n_dim = phi.shape[1]
     z_rows = z_fac.reshape((n - 4) * n_dim, 2 * kernel.rank)
-    res = np.array([np.max(np.abs(z_rows[:(i - 3) * n_dim] @ x_fac[i - 2].T))
-                    for i in range(4, n - 2)])
+    return np.array([np.max(np.abs(z_rows[:(i - 3) * n_dim] @ x_fac[i - 2].T))
+                     for i in range(4, n - 2)])
+
+
+def loop_wave_residual(kernel, base, q):
+    """(max_residual, location) of iso.residual_wave_equation from :func:`loop_wave_rows`."""
+    res = loop_wave_rows(kernel, base, q)
     k = int(np.argmax(res))
-    return (float(res[k]), float(grid.nodes[4 + k])) if res[k] > 0 else (0.0, 0.0)
+    return (float(res[k]), float(kernel.grid.nodes[4 + k])) if res[k] > 0 else (0.0, 0.0)
 
 
-def loop_eigenpairs(p, lams, mult, grid):
+def loop_eigenpairs(p, lams, mult, grid, window, moved=()):
     """Eigenpairs of spectrum._eigenpairs, one root at a time.
 
-    Each root's W and residual come from the count of its window ends
-    lam -/+ 1e-8 (1 + |lam|) with the root riding as a lane, or, where that
-    count does not confirm the root, from Newton's pass that converges at
-    it. V holds the b = min(N, max(m, 2)) right singular vectors of W with
-    the smallest singular values, most-null first; the path of z0 V is
-    folded by ode._paths alone, and the eigenpair is formed from V's first m
-    columns. The count's W at a root is the scan's bit for bit when both
-    counts multiply the same r pair leaves per segment, as both do (r = 8)
-    on [-5, 20], where the scan's stride is 33 for the paper example and 16
-    for the coupled N = 4 problem. The paper example's W is diagonal, so its
-    V is the same signed permutation from the W of any fold."""
+    Each root's W and residual come from one count whose lanes are the
+    window's edges and the root's window ends lam -/+ 1e-8 (1 + |lam|), cut
+    at the midpoints to its neighbours (the window's edges for the first and
+    last root), with the root riding as a lane: the scan's count takes its
+    stride from the window's edges and its probes from those cut ends, and
+    folds each lane alone, so a root it confirms gets the same W bit for bit.
+    The roots in moved, which the scan's count did not confirm at their
+    pencil starts, take theirs from Newton's pass that converges at them.
+    V holds the b = min(N, max(m, 2)) right singular vectors of W with the
+    smallest singular values, most-null first; the path of z0 V is folded
+    by ode._paths alone, and the eigenpair is formed from V's first m
+    columns."""
     tables = potential_tables(p.potential, grid)
     prange = spectrum._potential_range(p, grid)
     z0 = ode._initial_state(p.left.B.T, -p.left.A.T)
+    lams = np.asarray(lams, dtype=float)
+    mids = np.concatenate([[window[0]], 0.5 * (lams[:-1] + lams[1:]), [window[1]]])
     pairs = []
-    for lam, m in zip(np.asarray(lams, dtype=float), mult):
+    for k, (lam, m) in enumerate(zip(lams, mult)):
         delta = spectrum._MERGE_RTOL * (1.0 + abs(lam))
-        ends = np.array([lam - delta, lam + delta])
-        w_ends = spectrum._counts(p, ends, grid, tables, prange, [lam])[1]
-        w = w_ends[2]
-        residual = abs(spectrum._central_steps(w_ends[2:], w_ends[:1], w_ends[1:2],
-                                               ends[:1], ends[1:])[0])
-        if not residual <= spectrum._newton_tol(np.array([lam]))[0]:
+        if lam in moved:
             _, steps, _, converged, w_newton = spectrum._newton_refine(
                 p, np.array([lam]), np.array([delta]), grid, tables)
             assert converged[0]
             residual, w = steps[0], w_newton[0]
+        else:
+            ends = np.array([max(lam - delta, mids[k]), min(lam + delta, mids[k + 1])])
+            w_all = spectrum._counts(p, np.concatenate([[window[0]], ends, [window[1]]]), grid,
+                                     tables, prange, [lam])[1]
+            w = w_all[4]
+            residual = abs(spectrum._central_steps(w_all[4:], w_all[1:2], w_all[2:3],
+                                                   ends[:1], ends[1:])[0])
+            assert residual <= spectrum._newton_tol(np.array([lam]))[0]
         b = min(p.n, max(m, 2))
         v = np.ascontiguousarray(np.linalg.svd(w)[2][::-1][:b].T)
         z = ode._paths(tables, np.array([lam]), z0 @ v)[0]

@@ -116,9 +116,10 @@ class TestRunConfig:
 
     def test_rank_threshold_is_gone(self):
         # multiplicities come from the eigenvalue count, Newton and the root
-        # merge run at fixed tolerances, and the grid is the scan's one setting
+        # merge run at fixed tolerances, and the grid is the scan's one setting;
+        # bases picks which eigenspaces are built and changes no eigenvalue
         params = inspect.signature(iso.scan_spectrum).parameters
-        assert list(params) == ["p", "lambda_min", "lambda_max", "grid"]
+        assert list(params) == ["p", "lambda_min", "lambda_max", "grid", "bases"]
         assert [f.name for f in dataclasses.fields(iso.SpectrumReport)] == [
             "problem", "grid", "window", "pairs"]
 
@@ -661,6 +662,28 @@ class TestVerify:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: perturbation entry 0 is not a {k, i, c[, theta]} entry of numbers (")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "pipeline"])
+    @pytest.mark.parametrize("entry, code, message", [
+        ('{"k": "1", "i": 1, "c": 1}', 2, "error: perturbation entry 0 is not a {k, i, c[, theta]} "
+                                          "entry of numbers (TypeError: '1' is not a number)"),
+        ('{"k": 1.5, "i": 1, "c": 1}', 1, "error: IndexOutOfRange: perturbation entry 0 "),
+    ], ids=["k-string", "k-fraction"])
+    def test_entries_are_checked_before_the_scan(self, paper_files, tmp_path, monkeypatch,
+                                                 capsys, command, entry, code, message):
+        # the scan builds the eigenspaces of the entries' k alone, so it reads
+        # them first: a bad entry fails without integrating, even on a window
+        # whose scan would raise WindowTooCoarse (exit 1)
+        prob, _ = paper_files
+        pert = tmp_path / "bad.json"
+        pert.write_text(f"[{entry}]")
+        monkeypatch.setattr(cli, "scan_spectrum", lambda *args: pytest.fail("scanned"))
+        out = tmp_path / "never"
+        argv = (["transform", str(prob), str(pert)] if command == "transform"
+                else ["verify", str(prob), str(pert), "--pipeline"])
+        assert main(argv + ["--min=-3e4", "--max", "20", "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     def test_non_finite_residual_exits_1(self, paper_files, tmp_path, monkeypatch, capsys):

@@ -1072,7 +1072,8 @@ class TestBatchedEigenpairs:
         report = iso.scan_spectrum(p, -5.0, 20.0)
         assert len({pair.multiplicity for pair in report.pairs}) >= (1 if which == "mixed-end" else 2)
         ref = oracles.loop_eigenpairs(p, [pair.lam for pair in report.pairs],
-                                      [pair.multiplicity for pair in report.pairs], report.grid)
+                                      [pair.multiplicity for pair in report.pairs], report.grid,
+                                      report.window)
         assert len(ref) == len(report.pairs)
         for pair, b in zip(report.pairs, ref):
             # eigenbasis folds its one root with its own count
@@ -1083,21 +1084,34 @@ class TestBatchedEigenpairs:
                     assert getattr(a, f).shape == getattr(b, f).shape
                     assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
 
-    def test_newton_moved_roots_match_the_root_loop_bit_for_bit(self, paper):
-        # on [-1000, 20] Newton moves 4 of the 7 pencil starts after the
-        # count; every accepted root's path is still folded once, so all 7
-        # eigenspaces match the loop's bit for bit. The moved roots'
-        # residuals come from Newton, not from the count, and are bounded
-        # as every scan's are
-        report = iso.scan_spectrum(paper, -1000.0, 20.0)
-        assert len(report.pairs) == 7
-        ref = oracles.loop_eigenpairs(paper, [pair.lam for pair in report.pairs],
-                                      [pair.multiplicity for pair in report.pairs], report.grid)
-        for a, b in zip(report.pairs, ref):
-            assert (a.lam, a.multiplicity) == (b.lam, b.multiplicity)
-            for f in ("thetas", "phis", "phi_derivs", "norms_sq"):
-                assert np.array_equal(getattr(a, f), getattr(b, f)), (a.lam, f)
-        assert_residuals_bound(paper, report)
+    def test_newton_moved_roots_match_the_root_loop_bit_for_bit(self, paper, monkeypatch):
+        # on [-1000, 20] Newton moves 4 of the paper example's 7 pencil starts
+        # after the count, and on [-20, 60] 17 of the coupled Dirichlet-Robin
+        # problem's 31; every accepted root's path is still folded once, so
+        # all eigenspaces and residuals match the loop's bit for bit. The
+        # moved roots' W and residuals come from Newton, not from the count;
+        # the paper example's residuals are bounded as every scan's are
+        moved, refine = [], spectrum._newton_refine
+
+        def recording(*args, **kwargs):
+            out = refine(*args, **kwargs)
+            moved.extend(out[0][out[3]].tolist())
+            return out
+
+        monkeypatch.setattr(spectrum, "_newton_refine", recording)
+        for p, window, found, newton in ((paper, (-1000.0, 20.0), 7, 4),
+                                         (coupled4_robin_problems()[0], (-20.0, 60.0), 31, 17)):
+            moved.clear()
+            report = iso.scan_spectrum(p, *window)
+            lams = [pair.lam for pair in report.pairs]
+            assert len(lams) == found and len(set(moved) & set(lams)) == newton
+            ref = oracles.loop_eigenpairs(p, lams, [pair.multiplicity for pair in report.pairs],
+                                          report.grid, window, moved)
+            for a, b in zip(report.pairs, ref):
+                for f in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (a.lam, f.name)
+            if p is paper:
+                assert_residuals_bound(p, report)
 
     @pytest.mark.parametrize("which,window", [
         ("paper", (-5.0, 20.0)), ("paper", (-1000.0, 20.0)), ("coupled4", (-5.0, 20.0)),
@@ -1127,6 +1141,31 @@ class TestBatchedEigenpairs:
                              ("norms_sq", size ** 2)):
                 assert getattr(a, f).shape == getattr(b, f).shape
                 assert np.max(np.abs(getattr(a, f) - getattr(b, f))) <= 1e-13 * scale, (a.lam, f)
+
+    @pytest.mark.parametrize("which,window,stride", [
+        ("paper", (-5.0, 20.0), 1), ("paper", (-1000.0, 20.0), 1), ("coupled4", (-5.0, 20.0), 1),
+        ("dirichlet-robin", (-20.0, 60.0), 5), ("rank-two-robin", (-20.0, 60.0), 5)])
+    def test_an_eigenpair_built_alone_is_the_one_built_with_all(self, which, window, stride):
+        # a root's eigenpair depends on its lambda, multiplicity and W alone,
+        # so a scan that builds one eigenspace (transform, verify --pipeline)
+        # gives it bit for bit; the other records are its Eigenvalues, and
+        # the positions -1 and L build nothing. On [-1000, 20] Newton moves 4
+        # of the paper example's 7 roots, and on [-20, 60] 17 of 31 and 15 of
+        # 32 of the Robin problems' roots
+        p = {"paper": iso.builtin_problem("paper-example-2x2"), "coupled4": oracles.coupled4(),
+             "dirichlet-robin": coupled4_robin_problems()[0],
+             "rank-two-robin": coupled4_robin_problems()[1]}[which]
+        every = iso.scan_spectrum(p, *window)
+        assert len(every.pairs) >= 7
+        assert all(type(e) is spectrum.Eigenvalue
+                   for e in iso.scan_spectrum(p, *window, bases=()).pairs)
+        for k in range(0, len(every.pairs), stride):
+            alone = iso.scan_spectrum(p, *window, bases={k, -1, len(every.pairs)}).pairs
+            assert [type(e) is spectrum.Eigenpair for e in alone] == [
+                j == k for j in range(len(every.pairs))]
+            for a, b in zip(alone, every.pairs):
+                for f in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (k, f.name)
 
     def test_coupled4_scan_peak_memory(self):
         # the benchmark's coupled4-spectrum input (seed 7): the eigenpairs
@@ -1237,12 +1276,13 @@ class TestRescan:
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["paper-to-free", "free-to-paper"])
     def test_fallback_is_the_cold_scan(self, paper_report, reverse):
-        # free-2x2 holds other multiplicities than the paper example on [-5, 20]
+        # free-2x2 holds other multiplicities than the paper example on [-5, 20];
+        # the fallback builds no eigenspace, as the warm rescan builds none
         p, q = paper_report.problem, iso.builtin_problem("free-2x2")
         first = iso.scan_spectrum(q, -5.0, 20.0) if reverse else paper_report
         other = p if reverse else q
         assert_same_report(spectrum.rescan_spectrum(other, first),
-                           iso.scan_spectrum(other, -5.0, 20.0))
+                           iso.scan_spectrum(other, -5.0, 20.0, bases=()))
 
     def test_empty_first_report(self, paper, monkeypatch):
         # [1.5, 3.5] holds no eigenvalue of the paper example or its transform,
@@ -1254,7 +1294,7 @@ class TestRescan:
         warm = spectrum.rescan_spectrum(q, first)
         assert first.pairs == warm.pairs == () and pieces == []
         other = dirichlet_2x2(-1.0, 0.0)
-        cold = iso.scan_spectrum(other, 1.5, 3.5)
+        cold = iso.scan_spectrum(other, 1.5, 3.5, bases=())
         assert [e.lam for e in cold.pairs] == pytest.approx([3.0], abs=1e-6)
         assert_same_report(spectrum.rescan_spectrum(other, first), cold)
         assert len(pieces) == 2        # the cold scan above and the fallback's
@@ -1270,7 +1310,8 @@ class TestRescan:
         assert lams[0] < window[1] < lams[1]
         a, b = (q, paper) if reverse else (paper, q)
         first = iso.scan_spectrum(a, *window)
-        assert_same_report(spectrum.rescan_spectrum(b, first), iso.scan_spectrum(b, *window))
+        assert_same_report(spectrum.rescan_spectrum(b, first),
+                           iso.scan_spectrum(b, *window, bases=()))
 
     def test_rescan_runs_the_scan_checks(self, paper, paper_report):
         bad = iso.Problem(paper.potential, iso.BoundaryPair(np.eye(2), np.zeros((2, 2))),

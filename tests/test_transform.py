@@ -70,6 +70,14 @@ class TestBuildPerturbation:
         with pytest.raises(IndexOutOfRange):
             iso.build_perturbation(scalar_report, [(0, 1, 0.5), (0, 1, 0.2)])
 
+    def test_a_k_without_its_eigenspace_is_refused(self, paper):
+        # a scan builds the eigenspaces at its bases alone; the others are
+        # Eigenvalue records, which no entry can select
+        report = iso.scan_spectrum(paper, -5.0, 20.0, bases={0})
+        iso.build_perturbation(report, [(0, 1, 1.0)])
+        with pytest.raises(IndexOutOfRange, match="no eigenspace at k=1"):
+            iso.build_perturbation(report, [(0, 1, 1.0), (1, 1, 1.0)])
+
     def test_index_into_an_empty_window_names_the_window(self, paper):
         # [1.5, 3] holds no eigenvalue of the paper example
         report = iso.scan_spectrum(paper, 1.5, 3.0)

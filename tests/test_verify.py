@@ -110,10 +110,10 @@ class TestIsospectral:
     def test_one_pipeline_op_scans_once_and_rescans_warm(self, tmp_path, monkeypatch, capsys):
         # verify --pipeline on the paper example: the first scan takes 33
         # pencil samples and no Newton evaluation, folds its 16 count probes
-        # with its 7 roots' endpoints, and then the paths of the 7 roots; the
-        # rescan takes one Newton step from each of P's 7 eigenvalues, W at
-        # lambda and lambda -/+ delta in one batch of 21, folds its 16 probes
-        # with the 7 roots' endpoints, and folds no path
+        # with its 7 roots' endpoints, and then the path of the one root the
+        # perturbation selects; the rescan takes one Newton step from each of
+        # P's 7 eigenvalues, W at lambda and lambda -/+ delta in one batch of
+        # 21, folds its 16 probes with the 7 roots' endpoints, and folds no path
         calls = {"_piece_roots": 0, "_eigenpairs": 0}
         for name in calls:
             def count(*args, _f=getattr(spectrum, name), _name=name):
@@ -146,8 +146,8 @@ class TestIsospectral:
         assert main(["verify", str(prob), str(pert), "--pipeline", "--min", "-5",
                      "--max", "20"]) == 0
         assert capsys.readouterr().out.count("[pass]") == 8
-        assert calls == {"_piece_roots": 1, "_eigenpairs": 1}
-        assert folds == [23, 23] and paths == [7]
+        assert calls == {"_piece_roots": 1, "_eigenpairs": 2}
+        assert folds == [23, 23] and paths == [1]
         assert lambdas == [9, 8, 16, 21]
 
     def test_json_shape(self, scalar_report):
@@ -228,11 +228,26 @@ class TestWaveEquation:
             rep = iso.residual_wave_equation(kernel, base, q)
             assert (rep.max_residual, rep.location) == oracles.loop_wave_residual(kernel, base, q), name
 
+    @pytest.mark.parametrize("n", [401, 801])
+    def test_row_bounds_hold_and_leave_one_batch(self, paper, n):
+        # every x row's max is at most its bound; on the paper transforms and
+        # the corrupted Q the rows whose bound reaches the max fit one batch
+        # (1 of 395 and of 795 rows; the coupled N = 4 rank-two case needs 18
+        # of 395 and 55 of 795)
+        p, new_problem, kernel = coupled3_rank_two()
+        for name, kernel, base, q in wave_cases(paper, n) + [
+                ("coupled3", kernel, p.potential, new_problem.potential)]:
+            rows = oracles.loop_wave_rows(kernel, base, q)
+            bound = verify._wave_factors(kernel, base, q)[2]
+            assert np.all(rows <= bound), name
+            if name in ("rank1", "rank2", "corrupted"):
+                assert np.sum(bound >= rows.max()) <= verify._WAVE_BATCH, name
+
     @pytest.mark.parametrize("n", [7, 9])
     @pytest.mark.parametrize("rows", [1, 2, None])
     def test_small_grids_match_the_row_loop_bit_for_bit(self, monkeypatch, n, rows):
-        # blocks of one row, of two rows (the last one partial at 9 nodes),
-        # and the default budget, which takes every row in one block
+        # batches of one row, of two rows (the last one partial at 9 nodes),
+        # and the default 16, which takes every row in one batch
         rng = np.random.default_rng(n)
         samples = rng.standard_normal((n, 2, 2))
         q = iso.GridPotential(iso.Grid.uniform(n), samples + samples.transpose(0, 2, 1))
@@ -240,7 +255,7 @@ class TestWaveEquation:
         for rank in (0, 1, 2, 3):
             kernel = synthetic_kernel(n, rank)
             if rows is not None:
-                monkeypatch.setattr(verify, "_WAVE_BYTES", rows * 8 * 2 * (n - 4) * 2)
+                monkeypatch.setattr(verify, "_WAVE_BATCH", rows)
             rep = iso.residual_wave_equation(kernel, base, q)
             assert (rep.max_residual, rep.location) == oracles.loop_wave_residual(kernel, base, q)
             assert (rep.max_residual > 0) == (rank > 0)
